@@ -126,30 +126,17 @@ class Graph:
         edges merged, so the result is simple.
         """
         ss = self._check_subset(S)
-        if len(ss) < 2:
-            raise ValueError("contraction needs at least two vertices")
-        keep = min(ss)
-        remap = {}
-        nxt = 0
-        for v in range(self.n):
-            if v in ss and v != keep:
-                continue
-            remap[v] = nxt
-            nxt += 1
-        for v in ss:
-            remap[v] = remap[keep]
+        remap = self.contraction_map(ss)
         new_edges = set()
         for a, b in self.edges:
             na, nb = remap[a], remap[b]
             if na != nb:
                 new_edges.add(_canon_edge(na, nb))
-        new_labels = [""] * nxt
+        new_labels = [""] * (self.n - len(ss) + 1)
         for v in range(self.n):
-            if v in ss and v != keep:
-                continue
             new_labels[remap[v]] = self.labels[v]
-        new_labels[remap[keep]] = _merge_label(self.labels[v] for v in ss)
-        return Graph(nxt, new_edges, tuple(new_labels))
+        new_labels[remap[min(ss)]] = _merge_label(self.labels[v] for v in ss)
+        return Graph(len(new_labels), new_edges, tuple(new_labels))
 
     def contraction_map(self, S: Iterable[int]) -> dict[int, int]:
         """Old-id -> new-id map of :meth:`contract` (all of S maps to one id)."""

@@ -1,8 +1,13 @@
 """Exact rigidity-matrix construction and rank computation.
 
-All arithmetic is exact: coordinates are rationals, ranks are computed by
-fraction-free elimination over the integers or by Gaussian elimination over
-a large prime field.  No floating point is used anywhere.
+All arithmetic is exact: coordinates are rationals and no floating point is
+used anywhere.  Every sampled rank comes from one incremental sparse row
+echelon over GF(2^61 - 1) (``ModpEchelon``), fed rows built straight from the
+integer coordinates of the sample.  Rows independent mod p are independent
+over the rationals, so a mod-p rank is a certified lower bound.  Bareiss
+fraction-free elimination over the integers (``int_rank``/``rank_exact``)
+computes exact ranks of explicit matrices, and confirms a sampled rank that
+falls short of its upper bound on the exact-rational path.
 """
 
 from __future__ import annotations
@@ -220,49 +225,78 @@ def is_probable_prime(p: int) -> bool:
     return True
 
 
+class ModpEchelon:
+    """Incremental row echelon over GF(prime) of sparse integer rows.
+
+    A row is a dict column -> integer.  Each kept row leads on its highest
+    nonzero column and is scaled so that entry is 1.  A rigidity row then
+    leads on its higher endpoint; when vertices are numbered in Henneberg
+    construction order that endpoint is the later vertex, so a row reduces
+    against rows of its own and earlier vertices and fill-in stays local.
+    Rows independent mod prime are independent over the rationals, so
+    ``rank`` never exceeds the exact rank.
+    """
+
+    def __init__(self, prime: int = DEFAULT_PRIME):
+        self.prime = prime
+        self.pivots: dict[int, dict[int, int]] = {}  # leading column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def try_add(self, row: dict[int, int]) -> bool:
+        """Reduce ``row`` (left unchanged) and keep it iff it is independent."""
+        p = self.prime
+        r = {c: x % p for c, x in row.items() if x % p}
+        while r:
+            c = max(r)
+            prow = self.pivots.get(c)
+            if prow is None:
+                inv = pow(r[c], -1, p)
+                self.pivots[c] = {j: x * inv % p for j, x in r.items()}
+                return True
+            f = r[c]
+            for j, x in prow.items():
+                y = (r.get(j, 0) - f * x) % p
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+        return False
+
+
 def rank_modp(M: RigidityMatrix, prime: int = DEFAULT_PRIME) -> int:
     """Rank of the matrix reduced mod prime; never exceeds the exact rank."""
     if not is_probable_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    reduced = []
+    ech = ModpEchelon(prime)
     for row in M.rows:
-        out = []
-        for x in row:
-            num, den = x.numerator, x.denominator
-            if den % prime == 0:
-                raise ValueError("denominator divisible by the chosen prime")
-            out.append(num * pow(den, -1, prime) % prime)
-        reduced.append(out)
-    return _rank_modp_rows(reduced, prime)
+        mul = lcm(*(x.denominator for x in row))
+        if mul % prime == 0:
+            raise ValueError("denominator divisible by the chosen prime")
+        ech.try_add({c: x.numerator * (mul // x.denominator)
+                     for c, x in enumerate(row) if x})
+    return ech.rank
 
 
-def _rank_modp_rows(m: list[list[int]], p: int) -> int:
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c] * inv % p
-                mi, mr = m[i], m[r]
-                for j in range(c, ncols):
-                    mi[j] = (mi[j] - f * mr[j]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _sparse_rows(g: Graph, p: Realization) -> dict[tuple[int, int], dict[int, int]]:
+    """Edge -> rigidity-matrix row as a sparse dict.
+
+    ``p`` must have integer coordinates, as every sampled realization has.
+    """
+    d = p.dim
+    pts = [tuple(x.numerator for x in p.point(v)) for v in range(g.n)]
+    rows = {}
+    for u, v in g.edge_list():
+        pu, pv = pts[u], pts[v]
+        row = {}
+        for i in range(d):
+            if pu[i] != pv[i]:
+                row[d * u + i] = pu[i] - pv[i]
+                row[d * v + i] = pv[i] - pu[i]
+        rows[(u, v)] = row
+    return rows
 
 
 def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
@@ -318,13 +352,22 @@ def generic_rank(g: Graph, spec: CoincidenceSpec, d: int, trials: int = 3,
         raise ValueError("trials must be at least 1")
     if use_modp is None:
         use_modp = g.n > EXACT_VERTEX_LIMIT
+    target = rigidity_target(g.n, d)
+    # a mod-p rank never exceeds the rational rank, which is at most |E| and,
+    # for d <= 2, at most the target (the translations and the rotation lie
+    # in the kernel; if all points coincide every row is zero): a trial that
+    # reaches this cap has its rational rank already
+    cap = min(len(g.edges), target) if d <= 2 else len(g.edges)
     best = 0
     for t in range(trials):
         p = sample_T_coincident(g, spec, d, _trial_seed(seed, t))
-        M = rigidity_matrix(g, p)
-        r = rank_modp(M) if use_modp else rank_exact(M)
+        ech = ModpEchelon()
+        for row in _sparse_rows(g, p).values():
+            ech.try_add(row)
+        r = ech.rank
+        if not use_modp and r < cap:
+            r = rank_exact(rigidity_matrix(g, p))
         best = max(best, r)
-    target = rigidity_target(g.n, d)
     bound = Fraction(min(d * g.n, len(g.edges)), 2 * COORD_BOUND + 1)
     return RankReport(
         rank=best,

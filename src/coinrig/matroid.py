@@ -13,11 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph
-from .linalg import (CoincidenceSpec, _trial_seed, rigidity_matrix,
+from .linalg import (CoincidenceSpec, ModpEchelon, _sparse_rows, _trial_seed,
                      sample_T_coincident)
 from .pebble import PebbleGame
 from .sparsity import (AugmentedFamily, CompatibleFamily, DEFAULT_CAP,
@@ -93,16 +93,8 @@ def mt_oracle(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> Independenc
         return StrongSparsityChecker(n, ts, cap).accepts_all(sorted(fs))
 
     return IndependenceOracle("mt", g.edges, test,
-                              incremental=lambda: _MtChecker(n, ts, cap),
+                              incremental=lambda: StrongSparsityChecker(n, ts, cap),
                               conjectural=len(ts) >= 4)
-
-
-class _MtChecker:
-    def __init__(self, n, T, cap):
-        self._c = StrongSparsityChecker(n, T, cap)
-
-    def try_add(self, a, b) -> bool:
-        return self._c.try_add(a, b)
 
 
 def laman_oracle(g: Graph) -> IndependenceOracle:
@@ -125,30 +117,6 @@ class _LamanChecker:
         return self._game.try_insert(a, b)
 
 
-class _IntEchelon:
-    """Row space of integer vectors; try_add rejects dependent rows."""
-
-    def __init__(self):
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot col, row)
-
-    def try_add(self, row: list[int]) -> bool:
-        row = list(row)
-        for c, prow in self.rows:
-            if row[c]:
-                f, pf = row[c], prow[c]
-                row = [pf * x - f * y for x, y in zip(row, prow)]
-        piv = next((j for j, x in enumerate(row) if x), None)
-        if piv is None:
-            return False
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        row = [x // g for x in row]
-        self.rows.append((piv, row))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-
 class _RtChecker:
     """Row-independence under several sampled realizations.
 
@@ -163,7 +131,7 @@ class _RtChecker:
 
     def __init__(self, row_maps):
         self.row_maps = row_maps
-        self.echelons = [_IntEchelon() for _ in row_maps]
+        self.echelons = [ModpEchelon() for _ in row_maps]
         self.valid = [True] * len(row_maps)
 
     def try_add(self, a, b) -> bool:
@@ -185,15 +153,12 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2, trials: int = 3,
     """Independence in the algebraic T-coincident rigidity matroid.
 
     One realization per trial is sampled up front and shared by all queries;
-    rows are tested by exact integer elimination.
+    rows are tested by sparse elimination over GF(2^61 - 1), so accepted
+    rows are independent over the rationals too.
     """
     spec = CoincidenceSpec.of(T)
-    row_maps = []
-    for t in range(trials):
-        p = sample_T_coincident(g, spec, d, _trial_seed(seed, t))
-        M = rigidity_matrix(g, p)
-        row_maps.append({e: [int(x) for x in M.rows[k]]
-                         for e, k in M.row_index.items()})
+    row_maps = [_sparse_rows(g, sample_T_coincident(g, spec, d, _trial_seed(seed, t)))
+                for t in range(trials)]
 
     def test(fs):
         checker = _RtChecker(row_maps)

@@ -1,15 +1,20 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from coinrig import linalg
+from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (CoincidenceSpec, Realization, generic_rank,
-                            generic_realization, int_rank, is_infinitesimally_rigid,
-                            is_probable_prime, kernel_contains,
-                            lift_contracted_realization, rank_exact, rank_modp,
-                            rigid_motion_basis, rigidity_matrix, rigidity_target,
+from coinrig.linalg import (CoincidenceSpec, ModpEchelon, Realization,
+                            RigidityMatrix, _sparse_rows, _trial_seed,
+                            generic_rank, generic_realization, int_rank,
+                            is_infinitesimally_rigid, is_probable_prime,
+                            kernel_contains, lift_contracted_realization,
+                            rank_exact, rank_modp, rigid_motion_basis,
+                            rigidity_matrix, rigidity_target,
                             sample_T_coincident)
 
 
@@ -191,3 +196,109 @@ def test_realization_json_roundtrip():
     p = Realization(2, {0: (F(1) / 3, F(-2)), 1: (F(0), F(5) / 7)})
     q = Realization.from_json(p.to_json())
     assert q.dim == 2 and q.coords == p.coords
+
+
+def _echelon_rank(rows) -> int:
+    ech = ModpEchelon()
+    for row in rows:
+        ech.try_add(row)
+    return ech.rank
+
+
+def _random_int_matrix(rng):
+    """Random integer rows of random rank, with duplicate, scaled and zero rows."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    rank = rng.randint(0, min(rows, cols))
+    bound = rng.choice((3, 1 << 20, 1 << 70))
+    basis = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
+    mat = []
+    for _ in range(rows):
+        combo = [rng.randint(-3, 3) for _ in basis]
+        mat.append([sum(c * b[j] for c, b in zip(combo, basis)) for j in range(cols)])
+    if rng.random() < 0.5:
+        mat.append(list(rng.choice(mat)))
+    if rng.random() < 0.5:
+        mat.append([0] * cols)
+    if rng.random() < 0.5:
+        mat.append([-2 * x for x in rng.choice(mat)])
+    rng.shuffle(mat)
+    return mat
+
+
+def test_echelon_rank_equals_int_rank_on_random_matrices():
+    rng = random.Random(21)
+    for _ in range(300):
+        mat = _random_int_matrix(rng)
+        sparse = [{c: x for c, x in enumerate(r) if x} for r in mat]
+        before = [dict(r) for r in sparse]
+        assert _echelon_rank(sparse) == int_rank(mat)
+        assert sparse == before  # try_add leaves its argument unchanged
+        scales = [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 9)) for _ in mat]
+        frac_rows = [[s * x for x in r] for s, r in zip(scales, mat)]
+        M = RigidityMatrix(1, len(mat[0]), frac_rows, {})
+        assert rank_modp(M) == rank_exact(M) == int_rank(mat)
+
+
+def test_echelon_rejects_dependent_rows():
+    ech = ModpEchelon()
+    assert ech.try_add({0: 2, 3: -1})
+    assert ech.try_add({3: 5})
+    assert not ech.try_add({0: 7})  # 7/2 * row0 + 7/10 * row1
+    assert not ech.try_add({})
+    assert not ech.try_add({1: 2 ** 61 - 1})  # zero mod p
+    assert ech.rank == 2
+
+
+def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
+    rng = random.Random(23)
+    for d in (1, 2, 3):
+        for seed in range(15):
+            n = rng.randint(2, 9)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
+            T = rng.sample(range(n), rng.randint(1, min(3, n)))
+            p = sample_T_coincident(g, CoincidenceSpec.of(T), d, seed)
+            rows = _sparse_rows(g, p)
+            assert _echelon_rank(rows.values()) == rank_exact(rigidity_matrix(g, p))
+
+
+def _bareiss_report(g, spec, d, trials, seed):
+    """The report of generic_rank with every trial ranked by Bareiss."""
+    rep = generic_rank(g, spec, d, trials=trials, seed=seed, use_modp=False)
+    best = max(rank_exact(rigidity_matrix(g, sample_T_coincident(g, spec, d, _trial_seed(seed, t))))
+               for t in range(trials))
+    return dataclasses.replace(rep, rank=best, rigid=best == rep.target,
+                               independent=best == len(g.edges))
+
+
+def test_exact_path_matches_all_bareiss_reports():
+    f = fixtures()["fig4"]
+    spec = CoincidenceSpec.of(f.T)
+    rep = generic_rank(f.graph, spec, 2, trials=3, seed=1)
+    assert rep.rank == 12 and rep.target == 13  # not T-rigid
+    assert rep == _bareiss_report(f.graph, spec, 2, 3, 1)
+    assert rep.method == "exact-rational"
+    rng = random.Random(29)
+    for d in (1, 2, 3):
+        for seed in range(12):
+            n = rng.randint(1, 8)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            spec = CoincidenceSpec.of(rng.sample(range(n), rng.randint(1, n)))
+            assert (generic_rank(g, spec, d, trials=2, seed=seed)
+                    == _bareiss_report(g, spec, d, 2, seed))
+
+
+def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
+    calls = []
+    real = linalg.rank_exact
+    monkeypatch.setattr(linalg, "rank_exact", lambda M: calls.append(M) or real(M))
+    for name, f in fixtures().items():
+        if name == "fig4":
+            continue
+        rep = generic_rank(f.graph, CoincidenceSpec.of(f.T), 2, trials=3, seed=1)
+        assert rep.rank == min(len(f.graph.edges), rep.target)
+    assert calls == []
+    generic_rank(fixtures()["fig4"].graph, CoincidenceSpec.of({0, 1, 2}), 2,
+                 trials=3, seed=1)
+    assert len(calls) == 3  # each fig4 trial falls short of 13 and is confirmed

@@ -3,7 +3,10 @@ import warnings
 
 import pytest
 
+from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
+from coinrig.linalg import (CoincidenceSpec, _trial_seed, rank_exact,
+                            rigidity_matrix, sample_T_coincident)
 from coinrig.matroid import (circuits_upto, greedy_rank, laman_oracle,
                              mt_oracle, mt_rank_cover_min, rt_oracle)
 from coinrig.sparsity import val_augmented
@@ -117,6 +120,19 @@ def test_mt_rt_agree_during_greedy():
         rt = greedy_rank(rt_oracle(g, T, seed=rng.getrandbits(16)))
         assert mt.rank == rt.rank, (g.edge_list(), sorted(T))
         assert mt.base == rt.base
+
+
+def test_rt_base_is_certified_independent_over_q():
+    # elimination in the rt oracle is mod p; Bareiss re-checks its certificate
+    for f in fixtures().values():
+        for d in (2, 3):
+            base = greedy_rank(rt_oracle(f.graph, f.T, d=d, trials=3, seed=4)).base
+            sub = Graph(f.graph.n, base)
+            spec = CoincidenceSpec.of(f.T)
+            assert any(
+                rank_exact(rigidity_matrix(
+                    sub, sample_T_coincident(f.graph, spec, d, _trial_seed(4, t))))
+                == len(base) for t in range(3)), (f.name, d)
 
 
 def test_greedy_base_size_permutation_invariant():
