@@ -18,7 +18,7 @@ from .constructions import SplitSpec, henneberg_random, one_extension, \
 from .graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
 from .linalg import CoincidenceSpec, generic_rank
 from .matroid import greedy_rank, mt_oracle, mt_rank_cover_min, rt_oracle
-from .sparsity import is_S_sparse, is_strongly_T_sparse
+from .sparsity import DEFAULT_CAP, is_S_sparse, is_strongly_T_sparse
 
 
 class UsageError(Exception):
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--T", help="comma-separated vertex ids")
     p.add_argument("--strong", action="store_true")
-    p.add_argument("--cap", type=int, default=12)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=_cmd_sparse)
 
     p = sub.add_parser("mrank", help="matroid rank certificate")

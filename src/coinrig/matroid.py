@@ -1,8 +1,8 @@
 """Matroid rank machinery over independence oracles.
 
-Three oracles share one interface: the combinatorial matroid whose
-independent sets are the strongly T-sparse edge sets, the algebraic
-T-coincident rigidity matroid decided by exact rank of sampled
+Three oracles share one shape, an incremental checker: the combinatorial
+matroid whose independent sets are the strongly T-sparse edge sets, the
+algebraic T-coincident rigidity matroid decided by exact rank of sampled
 realizations, and the plain 2-dimensional rigidity matroid via the pebble
 game.  Greedy base construction, the 1-thin augmented-cover minimum that
 certifies the combinatorial rank, and small-circuit enumeration sit on top.
@@ -31,16 +31,21 @@ def _canon_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 class IndependenceOracle:
-    """An edge-subset independence test over a fixed ground set."""
+    """An edge-subset independence test over a fixed ground set.
+
+    The oracle is defined by its incremental checker: ``new_checker()``
+    returns a fresh ``add(a, b) -> bool`` that accepts an edge iff the
+    edges accepted so far plus this one stay independent, and leaves its
+    state unchanged otherwise.  A set is independent iff a fresh checker
+    accepts all of its edges.
+    """
 
     def __init__(self, name: str, ground: Iterable[tuple[int, int]],
-                 test: Callable[[frozenset], bool],
-                 incremental: Callable[[], "object"] | None = None,
+                 new_checker: Callable[[], Callable[[int, int], bool]],
                  conjectural: bool = False):
         self.name = name
         self.ground = tuple(_canon_edges(ground))
-        self._test = test
-        self._incremental = incremental
+        self.new_checker = new_checker
         self.conjectural = conjectural
 
     def test(self, edges: Iterable[tuple[int, int]]) -> bool:
@@ -48,11 +53,12 @@ class IndependenceOracle:
         for e in fs:
             if e not in self.ground:
                 raise ValueError(f"edge {e} is not in the oracle's ground set")
-        return self._test(fs)
+        add = self.new_checker()
+        return all(add(a, b) for a, b in sorted(fs))
 
-    def incremental(self):
-        """A fresh stateful checker with try_add(a, b), or None."""
-        return self._incremental() if self._incremental else None
+    def incremental(self) -> Callable[[int, int], bool]:
+        """A fresh checker ``add(a, b) -> bool``."""
+        return self.new_checker()
 
 
 @dataclass
@@ -88,33 +94,15 @@ def mt_oracle(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> Independenc
     if not ts:
         raise ValueError("T must be nonempty")
     n = g.n
-
-    def test(fs):
-        return StrongSparsityChecker(n, ts, cap).accepts_all(sorted(fs))
-
-    return IndependenceOracle("mt", g.edges, test,
-                              incremental=lambda: StrongSparsityChecker(n, ts, cap),
+    return IndependenceOracle("mt", g.edges,
+                              lambda: StrongSparsityChecker(n, ts, cap).try_add,
                               conjectural=len(ts) >= 4)
 
 
 def laman_oracle(g: Graph) -> IndependenceOracle:
     """Independence in the plain 2-dimensional rigidity matroid."""
     n = g.n
-
-    def test(fs):
-        game = PebbleGame(n)
-        return all(game.try_insert(a, b) for a, b in sorted(fs))
-
-    return IndependenceOracle("laman", g.edges, test,
-                              incremental=lambda: _LamanChecker(n))
-
-
-class _LamanChecker:
-    def __init__(self, n):
-        self._game = PebbleGame(n)
-
-    def try_add(self, a, b) -> bool:
-        return self._game.try_insert(a, b)
+    return IndependenceOracle("laman", g.edges, lambda: PebbleGame(n).try_insert)
 
 
 class _RtChecker:
@@ -159,13 +147,7 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2, trials: int = 3,
     spec = CoincidenceSpec.of(T)
     row_maps = [_sparse_rows(g, sample_T_coincident(g, spec, d, _trial_seed(seed, t)))
                 for t in range(trials)]
-
-    def test(fs):
-        checker = _RtChecker(row_maps)
-        return all(checker.try_add(a, b) for a, b in sorted(fs))
-
-    return IndependenceOracle("rt", g.edges, test,
-                              incremental=lambda: _RtChecker(row_maps))
+    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(row_maps).try_add)
 
 
 # -- rank computations ---------------------------------------------------
@@ -178,16 +160,8 @@ def greedy_rank(oracle: IndependenceOracle,
     for e in edges:
         if e not in oracle.ground:
             raise ValueError(f"edge {e} is not in the oracle's ground set")
-    checker = oracle.incremental()
-    base: list[tuple[int, int]] = []
-    if checker is not None:
-        for a, b in edges:
-            if checker.try_add(a, b):
-                base.append((a, b))
-    else:
-        for e in edges:
-            if oracle.test(base + [e]):
-                base.append(e)
+    add = oracle.incremental()
+    base = [(a, b) for a, b in edges if add(a, b)]
     return MatroidRankCertificate(rank=len(base), base=tuple(base),
                                   conjectural=oracle.conjectural)
 

@@ -11,6 +11,12 @@ exactly in S: merging an overlapping pair never shrinks coverage and
 strictly lowers the family value, so any violating family reduces to one of
 this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
+
+One bitmask engine decides strong T-sparsity: a table of induced edge
+counts over all vertex subsets, a scan of set capacities, and one
+lexicographic search over weighted candidate blocks per S whose first hit
+is the canonical family witness.  ``is_S_sparse``, ``is_strongly_T_sparse``
+and the incremental ``StrongSparsityChecker`` all run it.
 """
 
 from __future__ import annotations
@@ -204,16 +210,15 @@ def _set_violation(n: int, i_cnt: list[int], s_mask: int):
     return best
 
 
-def _family_candidates(n: int, i_cnt: list[int], s_mask: int) -> tuple[int, list[tuple[int, int]]]:
+def _family_candidates(n: int, i_cnt: list[int], s_mask: int) -> tuple[list[tuple[int, int]], int]:
     """Blocks B (disjoint from S) whose member S|B can contribute to a violation.
 
     With i(S) = 0 a family {S|B_1, ..., S|B_k} of disjoint blocks violates
     its capacity iff sum of w(B_i) exceeds 2|S|-2, where
     w(B) = (2|S|-2) - (2|S|B|-3 - i(S|B)).  Blocks with w <= 0 never help,
-    so only w >= 1 blocks are returned.
+    so only w >= 1 blocks are returned, with the threshold 2|S|-2.
     """
-    s_pc = s_mask.bit_count()
-    thresh = 2 * s_pc - 2
+    thresh = 2 * s_mask.bit_count() - 2
     comp = ((1 << n) - 1) & ~s_mask
     cands = []
     b = comp
@@ -223,59 +228,46 @@ def _family_candidates(n: int, i_cnt: list[int], s_mask: int) -> tuple[int, list
         if w >= 1:
             cands.append((b, w))
         b = (b - 1) & comp
-    return thresh, cands
+    return cands, thresh
 
 
-def _has_disjoint_packing(cands: list[tuple[int, int]], thresh: int) -> bool:
-    """Is there a disjoint collection of candidate blocks with total weight > thresh?"""
-    order = sorted(cands, key=lambda bw: -bw[1])
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + order[i][1]
+def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
+    """Canonically first disjoint collection of blocks weighing over thresh.
 
-    def dfs(i: int, used: int, acc: int) -> bool:
-        if acc > thresh:
-            return True
-        if i == len(order) or acc + suffix[i] <= thresh:
-            return False
-        b, w = order[i]
-        if not (b & used) and dfs(i + 1, used | b, acc + w):
-            return True
-        return dfs(i + 1, used, acc)
-
-    return dfs(0, 0, 0)
-
-
-def _family_witness(i_cnt, s_mask, cands, thresh):
-    """Canonically first violating family built from candidate blocks.
-
-    Candidate families are explored in lexicographic order of their sorted
-    member tuples, so the returned witness is reproducible.
+    Blocks are tried in lexicographic order of their vertex tuples, so the
+    first hit is the canonical witness.  Each level keeps only the later
+    blocks disjoint from those chosen, and stops once its remaining weight
+    cannot exceed thresh; both prunes cut only subtrees without a hit.
     """
-    blocks = sorted((_bits(b), b, w) for b, w in cands)
+    if sum(w for _, w in cands) <= thresh:
+        return None
+    blocks = [(b, w) for _, b, w in sorted((_bits(b), b, w) for b, w in cands)]
 
-    def dfs(start: int, used: int, acc: int, chosen: list[int]):
-        for idx in range(start, len(blocks)):
-            _, b, w = blocks[idx]
-            if b & used:
-                continue
-            chosen.append(idx)
+    def dfs(avail: list[tuple[int, int]], acc: int) -> list[int] | None:
+        reach = acc + sum(w for _, w in avail)  # most weight this level can reach
+        for idx, (b, w) in enumerate(avail):
+            if reach <= thresh:
+                return None
             if acc + w > thresh:
-                return list(chosen)
-            hit = dfs(idx + 1, used | b, acc + w, chosen)
-            if hit:
-                return hit
-            chosen.pop()
+                return [b]
+            hit = dfs([bw for bw in avail[idx + 1:] if not bw[0] & b], acc + w)
+            if hit is not None:
+                return [b] + hit
+            reach -= w
         return None
 
-    picked = dfs(0, 0, 0, [])
-    if picked is None:
+    return dfs(blocks, 0)
+
+
+def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityViolation | None:
+    """The canonical violating S-family (given i(S) = 0), or None."""
+    s_mask = _mask_of(ss)
+    blocks = _family_witness(*_family_candidates(n, i_cnt, s_mask))
+    if blocks is None:
         return None
-    sset = frozenset(_bits(s_mask))
-    members = [sset | frozenset(_bits(blocks[i][1])) for i in picked]
-    fam = CompatibleFamily(sset, tuple(members))
-    lhs = sum(i_cnt[s_mask | blocks[i][1]] for i in picked)
-    return fam, lhs, val_family(fam)
+    fam = CompatibleFamily(ss, tuple(ss | frozenset(_bits(b)) for b in blocks))
+    lhs = sum(i_cnt[s_mask | b] for b in blocks)
+    return SparsityViolation("family", ss, fam, lhs, val_family(fam))
 
 
 # -- sparsity decisions ------------------------------------------------
@@ -286,30 +278,29 @@ def _check_cap(g: Graph, cap: int):
         raise ValueError(f"graph has {g.n} vertices, enumeration cap is {cap}")
 
 
+def _check_args(g: Graph, name: str, vs: frozenset[int], cap: int):
+    if not vs:
+        raise ValueError(f"{name} must be nonempty")
+    for v in sorted(vs):
+        if not 0 <= v < g.n:
+            raise ValueError(f"{name} contains invalid vertex {v}")
+    _check_cap(g, cap)
+
+
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
     """None iff every set and every S-compatible family respects its capacity.
 
-    Otherwise the canonically smallest violating set, or a violating family
-    assembled from candidate blocks, is returned as the witness.
+    Otherwise the canonically smallest violating set, or the canonically
+    first violating family of candidate blocks, is returned as the witness.
     """
     ss = frozenset(S)
-    if not ss:
-        raise ValueError("S must be nonempty")
-    for v in ss:
-        if not 0 <= v < g.n:
-            raise ValueError(f"S contains invalid vertex {v}")
-    _check_cap(g, cap)
+    _check_args(g, "S", ss, cap)
     i_cnt = subset_edge_counts(g)
-    s_mask = _mask_of(ss)
-    hit = _set_violation(g.n, i_cnt, s_mask)
+    hit = _set_violation(g.n, i_cnt, _mask_of(ss))
     if hit:
         key, lhs, rhs = hit
         return SparsityViolation("set", ss, frozenset(key), lhs, rhs)
-    thresh, cands = _family_candidates(g.n, i_cnt, s_mask)
-    if _has_disjoint_packing(cands, thresh):
-        fam, lhs, rhs = _family_witness(i_cnt, s_mask, cands, thresh)
-        return SparsityViolation("family", ss, fam, lhs, rhs)
-    return None
+    return _family_violation(g.n, i_cnt, ss)
 
 
 def nonempty_subsets_canonical(T: Iterable[int], min_size: int = 1) -> list[frozenset[int]]:
@@ -325,13 +316,26 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     """None iff g is S-sparse for every nonempty S inside T.
 
     Subsets are checked smallest first (then lexicographically); the first
-    violation found is returned.
+    violation found is returned, as ``is_S_sparse`` would report it.  One
+    subset table serves every S.  All singletons share the (2,3)-count
+    capacities and have no family condition (with threshold 0 a block
+    counts iff S|B breaks the (2,3)-count), so one scan stands for them,
+    reported under S = {min T}.  Once it passes, the only set that can
+    break a larger S's capacity is a pair S with an edge, and pairs come
+    before larger sets.
     """
     ts = frozenset(T)
-    if not ts:
-        raise ValueError("T must be nonempty")
-    for s in nonempty_subsets_canonical(ts):
-        v = is_S_sparse(g, s, cap)
+    _check_args(g, "T", ts, cap)
+    i_cnt = subset_edge_counts(g)
+    hit = _set_violation(g.n, i_cnt, 0)
+    if hit:
+        key, lhs, rhs = hit
+        return SparsityViolation("set", frozenset({min(ts)}), frozenset(key), lhs, rhs)
+    for s in nonempty_subsets_canonical(ts, min_size=2):
+        inside = i_cnt[_mask_of(s)]
+        if inside:
+            return SparsityViolation("set", s, s, inside, 0)
+        v = _family_violation(g.n, i_cnt, s)
         if v is not None:
             return v
     return None
@@ -340,12 +344,12 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
 class StrongSparsityChecker:
     """Incremental strong T-sparsity test used by greedy matroid runs.
 
-    Maintains the subgraph accepted so far; ``try_add`` accepts an edge iff
-    the grown edge set is still strongly T-sparse, and leaves the state
-    unchanged otherwise.  Checks are the bitmask form of the public
-    decision: the per-set capacities collapse to the (2,3)-count plus
-    "no edge inside T", and per-S family violations are searched over
-    candidate blocks only.
+    Maintains the subgraph accepted so far and its subset-count table;
+    ``try_add`` accepts an edge iff the grown edge set is still strongly
+    T-sparse, and leaves the state unchanged otherwise.  It runs the public
+    decision's engine on the sets containing the new edge: the per-set
+    capacities collapse to the (2,3)-count plus "no edge inside T", and each
+    S with |S| >= 2 gets the shared family search.
     """
 
     def __init__(self, n: int, T: Iterable[int], cap: int = DEFAULT_CAP):
@@ -389,8 +393,8 @@ class StrongSparsityChecker:
             s = (s + 1) | eb
         if ok:
             for s_mask in self.s_masks:
-                thresh, cands = _family_candidates(self.n, self.i_cnt, s_mask)
-                if _has_disjoint_packing(cands, thresh):
+                cands, thresh = _family_candidates(self.n, self.i_cnt, s_mask)
+                if _family_witness(cands, thresh) is not None:
                     ok = False
                     break
         if not ok:

@@ -36,6 +36,8 @@ def test_oracle_axioms_spot_checks():
             edges = g.edge_list()
             rng.shuffle(edges)
             chain = edges[:rng.randint(1, len(edges))]
+            # independence is a greedy run that keeps every edge
+            assert oracle.test(chain) == (greedy_rank(oracle, chain).rank == len(chain))
             if oracle.test(chain):  # I.2 on a random chain
                 for k in range(len(chain)):
                     assert oracle.test(chain[:k])
@@ -145,7 +147,7 @@ def test_greedy_base_size_permutation_invariant():
             order = g.edge_list()
             rng.shuffle(order)
             chk = oracle.incremental()
-            sizes.add(sum(1 for a, b in order if chk.try_add(a, b)))
+            sizes.add(sum(1 for a, b in order if chk(a, b)))
         assert len(sizes) == 1
 
 

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from coinrig import sparsity
+from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import CoincidenceSpec, generic_rank
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily,
@@ -10,7 +12,8 @@ from coinrig.sparsity import (AugmentedFamily, CompatibleFamily,
                               combine_families, coverage, covered_edge_count,
                               enumerate_compatible_families, is_S_sparse,
                               is_strongly_T_sparse, ly_rank_bruteforce,
-                              merge_overlapping, val_augmented, val_family,
+                              merge_overlapping, nonempty_subsets_canonical,
+                              subset_edge_counts, val_augmented, val_family,
                               val_set)
 
 S2 = frozenset({0, 1})
@@ -140,6 +143,8 @@ def test_strongly_T_sparse_basics():
     assert is_strongly_T_sparse(tri_pendant, {3}) is None
     v = is_strongly_T_sparse(complete_graph(4), {0, 1, 2})
     assert v.S == frozenset({0})  # K4 is Laman-overfull: smallest S fails first
+    with pytest.raises(ValueError, match="invalid vertex 9"):
+        is_strongly_T_sparse(complete_graph(4), {0, 9})  # not a violation at S = {0}
 
 
 def test_matches_enumeration_reference():
@@ -187,6 +192,102 @@ def test_checker_agrees_with_public_decision():
         T = frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
         fast = StrongSparsityChecker(g.n, T).accepts_all(g.edge_list())
         assert fast == (is_strongly_T_sparse(g, T) is None)
+
+
+def _reference_family(i_cnt, n, S):
+    """Unpruned lexicographic block search: the first disjoint collection of
+    blocks B, tried in order of their vertex tuples, whose weights
+    w(B) = (2|S|-2) - (2|S|B|-3 - i(S|B)) sum past 2|S|-2."""
+    s_mask = sum(1 << v for v in S)
+    thresh = 2 * len(S) - 2
+    others = [v for v in range(n) if v not in S]
+    blocks = []
+    for k in range(1, len(others) + 1):
+        for B in combinations(others, k):
+            b = sum(1 << v for v in B)
+            w = thresh - (2 * (len(S) + k) - 3 - i_cnt[s_mask | b])
+            if w >= 1:
+                blocks.append((B, b, w))
+    blocks.sort()
+
+    def dfs(start, used, acc, chosen):
+        for idx in range(start, len(blocks)):
+            B, b, w = blocks[idx]
+            if b & used:
+                continue
+            if acc + w > thresh:
+                return chosen + [B]
+            hit = dfs(idx + 1, used | b, acc + w, chosen + [B])
+            if hit:
+                return hit
+        return None
+
+    return dfs(0, 0, 0, [])
+
+
+def _reference_S_sparse(g, S):
+    """is_S_sparse(g, S).to_dict() from a literal set scan and the unpruned search."""
+    i_cnt = subset_edge_counts(g)
+    sets = [X for k in range(2, g.n + 1) for X in combinations(range(g.n), k)
+            if i_cnt[sum(1 << v for v in X)] > (0 if set(X) <= S else 2 * k - 3)]
+    if sets:
+        X = min(sets)
+        return {"kind": "set", "S": sorted(S), "witness": list(X),
+                "lhs": g.induced_edge_count(X), "rhs": val_set(X, S)}
+    blocks = _reference_family(i_cnt, g.n, S)
+    if blocks is None:
+        return None
+    fam = CompatibleFamily(S, tuple(S | frozenset(B) for B in blocks))
+    lhs = sum(i_cnt[sum(1 << v for v in S | frozenset(B))] for B in blocks)
+    return {"kind": "family", "S": sorted(S), "witness": [list(k) for k in fam.key()],
+            "lhs": lhs, "rhs": val_family(fam)}
+
+
+def _hinged_graph(rng):
+    """A Laman graph less its T-internal edges, whose other vertices gain
+    edges to several T vertices: common neighbours of S breed family
+    violations."""
+    n = rng.randint(4, 8)
+    T = frozenset(rng.sample(range(n), rng.randint(2, min(4, n - 1))))
+    g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T)
+    extra = [(t, x) for x in range(n) if x not in T and rng.random() < 0.35
+             for t in rng.sample(sorted(T), rng.randint(2, len(T)))]
+    return g.add_edges(extra), T
+
+
+def test_witnesses_match_unpruned_lexicographic_search():
+    rng = random.Random(45)
+    families = set()
+    for i in range(400):
+        if i % 2:
+            g, T = _hinged_graph(rng)
+        else:
+            g = random_graph(rng, 3, 8)
+            T = frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
+        first = None
+        for S in nonempty_subsets_canonical(T):
+            ref = _reference_S_sparse(g, S)
+            v = is_S_sparse(g, S)
+            assert (v and v.to_dict()) == ref, (g.edge_list(), sorted(S))
+            first = first or ref
+            if ref and ref["kind"] == "family":
+                families.add(len(S))
+        v = is_strongly_T_sparse(g, T)
+        assert (v and v.to_dict()) == first, (g.edge_list(), sorted(T))
+    assert families == {2, 3, 4}
+
+
+def test_strong_decision_builds_one_subset_table(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return subset_edge_counts(g)
+
+    monkeypatch.setattr(sparsity, "subset_edge_counts", counting)
+    path = Graph(8, [(v, v + 1) for v in range(7)])
+    assert is_strongly_T_sparse(path, {0, 2, 4, 6}) is None
+    assert len(calls) == 1
 
 
 def test_necessity_on_algebraically_independent_inputs():
