@@ -13,10 +13,11 @@ from .linalg import (CoincidenceSpec, RankReport, Realization, RigidityMatrix,
                      lift_contracted_realization, rank_exact, rank_modp,
                      rigidity_matrix, rigidity_target, sample_T_coincident)
 from .pebble import PebbleGame, is_laman_sparse, pebble_rank_23
-from .sparsity import (AugmentedFamily, CompatibleFamily, SparsityViolation,
-                       absorb_set, combine_families, coverage,
-                       covered_edge_count, enumerate_compatible_families,
-                       is_S_sparse, is_strongly_T_sparse, ly_rank_bruteforce,
+from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
+                       SparsityViolation, absorb_set, combine_families,
+                       coverage, covered_edge_count,
+                       enumerate_compatible_families, is_S_sparse,
+                       is_strongly_T_sparse, ly_rank_bruteforce,
                        merge_overlapping, val_augmented, val_family, val_set)
 from .matroid import (IndependenceOracle, MatroidRankCertificate, circuits_upto,
                       greedy_rank, laman_oracle, mt_oracle, mt_rank_cover_min,

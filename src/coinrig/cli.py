@@ -18,7 +18,8 @@ from .constructions import SplitSpec, henneberg_random, one_extension, \
 from .graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
 from .linalg import CoincidenceSpec, generic_rank
 from .matroid import greedy_rank, mt_oracle, mt_rank_cover_min, rt_oracle
-from .sparsity import DEFAULT_CAP, is_S_sparse, is_strongly_T_sparse
+from .sparsity import (DEFAULT_CAP, InvariantError, is_S_sparse,
+                       is_strongly_T_sparse)
 
 
 class UsageError(Exception):
@@ -271,6 +272,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except InvariantError as e:  # a proof-step bound failed
+        print(f"error: invariant violated: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .sparsity import DEFAULT_CAP, is_strongly_T_sparse
+from .sparsity import DEFAULT_CAP, InvariantError, is_strongly_T_sparse
 
 
 def zero_extension(g: Graph, a: int, b: int, label: str | None = None) -> Graph:
@@ -123,7 +123,7 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int,
         candidate = removed.add_edges([(shift(x), shift(y))])
         if is_strongly_T_sparse(candidate, new_T, cap) is None:
             return candidate
-    raise RuntimeError(
+    raise InvariantError(
         "no admissible neighbour pair found; this contradicts the reduction "
         "guarantee and indicates a bug or a violated hypothesis")
 

@@ -20,10 +20,10 @@ from .graph import Graph
 from .linalg import (CoincidenceSpec, ModpEchelon, _sparse_rows, _trial_seed,
                      sample_T_coincident)
 from .pebble import PebbleGame
-from .sparsity import (AugmentedFamily, CompatibleFamily, DEFAULT_CAP,
-                       StrongSparsityChecker, _mask_of, min_thin_cover,
-                       nonempty_subsets_canonical, partial_partitions,
-                       val_family)
+from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
+                       DEFAULT_CAP, InvariantError, StrongSparsityChecker,
+                       _bits, _mask_of, min_thin_cover,
+                       nonempty_subsets_canonical)
 
 
 def _canon_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -175,6 +175,25 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
     Families with an empty compatible part are admissible under every S.
     Returns the minimum and an attaining family; when E' lies inside T,
     that is the empty family of value 0.
+
+    For each S (canonical order) one depth-first search walks the block
+    partitions of the vertices outside S in the leaf order of
+    ``partial_partitions``: at each vertex it first leaves the vertex out,
+    then puts it in a block with ``extra`` taken from ``combinations(rest,
+    r)`` for r = 0, 1, ...  The search carries the blocks, their union, the
+    family value and the edges no member covers; each leaf asks
+    ``min_thin_cover`` for the cheapest cover of those edges.  Only a
+    strictly smaller total replaces the incumbent, so the result is the
+    first (S, blocks) in that order to reach the minimum.  Three prunes
+    skip work whose outcome cannot change it:
+
+    - a subtree whose family value already reaches the incumbent: every
+      block adds 2|B| - 1 >= 1 and a cover costs >= 0;
+    - the remaining sizes r at a vertex once a block of that size would
+      reach the incumbent, since blocks cost more as they grow;
+    - a leaf whose value plus the least cost of covering its edges
+      (``_COVER_LB``) reaches the incumbent, where ``min_thin_cover``
+      would find nothing cheaper than its cap.
     """
     if g.n > cap:
         raise ValueError(f"graph has {g.n} vertices, enumeration cap is {cap}")
@@ -189,41 +208,51 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
             raise ValueError(f"edge {e} is not an edge of the graph")
     targets = [(1 << a) | (1 << b) for a, b in edges
                if not (a in ts and b in ts)]
-    best_val: int | None = None
-    best_fam: AugmentedFamily | None = None
-    for s in nonempty_subsets_canonical(ts, min_size=2):
+    subsets = nonempty_subsets_canonical(ts, min_size=2)
+    # the first leaf: no family, E' covered by sets alone (pairs always do)
+    res = min_thin_cover(g.n, targets)
+    if res is None:
+        raise InvariantError("no 1-thin cover of E' by pairs")
+    best_val, best_at = res[0], (subsets[0], (), res[1])
+    lb_top = len(_COVER_LB) - 1
+
+    for s in subsets:
         s_mask = _mask_of(s)
-        others = tuple(v for v in range(g.n) if v not in s)
-        for blocks in partial_partitions(others):
-            if blocks:
-                member_masks = [s_mask | _mask_of(b) for b in blocks]
-                base = val_family(CompatibleFamily(s, tuple(s | b for b in blocks)))
-                union_h = 0
-                for m in member_masks:
-                    union_h |= m
-            else:
-                member_masks = []
-                base = 0
-                union_h = 0
-            if best_val is not None and base >= best_val:
-                continue
-            uncovered = [e for e in targets
-                         if not any(e & m == e for m in member_masks)]
-            res = min_thin_cover(g.n, uncovered, forbidden=union_h,
-                                 cap_val=None if best_val is None else best_val - base)
-            if res is None:
-                continue
-            cval, xmasks = res
-            total = base + cval
-            if best_val is None or total < best_val:
-                best_val = total
-                fam = (CompatibleFamily(s, tuple(s | b for b in blocks))
-                       if blocks else None)
-                xsets = tuple(frozenset(v for v in range(g.n) if x >> v & 1)
-                              for x in xmasks)
-                best_fam = AugmentedFamily(s, fam, xsets)
-    assert best_val is not None  # the empty family covers the empty target set
-    return best_val, best_fam
+        s_cost = 2 * len(s) - 2  # the family's 2(|S| - 1), paid with its first block
+
+        def dfs(elems, blocks, union_h, base, uncovered):
+            nonlocal best_val, best_at
+            if base >= best_val:
+                return
+            if not elems:
+                if base + _COVER_LB[min(len(uncovered), lb_top)] >= best_val:
+                    return
+                res = min_thin_cover(g.n, uncovered, forbidden=union_h,
+                                     cap_val=best_val - base)
+                if res is not None:
+                    best_val = base + res[0]
+                    best_at = (s, blocks, res[1])
+                return
+            first, rest = elems[0], elems[1:]
+            dfs(rest, blocks, union_h, base, uncovered)
+            first_mask = s_mask | 1 << first
+            first_base = base + (0 if blocks else s_cost) + 1
+            for r in range(len(rest) + 1):
+                block_base = first_base + 2 * r
+                if block_base >= best_val:
+                    break
+                for extra in combinations(rest, r):
+                    member = first_mask | _mask_of(extra)
+                    dfs(tuple(v for v in rest if not member >> v & 1),
+                        blocks + (member & ~s_mask,), union_h | member, block_base,
+                        [e for e in uncovered if e & member != e])
+
+        dfs(tuple(v for v in range(g.n) if v not in s), (), 0, 0, targets)
+
+    s, blocks, xmasks = best_at
+    fam = (CompatibleFamily(s, tuple(s | frozenset(_bits(b)) for b in blocks))
+           if blocks else None)
+    return best_val, AugmentedFamily(s, fam, tuple(frozenset(_bits(x)) for x in xmasks))
 
 
 def circuits_upto(oracle: IndependenceOracle, k: int,

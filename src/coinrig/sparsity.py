@@ -30,6 +30,19 @@ from .graph import Graph
 DEFAULT_CAP = 12
 
 
+class InvariantError(RuntimeError):
+    """A bound from the paper's proof steps failed: a bug or a false theorem.
+
+    Raised by explicit checks that stay active under ``python -O``; the CLI
+    reports it as a theorem violation (exit code 1).
+    """
+
+
+def _require(ok: bool, what: str):
+    if not ok:
+        raise InvariantError(what)
+
+
 # -- values ------------------------------------------------------------
 
 
@@ -415,7 +428,7 @@ class StrongSparsityChecker:
         return True
 
 
-# -- enumeration (reference oracle, also used by the cover minimum) ----
+# -- enumeration (reference oracle) ------------------------------------
 
 
 def partial_partitions(elems: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
@@ -450,7 +463,7 @@ def merge_overlapping(fam: CompatibleFamily) -> CompatibleFamily:
     """Replace the first pair of members meeting outside S by their union.
 
     The family value strictly drops (by at least one) and the coverage can
-    only grow; both facts are asserted.
+    only grow; both facts are checked (``InvariantError``).
     """
     members = fam.members
     for i, j in combinations(range(len(members)), 2):
@@ -458,8 +471,9 @@ def merge_overlapping(fam: CompatibleFamily) -> CompatibleFamily:
             merged = members[i] | members[j]
             rest = [members[k] for k in range(len(members)) if k not in (i, j)]
             out = CompatibleFamily(fam.S, tuple(rest + [merged]))
-            assert val_family(out) <= val_family(fam) - 1
-            assert fam.coverage() <= out.coverage()
+            _require(val_family(out) <= val_family(fam) - 1,
+                     "merging did not lower the family value")
+            _require(fam.coverage() <= out.coverage(), "merging lost coverage")
             return out
     raise ValueError("no pair of members intersects outside S")
 
@@ -478,7 +492,7 @@ def absorb_set(fam: CompatibleFamily, Y: Iterable[int]) -> CompatibleFamily:
     the value grows by at most val_S(Y); or Y avoids S and meets at least
     two members in exactly one vertex each, in which case the first two hit
     members merge with Y at exactly val_S(Y) extra value.  Coverage
-    containment and the value bound are asserted.
+    containment and the value bound are checked (``InvariantError``).
     """
     _require_pairwise_exact(fam)
     ys = frozenset(Y)
@@ -490,17 +504,20 @@ def absorb_set(fam: CompatibleFamily, Y: Iterable[int]) -> CompatibleFamily:
             if h >= 2:
                 merged |= H
         out = CompatibleFamily(fam.S, tuple(keep + [merged]))
-        assert val_family(out) <= val_family(fam) + val_set(ys, fam.S)
+        _require(val_family(out) <= val_family(fam) + val_set(ys, fam.S),
+                 "absorption raised the family value by more than val_S(Y)")
     elif not (ys & fam.S) and all(h <= 1 for h in hits) and sum(hits) >= 2:
         touched = [k for k, h in enumerate(hits) if h == 1]
         a, b = touched[0], touched[1]
         merged = fam.members[a] | fam.members[b] | ys
         rest = [fam.members[k] for k in range(len(fam.members)) if k not in (a, b)]
         out = CompatibleFamily(fam.S, tuple(rest + [merged]))
-        assert val_family(out) == val_family(fam) + val_set(ys, fam.S)
+        _require(val_family(out) == val_family(fam) + val_set(ys, fam.S),
+                 "absorption did not raise the family value by exactly val_S(Y)")
     else:
         raise ValueError("Y matches neither absorption case")
-    assert fam.coverage() | coverage([ys]) <= out.coverage()
+    _require(fam.coverage() | coverage([ys]) <= out.coverage(),
+             "absorption lost coverage")
     return out
 
 
@@ -541,7 +558,8 @@ def combine_families(f1: CompatibleFamily, f2: CompatibleFamily) -> CompatibleFa
     if not members:
         raise ValueError("every member lies inside S1 u S2; no combined family exists")
     out = CompatibleFamily(su, tuple(members))
-    assert f1.coverage() | f2.coverage() <= out.coverage()
+    _require(f1.coverage() | f2.coverage() <= out.coverage(),
+             "combining lost coverage")
     return out
 
 

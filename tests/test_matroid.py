@@ -3,13 +3,17 @@ import warnings
 
 import pytest
 
+import coinrig.matroid
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (CoincidenceSpec, _trial_seed, rank_exact,
                             rigidity_matrix, sample_T_coincident)
-from coinrig.matroid import (circuits_upto, greedy_rank, laman_oracle,
-                             mt_oracle, mt_rank_cover_min, rt_oracle)
-from coinrig.sparsity import val_augmented
+from coinrig.matroid import (MatroidRankCertificate, circuits_upto, greedy_rank,
+                             laman_oracle, mt_oracle, mt_rank_cover_min,
+                             rt_oracle)
+from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
+                              min_thin_cover, nonempty_subsets_canonical,
+                              partial_partitions, val_augmented, val_family)
 
 
 def fig4():
@@ -112,6 +116,93 @@ def test_cover_min_argument_checks():
         warnings.simplefilter("always")
         mt_rank_cover_min(complete_graph(5), None, {0, 1, 2, 3})
         assert any("conjectural" in str(x.message) for x in w)
+
+
+def reference_cover_min(g, eprime, T):
+    """The unpruned enumeration: every S, then every partial partition of
+    the vertices outside S in ``partial_partitions`` order, each leaf
+    rebuilt from scratch; the first strictly smaller total wins."""
+    ts = frozenset(T)
+    edges = g.edge_list() if eprime is None else sorted(
+        (a, b) if a < b else (b, a) for a, b in eprime)
+    targets = [(1 << a) | (1 << b) for a, b in edges
+               if not (a in ts and b in ts)]
+    best_val = best_fam = None
+    for s in nonempty_subsets_canonical(ts, min_size=2):
+        s_mask = _mask_of(s)
+        others = tuple(v for v in range(g.n) if v not in s)
+        for blocks in partial_partitions(others):
+            member_masks = [s_mask | _mask_of(b) for b in blocks]
+            base = (val_family(CompatibleFamily(s, tuple(s | b for b in blocks)))
+                    if blocks else 0)
+            union_h = 0
+            for m in member_masks:
+                union_h |= m
+            if best_val is not None and base >= best_val:
+                continue
+            uncovered = [e for e in targets
+                         if not any(e & m == e for m in member_masks)]
+            res = min_thin_cover(g.n, uncovered, forbidden=union_h,
+                                 cap_val=None if best_val is None else best_val - base)
+            if res is None:
+                continue
+            cval, xmasks = res
+            if best_val is None or base + cval < best_val:
+                best_val = base + cval
+                fam = (CompatibleFamily(s, tuple(s | b for b in blocks))
+                       if blocks else None)
+                xsets = tuple(frozenset(v for v in range(g.n) if x >> v & 1)
+                              for x in xmasks)
+                best_fam = AugmentedFamily(s, fam, xsets)
+    return best_val, best_fam
+
+
+def _dual(aug):
+    return MatroidRankCertificate(0, (), aug).to_dict()["dual"]
+
+
+@pytest.mark.parametrize("t_size,count", [(2, 120), (3, 120), (4, 60)])
+def test_cover_min_witness_matches_partition_reference(t_size, count):
+    # the pruned search returns the reference's value and its exact witness
+    rng = random.Random(100 + t_size)
+    for _ in range(count):
+        g, T = random_instance(rng, 8, t_size)
+        eprime = [e for e in g.edge_list() if rng.random() < 0.7]
+        for ep in (None, eprime):
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "cover minimum with")
+                value, witness = mt_rank_cover_min(g, ep, T)
+            ref_value, ref_witness = reference_cover_min(g, ep, T)
+            assert value == ref_value, (g.edge_list(), sorted(T), ep)
+            assert _dual(witness) == _dual(ref_witness), (g.edge_list(), sorted(T), ep)
+    # E' inside T: the empty family of value 0 under the first S
+    g, inside = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)]), [(0, 1), (1, 2)]
+    value, witness = mt_rank_cover_min(g, inside, {0, 1, 2})
+    assert (value, _dual(witness)) == (0, {"S": [0, 1], "family": [], "xsets": []})
+    assert reference_cover_min(g, inside, {0, 1, 2})[0] == 0
+
+
+def test_cover_min_calls_min_thin_cover_rarely(monkeypatch):
+    # one n = 9, |T| = 3 graph with 2n - 3 edges: the unpruned loop calls
+    # min_thin_cover at almost every one of its ~13k partial partitions
+    rng = random.Random(7)
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    g, T = Graph(9, rng.sample(pairs, 15)), frozenset({0, 4, 7})
+    leaves = sum(sum(1 for _ in partial_partitions(
+        tuple(v for v in range(9) if v not in s)))
+        for s in nonempty_subsets_canonical(T, min_size=2))
+    calls = []
+    real = coinrig.matroid.min_thin_cover
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coinrig.matroid, "min_thin_cover", counting)
+    value, _ = mt_rank_cover_min(g, None, T)
+    assert value == greedy_rank(mt_oracle(g, T)).rank
+    assert leaves > 13000
+    assert len(calls) < leaves // 10, (len(calls), leaves)
 
 
 def test_mt_rt_agree_during_greedy():
