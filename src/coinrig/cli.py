@@ -8,6 +8,7 @@ Exit codes: 0 consistent, 1 theorem violation detected, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -178,7 +179,9 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="coinrig",
                                  description="coincident-vertex rigidity toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -280,13 +280,9 @@ def rank_modp(M: RigidityMatrix, prime: int = DEFAULT_PRIME) -> int:
     return ech.rank
 
 
-def _sparse_rows(g: Graph, p: Realization) -> dict[tuple[int, int], dict[int, int]]:
-    """Edge -> rigidity-matrix row as a sparse dict.
-
-    ``p`` must have integer coordinates, as every sampled realization has.
-    """
-    d = p.dim
-    pts = [tuple(x.numerator for x in p.point(v)) for v in range(g.n)]
+def _sparse_rows(g: Graph, pts: list[tuple[int, ...]],
+                 d: int) -> dict[tuple[int, int], dict[int, int]]:
+    """Edge -> rigidity-matrix row as a sparse dict, from integer points."""
     rows = {}
     for u, v in g.edge_list():
         pu, pv = pts[u], pts[v]
@@ -306,6 +302,23 @@ def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
 # -- sampling ----------------------------------------------------------
 
 
+def _sample_points(g: Graph, spec: CoincidenceSpec, d: int,
+                   seed: int) -> list[tuple[int, ...]]:
+    """The integer points of ``sample_T_coincident``, indexed by vertex."""
+    for v in spec.T:
+        if not 0 <= v < g.n:
+            raise ValueError(f"T contains invalid vertex {v}")
+    rng = random.Random(seed)
+    skip = spec.T - {spec.ref}
+    pts: list[tuple[int, ...]] = [()] * g.n
+    for v in range(g.n):
+        if v not in skip:
+            pts[v] = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d))
+    for v in skip:
+        pts[v] = pts[spec.ref]
+    return pts
+
+
 def sample_T_coincident(g: Graph, spec: CoincidenceSpec, d: int, seed: int) -> Realization:
     """Random integer realization with all of T at the reference point.
 
@@ -313,17 +326,10 @@ def sample_T_coincident(g: Graph, spec: CoincidenceSpec, d: int, seed: int) -> R
     [-2^20, 2^20]; the draw order is fixed by vertex id, so a seed fully
     determines the realization.
     """
-    for v in spec.T:
-        if not 0 <= v < g.n:
-            raise ValueError(f"T contains invalid vertex {v}")
-    rng = random.Random(seed)
-    coords: dict[int, tuple[Fraction, ...]] = {}
+    pts = _sample_points(g, spec, d, seed)
     skip = spec.T - {spec.ref}
-    for v in range(g.n):
-        if v in skip:
-            continue
-        coords[v] = tuple(Fraction(rng.randint(-COORD_BOUND, COORD_BOUND))
-                          for _ in range(d))
+    coords: dict[int, tuple[Fraction, ...]] = {
+        v: tuple(Fraction(c) for c in pts[v]) for v in range(g.n) if v not in skip}
     for v in skip:
         coords[v] = coords[spec.ref]
     return Realization(d, coords)
@@ -360,13 +366,13 @@ def generic_rank(g: Graph, spec: CoincidenceSpec, d: int, trials: int = 3,
     cap = min(len(g.edges), target) if d <= 2 else len(g.edges)
     best = 0
     for t in range(trials):
-        p = sample_T_coincident(g, spec, d, _trial_seed(seed, t))
+        trial_seed = _trial_seed(seed, t)
         ech = ModpEchelon()
-        for row in _sparse_rows(g, p).values():
+        for row in _sparse_rows(g, _sample_points(g, spec, d, trial_seed), d).values():
             ech.try_add(row)
         r = ech.rank
         if not use_modp and r < cap:
-            r = rank_exact(rigidity_matrix(g, p))
+            r = rank_exact(rigidity_matrix(g, sample_T_coincident(g, spec, d, trial_seed)))
         best = max(best, r)
     bound = Fraction(min(d * g.n, len(g.edges)), 2 * COORD_BOUND + 1)
     return RankReport(

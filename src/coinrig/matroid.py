@@ -17,12 +17,12 @@ from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph
-from .linalg import (CoincidenceSpec, ModpEchelon, _sparse_rows, _trial_seed,
-                     sample_T_coincident)
+from .linalg import (CoincidenceSpec, ModpEchelon, _sample_points, _sparse_rows,
+                     _trial_seed)
 from .pebble import PebbleGame
-from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
+from .sparsity import (AugmentedFamily, CompatibleFamily,
                        DEFAULT_CAP, InvariantError, StrongSparsityChecker,
-                       _bits, _mask_of, min_thin_cover,
+                       _bits, _cover_lb_table, _mask_of, min_thin_cover,
                        nonempty_subsets_canonical)
 
 
@@ -145,7 +145,7 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2, trials: int = 3,
     rows are independent over the rationals too.
     """
     spec = CoincidenceSpec.of(T)
-    row_maps = [_sparse_rows(g, sample_T_coincident(g, spec, d, _trial_seed(seed, t)))
+    row_maps = [_sparse_rows(g, _sample_points(g, spec, d, _trial_seed(seed, t)), d)
                 for t in range(trials)]
     return IndependenceOracle("rt", g.edges, lambda: _RtChecker(row_maps).try_add)
 
@@ -184,16 +184,27 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
     family value and the edges no member covers; each leaf asks
     ``min_thin_cover`` for the cheapest cover of those edges.  Only a
     strictly smaller total replaces the incumbent, so the result is the
-    first (S, blocks) in that order to reach the minimum.  Three prunes
-    skip work whose outcome cannot change it:
+    first (S, blocks) in that order to reach the minimum.  The search skips
+    only subtrees and leaves that cannot reach it:
 
-    - a subtree whose family value already reaches the incumbent: every
-      block adds 2|B| - 1 >= 1 and a cover costs >= 0;
+    - a subtree whose value plus the least cost (``_COVER_LB``) of covering
+      its *stuck* edges reaches the incumbent.  An uncovered edge is stuck
+      when an endpoint lies outside S and the vertices still to place:
+      blocks below hold only those, so every leaf below covers the stuck
+      edges by sets, which costs at least ``_COVER_LB[stuck]`` (covering
+      more edges never costs less, and ``forbidden`` only removes covers).
+      With no stuck edge this is the family value alone (every block adds
+      2|B| - 1 >= 1).  At a leaf every uncovered edge is stuck, so a leaf
+      where ``min_thin_cover`` could find nothing under its cap is skipped;
     - the remaining sizes r at a vertex once a block of that size would
-      reach the incumbent, since blocks cost more as they grow;
-    - a leaf whose value plus the least cost of covering its edges
-      (``_COVER_LB``) reaches the incumbent, where ``min_thin_cover``
-      would find nothing cheaper than its cap.
+      reach the incumbent with the stuck edges: blocks cost more as they
+      grow, and no block covers a stuck edge;
+    - a block B that covers at most 2|B| - 1 uncovered edges.  Leaving its
+      vertices out instead, and covering those edges by pairs, costs no
+      more and stays 1-thin (the union of the members only shrinks); that
+      partition comes earlier in the order, since a vertex is left out
+      before it starts a block, so no first minimum uses B;
+    - the leaf with no block under every S: it is the first leaf again.
     """
     if g.n > cap:
         raise ValueError(f"graph has {g.n} vertices, enumeration cap is {cap}")
@@ -214,19 +225,22 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
     if res is None:
         raise InvariantError("no 1-thin cover of E' by pairs")
     best_val, best_at = res[0], (subsets[0], (), res[1])
-    lb_top = len(_COVER_LB) - 1
+    lb = _cover_lb_table(len(targets))
 
     for s in subsets:
         s_mask = _mask_of(s)
         s_cost = 2 * len(s) - 2  # the family's 2(|S| - 1), paid with its first block
 
-        def dfs(elems, blocks, union_h, base, uncovered):
+        def dfs(elems, out, blocks, union_h, base, uncovered):
             nonlocal best_val, best_at
-            if base >= best_val:
+            # uncovered edges with an endpoint in ``out`` (outside S and
+            # elems) stay uncovered by every block below: a leaf pays for them
+            stuck_lb = lb[len([e for e in uncovered if e & out])]
+            if base + stuck_lb >= best_val:
                 return
             if not elems:
-                if base + _COVER_LB[min(len(uncovered), lb_top)] >= best_val:
-                    return
+                if not blocks:
+                    return  # the first leaf again, under another S
                 res = min_thin_cover(g.n, uncovered, forbidden=union_h,
                                      cap_val=best_val - base)
                 if res is not None:
@@ -234,20 +248,23 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
                     best_at = (s, blocks, res[1])
                 return
             first, rest = elems[0], elems[1:]
-            dfs(rest, blocks, union_h, base, uncovered)
-            first_mask = s_mask | 1 << first
+            dfs(rest, out | 1 << first, blocks, union_h, base, uncovered)
             first_base = base + (0 if blocks else s_cost) + 1
             for r in range(len(rest) + 1):
+                # a block covers no stuck edge, so its child keeps them all
                 block_base = first_base + 2 * r
-                if block_base >= best_val:
+                if block_base + stuck_lb >= best_val:
                     break
                 for extra in combinations(rest, r):
-                    member = first_mask | _mask_of(extra)
-                    dfs(tuple(v for v in rest if not member >> v & 1),
-                        blocks + (member & ~s_mask,), union_h | member, block_base,
-                        [e for e in uncovered if e & member != e])
+                    block = 1 << first | _mask_of(extra)
+                    member = s_mask | block
+                    left = [e for e in uncovered if e & member != e]
+                    if len(uncovered) - len(left) <= 2 * r + 1:
+                        continue  # no dearer than pairs: see the docstring
+                    dfs(tuple(v for v in rest if not block >> v & 1), out | block,
+                        blocks + (block,), union_h | member, block_base, left)
 
-        dfs(tuple(v for v in range(g.n) if v not in s), (), 0, 0, targets)
+        dfs(tuple(v for v in range(g.n) if v not in s), 0, (), 0, 0, targets)
 
     s, blocks, xmasks = best_at
     fam = (CompatibleFamily(s, tuple(s | frozenset(_bits(b)) for b in blocks))

@@ -589,6 +589,13 @@ def _coverage_lower_bounds(max_val: int = 64) -> list[int]:
 _COVER_LB = _coverage_lower_bounds()
 
 
+def _cover_lb_table(m: int) -> list[int]:
+    """``_COVER_LB`` indexable up to m; past its end the last bound holds."""
+    if m < len(_COVER_LB):
+        return _COVER_LB
+    return _COVER_LB + [_COVER_LB[-1]] * (m - len(_COVER_LB) + 1)
+
+
 def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
                    cap_val: int | None = None):
     """Min total (2|X|-3) over 1-thin set families covering the given edges.
@@ -597,6 +604,21 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
     in at most one vertex.  Returns (value, sets); None when some edge
     cannot be covered at all, or when no cover is strictly cheaper than
     ``cap_val`` (used as a branch-and-bound incumbent by callers).
+
+    The search covers the first uncovered edge e at each node, trying the
+    sets x through e biggest first, then by descending mask; only a strictly
+    cheaper cover replaces the incumbent, so the result is the first
+    minimum in that order.  Candidates are generated under the constraints
+    they must meet, and a set that no minimum uses is never generated:
+
+    - x meets ``forbidden`` and every chosen set in at most one vertex;
+    - x costs less than the incumbent minus what is already paid, together
+      with ``_COVER_LB`` of the edges it leaves uncovered;
+    - if |x| >= 3, every vertex of x has two neighbours in x along
+      uncovered edges, and x holds at least 2|x| - 3 of them.  Otherwise x
+      minus that vertex, with the pair of its one edge if it has one, or
+      the pairs of all edges inside x, cover the same edges for less and
+      stay 1-thin: no other set meets x in two vertices.
     """
     targets = []
     for e in edge_masks:
@@ -613,50 +635,90 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
         best_val, best_sets = cap_val, None
 
     state = [best_val, best_sets]
+    ends = {e: _bits(e) for e in targets}
+    lb = _cover_lb_table(len(targets))
 
-    def candidates(e: int, uncovered: list[int], chosen: list[int]) -> list[int]:
-        # a set in an optimal cover keeps only vertices seeing an uncovered
-        # edge inside it, so candidates live within the uncovered support
-        nb = {}
+    def candidates(uncovered: list[int], chosen: list[int], acc: int):
+        e = uncovered[0]
+        nb = [0] * n  # neighbours along uncovered edges
+        support = 0
         for f in uncovered:
-            a, b = _bits(f)
-            nb[a] = nb.get(a, 0) | (1 << b)
-            nb[b] = nb.get(b, 0) | (1 << a)
-        relevant = 0
-        for v in nb:
-            relevant |= 1 << v
-        out = []
-        free = relevant & ~e
-        sub = free
+            u, w = ends[f]
+            nb[u] |= 1 << w
+            nb[w] |= 1 << u
+            support |= f
+        # a set meeting e may give x no further vertex; any other set at most one
+        blocked = e
+        limits = []
+        for y in (forbidden, *chosen):
+            if y & e:
+                blocked |= y
+            elif y:
+                limits.append(y)
+        # every vertex of an x with |x| >= 3 lies in the 2-core of the
+        # uncovered edges among e and the vertices no set blocks
+        pool = e | support & ~blocked
         while True:
-            x = e | sub
-            if (x & forbidden).bit_count() <= 1 and \
-                    all((x & y).bit_count() <= 1 for y in chosen) and \
-                    all(nb[v] & x for v in _bits(x)):
-                out.append(x)
-            if sub == 0:
+            thin = 0
+            for v in _bits(pool & ~e):
+                if (nb[v] & pool).bit_count() < 2:
+                    thin |= 1 << v
+            if not thin:
                 break
-            sub = (sub - 1) & free
-        out.sort(key=lambda m: -m.bit_count())  # big tight blocks first
-        return out
+            pool &= ~thin
+        a, b = ends[e]
+        if (nb[a] & pool).bit_count() < 2 or (nb[b] & pool).bit_count() < 2:
+            pool = e  # only the pair e itself
+        free = [v for v in range(n - 1, -1, -1) if (pool & ~e) >> v & 1]
+        # clash[v]: the free vertices sharing a limiting set with v
+        clash = [0] * n
+        for y in limits:
+            for v in free:
+                if y >> v & 1:
+                    clash[v] |= y & ~(1 << v)
+        # x = e | sub for k = |sub| descending, and within one k the
+        # combinations of the descending free vertices give sub, hence x, in
+        # descending mask order.  That is the order of every subset of the
+        # uncovered support enumerated by descending mask, then sorted
+        # stably by size, biggest first: the order the witnesses are pinned to.
+        m = len(uncovered)
+        for k in range(min(len(free), (state[0] - acc - 2) // 2), -1, -1):
+            cost = acc + 2 * k + 1
+            if cost >= state[0]:
+                continue
+            for extra in combinations(free, k):
+                sub = 0
+                for v in extra:
+                    sub |= 1 << v
+                x = e | sub
+                da, db = (nb[a] & x).bit_count(), (nb[b] & x).bit_count()
+                if k and (da < 2 or db < 2):
+                    continue
+                inside = da + db  # twice the uncovered edges inside x
+                for v in extra:
+                    seen = (nb[v] & x).bit_count()
+                    if seen < 2 or clash[v] & sub:
+                        break
+                    inside += seen
+                else:
+                    if inside < 4 * k + 2:
+                        continue  # fewer than 2|x| - 3 edges
+                    left = m - inside // 2
+                    if cost + lb[left] < state[0]:
+                        yield x, cost, left
 
     def dfs(uncovered: list[int], chosen: list[int], acc: int):
-        if not uncovered:
-            state[0], state[1] = acc, list(chosen)
-            return
-        if acc + _COVER_LB[min(len(uncovered), len(_COVER_LB) - 1)] >= state[0]:
-            return
-        e = uncovered[0]
-        for x in candidates(e, uncovered, chosen):
-            v = 2 * x.bit_count() - 3
-            if acc + v >= state[0]:
+        for x, cost, left in candidates(uncovered, chosen, acc):
+            if not left:
+                state[0], state[1] = cost, chosen + [x]
                 continue
-            rest = [f for f in uncovered if f & ~x]
+            outside = ~x
             chosen.append(x)
-            dfs(rest, chosen, acc + v)
+            dfs([f for f in uncovered if f & outside], chosen, cost)
             chosen.pop()
 
-    dfs(targets, [], 0)
+    if lb[len(targets)] < state[0]:
+        dfs(targets, [], 0)
     if state[1] is None:
         return None
     return state[0], state[1]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coinrig.cli import main
+from coinrig.cli import build_parser, main
 
 
 @pytest.fixture
@@ -133,3 +133,33 @@ def test_usage_errors(capsys, k4_file, tmp_path):
     assert code == 2
     code = main(["nonsense"])
     assert code == 2
+
+
+def test_parser_is_built_once_and_reused(capsys, k4_file, fig4_file):
+    # calls in one process share one parser; each must print and return
+    # exactly what it does on a freshly built parser
+    calls = [["mrank", "--graph", fig4_file, "--oracle", "both", "--witness"],
+             ["sparse", "--graph", k4_file, "--T", "0,1"],
+             ["nonsense"],
+             ["mrank", "--graph", fig4_file],
+             ["rank", "--graph", k4_file, "--seed", "3"],
+             ["sparse", "--graph", fig4_file],
+             ["sparse", "--strong", "--graph", fig4_file, "--T", "0,1,2"],
+             ["mrank", "--graph", k4_file, "--T", "0,1", "--witness"],
+             ["check"],
+             ["sparse", "--help"],
+             ["rank", "--graph", k4_file, "--mod-p"]]
+
+    def outcome(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0]

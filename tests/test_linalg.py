@@ -9,9 +9,9 @@ from coinrig import linalg
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (CoincidenceSpec, ModpEchelon, Realization,
-                            RigidityMatrix, _sparse_rows, _trial_seed,
-                            generic_rank, generic_realization, int_rank,
-                            is_infinitesimally_rigid, is_probable_prime,
+                            RigidityMatrix, _sample_points, _sparse_rows,
+                            _trial_seed, generic_rank, generic_realization,
+                            int_rank, is_infinitesimally_rigid, is_probable_prime,
                             kernel_contains, lift_contracted_realization,
                             rank_exact, rank_modp, rigid_motion_basis,
                             rigidity_matrix, rigidity_target,
@@ -129,6 +129,27 @@ def test_sample_T_coincident():
     assert p.coords != r.coords
     single = sample_T_coincident(g, CoincidenceSpec.of({3}), 2, 5)
     assert len({single.point(v) for v in range(4)}) == 4
+
+
+def test_integer_sampler_matches_realization():
+    # the integer points are the numerators of sample_T_coincident's
+    # coordinates, whose denominators are all 1
+    rng = random.Random(31)
+    for d in (1, 2, 3):
+        for t_size in (1, 2, 3):
+            for seed in range(4):
+                n = rng.randint(t_size, 8)
+                g = Graph(n, [])
+                spec = CoincidenceSpec.of(rng.sample(range(n), t_size))
+                pts = _sample_points(g, spec, d, seed)
+                p = sample_T_coincident(g, spec, d, seed)
+                assert len(pts) == n
+                for v in range(n):
+                    assert pts[v] == tuple(c.numerator for c in p.point(v))
+                    assert all(c.denominator == 1 for c in p.point(v))
+                assert len({pts[v] for v in spec.T}) == 1
+    with pytest.raises(ValueError, match="invalid vertex"):
+        _sample_points(Graph(3, []), CoincidenceSpec.of({0, 3}), 2, 0)
 
 
 def test_generic_rank_report_fields():
@@ -257,8 +278,9 @@ def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
             T = rng.sample(range(n), rng.randint(1, min(3, n)))
-            p = sample_T_coincident(g, CoincidenceSpec.of(T), d, seed)
-            rows = _sparse_rows(g, p)
+            spec = CoincidenceSpec.of(T)
+            rows = _sparse_rows(g, _sample_points(g, spec, d, seed), d)
+            p = sample_T_coincident(g, spec, d, seed)
             assert _echelon_rank(rows.values()) == rank_exact(rigidity_matrix(g, p))
 
 

@@ -12,8 +12,9 @@ from coinrig.matroid import (MatroidRankCertificate, circuits_upto, greedy_rank,
                              laman_oracle, mt_oracle, mt_rank_cover_min,
                              rt_oracle)
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
-                              min_thin_cover, nonempty_subsets_canonical,
-                              partial_partitions, val_augmented, val_family)
+                              nonempty_subsets_canonical, partial_partitions,
+                              val_augmented, val_family)
+from test_sparsity import reference_min_thin_cover
 
 
 def fig4():
@@ -121,7 +122,8 @@ def test_cover_min_argument_checks():
 def reference_cover_min(g, eprime, T):
     """The unpruned enumeration: every S, then every partial partition of
     the vertices outside S in ``partial_partitions`` order, each leaf
-    rebuilt from scratch; the first strictly smaller total wins."""
+    rebuilt from scratch and covered by the reference cover search; the
+    first strictly smaller total wins."""
     ts = frozenset(T)
     edges = g.edge_list() if eprime is None else sorted(
         (a, b) if a < b else (b, a) for a, b in eprime)
@@ -142,8 +144,9 @@ def reference_cover_min(g, eprime, T):
                 continue
             uncovered = [e for e in targets
                          if not any(e & m == e for m in member_masks)]
-            res = min_thin_cover(g.n, uncovered, forbidden=union_h,
-                                 cap_val=None if best_val is None else best_val - base)
+            res = reference_min_thin_cover(
+                g.n, uncovered, forbidden=union_h,
+                cap_val=None if best_val is None else best_val - base)
             if res is None:
                 continue
             cval, xmasks = res

@@ -7,8 +7,8 @@ from coinrig import sparsity
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import CoincidenceSpec, generic_rank
-from coinrig.sparsity import (AugmentedFamily, CompatibleFamily,
-                              StrongSparsityChecker, absorb_set,
+from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
+                              StrongSparsityChecker, _bits, absorb_set,
                               combine_families, coverage, covered_edge_count,
                               enumerate_compatible_families, is_S_sparse,
                               is_strongly_T_sparse, ly_rank_bruteforce,
@@ -517,3 +517,106 @@ def test_ly_rank_small_cases():
 def test_ly_rank_cap():
     with pytest.raises(ValueError, match="cap"):
         ly_rank_bruteforce(Graph(11, [(0, 1)]))
+
+
+def reference_min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
+                   cap_val: int | None = None):
+    """``min_thin_cover`` as it was before its candidates were generated
+    under constraints: every subset of the uncovered support is enumerated,
+    filtered, then sorted biggest first.  Kept verbatim as the reference.
+
+    Min total (2|X|-3) over 1-thin set families covering the given edges.
+
+    Sets may meet ``forbidden`` (the union of an augmented family's H-part)
+    in at most one vertex.  Returns (value, sets); None when some edge
+    cannot be covered at all, or when no cover is strictly cheaper than
+    ``cap_val`` (used as a branch-and-bound incumbent by callers).
+    """
+    targets = []
+    for e in edge_masks:
+        if (e & forbidden) == e:
+            return None  # both endpoints blocked: uncoverable
+        if e not in targets:
+            targets.append(e)
+    if not targets:
+        return (0, []) if cap_val is None or cap_val > 0 else None
+    # one pair per edge is always a feasible 1-thin cover
+    best_val = len(targets)
+    best_sets: list[int] | None = list(targets)
+    if cap_val is not None and cap_val <= best_val:
+        best_val, best_sets = cap_val, None
+
+    state = [best_val, best_sets]
+
+    def candidates(e: int, uncovered: list[int], chosen: list[int]) -> list[int]:
+        # a set in an optimal cover keeps only vertices seeing an uncovered
+        # edge inside it, so candidates live within the uncovered support
+        nb = {}
+        for f in uncovered:
+            a, b = _bits(f)
+            nb[a] = nb.get(a, 0) | (1 << b)
+            nb[b] = nb.get(b, 0) | (1 << a)
+        relevant = 0
+        for v in nb:
+            relevant |= 1 << v
+        out = []
+        free = relevant & ~e
+        sub = free
+        while True:
+            x = e | sub
+            if (x & forbidden).bit_count() <= 1 and \
+                    all((x & y).bit_count() <= 1 for y in chosen) and \
+                    all(nb[v] & x for v in _bits(x)):
+                out.append(x)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+        out.sort(key=lambda m: -m.bit_count())  # big tight blocks first
+        return out
+
+    def dfs(uncovered: list[int], chosen: list[int], acc: int):
+        if not uncovered:
+            state[0], state[1] = acc, list(chosen)
+            return
+        if acc + _COVER_LB[min(len(uncovered), len(_COVER_LB) - 1)] >= state[0]:
+            return
+        e = uncovered[0]
+        for x in candidates(e, uncovered, chosen):
+            v = 2 * x.bit_count() - 3
+            if acc + v >= state[0]:
+                continue
+            rest = [f for f in uncovered if f & ~x]
+            chosen.append(x)
+            dfs(rest, chosen, acc + v)
+            chosen.pop()
+
+    dfs(targets, [], 0)
+    if state[1] is None:
+        return None
+    return state[0], state[1]
+
+
+def _random_cover_input(rng):
+    n = rng.randint(3, 9)
+    pairs = [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
+    edges = [rng.choice(pairs) for _ in range(rng.randint(0, len(pairs) + 2))]
+    forbidden = 0
+    for v in range(n):
+        if rng.random() < rng.choice((0.0, 0.2, 0.4)):
+            forbidden |= 1 << v
+    cap_val = None if rng.random() < 0.5 else rng.randint(0, len(edges) + 2)
+    return n, edges, forbidden, cap_val
+
+
+def test_min_thin_cover_matches_reference():
+    # same value and same sets, in the same order, on random inputs with
+    # duplicate edges, blocked vertices and incumbent caps
+    rng = random.Random(11)
+    found = 0
+    for _ in range(2000):
+        n, edges, forbidden, cap_val = _random_cover_input(rng)
+        got = sparsity.min_thin_cover(n, list(edges), forbidden, cap_val)
+        assert got == reference_min_thin_cover(n, list(edges), forbidden, cap_val), \
+            (n, edges, forbidden, cap_val)
+        found += got is not None and len(got[1]) < len(set(edges))
+    assert found > 150  # many answers use a set bigger than a pair
