@@ -3,21 +3,21 @@
 Exact linear-algebraic rank computation and combinatorial strong-sparsity
 certificates for planar frameworks in which a prescribed set of vertices is
 pinned to one point, with cross-validation harnesses between the two
-characterizations.
+characterizations.  Every exponential enumeration (subset tables, family
+and cover searches) refuses graphs above 12 vertices
+(``sparsity.DEFAULT_CAP``).
 """
 
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,
                     graph_to_json, parse_graph, parse_graph_with_T)
 from .linalg import (CoincidenceSpec, RankReport, Realization, RigidityMatrix,
                      generic_rank, generic_realization, is_infinitesimally_rigid,
-                     lift_contracted_realization, rank_exact, rank_modp,
-                     rigidity_matrix, rigidity_target, sample_T_coincident)
-from .pebble import PebbleGame, is_laman_sparse, pebble_rank_23
+                     rank_exact, rank_modp, rigidity_matrix, rigidity_target,
+                     sample_T_coincident)
+from .pebble import PebbleGame, pebble_rank_23
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        SparsityViolation, absorb_set, combine_families,
-                       coverage, covered_edge_count,
-                       enumerate_compatible_families, is_S_sparse,
-                       is_strongly_T_sparse, ly_rank_bruteforce,
+                       coverage, is_S_sparse, is_strongly_T_sparse,
                        merge_overlapping, val_augmented, val_family, val_set)
 from .matroid import (IndependenceOracle, MatroidRankCertificate, circuits_upto,
                       greedy_rank, laman_oracle, mt_oracle, mt_rank_cover_min,

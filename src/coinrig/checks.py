@@ -21,7 +21,8 @@ from .linalg import (CoincidenceSpec, RankReport, Realization, generic_rank,
                      rigidity_target)
 from .matroid import greedy_rank, mt_oracle, rt_oracle
 from .pebble import pebble_rank_23
-from .sparsity import is_strongly_T_sparse, nonempty_subsets_canonical
+from .sparsity import (_check_cap, is_strongly_T_sparse,
+                       nonempty_subsets_canonical)
 
 
 @dataclass
@@ -103,6 +104,11 @@ def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
 # -- random instances ----------------------------------------------------
 
 
+def _largest_n(n_max: int, t_size: int) -> int:
+    """The most vertices ``random_instance(rng, n_max, t_size)`` can draw."""
+    return max(n_max, t_size + 1, 4)
+
+
 def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph, frozenset[int]]:
     """Random near-threshold graph with a random coincidence set.
 
@@ -110,7 +116,7 @@ def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph,
     are Henneberg graphs with a few extra edges: both concentrate near the
     rigidity threshold where the characterizations bite.
     """
-    n = rng.randint(max(t_size + 1, 4), max(n_max, t_size + 1, 4))
+    n = rng.randint(max(t_size + 1, 4), _largest_n(n_max, t_size))
     if rng.random() < 0.5:
         pairs = list(combinations(range(n), 2))
         m = max(1, min(len(pairs), 2 * n - 3 + rng.randint(-3, 3)))
@@ -131,10 +137,10 @@ def cross_validate(n_max: int, t_sizes: list[int], samples: int,
     For each sample the strong-sparsity verdict on the full edge set must
     match the exact-rank verdict, and the greedy ranks of both matroids must
     agree.  Mismatches are collected (and are theorem violations for |T| at
-    most three).
+    most three).  Sizes the enumeration cap refuses are refused up front.
     """
-    if n_max > 8:
-        raise ValueError("full-rank agreement runs are capped at n_max = 8")
+    for t_size in t_sizes:
+        _check_cap(_largest_n(n_max, t_size))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     checked = 0
@@ -180,6 +186,7 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     """
     if t_size < 4:
         raise ValueError("sizes up to three are settled; search needs |T| >= 4")
+    _check_cap(_largest_n(n_max, t_size))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     candidates = []

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .sparsity import DEFAULT_CAP, InvariantError, is_strongly_T_sparse
+from .sparsity import InvariantError, is_strongly_T_sparse
 
 
 def zero_extension(g: Graph, a: int, b: int, label: str | None = None) -> Graph:
@@ -93,8 +93,7 @@ def replace_rigid_subgraph(g: Graph, Y: Iterable[int],
     return cur.add_edges([(a, b) for a, b in combinations(reps, 2)])
 
 
-def reduce_low_degree(g: Graph, T: Iterable[int], z: int,
-                      cap: int = DEFAULT_CAP) -> Graph:
+def reduce_low_degree(g: Graph, T: Iterable[int], z: int) -> Graph:
     """Invert an extension at a degree-2 or degree-3 vertex z outside T.
 
     Degree 2: remove z.  Degree 3: remove z and add the first non-adjacent
@@ -105,7 +104,7 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int,
     ts = frozenset(T)
     if z in ts:
         raise ValueError("z must lie outside T")
-    if is_strongly_T_sparse(g, ts, cap) is not None:
+    if is_strongly_T_sparse(g, ts) is not None:
         raise ValueError("the input graph is not strongly T-sparse")
     nbrs = g.neighbors(z)
     if len(nbrs & ts) > 1:
@@ -121,7 +120,7 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int,
         if g.has_edge(x, y):
             continue
         candidate = removed.add_edges([(shift(x), shift(y))])
-        if is_strongly_T_sparse(candidate, new_T, cap) is None:
+        if is_strongly_T_sparse(candidate, new_T) is None:
             return candidate
     raise InvariantError(
         "no admissible neighbour pair found; this contradicts the reduction "

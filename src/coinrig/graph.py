@@ -8,7 +8,7 @@ between threads and cached by identity of content.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 class GraphParseError(ValueError):
@@ -66,10 +66,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
     # -- basic queries -------------------------------------------------
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges in canonical (lexicographic) order."""
@@ -213,6 +209,10 @@ def parse_graph_with_T(text: str) -> tuple[Graph, frozenset[int] | None]:
     return _parse_edge_list(stripped), None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
     try:
         doc = json.loads(text)
@@ -221,13 +221,14 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError('graph JSON needs "n" and "edges"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphParseError(f'"n" must be a nonnegative integer, got {n!r}')
+    if not isinstance(doc["edges"], list):
+        raise GraphParseError('"edges" must be a list')
     seen = set()
     edges = []
     for e in doc["edges"]:
-        if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(x) for x in e):
             raise GraphParseError(f"malformed edge {e!r}")
         a, b = e
         if a == b:
@@ -241,7 +242,9 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
         edges.append(c)
     labels = None
     if "labels" in doc and doc["labels"] is not None:
-        raw: Mapping = doc["labels"]
+        raw = doc["labels"]
+        if not isinstance(raw, dict):
+            raise GraphParseError('"labels" must be an object')
         labels = [str(i) for i in range(n)]
         for k, name in raw.items():
             try:
@@ -254,10 +257,12 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
         labels = tuple(labels)
     tset = None
     if "T" in doc and doc["T"] is not None:
-        tset = frozenset(doc["T"])
-        for v in tset:
-            if not (isinstance(v, int) and 0 <= v < n):
+        if not isinstance(doc["T"], list):
+            raise GraphParseError('"T" must be a list')
+        for v in doc["T"]:
+            if not (_is_int(v) and 0 <= v < n):
                 raise GraphParseError(f"T contains invalid vertex {v!r}")
+        tset = frozenset(doc["T"])
     return Graph(n, edges, labels), tset
 
 

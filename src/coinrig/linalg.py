@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from .graph import Graph
 
 COORD_BOUND = 1 << 20
-DEFAULT_PRIME = (1 << 61) - 1
+PRIME = (1 << 61) - 1
 EXACT_VERTEX_LIMIT = 30
 
 
@@ -86,7 +86,6 @@ class RigidityMatrix:
     dim: int
     n: int
     rows: list[list[Fraction]]
-    row_index: dict[tuple[int, int], int]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -122,16 +121,14 @@ def rigidity_target(n: int, d: int) -> int:
 def rigidity_matrix(g: Graph, p: Realization) -> RigidityMatrix:
     d = p.dim
     rows = []
-    row_index = {}
-    for k, (u, v) in enumerate(g.edge_list()):
+    for u, v in g.edge_list():
         pu, pv = p.point(u), p.point(v)
         row = [Fraction(0)] * (d * g.n)
         for i in range(d):
             row[d * u + i] = pu[i] - pv[i]
             row[d * v + i] = pv[i] - pu[i]
         rows.append(row)
-        row_index[(u, v)] = k
-    return RigidityMatrix(d, g.n, rows, row_index)
+    return RigidityMatrix(d, g.n, rows)
 
 
 # -- exact rank --------------------------------------------------------
@@ -200,45 +197,19 @@ def rank_exact(M: RigidityMatrix) -> int:
     return int_rank(_integer_rows(M.rows))
 
 
-def is_probable_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin for p < 3.3e24."""
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p % q == 0:
-            return p == q
-    d = p - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
 class ModpEchelon:
-    """Incremental row echelon over GF(prime) of sparse integer rows.
+    """Incremental row echelon over GF(PRIME) of sparse integer rows.
 
     A row is a dict column -> integer.  Each kept row leads on its highest
     nonzero column and is scaled so that entry is 1.  A rigidity row then
     leads on its higher endpoint; when vertices are numbered in Henneberg
     construction order that endpoint is the later vertex, so a row reduces
     against rows of its own and earlier vertices and fill-in stays local.
-    Rows independent mod prime are independent over the rationals, so
+    Rows independent mod PRIME are independent over the rationals, so
     ``rank`` never exceeds the exact rank.
     """
 
-    def __init__(self, prime: int = DEFAULT_PRIME):
-        self.prime = prime
+    def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}  # leading column -> row
 
     @property
@@ -247,7 +218,7 @@ class ModpEchelon:
 
     def try_add(self, row: dict[int, int]) -> bool:
         """Reduce ``row`` (left unchanged) and keep it iff it is independent."""
-        p = self.prime
+        p = PRIME
         r = {c: x % p for c, x in row.items() if x % p}
         while r:
             c = max(r)
@@ -266,15 +237,13 @@ class ModpEchelon:
         return False
 
 
-def rank_modp(M: RigidityMatrix, prime: int = DEFAULT_PRIME) -> int:
-    """Rank of the matrix reduced mod prime; never exceeds the exact rank."""
-    if not is_probable_prime(prime):
-        raise ValueError(f"{prime} is not prime")
-    ech = ModpEchelon(prime)
+def rank_modp(M: RigidityMatrix) -> int:
+    """Rank of the matrix reduced mod PRIME; never exceeds the exact rank."""
+    ech = ModpEchelon()
     for row in M.rows:
         mul = lcm(*(x.denominator for x in row))
-        if mul % prime == 0:
-            raise ValueError("denominator divisible by the chosen prime")
+        if mul % PRIME == 0:
+            raise ValueError("denominator divisible by the prime")
         ech.try_add({c: x.numerator * (mul // x.denominator)
                      for c, x in enumerate(row) if x})
     return ech.rank
@@ -305,6 +274,8 @@ def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
 def _sample_points(g: Graph, spec: CoincidenceSpec, d: int,
                    seed: int) -> list[tuple[int, ...]]:
     """The integer points of ``sample_T_coincident``, indexed by vertex."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     for v in spec.T:
         if not 0 <= v < g.n:
             raise ValueError(f"T contains invalid vertex {v}")
@@ -386,41 +357,3 @@ def generic_rank(g: Graph, spec: CoincidenceSpec, d: int, trials: int = 3,
         note=(f"rank is a lower bound on the generic T-coincident rank; "
               f"per-trial failure probability <= {bound} (Schwartz-Zippel)"),
     )
-
-
-def lift_contracted_realization(g: Graph, T, p_T: Realization) -> Realization:
-    """Lift a realization of g/T to a T-coincident realization of g.
-
-    Vertices of T take the contracted vertex's point; everything else keeps
-    its own point under the contraction's id map.
-    """
-    remap = g.contraction_map(T)
-    return Realization(p_T.dim, {v: p_T.point(remap[v]) for v in range(g.n)})
-
-
-def kernel_contains(M: RigidityMatrix, vec: list[Fraction]) -> bool:
-    """Check R * vec = 0 by explicit multiplication."""
-    for row in M.rows:
-        if sum(a * b for a, b in zip(row, vec)):
-            return False
-    return True
-
-
-def rigid_motion_basis(p: Realization, n: int) -> list[list[Fraction]]:
-    """The d translations and C(d,2) infinitesimal rotations at p."""
-    d = p.dim
-    out = []
-    for i in range(d):
-        vec = [Fraction(0)] * (d * n)
-        for v in range(n):
-            vec[d * v + i] = Fraction(1)
-        out.append(vec)
-    for i in range(d):
-        for j in range(i + 1, d):
-            vec = [Fraction(0)] * (d * n)
-            for v in range(n):
-                pt = p.point(v)
-                vec[d * v + i] = -pt[j]
-                vec[d * v + j] = pt[i]
-            out.append(vec)
-    return out

@@ -20,9 +20,9 @@ from .graph import Graph
 from .linalg import (CoincidenceSpec, ModpEchelon, _sample_points, _sparse_rows,
                      _trial_seed)
 from .pebble import PebbleGame
-from .sparsity import (AugmentedFamily, CompatibleFamily,
-                       DEFAULT_CAP, InvariantError, StrongSparsityChecker,
-                       _bits, _cover_lb_table, _mask_of, min_thin_cover,
+from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
+                       StrongSparsityChecker, _bits, _check_cap,
+                       _cover_lb_table, _mask_of, min_thin_cover,
                        nonempty_subsets_canonical)
 
 
@@ -88,14 +88,14 @@ class MatroidRankCertificate:
 # -- oracle constructors -----------------------------------------------
 
 
-def mt_oracle(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> IndependenceOracle:
+def mt_oracle(g: Graph, T: Iterable[int]) -> IndependenceOracle:
     """Independence = the subgraph is strongly T-sparse."""
     ts = frozenset(T)
     if not ts:
         raise ValueError("T must be nonempty")
     n = g.n
     return IndependenceOracle("mt", g.edges,
-                              lambda: StrongSparsityChecker(n, ts, cap).try_add,
+                              lambda: StrongSparsityChecker(n, ts).try_add,
                               conjectural=len(ts) >= 4)
 
 
@@ -167,7 +167,7 @@ def greedy_rank(oracle: IndependenceOracle,
 
 
 def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
-                      T: Iterable[int], cap: int = 10) -> tuple[int, AugmentedFamily]:
+                      T: Iterable[int]) -> tuple[int, AugmentedFamily]:
     """Rank of E' in the strong-sparsity matroid via the dual cover minimum.
 
     Minimizes val_S over all S inside T with |S| >= 2 and all 1-thin
@@ -176,16 +176,16 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
     Returns the minimum and an attaining family; when E' lies inside T,
     that is the empty family of value 0.
 
-    For each S (canonical order) one depth-first search walks the block
-    partitions of the vertices outside S in the leaf order of
-    ``partial_partitions``: at each vertex it first leaves the vertex out,
-    then puts it in a block with ``extra`` taken from ``combinations(rest,
-    r)`` for r = 0, 1, ...  The search carries the blocks, their union, the
-    family value and the edges no member covers; each leaf asks
-    ``min_thin_cover`` for the cheapest cover of those edges.  Only a
-    strictly smaller total replaces the incumbent, so the result is the
-    first (S, blocks) in that order to reach the minimum.  The search skips
-    only subtrees and leaves that cannot reach it:
+    Graphs above the enumeration cap (``DEFAULT_CAP`` vertices) are refused.
+    For each S (canonical order) one depth-first search walks the partial
+    block partitions of the vertices outside S: at each vertex it first
+    leaves the vertex out, then puts it in a block with ``extra`` taken
+    from ``combinations(rest, r)`` for r = 0, 1, ...  The search carries
+    the blocks, their union, the family value and the edges no member
+    covers; each leaf asks ``min_thin_cover`` for the cheapest cover of
+    those edges.  Only a strictly smaller total replaces the incumbent, so
+    the result is the first (S, blocks) in that order to reach the minimum.
+    The search skips only subtrees and leaves that cannot reach it:
 
     - a subtree whose value plus the least cost (``_COVER_LB``) of covering
       its *stuck* edges reaches the incumbent.  An uncovered edge is stuck
@@ -206,8 +206,7 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
       before it starts a block, so no first minimum uses B;
     - the leaf with no block under every S: it is the first leaf again.
     """
-    if g.n > cap:
-        raise ValueError(f"graph has {g.n} vertices, enumeration cap is {cap}")
+    _check_cap(g.n)
     ts = frozenset(T)
     if len(ts) < 2:
         raise ValueError("the cover formula needs |T| >= 2")

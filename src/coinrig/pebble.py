@@ -86,9 +86,3 @@ def pebble_rank_23(g: Graph, eprime: Iterable[tuple[int, int]] | None = None) ->
     for a, b in edges:
         game.try_insert(a, b)
     return game.accepted
-
-
-def is_laman_sparse(g: Graph, eprime: Iterable[tuple[int, int]] | None = None) -> bool:
-    """True iff the edge set is independent in R_2 (i.e. (2,3)-sparse)."""
-    edges = list(eprime) if eprime is not None else g.edge_list()
-    return pebble_rank_23(g, edges) == len(edges)

@@ -2,9 +2,8 @@
 
 Capacities val_S of vertex sets, S-compatible and augmented families with
 their values, (strongly) T-sparse decisions with explicit violation
-witnesses, the family transformation steps, and the brute-force 1-thin
-cover minimum that realizes the rank function of the 2-dimensional rigidity
-matroid.
+witnesses, the family transformation steps, and the 1-thin cover minimum
+that realizes the rank function of the 2-dimensional rigidity matroid.
 
 Family checks only enumerate families whose members pairwise intersect
 exactly in S: merging an overlapping pair never shrinks coverage and
@@ -17,13 +16,18 @@ counts over all vertex subsets, a scan of set capacities, and one
 lexicographic search over weighted candidate blocks per S whose first hit
 is the canonical family witness.  ``is_S_sparse``, ``is_strongly_T_sparse``
 and the incremental ``StrongSparsityChecker`` all run it.
+
+Every exponential enumeration in the package (the subset tables here and
+the cover minimum in ``matroid``) is bounded by one vertex cap,
+``DEFAULT_CAP``, enforced by ``_check_cap`` alone; only the two public
+decisions take a ``cap`` argument, which ``sparse --cap`` sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graph import Graph
 
@@ -86,9 +90,6 @@ class CompatibleFamily:
             out |= H
         return out
 
-    def key(self) -> tuple:
-        return tuple(tuple(sorted(H)) for H in self.members)
-
 
 def val_family(fam: CompatibleFamily) -> int:
     """Sum of (2|H_i \\ S| - 1) plus 2(|S| - 1)."""
@@ -150,10 +151,6 @@ def coverage(sets: Iterable[Iterable[int]]) -> frozenset[tuple[int, int]]:
         for a, b in combinations(sorted(X), 2):
             pairs.add((a, b))
     return frozenset(pairs)
-
-
-def covered_edge_count(g: Graph, aug: AugmentedFamily) -> int:
-    return len(aug.covers() & g.edges)
 
 
 @dataclass(frozen=True)
@@ -286,9 +283,10 @@ def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityV
 # -- sparsity decisions ------------------------------------------------
 
 
-def _check_cap(g: Graph, cap: int):
-    if g.n > cap:
-        raise ValueError(f"graph has {g.n} vertices, enumeration cap is {cap}")
+def _check_cap(n: int, cap: int = DEFAULT_CAP):
+    """Refuse an enumeration over more than ``cap`` vertices (the one cap)."""
+    if n > cap:
+        raise ValueError(f"graph has {n} vertices, enumeration cap is {cap}")
 
 
 def _check_args(g: Graph, name: str, vs: frozenset[int], cap: int):
@@ -297,7 +295,7 @@ def _check_args(g: Graph, name: str, vs: frozenset[int], cap: int):
     for v in sorted(vs):
         if not 0 <= v < g.n:
             raise ValueError(f"{name} contains invalid vertex {v}")
-    _check_cap(g, cap)
+    _check_cap(g.n, cap)
 
 
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
@@ -365,9 +363,8 @@ class StrongSparsityChecker:
     S with |S| >= 2 gets the shared family search.
     """
 
-    def __init__(self, n: int, T: Iterable[int], cap: int = DEFAULT_CAP):
-        if n > cap:
-            raise ValueError(f"graph has {n} vertices, enumeration cap is {cap}")
+    def __init__(self, n: int, T: Iterable[int]):
+        _check_cap(n)
         self.n = n
         self.full = (1 << n) - 1
         self.t_mask = _mask_of(T)
@@ -426,34 +423,6 @@ class StrongSparsityChecker:
             if not self.try_add(a, b):
                 return False
         return True
-
-
-# -- enumeration (reference oracle) ------------------------------------
-
-
-def partial_partitions(elems: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
-    """All collections of disjoint nonempty blocks of elems (incl. empty)."""
-    if not elems:
-        yield ()
-        return
-    first, rest = elems[0], elems[1:]
-    for fam in partial_partitions(rest):
-        yield fam
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            block = frozenset((first,) + extra)
-            remaining = tuple(e for e in rest if e not in block)
-            for fam in partial_partitions(remaining):
-                yield (block,) + fam
-
-
-def enumerate_compatible_families(g: Graph, S: Iterable[int]) -> Iterator[CompatibleFamily]:
-    """Every S-compatible family whose members pairwise intersect exactly in S."""
-    ss = frozenset(S)
-    others = tuple(v for v in range(g.n) if v not in ss)
-    for blocks in partial_partitions(others):
-        if blocks:
-            yield CompatibleFamily(ss, tuple(ss | b for b in blocks))
 
 
 # -- family transformations: merging and absorption ---------------------
@@ -722,20 +691,3 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
     if state[1] is None:
         return None
     return state[0], state[1]
-
-
-def ly_rank_bruteforce(g: Graph, eprime: Iterable[tuple[int, int]] | None = None,
-                       cap: int = 10) -> int:
-    """Rank of an edge set in R_2 via the 1-thin cover minimum."""
-    _check_cap(g, cap)
-    edges = g.edge_list() if eprime is None else sorted(
-        (e if e[0] < e[1] else (e[1], e[0])) for e in eprime)
-    for e in edges:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} is not an edge of the graph")
-    if not edges:
-        return 0
-    masks = [(1 << a) | (1 << b) for a, b in edges]
-    res = min_thin_cover(g.n, masks)
-    value, _ = res
-    return value

@@ -20,7 +20,7 @@ from coinrig.linalg import (CoincidenceSpec, Realization, generic_rank,
                             rank_exact, rigidity_matrix, rigidity_target)
 from coinrig.matroid import greedy_rank, mt_oracle, mt_rank_cover_min
 from coinrig.pebble import pebble_rank_23
-from coinrig.sparsity import ly_rank_bruteforce
+from coinrig.sparsity import min_thin_cover
 
 
 def _report(num, desc, elapsed, budget):
@@ -95,7 +95,7 @@ def test_criterion_6_rank_oracle_agreement_1000():
         n = rng.randint(3, 7)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-        ly = ly_rank_bruteforce(g)
+        ly = min_thin_cover(n, [(1 << a) | (1 << b) for a, b in g.edge_list()])[0]
         pb = pebble_rank_23(g)
         gr = generic_rank(g, CoincidenceSpec.of({0}), 2, trials=3,
                           seed=rng.getrandbits(31)).rank

@@ -131,8 +131,13 @@ def test_cross_validate_small():
     assert report["mismatches"] == 0
     assert not report["conjectural"]
     assert set(report["by_t_size"]) == {1, 2, 3}
-    with pytest.raises(ValueError, match="n_max"):
-        cross_validate(9, [2], 1, seed=0)
+    # the one enumeration cap bounds the largest graph a run can draw,
+    # refused before the first sample; up to the cap runs go through
+    assert cross_validate(12, [2, 3], 4, seed=8)["mismatches"] == 0
+    with pytest.raises(ValueError, match="13 vertices, enumeration cap is 12"):
+        cross_validate(13, [2], 1, seed=0)
+    with pytest.raises(ValueError, match="enumeration cap is 12"):
+        cross_validate(6, [2, 13], 0, seed=0)
 
 
 def test_conjecture_search():
@@ -140,6 +145,8 @@ def test_conjecture_search():
     assert empty["candidates"] == [] and empty["budget"] == 0
     with pytest.raises(ValueError, match=r"\|T\| >= 4"):
         conjecture_search(6, 3, 10, seed=0)
+    with pytest.raises(ValueError, match="13 vertices, enumeration cap is 12"):
+        conjecture_search(13, 4, 0, seed=0)
     report = conjecture_search(6, 4, 120, seed=9)
     assert report["candidates"] == []  # the conjecture is expected to hold
 

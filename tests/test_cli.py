@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from coinrig.cli import build_parser, main
+from coinrig.graph import Graph, graph_to_json
+from coinrig.matroid import greedy_rank, mt_oracle
 
 
 @pytest.fixture
@@ -163,3 +166,77 @@ def test_parser_is_built_once_and_reused(capsys, k4_file, fig4_file):
         fresh.append(outcome(argv))
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0]
+
+
+def error_line(capsys, *argv):
+    """Run a call that must fail as a usage error; return its one stderr line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n":3,"edges":[[0,1]],"T":5}',
+    '{"n":3,"edges":[[0,1]],"T":[[0]]}',
+    '{"n":3,"edges":[[0,1]],"T":[true,0]}',
+    '{"n":3,"edges":5}',
+    '{"n":3,"edges":[[true,2]]}',
+    '{"n":true,"edges":[]}',
+    '{"n":3,"edges":[[0,1]],"labels":["a","b","c"]}',
+])
+def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    error_line(capsys, "rank", "--graph", str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--d", "0"],
+    ["rank", "--d", "-1"],
+    ["check", "--d", "0"],
+    ["mrank", "--oracle", "rt", "--d", "0"],
+])
+def test_dimension_below_one_is_a_usage_error(capsys, k4_file, argv):
+    err = error_line(capsys, *argv, "--graph", k4_file)
+    assert err == "error: dimension must be at least 1\n"
+
+
+def _seeded_graph(n):
+    rng = random.Random(f"witness:{n}")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n, rng.sample(pairs, 2 * n - 3 + rng.randint(-1, 2))), rng.sample(range(n), 3)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_mrank_witness_up_to_the_enumeration_cap(capsys, tmp_path, n):
+    g, T = _seeded_graph(n)
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(g, T))
+    code, doc = run(capsys, "mrank", "--witness", "--graph", str(path))
+    assert code == 0
+    mt = doc["mt"]
+    assert mt["rank"] == greedy_rank(mt_oracle(g, T)).rank
+    dual = mt["dual"]  # attached only when the cover value equals the rank
+    S = {int(v) for v in dual["S"]}
+    value = sum(2 * len(X) - 3 for X in dual["xsets"])
+    if dual["family"]:
+        value += sum(2 * (len(H) - len(S)) - 1 for H in dual["family"]) + 2 * (len(S) - 1)
+    assert value == mt["rank"]
+
+
+def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
+    path = tmp_path / "g13.json"
+    path.write_text(graph_to_json(Graph(13, [(1, 2), (2, 3)]), [0, 1]))
+    graph = ["--graph", str(path)]
+    msg = "error: graph has 13 vertices, enumeration cap is 12\n"
+    for argv in (["sparse", *graph], ["sparse", "--strong", *graph],
+                 ["mrank", *graph], ["mrank", "--witness", *graph],
+                 ["mrank", "--oracle", "both", "--witness", *graph],
+                 ["xval", "--n-max", "13"],
+                 ["conjecture", "--n-max", "13"]):
+        assert error_line(capsys, *argv) == msg, argv
+    # sparse --cap is the one override
+    code, doc = run(capsys, "sparse", "--cap", "13", *graph)
+    assert code == 0 and doc["sparse"]

@@ -24,7 +24,7 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
     calls = []
     bad = SparsityViolation("set", frozenset({0}), frozenset({0, 1}), 1, 0)
 
-    def fake(graph, T, cap):
+    def fake(graph, T):
         calls.append(graph)
         return None if len(calls) == 1 else bad
 

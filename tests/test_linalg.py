@@ -8,18 +8,54 @@ import pytest
 from coinrig import linalg
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (CoincidenceSpec, ModpEchelon, Realization,
+from coinrig.linalg import (PRIME, CoincidenceSpec, ModpEchelon, Realization,
                             RigidityMatrix, _sample_points, _sparse_rows,
                             _trial_seed, generic_rank, generic_realization,
-                            int_rank, is_infinitesimally_rigid, is_probable_prime,
-                            kernel_contains, lift_contracted_realization,
-                            rank_exact, rank_modp, rigid_motion_basis,
-                            rigidity_matrix, rigidity_target,
+                            int_rank, is_infinitesimally_rigid, rank_exact,
+                            rank_modp, rigidity_matrix, rigidity_target,
                             sample_T_coincident)
 
 
 def F(x):
     return Fraction(x)
+
+
+def lift_contracted_realization(g, T, p_T):
+    """Lift a realization of g/T to a T-coincident realization of g.
+
+    Vertices of T take the contracted vertex's point; everything else keeps
+    its own point under the contraction's id map.
+    """
+    remap = g.contraction_map(T)
+    return Realization(p_T.dim, {v: p_T.point(remap[v]) for v in range(g.n)})
+
+
+def kernel_contains(M, vec):
+    """Check R * vec = 0 by explicit multiplication."""
+    for row in M.rows:
+        if sum(a * b for a, b in zip(row, vec)):
+            return False
+    return True
+
+
+def rigid_motion_basis(p, n):
+    """The d translations and C(d,2) infinitesimal rotations at p."""
+    d = p.dim
+    out = []
+    for i in range(d):
+        vec = [Fraction(0)] * (d * n)
+        for v in range(n):
+            vec[d * v + i] = Fraction(1)
+        out.append(vec)
+    for i in range(d):
+        for j in range(i + 1, d):
+            vec = [Fraction(0)] * (d * n)
+            for v in range(n):
+                pt = p.point(v)
+                vec[d * v + i] = -pt[j]
+                vec[d * v + j] = pt[i]
+            out.append(vec)
+    return out
 
 
 def test_single_edge_row():
@@ -93,18 +129,11 @@ def test_rank_modp_never_exceeds_exact():
         assert rank_modp(M) == rank_exact(M)  # equality on all sampled instances
 
 
-def test_rank_modp_rejects_composite():
+def test_rank_modp_rejects_denominator_divisible_by_prime():
     g = Graph(2, [(0, 1)])
-    M = rigidity_matrix(g, generic_realization(g, 2, 0))
-    with pytest.raises(ValueError, match="not prime"):
-        rank_modp(M, 2 ** 61 - 2)
-
-
-def test_is_probable_prime():
-    assert is_probable_prime(2 ** 61 - 1)
-    assert not is_probable_prime(2 ** 61 - 3)
-    assert is_probable_prime(101)
-    assert not is_probable_prime(1)
+    p = Realization(2, {0: (F(0), F(0)), 1: (Fraction(1, PRIME), F(1))})
+    with pytest.raises(ValueError, match="divisible by the prime"):
+        rank_modp(rigidity_matrix(g, p))
 
 
 def test_rigidity_thresholds():
@@ -256,7 +285,7 @@ def test_echelon_rank_equals_int_rank_on_random_matrices():
         assert sparse == before  # try_add leaves its argument unchanged
         scales = [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 9)) for _ in mat]
         frac_rows = [[s * x for x in r] for s, r in zip(scales, mat)]
-        M = RigidityMatrix(1, len(mat[0]), frac_rows, {})
+        M = RigidityMatrix(1, len(mat[0]), frac_rows)
         assert rank_modp(M) == rank_exact(M) == int_rank(mat)
 
 

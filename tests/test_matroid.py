@@ -12,9 +12,9 @@ from coinrig.matroid import (MatroidRankCertificate, circuits_upto, greedy_rank,
                              laman_oracle, mt_oracle, mt_rank_cover_min,
                              rt_oracle)
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
-                              nonempty_subsets_canonical, partial_partitions,
-                              val_augmented, val_family)
-from test_sparsity import reference_min_thin_cover
+                              nonempty_subsets_canonical, val_augmented,
+                              val_family)
+from test_sparsity import partial_partitions, reference_min_thin_cover
 
 
 def fig4():
@@ -111,8 +111,8 @@ def test_duality_greedy_equals_cover_min():
 def test_cover_min_argument_checks():
     with pytest.raises(ValueError, match=r"\|T\| >= 2"):
         mt_rank_cover_min(complete_graph(4), None, {0})
-    with pytest.raises(ValueError, match="cap"):
-        mt_rank_cover_min(Graph(11, [(0, 1)]), None, {0, 1})
+    with pytest.raises(ValueError, match="enumeration cap is 12"):
+        mt_rank_cover_min(Graph(13, [(0, 1)]), None, {0, 1})
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         mt_rank_cover_min(complete_graph(5), None, {0, 1, 2, 3})

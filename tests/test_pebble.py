@@ -3,7 +3,7 @@ from itertools import combinations
 
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_bipartite, complete_graph
-from coinrig.pebble import PebbleGame, is_laman_sparse, pebble_rank_23
+from coinrig.pebble import PebbleGame, pebble_rank_23
 
 
 def brute_laman_rank(g, edges):
@@ -48,8 +48,8 @@ def test_edge_subset_argument():
     K4 = complete_graph(4)
     sub = [(0, 1), (1, 2), (2, 3)]
     assert pebble_rank_23(K4, sub) == 3
-    assert is_laman_sparse(K4, sub)
-    assert not is_laman_sparse(K4)
+    assert pebble_rank_23(K4, sub) == len(sub)  # (2,3)-sparse
+    assert pebble_rank_23(K4) < len(K4.edges)  # not (2,3)-sparse
 
 
 def test_henneberg_graphs_are_independent():

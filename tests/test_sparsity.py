@@ -9,10 +9,9 @@ from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import CoincidenceSpec, generic_rank
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, absorb_set,
-                              combine_families, coverage, covered_edge_count,
-                              enumerate_compatible_families, is_S_sparse,
-                              is_strongly_T_sparse, ly_rank_bruteforce,
-                              merge_overlapping, nonempty_subsets_canonical,
+                              combine_families, coverage, is_S_sparse,
+                              is_strongly_T_sparse, merge_overlapping,
+                              min_thin_cover, nonempty_subsets_canonical,
                               subset_edge_counts, val_augmented, val_family,
                               val_set)
 
@@ -24,6 +23,31 @@ def fig4():
     return Graph(8, [(4, 3), (4, 0), (4, 1), (5, 3), (5, 0), (5, 1),
                      (6, 3), (6, 0), (6, 1), (7, 4), (7, 5), (2, 7), (2, 6)],
                  ("u", "v", "w", "a", "b", "c", "d", "e"))
+
+
+def partial_partitions(elems: tuple[int, ...]):
+    """All collections of disjoint nonempty blocks of elems (incl. empty)."""
+    if not elems:
+        yield ()
+        return
+    first, rest = elems[0], elems[1:]
+    for fam in partial_partitions(rest):
+        yield fam
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            block = frozenset((first,) + extra)
+            remaining = tuple(e for e in rest if e not in block)
+            for fam in partial_partitions(remaining):
+                yield (block,) + fam
+
+
+def enumerate_compatible_families(g, S):
+    """Every S-compatible family whose members pairwise intersect exactly in S."""
+    ss = frozenset(S)
+    others = tuple(v for v in range(g.n) if v not in ss)
+    for blocks in partial_partitions(others):
+        if blocks:
+            yield CompatibleFamily(ss, tuple(ss | b for b in blocks))
 
 
 def random_graph(rng, n_lo=3, n_hi=7, near_threshold=True):
@@ -127,7 +151,7 @@ def test_fig4_family_violation():
     # the three common neighbours b, c, d give i = 6 > 5 = val
     v = is_S_sparse(fig4(), {0, 1})
     assert v is not None and v.kind == "family"
-    assert v.witness.key() == ((0, 1, 4), (0, 1, 5), (0, 1, 6))
+    assert [sorted(H) for H in v.witness.members] == [[0, 1, 4], [0, 1, 5], [0, 1, 6]]
     assert (v.lhs, v.rhs) == (6, 5)
 
 
@@ -239,7 +263,7 @@ def _reference_S_sparse(g, S):
         return None
     fam = CompatibleFamily(S, tuple(S | frozenset(B) for B in blocks))
     lhs = sum(i_cnt[sum(1 << v for v in S | frozenset(B))] for B in blocks)
-    return {"kind": "family", "S": sorted(S), "witness": [list(k) for k in fam.key()],
+    return {"kind": "family", "S": sorted(S), "witness": [sorted(H) for H in fam.members],
             "lhs": lhs, "rhs": val_family(fam)}
 
 
@@ -329,7 +353,7 @@ def test_thin_family_bounds_covered_edges():
             xsets.append(X)
         aug = AugmentedFamily(S, fam, tuple(xsets))
         assert aug.is_one_thin()
-        assert covered_edge_count(g, aug) <= val_augmented(aug)
+        assert len(aug.covers() & g.edges) <= val_augmented(aug)
         tested += 1
 
 
@@ -507,16 +531,16 @@ def test_combine_families_preserves_tightness():
 # -- cover minima --------------------------------------------------------
 
 
+def masks_of(g):
+    return [(1 << a) | (1 << b) for a, b in g.edge_list()]
+
+
 def test_ly_rank_small_cases():
-    assert ly_rank_bruteforce(complete_graph(4)) == 5
+    # the 1-thin cover minimum is the rank in R_2 (Lovasz-Yemini)
+    assert min_thin_cover(4, masks_of(complete_graph(4)))[0] == 5
     two_triangles = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert ly_rank_bruteforce(two_triangles) == 6
-    assert ly_rank_bruteforce(Graph(3, []), []) == 0
-
-
-def test_ly_rank_cap():
-    with pytest.raises(ValueError, match="cap"):
-        ly_rank_bruteforce(Graph(11, [(0, 1)]))
+    assert min_thin_cover(5, masks_of(two_triangles))[0] == 6
+    assert min_thin_cover(3, [])[0] == 0
 
 
 def reference_min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
