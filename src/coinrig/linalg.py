@@ -271,14 +271,18 @@ def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
 # -- sampling ----------------------------------------------------------
 
 
-def _sample_points(g: Graph, spec: CoincidenceSpec, d: int,
-                   seed: int) -> list[tuple[int, ...]]:
-    """The integer points of ``sample_T_coincident``, indexed by vertex."""
+def _check_sample_args(g: Graph, spec: CoincidenceSpec, d: int):
     if d < 1:
         raise ValueError("dimension must be at least 1")
     for v in spec.T:
         if not 0 <= v < g.n:
             raise ValueError(f"T contains invalid vertex {v}")
+
+
+def _sample_points(g: Graph, spec: CoincidenceSpec, d: int,
+                   seed: int) -> list[tuple[int, ...]]:
+    """The integer points of ``sample_T_coincident``, indexed by vertex."""
+    _check_sample_args(g, spec, d)
     rng = random.Random(seed)
     skip = spec.T - {spec.ref}
     pts: list[tuple[int, ...]] = [()] * g.n

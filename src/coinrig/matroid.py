@@ -17,13 +17,15 @@ from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph
-from .linalg import (CoincidenceSpec, ModpEchelon, _sample_points, _sparse_rows,
-                     _trial_seed)
+from .linalg import (CoincidenceSpec, ModpEchelon, _check_sample_args,
+                     _sample_points, _sparse_rows, _trial_seed)
 from .pebble import PebbleGame
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        StrongSparsityChecker, _bits, _check_cap,
                        _cover_lb_table, _mask_of, min_thin_cover,
                        nonempty_subsets_canonical)
+
+CIRCUIT_SCAN_CAP = 2_000_000
 
 
 def _canon_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -115,39 +117,66 @@ class _RtChecker:
     verdict needs every valid witness to degenerate at once, which the
     independent samples make measure-tiny (this is the resample-on-rank-
     shortfall protection).
+
+    The echelons are asked in trial order, and the first that accepts
+    settles the edge.  An echelon that is behind first replays the edges
+    accepted since it last ran and turns invalid at its first rejection,
+    so every verdict is the one that feeding each valid echelon every edge
+    would give, while a trial's rows are drawn (``rows(t)``) only when its
+    echelon is first asked.
     """
 
-    def __init__(self, row_maps):
-        self.row_maps = row_maps
-        self.echelons = [ModpEchelon() for _ in row_maps]
-        self.valid = [True] * len(row_maps)
+    def __init__(self, rows: Callable[[int], dict], trials: int):
+        self.rows = rows
+        self.echelons = [ModpEchelon() for _ in range(trials)]
+        self.valid = [True] * trials
+        self.done = [0] * trials  # accepted edges each echelon has taken
+        self.accepted: list[tuple[int, int]] = []
+
+    def _catch_up(self, j: int) -> bool:
+        """Replay the accepted edges echelon j has not seen; False if invalid."""
+        if not self.valid[j]:
+            return False
+        rm, ech = self.rows(j), self.echelons[j]
+        for e in self.accepted[self.done[j]:]:
+            if not ech.try_add(rm[e]):
+                self.valid[j] = False
+                return False
+        self.done[j] = len(self.accepted)
+        return True
 
     def try_add(self, a, b) -> bool:
         e = (a, b) if a < b else (b, a)
-        results = {}
-        for j, (rm, ech) in enumerate(zip(self.row_maps, self.echelons)):
-            if self.valid[j]:
-                results[j] = ech.try_add(rm[e])
-        if not any(results.values()):
-            return False  # no row added anywhere: state unchanged
-        for j, ok in results.items():
-            if not ok:
-                self.valid[j] = False
-        return True
+        for j, ech in enumerate(self.echelons):
+            if self._catch_up(j) and ech.try_add(self.rows(j)[e]):
+                self.accepted.append(e)
+                self.done[j] += 1
+                return True
+        return False  # no row added anywhere: state unchanged
 
 
 def rt_oracle(g: Graph, T: Iterable[int], d: int = 2, trials: int = 3,
               seed: int = 0) -> IndependenceOracle:
     """Independence in the algebraic T-coincident rigidity matroid.
 
-    One realization per trial is sampled up front and shared by all queries;
-    rows are tested by sparse elimination over GF(2^61 - 1), so accepted
-    rows are independent over the rationals too.
+    One realization per trial is sampled when a checker first asks for it
+    and shared by all later queries; rows are tested by sparse elimination
+    over GF(2^61 - 1), so accepted rows are independent over the rationals
+    too.  The arguments are checked here, before any sample is drawn.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     spec = CoincidenceSpec.of(T)
-    row_maps = [_sparse_rows(g, _sample_points(g, spec, d, _trial_seed(seed, t)), d)
-                for t in range(trials)]
-    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(row_maps).try_add)
+    _check_sample_args(g, spec, d)
+    row_maps: list[dict | None] = [None] * trials
+
+    def rows(t: int) -> dict:
+        if row_maps[t] is None:
+            pts = _sample_points(g, spec, d, _trial_seed(seed, t))
+            row_maps[t] = _sparse_rows(g, pts, d)
+        return row_maps[t]
+
+    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(rows, trials).try_add)
 
 
 # -- rank computations ---------------------------------------------------
@@ -271,13 +300,15 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
     return best_val, AugmentedFamily(s, fam, tuple(frozenset(_bits(x)) for x in xmasks))
 
 
-def circuits_upto(oracle: IndependenceOracle, k: int,
-                  scan_limit: int = 2_000_000) -> list[frozenset]:
-    """All minimal dependent sets of size at most k, by subset scan."""
+def circuits_upto(oracle: IndependenceOracle, k: int) -> list[frozenset]:
+    """All minimal dependent sets of size at most k, by subset scan.
+
+    Scans of more than ``CIRCUIT_SCAN_CAP`` edge subsets are refused.
+    """
     m = len(oracle.ground)
     total = sum(comb(m, s) for s in range(1, min(k, m) + 1))
-    if total > scan_limit:
-        raise ValueError(f"subset scan of {total} sets exceeds the cap {scan_limit}")
+    if total > CIRCUIT_SCAN_CAP:
+        raise ValueError(f"subset scan of {total} sets exceeds the cap {CIRCUIT_SCAN_CAP}")
     circuits: list[frozenset] = []
     prev_indep: set[frozenset] = {frozenset()}
     for s in range(1, min(k, m) + 1):

@@ -15,41 +15,50 @@ from .graph import Graph
 
 
 class PebbleGame:
-    """Incremental (2,3)-pebble game on n vertices."""
+    """Incremental (2,3)-pebble game on n vertices.
+
+    Out-degree plus pebbles is 2 at every vertex, so each out-edge list
+    holds at most two heads.  The searches share one visited array, marked
+    with a fresh stamp per search, and one parent array.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.pebbles = [2] * n
-        self.out: list[set[int]] = [set() for _ in range(n)]
+        self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted = 0
+        self._seen = [0] * n
+        self._stamp = 0
+        self._parent = [0] * n
 
     def _fetch(self, root: int, avoid: int) -> bool:
         """Pull one pebble to root via a directed path, avoiding ``avoid``."""
-        seen = {root, avoid}
-        parent: dict[int, int | None] = {root: None}
+        self._stamp += 1
+        stamp, seen, parent = self._stamp, self._seen, self._parent
+        out, pebbles = self.out, self.pebbles
+        seen[root] = seen[avoid] = stamp
         stack = [root]
-        found = None
-        while stack:
+        found = -1
+        while stack and found < 0:
             v = stack.pop()
-            for w in self.out[v]:
-                if w in seen:
+            for w in out[v]:
+                if seen[w] == stamp:
                     continue
-                seen.add(w)
+                seen[w] = stamp
                 parent[w] = v
-                if self.pebbles[w] > 0:
+                if pebbles[w]:
                     found = w
-                    stack.clear()
                     break
                 stack.append(w)
-        if found is None:
+        if found < 0:
             return False
-        self.pebbles[found] -= 1
-        self.pebbles[root] += 1
+        pebbles[found] -= 1
+        pebbles[root] += 1
         w = found
-        while parent[w] is not None:  # reverse the path root -> ... -> found
+        while w != root:  # reverse the path root -> ... -> found
             v = parent[w]
-            self.out[v].discard(w)
-            self.out[w].add(v)
+            out[v].remove(w)
+            out[w].append(v)
             w = v
         return True
 
@@ -69,7 +78,7 @@ class PebbleGame:
             return False
         self.accepted += 1
         self.pebbles[a] -= 1
-        self.out[a].add(b)
+        self.out[a].append(b)
         return True
 
 

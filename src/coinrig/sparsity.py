@@ -12,10 +12,12 @@ this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
 One bitmask engine decides strong T-sparsity: a table of induced edge
-counts over all vertex subsets, a scan of set capacities, and one
-lexicographic search over weighted candidate blocks per S whose first hit
-is the canonical family witness.  ``is_S_sparse``, ``is_strongly_T_sparse``
-and the incremental ``StrongSparsityChecker`` all run it.
+counts over all vertex subsets, a scan of set capacities (run only once
+the pebble game or an edge inside S shows that some set breaks its
+capacity), and one lexicographic search over weighted candidate blocks
+per S whose first hit is the canonical family witness.  ``is_S_sparse``
+and ``is_strongly_T_sparse`` run it; the incremental
+``StrongSparsityChecker`` shares the family search.
 
 Every exponential enumeration in the package (the subset tables here and
 the cover minimum in ``matroid``) is bounded by one vertex cap,
@@ -30,6 +32,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
+from .pebble import pebble_rank_23
 
 DEFAULT_CAP = 12
 
@@ -205,40 +208,55 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _set_violation(n: int, i_cnt: list[int], s_mask: int):
-    """Lexicographically smallest set X with i(X) > val_S(X), if any."""
-    best = None
-    for x in range(1, 1 << n):
+def _lex_less(x: int, y: int) -> bool:
+    """Whether the sorted vertex tuple of mask x precedes that of y (x != y).
+
+    Below their lowest differing vertex v the tuples agree; the one holding
+    v comes first iff the other goes on past v.
+    """
+    low = (x ^ y) & -(x ^ y)
+    above = -(low << 1)
+    return bool(y & above) if x & low else not x & above
+
+
+def _set_violation(g: Graph, i_cnt: list[int], s_mask: int):
+    """Lexicographically smallest set X with i(X) > val_S(X), if any.
+
+    One exists iff an edge lies inside S or g is not (2,3)-sparse, which
+    the pebble game decides; only then are the 2^n sets scanned.
+    """
+    if not i_cnt[s_mask] and pebble_rank_23(g) == len(g.edges):
+        return None
+    best = best_cap = 0
+    for x in range(1, 1 << g.n):
         pc = x.bit_count()
         if pc < 2:
             continue
         cap = 0 if x & ~s_mask == 0 else 2 * pc - 3
-        if i_cnt[x] > cap:
-            key = _bits(x)
-            if best is None or key < best[0]:
-                best = (key, i_cnt[x], cap)
-    return best
+        if i_cnt[x] > cap and (not best or _lex_less(x, best)):
+            best, best_cap = x, cap
+    return _bits(best), i_cnt[best], best_cap
 
 
-def _family_candidates(n: int, i_cnt: list[int], s_mask: int) -> tuple[list[tuple[int, int]], int]:
-    """Blocks B (disjoint from S) whose member S|B can contribute to a violation.
+def _family_candidates(i_cnt: list[int], s_mask: int, free: int,
+                       part: int = 0) -> list[tuple[int, int]]:
+    """Blocks B = part | sub, sub inside free, whose S|B can join a violation.
 
     With i(S) = 0 a family {S|B_1, ..., S|B_k} of disjoint blocks violates
     its capacity iff sum of w(B_i) exceeds 2|S|-2, where
-    w(B) = (2|S|-2) - (2|S|B|-3 - i(S|B)).  Blocks with w <= 0 never help,
-    so only w >= 1 blocks are returned, with the threshold 2|S|-2.
+    w(B) = i(S|B) - 2|B| + 1.  Blocks with w <= 0 never help, so only the
+    nonempty blocks with w >= 1 are returned, as (B, w(B)).
     """
-    thresh = 2 * s_mask.bit_count() - 2
-    comp = ((1 << n) - 1) & ~s_mask
     cands = []
-    b = comp
-    while b:
-        x = s_mask | b
-        w = thresh - (2 * x.bit_count() - 3 - i_cnt[x])
-        if w >= 1:
+    sub = free
+    while True:
+        b = part | sub
+        w = i_cnt[s_mask | b] - 2 * b.bit_count() + 1
+        if w >= 1 and b:
             cands.append((b, w))
-        b = (b - 1) & comp
-    return cands, thresh
+        if not sub:
+            return cands
+        sub = (sub - 1) & free
 
 
 def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
@@ -272,7 +290,8 @@ def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | No
 def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityViolation | None:
     """The canonical violating S-family (given i(S) = 0), or None."""
     s_mask = _mask_of(ss)
-    blocks = _family_witness(*_family_candidates(n, i_cnt, s_mask))
+    cands = _family_candidates(i_cnt, s_mask, ((1 << n) - 1) & ~s_mask)
+    blocks = _family_witness(cands, 2 * len(ss) - 2)
     if blocks is None:
         return None
     fam = CompatibleFamily(ss, tuple(ss | frozenset(_bits(b)) for b in blocks))
@@ -307,7 +326,7 @@ def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityV
     ss = frozenset(S)
     _check_args(g, "S", ss, cap)
     i_cnt = subset_edge_counts(g)
-    hit = _set_violation(g.n, i_cnt, _mask_of(ss))
+    hit = _set_violation(g, i_cnt, _mask_of(ss))
     if hit:
         key, lhs, rhs = hit
         return SparsityViolation("set", ss, frozenset(key), lhs, rhs)
@@ -338,7 +357,7 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     ts = frozenset(T)
     _check_args(g, "T", ts, cap)
     i_cnt = subset_edge_counts(g)
-    hit = _set_violation(g.n, i_cnt, 0)
+    hit = _set_violation(g, i_cnt, 0)
     if hit:
         key, lhs, rhs = hit
         return SparsityViolation("set", frozenset({min(ts)}), frozenset(key), lhs, rhs)
@@ -357,10 +376,21 @@ class StrongSparsityChecker:
 
     Maintains the subgraph accepted so far and its subset-count table;
     ``try_add`` accepts an edge iff the grown edge set is still strongly
-    T-sparse, and leaves the state unchanged otherwise.  It runs the public
-    decision's engine on the sets containing the new edge: the per-set
-    capacities collapse to the (2,3)-count plus "no edge inside T", and each
-    S with |S| >= 2 gets the shared family search.
+    T-sparse, and leaves the state unchanged otherwise.  Since the accepted
+    set always is strongly T-sparse, only what the new edge ab can change
+    is tested:
+
+    - the (2,3)-count of the sets holding ab, in the same walk that bumps
+      their counts (on a failure only that prefix is undone); with no
+      edge inside T these are all the set capacities that can break;
+    - for each S with |S| >= 2, the families through f = {a, b} minus S.
+      The edge raises the weight w(B) = i(S|B) - 2|B| + 1 of exactly the
+      blocks B holding f, and disjoint blocks hold f at most once, so a
+      family that now weighs over 2|S| - 2 has one such block B0 with
+      w(B0) >= 1 (its other blocks weighed the same before).  S is skipped
+      when no block through f has w >= 1; otherwise each B0 asks the
+      shared family search for positive blocks disjoint from it weighing
+      over 2|S| - 2 - w(B0).
     """
 
     def __init__(self, n: int, T: Iterable[int]):
@@ -371,19 +401,34 @@ class StrongSparsityChecker:
         if self.t_mask == 0:
             raise ValueError("T must be nonempty")
         self.i_cnt = [0] * (1 << n)
+        self.cap = [2 * x.bit_count() - 3 for x in range(1 << n)]
         self.edges: list[tuple[int, int]] = []
         ts = sorted(_bits(self.t_mask))
         self.s_masks = [_mask_of(sub)
                         for k in range(2, len(ts) + 1)
                         for sub in combinations(ts, k)]
 
-    def _bump(self, eb: int, delta: int):
+    def _unbump(self, eb: int, last: int):
+        """Undo the count bumps of the sets holding eb, up to ``last``."""
+        i_cnt, full = self.i_cnt, self.full
         s = eb
         while True:
-            self.i_cnt[s] += delta
-            if s == self.full:
-                break
+            i_cnt[s] -= 1
+            if s == last or s == full:
+                return
             s = (s + 1) | eb
+
+    def _family_hit(self, s_mask: int, f: int) -> bool:
+        """Whether some S-family with a block through f weighs over 2|S| - 2."""
+        thresh = 2 * s_mask.bit_count() - 2
+        comp = self.full & ~s_mask
+        for b0, w0 in _family_candidates(self.i_cnt, s_mask, comp & ~f, f):
+            if w0 > thresh:
+                return True  # the block alone
+            rest = _family_candidates(self.i_cnt, s_mask, comp & ~b0)
+            if _family_witness(rest, thresh - w0) is not None:
+                return True
+        return False
 
     def try_add(self, a: int, b: int) -> bool:
         eb = (1 << a) | (1 << b)
@@ -391,25 +436,20 @@ class StrongSparsityChecker:
             raise ValueError("loop edge")
         if eb & ~self.t_mask == 0:
             return False  # edge inside T: capacity 0 for S = {a, b}
-        self._bump(eb, 1)
-        ok = True
+        i_cnt, cap, full = self.i_cnt, self.cap, self.full
         s = eb
-        while True:  # (2,3)-count on sets containing the new edge
-            if self.i_cnt[s] > 2 * s.bit_count() - 3:
-                ok = False
-                break
-            if s == self.full:
+        while True:  # bump i(X) for the sets X holding ab, checking 2|X| - 3
+            i_cnt[s] += 1
+            if i_cnt[s] > cap[s]:
+                self._unbump(eb, s)
+                return False
+            if s == full:
                 break
             s = (s + 1) | eb
-        if ok:
-            for s_mask in self.s_masks:
-                cands, thresh = _family_candidates(self.n, self.i_cnt, s_mask)
-                if _family_witness(cands, thresh) is not None:
-                    ok = False
-                    break
-        if not ok:
-            self._bump(eb, -1)
-            return False
+        for s_mask in self.s_masks:
+            if self._family_hit(s_mask, eb & ~s_mask):
+                self._unbump(eb, full)
+                return False
         self.edges.append((a, b) if a < b else (b, a))
         return True
 

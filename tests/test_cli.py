@@ -203,6 +203,14 @@ def test_dimension_below_one_is_a_usage_error(capsys, k4_file, argv):
     assert err == "error: dimension must be at least 1\n"
 
 
+def test_rt_dimension_is_checked_without_edges(capsys, tmp_path):
+    # rt rows are drawn lazily, so no edge ever asks for a sample here
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"n":3,"edges":[],"T":[0,1]}')
+    err = error_line(capsys, "mrank", "--oracle", "rt", "--d", "0", "--graph", str(path))
+    assert err == "error: dimension must be at least 1\n"
+
+
 def _seeded_graph(n):
     rng = random.Random(f"witness:{n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

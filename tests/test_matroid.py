@@ -1,16 +1,18 @@
 import random
 import warnings
+from itertools import combinations
 
 import pytest
 
 import coinrig.matroid
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (CoincidenceSpec, _trial_seed, rank_exact,
+from coinrig.linalg import (CoincidenceSpec, ModpEchelon, _sample_points,
+                            _sparse_rows, _trial_seed, rank_exact,
                             rigidity_matrix, sample_T_coincident)
-from coinrig.matroid import (MatroidRankCertificate, circuits_upto, greedy_rank,
-                             laman_oracle, mt_oracle, mt_rank_cover_min,
-                             rt_oracle)
+from coinrig.matroid import (MatroidRankCertificate, _RtChecker, circuits_upto,
+                             greedy_rank, laman_oracle, mt_oracle,
+                             mt_rank_cover_min, rt_oracle)
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
                               nonempty_subsets_canonical, val_augmented,
                               val_family)
@@ -218,6 +220,101 @@ def test_mt_rt_agree_during_greedy():
         assert mt.base == rt.base
 
 
+class EagerRtChecker:
+    """Reference rt checker: every valid echelon is fed every edge."""
+
+    def __init__(self, row_maps):
+        self.row_maps = row_maps
+        self.echelons = [ModpEchelon() for _ in row_maps]
+        self.valid = [True] * len(row_maps)
+
+    def try_add(self, a, b) -> bool:
+        e = (a, b) if a < b else (b, a)
+        results = {}
+        for j, (rm, ech) in enumerate(zip(self.row_maps, self.echelons)):
+            if self.valid[j]:
+                results[j] = ech.try_add(rm[e])
+        if not any(results.values()):
+            return False
+        for j, ok in results.items():
+            if not ok:
+                self.valid[j] = False
+        return True
+
+
+def _assert_rt_checker_matches_eager(row_maps, order):
+    lazy = _RtChecker(row_maps.__getitem__, len(row_maps))
+    eager = EagerRtChecker(row_maps)
+    got = [lazy.try_add(a, b) for a, b in order]
+    want = [eager.try_add(a, b) for a, b in order]
+    assert got == want, (row_maps, order)
+    assert [lazy._catch_up(j) for j in range(len(row_maps))] == eager.valid
+    return eager.valid
+
+
+def test_rt_checker_matches_eager_reference_on_sampled_rows():
+    rng = random.Random(8)
+    for _ in range(60):
+        g, T = random_instance(rng, 8, rng.randint(1, 3))
+        spec, seed = CoincidenceSpec.of(T), rng.getrandbits(16)
+        row_maps = [_sparse_rows(g, _sample_points(g, spec, 2, _trial_seed(seed, t)), 2)
+                    for t in range(3)]
+        order = g.edge_list()
+        rng.shuffle(order)
+        _assert_rt_checker_matches_eager(row_maps, order)
+
+
+def test_rt_checker_matches_eager_reference_when_trials_disagree():
+    # trial 0 finds e2 dependent, trial 1 does not: e2 is accepted, trial 0
+    # turns invalid, and e3 (dependent in trial 1) is rejected
+    e1, e2, e3 = (0, 1), (0, 2), (1, 2)
+    row_maps = [{e1: {0: 1}, e2: {0: 2}, e3: {1: 1}},
+                {e1: {0: 1}, e2: {1: 1}, e3: {1: 3}}]
+    lazy = _RtChecker(row_maps.__getitem__, 2)
+    assert [lazy.try_add(*e) for e in (e1, e2, e3)] == [True, True, False]
+    assert _assert_rt_checker_matches_eager(row_maps, [e1, e2, e3]) == [False, True]
+    # random low-dimensional rows, different per trial, disagree often
+    rng = random.Random(9)
+    invalidated = 0
+    for _ in range(300):
+        edges = list(combinations(range(5), 2))
+        trials = rng.randint(1, 4)
+        row_maps = [{e: {c: rng.randint(-2, 2) for c in range(3) if rng.random() < 0.6}
+                     for e in edges} for _ in range(trials)]
+        rng.shuffle(edges)
+        invalidated += _assert_rt_checker_matches_eager(row_maps, edges).count(False)
+    assert invalidated > 100
+
+
+def test_rt_rows_drawn_only_when_a_trial_is_asked():
+    k4 = complete_graph(4)
+    spec = CoincidenceSpec.of({0})
+    row_maps = [_sparse_rows(k4, _sample_points(k4, spec, 2, _trial_seed(5, t)), 2)
+                for t in range(3)]
+    asked = []
+
+    def rows(t):
+        asked.append(t)
+        return row_maps[t]
+
+    lazy = _RtChecker(rows, 3)
+    assert all(lazy.try_add(a, b) for a, b in k4.edge_list() if (a, b) != (0, 3))
+    assert set(asked) == {0}
+    assert not lazy.try_add(0, 3)  # K4 is dependent in every trial
+    assert set(asked) == {0, 1, 2}
+
+
+def test_rt_oracle_checks_its_arguments_up_front():
+    k4, empty = complete_graph(4), Graph(3, [])
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        rt_oracle(k4, {0, 1}, trials=0)
+    for g in (k4, empty):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            rt_oracle(g, {0, 1}, d=0)
+        with pytest.raises(ValueError, match="invalid vertex 7"):
+            rt_oracle(g, {0, 7})
+
+
 def test_rt_base_is_certified_independent_over_q():
     # elimination in the rt oracle is mod p; Bareiss re-checks its certificate
     for f in fixtures().values():
@@ -269,6 +366,7 @@ def test_circuits_fig4_family_region():
     assert k23 in circuits
 
 
-def test_circuits_scan_cap():
+def test_circuits_scan_cap(monkeypatch):
+    monkeypatch.setattr(coinrig.matroid, "CIRCUIT_SCAN_CAP", 10)
     with pytest.raises(ValueError, match="scan"):
-        circuits_upto(laman_oracle(complete_graph(10)), 20, scan_limit=10)
+        circuits_upto(laman_oracle(complete_graph(10)), 20)

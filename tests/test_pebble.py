@@ -63,3 +63,33 @@ def test_incremental_game_rejects_overfull():
     game = PebbleGame(4)
     accepted = [e for e in combinations(range(4), 2) if game.try_insert(*e)]
     assert len(accepted) == 5
+
+
+def _is_23_sparse(n, edges):
+    for k in range(2, n + 1):
+        for X in combinations(range(n), k):
+            xs = set(X)
+            if sum(1 for a, b in edges if a in xs and b in xs) > 2 * k - 3:
+                return False
+    return True
+
+
+def test_decisions_are_subset_counts_and_pebbles_balance():
+    # whatever the orientation the searches leave, an edge is accepted
+    # exactly when the accepted set stays (2,3)-sparse
+    rng = random.Random(6)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        order = rng.sample(pairs, rng.randint(0, len(pairs)))
+        game = PebbleGame(n)
+        accepted = []
+        for a, b in order:
+            if rng.random() < 0.5:
+                a, b = b, a
+            want = _is_23_sparse(n, accepted + [(a, b)])
+            assert game.try_insert(a, b) == want, (accepted, (a, b))
+            if want:
+                accepted.append((a, b))
+            assert all(len(game.out[v]) + game.pebbles[v] == 2 for v in range(n))
+        assert game.accepted == len(accepted)

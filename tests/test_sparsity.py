@@ -301,6 +301,32 @@ def test_witnesses_match_unpruned_lexicographic_search():
     assert families == {2, 3, 4}
 
 
+def test_checker_decides_each_edge_like_the_public_decision():
+    # try_add tests only the sets and families through the new edge; every
+    # verdict must still be the full decision on the accepted edges plus it
+    rng = random.Random(46)
+    kinds = []
+    for i in range(300):
+        if i % 2:
+            g, T = _hinged_graph(rng)
+        else:
+            g = random_graph(rng, 3, 8, near_threshold=i % 4 == 0)
+            T = frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
+        order = g.edge_list()
+        rng.shuffle(order)
+        chk = StrongSparsityChecker(g.n, T)
+        accepted = []
+        for e in order:
+            v = is_strongly_T_sparse(Graph(g.n, accepted + [e]), T)
+            assert chk.try_add(*e) == (v is None), (accepted, e, sorted(T))
+            if v is None:
+                accepted.append(e)
+            else:
+                kinds.append(v.kind)
+        assert sorted(chk.edges) == sorted(accepted)
+    assert kinds.count("set") > 100 and kinds.count("family") > 20
+
+
 def test_strong_decision_builds_one_subset_table(monkeypatch):
     calls = []
 
