@@ -10,9 +10,9 @@ not a numerical guess.
 
 from fractions import Fraction
 
-from coinrig import (CoincidenceSpec, Realization, complete_graph,
-                     generic_rank, rank_exact, rank_modp, rigidity_matrix,
-                     rigidity_target, sample_T_coincident)
+from coinrig import (Realization, complete_graph, generic_rank, rank_exact,
+                     rank_modp, rigidity_matrix, rigidity_target,
+                     sample_T_coincident)
 
 # %% A triangle pinned at three explicit points is infinitesimally rigid:
 # its three rows are independent and 3 = 2*3 - 3 is the rigid target.
@@ -32,16 +32,16 @@ print("prime-field rank:", rank_modp(M))
 # some edge rows into zero rows and can destroy rigidity.  K4 with two
 # coincident vertices is still rigid; a triangle is not.
 K4 = complete_graph(4)
-report = generic_rank(K4, CoincidenceSpec.of({0, 1}), d=2, trials=3, seed=42)
+report = generic_rank(K4, {0, 1}, d=2, trials=3, seed=42)
 print("\nK4 with vertices 0,1 coincident:")
 print("  rank", report.rank, "of target", report.target, "-> rigid:", report.rigid)
 
-report = generic_rank(tri, CoincidenceSpec.of({0, 1}), d=2, trials=3, seed=42)
+report = generic_rank(tri, {0, 1}, d=2, trials=3, seed=42)
 print("K3 with vertices 0,1 coincident:")
 print("  rank", report.rank, "of target", report.target, "-> rigid:", report.rigid)
 
-# %% Sampling is seeded and reproducible; all of T shares the reference point.
-q = sample_T_coincident(K4, CoincidenceSpec.of({0, 1}), d=2, seed=7)
+# %% Sampling is seeded and reproducible; all of T shares the point of min(T).
+q = sample_T_coincident(K4, {0, 1}, d=2, seed=7)
 print("\nsampled points:", {v: tuple(map(str, pt)) for v, pt in q.coords.items()})
 assert q.point(0) == q.point(1)
 

@@ -30,7 +30,7 @@ print("\ncounterexample: |E| =", len(fig4.graph.edges),
 # %% Rank has a dual description: the minimum value of a 1-thin augmented
 # S-compatible family covering the edges outside T.  The minimizer is a
 # flexibility certificate anyone can recheck by counting.
-value, witness = mt_rank_cover_min(fig4.graph, None, fig4.T)
+value, witness = mt_rank_cover_min(fig4.graph, fig4.T)
 labels = fig4.graph.labels
 print("cover minimum:", value)
 print("  over S =", [labels[v] for v in sorted(witness.S)])

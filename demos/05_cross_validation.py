@@ -9,9 +9,8 @@ graphs, on random instances, and on the 3-dimensional example where the
 planar characterization provably fails to generalize.
 """
 
-from coinrig import (CoincidenceSpec, check_coincident_rigidity,
-                     conjecture_search, cross_validate, fixtures,
-                     generic_rank)
+from coinrig import (check_coincident_rigidity, conjecture_search,
+                     cross_validate, fixtures, generic_rank)
 
 fx = fixtures()
 
@@ -51,11 +50,9 @@ print("conjecture search:", search["budget"], "instances,",
 # the coincident framework is flexible (nine points always sit on a quadric).
 k55 = fx["k55"]
 uv = tuple(sorted(k55.T))
-rep = generic_rank(k55.graph, CoincidenceSpec.of(k55.T), d=3, trials=3, seed=2)
-rep_minus = generic_rank(k55.graph.delete_edges([uv]),
-                         CoincidenceSpec.of({0}), d=3, trials=3, seed=2)
-rep_contr = generic_rank(k55.graph.contract(k55.T),
-                         CoincidenceSpec.of({0}), d=3, trials=3, seed=2)
+rep = generic_rank(k55.graph, k55.T, d=3, trials=3, seed=2)
+rep_minus = generic_rank(k55.graph.delete_edges([uv]), {0}, d=3, trials=3, seed=2)
+rep_contr = generic_rank(k55.graph.contract(k55.T), {0}, d=3, trials=3, seed=2)
 print("\nK_{5,5} in 3D: coincident rank", rep.rank, "of", rep.target,
       "(flexible);  minus-edge rank", rep_minus.rank,
       "(rigid);  contracted rank", rep_contr.rank, "(rigid)")

@@ -10,9 +10,9 @@ and cover searches) refuses graphs above 12 vertices
 
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,
                     graph_to_json, parse_graph, parse_graph_with_T)
-from .linalg import (CoincidenceSpec, RankReport, Realization, RigidityMatrix,
-                     generic_rank, generic_realization, is_infinitesimally_rigid,
-                     rank_exact, rank_modp, rigidity_matrix, rigidity_target,
+from .linalg import (RankReport, Realization, RigidityMatrix, generic_rank,
+                     generic_realization, is_infinitesimally_rigid, rank_exact,
+                     rank_modp, rigidity_matrix, rigidity_target,
                      sample_T_coincident)
 from .pebble import PebbleGame, pebble_rank_23
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
@@ -26,8 +26,7 @@ from .constructions import (SplitSpec, henneberg_random, one_extension,
                             reduce_low_degree, replace_rigid_subgraph,
                             vertex_split, zero_extension)
 from .checks import (CoincidenceVerdict, Fixture, check_coincident_rigidity,
-                     coincident_rigid_algebraic, coincident_rigid_combinatorial,
-                     conjecture_search, cross_validate, fixtures,
-                     random_instance)
+                     coincident_rigid_combinatorial, conjecture_search,
+                     cross_validate, fixtures, random_instance)
 
 __version__ = "0.1.0"

@@ -17,12 +17,10 @@ from itertools import combinations
 
 from .constructions import henneberg_random
 from .graph import Graph, complete_bipartite, graph_to_json
-from .linalg import (CoincidenceSpec, RankReport, Realization, generic_rank,
-                     rigidity_target)
+from .linalg import RankReport, Realization, generic_rank, rigidity_target
 from .matroid import greedy_rank, mt_oracle, rt_oracle
 from .pebble import pebble_rank_23
-from .sparsity import (_check_cap, is_strongly_T_sparse,
-                       nonempty_subsets_canonical)
+from .sparsity import _check_cap, is_strongly_T_sparse, subsets_of_two_or_more
 
 
 @dataclass
@@ -72,33 +70,28 @@ def coincident_rigid_combinatorial(g: Graph, T) -> CoincidenceVerdict:
     if pebble_rank_23(gp) != rigidity_target(gp.n, 2):
         return CoincidenceVerdict(g, ts, combinatorial=False,
                                   failing_S=frozenset())
-    for s in nonempty_subsets_canonical(ts, min_size=2):
+    for s in subsets_of_two_or_more(ts):
         gc = gp.contract(s)
         if pebble_rank_23(gc) != rigidity_target(gc.n, 2):
             return CoincidenceVerdict(g, ts, combinatorial=False, failing_S=s)
     return CoincidenceVerdict(g, ts, combinatorial=True)
 
 
-def coincident_rigid_algebraic(g: Graph, T, d: int = 2, trials: int = 3,
-                               seed: int = 0) -> CoincidenceVerdict:
-    """Rank of a generic T-coincident realization against the rigidity target."""
-    ts = frozenset(T)
-    rep = generic_rank(g, CoincidenceSpec.of(ts), d, trials=trials, seed=seed)
-    return CoincidenceVerdict(g, ts, algebraic=rep.rigid, reports=(rep,))
-
-
 def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
                               seed: int = 0) -> CoincidenceVerdict:
-    """Both verdicts side by side (combinatorial one only in the plane)."""
+    """Both verdicts side by side (combinatorial one only in the plane).
+
+    The algebraic verdict compares the rank of generic T-coincident
+    realizations with the rigidity target.
+    """
     ts = frozenset(T)
-    alg = coincident_rigid_algebraic(g, ts, d, trials, seed)
+    rep = generic_rank(g, ts, d, trials=trials, seed=seed)
+    verdict = CoincidenceVerdict(g, ts, algebraic=rep.rigid, reports=(rep,))
     if d == 2 and 2 <= len(ts) <= 3:
         comb_v = coincident_rigid_combinatorial(g, ts)
-        return CoincidenceVerdict(g, ts, combinatorial=comb_v.combinatorial,
-                                  algebraic=alg.algebraic,
-                                  failing_S=comb_v.failing_S,
-                                  reports=alg.reports)
-    return alg
+        verdict.combinatorial = comb_v.combinatorial
+        verdict.failing_S = comb_v.failing_S
+    return verdict
 
 
 # -- random instances ----------------------------------------------------
@@ -150,7 +143,7 @@ def cross_validate(n_max: int, t_sizes: list[int], samples: int,
         t_size = t_sizes[i % len(t_sizes)]
         g, T = random_instance(rng, n_max, t_size)
         mt = mt_oracle(g, T)
-        rt = rt_oracle(g, T, d=2, trials=3, seed=rng.getrandbits(31))
+        rt = rt_oracle(g, T, d=2, seed=rng.getrandbits(31))
         mt_rank = greedy_rank(mt).rank
         rt_rank = greedy_rank(rt).rank
         # a fresh checker fed the sorted edges accepts them all iff the greedy
@@ -194,14 +187,12 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
         g, T = random_instance(rng, n_max, t_size)
         violation = is_strongly_T_sparse(g, T)
         mt_ind = violation is None
-        rep = generic_rank(g, CoincidenceSpec.of(T), 2, trials=3,
-                           seed=rng.getrandbits(31), use_modp=False)
+        rep = generic_rank(g, T, 2, trials=3, seed=rng.getrandbits(31))
         rt_ind = rep.independent
         if mt_ind == rt_ind:
             continue
         # quarantine: only exact re-verified disagreements are reported
-        fresh = [generic_rank(g, CoincidenceSpec.of(T), 2, trials=1,
-                              seed=rng.getrandbits(31), use_modp=False)
+        fresh = [generic_rank(g, T, 2, trials=1, seed=rng.getrandbits(31))
                  for _ in range(10)]
         best = max(r.rank for r in fresh)
         rt_ind_verified = best == len(g.edges)

@@ -17,7 +17,7 @@ from .checks import (check_coincident_rigidity, conjecture_search,
 from .constructions import SplitSpec, henneberg_random, one_extension, \
     vertex_split, zero_extension
 from .graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
-from .linalg import CoincidenceSpec, generic_rank
+from .linalg import generic_rank
 from .matroid import greedy_rank, mt_oracle, mt_rank_cover_min, rt_oracle
 from .sparsity import (DEFAULT_CAP, InvariantError, is_S_sparse,
                        is_strongly_T_sparse)
@@ -68,8 +68,8 @@ def _emit(doc: dict, out: str | None):
 def _cmd_rank(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g.n) or frozenset({0})
-    rep = generic_rank(g, CoincidenceSpec.of(T), args.d, trials=args.trials,
-                       seed=args.seed, use_modp=True if args.mod_p else None)
+    rep = generic_rank(g, T, args.d, trials=args.trials, seed=args.seed,
+                       use_modp=args.mod_p)
     _emit(rep.to_dict(), args.out)
     return 0
 
@@ -97,7 +97,7 @@ def _cmd_mrank(args) -> int:
     if args.oracle in ("mt", "both"):
         cert = greedy_rank(mt_oracle(g, T))
         if args.witness:
-            value, dual = mt_rank_cover_min(g, None, T)
+            value, dual = mt_rank_cover_min(g, T)
             if value == cert.rank:
                 cert.dual = dual
             else:  # greedy/cover disagreement: only conceivable for |T| >= 4

@@ -17,31 +17,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import Iterable
 
 from .graph import Graph
 
 COORD_BOUND = 1 << 20
 PRIME = (1 << 61) - 1
 EXACT_VERTEX_LIMIT = 30
-
-
-@dataclass(frozen=True)
-class CoincidenceSpec:
-    """A set T of vertices forced to share one point, with reference t in T."""
-
-    T: frozenset[int]
-    ref: int
-
-    def __post_init__(self):
-        if not self.T:
-            raise ValueError("T must be nonempty")
-        if self.ref not in self.T:
-            raise ValueError("reference vertex must belong to T")
-
-    @classmethod
-    def of(cls, T) -> "CoincidenceSpec":
-        ts = frozenset(T)
-        return cls(ts, min(ts))
 
 
 @dataclass
@@ -85,7 +67,7 @@ class RigidityMatrix:
 
     dim: int
     n: int
-    rows: list[list[Fraction]]
+    rows: list[list[Fraction | int]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -271,68 +253,70 @@ def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
 # -- sampling ----------------------------------------------------------
 
 
-def _check_sample_args(g: Graph, spec: CoincidenceSpec, d: int):
+def _check_sample_args(g: Graph, T: frozenset[int], d: int):
+    if not T:
+        raise ValueError("T must be nonempty")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    for v in spec.T:
+    for v in T:
         if not 0 <= v < g.n:
             raise ValueError(f"T contains invalid vertex {v}")
 
 
-def _sample_points(g: Graph, spec: CoincidenceSpec, d: int,
+def _sample_points(g: Graph, T: frozenset[int], d: int,
                    seed: int) -> list[tuple[int, ...]]:
     """The integer points of ``sample_T_coincident``, indexed by vertex."""
-    _check_sample_args(g, spec, d)
+    _check_sample_args(g, T, d)
     rng = random.Random(seed)
-    skip = spec.T - {spec.ref}
-    pts: list[tuple[int, ...]] = [()] * g.n
+    ref = min(T)
+    pts: list[tuple[int, ...]] = []
     for v in range(g.n):
-        if v not in skip:
-            pts[v] = tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d))
-    for v in skip:
-        pts[v] = pts[spec.ref]
+        if v > ref and v in T:
+            pts.append(pts[ref])
+        else:
+            pts.append(tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d)))
     return pts
 
 
-def sample_T_coincident(g: Graph, spec: CoincidenceSpec, d: int, seed: int) -> Realization:
-    """Random integer realization with all of T at the reference point.
+def sample_T_coincident(g: Graph, T: Iterable[int], d: int, seed: int) -> Realization:
+    """Random integer realization with all of T at the point of min(T).
 
-    Coordinates of V minus (T - ref) are independent uniform integers in
-    [-2^20, 2^20]; the draw order is fixed by vertex id, so a seed fully
-    determines the realization.
+    Coordinates of min(T) and of every vertex outside T are independent
+    uniform integers in [-2^20, 2^20], drawn in vertex-id order, so a seed
+    fully determines the realization.
     """
-    pts = _sample_points(g, spec, d, seed)
-    skip = spec.T - {spec.ref}
-    coords: dict[int, tuple[Fraction, ...]] = {
-        v: tuple(Fraction(c) for c in pts[v]) for v in range(g.n) if v not in skip}
-    for v in skip:
-        coords[v] = coords[spec.ref]
-    return Realization(d, coords)
+    pts = _sample_points(g, frozenset(T), d, seed)
+    return Realization(d, {v: tuple(Fraction(c) for c in pt)
+                           for v, pt in enumerate(pts)})
 
 
 def generic_realization(g: Graph, d: int, seed: int) -> Realization:
     """Random integer realization with no coincidence constraint."""
     if g.n == 0:
         return Realization(d, {})
-    return sample_T_coincident(g, CoincidenceSpec(frozenset({0}), 0), d, seed)
+    return sample_T_coincident(g, {0}, d, seed)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
 
 
-def generic_rank(g: Graph, spec: CoincidenceSpec, d: int, trials: int = 3,
-                 seed: int = 0, use_modp: bool | None = None) -> RankReport:
+def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
+                 seed: int = 0, use_modp: bool = False) -> RankReport:
     """Max rigidity-matrix rank over sampled generic T-coincident realizations.
 
+    Each trial draws ``sample_T_coincident``'s points and ranks their rows
+    mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices, and every graph
+    when ``use_modp`` is set, keep that rank; otherwise a trial that falls
+    short of its cap is re-ranked exactly (Bareiss) from the same rows.
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
     d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if use_modp is None:
-        use_modp = g.n > EXACT_VERTEX_LIMIT
+    ts = frozenset(T)
+    use_modp = use_modp or g.n > EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     # a mod-p rank never exceeds the rational rank, which is at most |E| and,
     # for d <= 2, at most the target (the translations and the rotation lie
@@ -341,13 +325,14 @@ def generic_rank(g: Graph, spec: CoincidenceSpec, d: int, trials: int = 3,
     cap = min(len(g.edges), target) if d <= 2 else len(g.edges)
     best = 0
     for t in range(trials):
-        trial_seed = _trial_seed(seed, t)
+        rows = _sparse_rows(g, _sample_points(g, ts, d, _trial_seed(seed, t)), d).values()
         ech = ModpEchelon()
-        for row in _sparse_rows(g, _sample_points(g, spec, d, trial_seed), d).values():
+        for row in rows:
             ech.try_add(row)
         r = ech.rank
         if not use_modp and r < cap:
-            r = rank_exact(rigidity_matrix(g, sample_T_coincident(g, spec, d, trial_seed)))
+            dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows]
+            r = rank_exact(RigidityMatrix(d, g.n, dense))
         best = max(best, r)
     bound = Fraction(min(d * g.n, len(g.edges)), 2 * COORD_BOUND + 1)
     return RankReport(

@@ -17,15 +17,16 @@ from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph
-from .linalg import (CoincidenceSpec, ModpEchelon, _check_sample_args,
-                     _sample_points, _sparse_rows, _trial_seed)
+from .linalg import (ModpEchelon, _check_sample_args, _sample_points,
+                     _sparse_rows, _trial_seed)
 from .pebble import PebbleGame
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        StrongSparsityChecker, _bits, _check_cap,
                        _cover_lb_table, _mask_of, min_thin_cover,
-                       nonempty_subsets_canonical)
+                       subsets_of_two_or_more)
 
 CIRCUIT_SCAN_CAP = 2_000_000
+RT_TRIALS = 3  # sampled realizations behind each rt oracle
 
 
 def _canon_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -155,55 +156,49 @@ class _RtChecker:
         return False  # no row added anywhere: state unchanged
 
 
-def rt_oracle(g: Graph, T: Iterable[int], d: int = 2, trials: int = 3,
+def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
               seed: int = 0) -> IndependenceOracle:
     """Independence in the algebraic T-coincident rigidity matroid.
 
-    One realization per trial is sampled when a checker first asks for it
-    and shared by all later queries; rows are tested by sparse elimination
-    over GF(2^61 - 1), so accepted rows are independent over the rationals
-    too.  The arguments are checked here, before any sample is drawn.
+    One realization per trial (``RT_TRIALS`` of them) is sampled when a
+    checker first asks for it and shared by all later queries; rows are
+    tested by sparse elimination over GF(2^61 - 1), so accepted rows are
+    independent over the rationals too.  The arguments are checked here,
+    before any sample is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    spec = CoincidenceSpec.of(T)
-    _check_sample_args(g, spec, d)
-    row_maps: list[dict | None] = [None] * trials
+    ts = frozenset(T)
+    _check_sample_args(g, ts, d)
+    row_maps: list[dict | None] = [None] * RT_TRIALS
 
     def rows(t: int) -> dict:
         if row_maps[t] is None:
-            pts = _sample_points(g, spec, d, _trial_seed(seed, t))
+            pts = _sample_points(g, ts, d, _trial_seed(seed, t))
             row_maps[t] = _sparse_rows(g, pts, d)
         return row_maps[t]
 
-    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(rows, trials).try_add)
+    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(rows, RT_TRIALS).try_add)
 
 
 # -- rank computations ---------------------------------------------------
 
 
-def greedy_rank(oracle: IndependenceOracle,
-                eprime: Iterable[tuple[int, int]] | None = None) -> MatroidRankCertificate:
-    """Greedy base of E' in canonical edge order; its size is the rank."""
-    edges = _canon_edges(eprime) if eprime is not None else list(oracle.ground)
-    for e in edges:
-        if e not in oracle.ground:
-            raise ValueError(f"edge {e} is not in the oracle's ground set")
+def greedy_rank(oracle: IndependenceOracle) -> MatroidRankCertificate:
+    """Greedy base of the ground set in canonical edge order; its size is the rank."""
     add = oracle.incremental()
-    base = [(a, b) for a, b in edges if add(a, b)]
+    base = [(a, b) for a, b in oracle.ground if add(a, b)]
     return MatroidRankCertificate(rank=len(base), base=tuple(base),
                                   conjectural=oracle.conjectural)
 
 
-def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
-                      T: Iterable[int]) -> tuple[int, AugmentedFamily]:
-    """Rank of E' in the strong-sparsity matroid via the dual cover minimum.
+def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]:
+    """Rank of g's edges in the strong-sparsity matroid via the dual cover minimum.
 
     Minimizes val_S over all S inside T with |S| >= 2 and all 1-thin
-    augmented S-compatible families covering E' minus the T-internal edges.
+    augmented S-compatible families covering the edges not inside T.
     Families with an empty compatible part are admissible under every S.
-    Returns the minimum and an attaining family; when E' lies inside T,
-    that is the empty family of value 0.
+    Returns the minimum and an attaining family; when every edge lies
+    inside T, that is the empty family of value 0.  The rank of an edge
+    subset is the rank of the subgraph it spans.
 
     Graphs above the enumeration cap (``DEFAULT_CAP`` vertices) are refused.
     For each S (canonical order) one depth-first search walks the partial
@@ -241,17 +236,13 @@ def mt_rank_cover_min(g: Graph, eprime: Iterable[tuple[int, int]] | None,
         raise ValueError("the cover formula needs |T| >= 2")
     if len(ts) > 3:
         warnings.warn("cover minimum with |T| >= 4 is conjectural", stacklevel=2)
-    edges = _canon_edges(eprime) if eprime is not None else g.edge_list()
-    for e in edges:
-        if e not in g.edges:
-            raise ValueError(f"edge {e} is not an edge of the graph")
-    targets = [(1 << a) | (1 << b) for a, b in edges
+    targets = [(1 << a) | (1 << b) for a, b in g.edge_list()
                if not (a in ts and b in ts)]
-    subsets = nonempty_subsets_canonical(ts, min_size=2)
-    # the first leaf: no family, E' covered by sets alone (pairs always do)
+    subsets = subsets_of_two_or_more(ts)
+    # the first leaf: no family, the edges covered by sets alone (pairs always do)
     res = min_thin_cover(g.n, targets)
     if res is None:
-        raise InvariantError("no 1-thin cover of E' by pairs")
+        raise InvariantError("no 1-thin cover of the edges by pairs")
     best_val, best_at = res[0], (subsets[0], (), res[1])
     lb = _cover_lb_table(len(targets))
 

@@ -9,8 +9,6 @@ the path walked.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .graph import Graph
 
 
@@ -82,16 +80,9 @@ class PebbleGame:
         return True
 
 
-def pebble_rank_23(g: Graph, eprime: Iterable[tuple[int, int]] | None = None) -> int:
-    """Rank of the edge set eprime (default: all edges) in R_2(g)."""
-    if eprime is None:
-        edges = g.edge_list()
-    else:
-        edges = sorted((e if e[0] < e[1] else (e[1], e[0])) for e in eprime)
-        for e in edges:
-            if e not in g.edges:
-                raise ValueError(f"edge {e} is not an edge of the graph")
+def pebble_rank_23(g: Graph) -> int:
+    """Rank of g's edges in the 2-dimensional rigidity matroid R_2."""
     game = PebbleGame(g.n)
-    for a, b in edges:
+    for a, b in g.edge_list():
         game.try_insert(a, b)
     return game.accepted

@@ -333,13 +333,11 @@ def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityV
     return _family_violation(g.n, i_cnt, ss)
 
 
-def nonempty_subsets_canonical(T: Iterable[int], min_size: int = 1) -> list[frozenset[int]]:
+def subsets_of_two_or_more(T: Iterable[int]) -> list[frozenset[int]]:
+    """The subsets S of T with |S| >= 2, smallest first, then lexicographic."""
     ts = sorted(set(T))
-    out = []
-    for k in range(min_size, len(ts) + 1):
-        for sub in combinations(ts, k):
-            out.append(frozenset(sub))
-    return out
+    return [frozenset(sub) for k in range(2, len(ts) + 1)
+            for sub in combinations(ts, k)]
 
 
 def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
@@ -361,7 +359,7 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     if hit:
         key, lhs, rhs = hit
         return SparsityViolation("set", frozenset({min(ts)}), frozenset(key), lhs, rhs)
-    for s in nonempty_subsets_canonical(ts, min_size=2):
+    for s in subsets_of_two_or_more(ts):
         inside = i_cnt[_mask_of(s)]
         if inside:
             return SparsityViolation("set", s, s, inside, 0)
@@ -403,10 +401,7 @@ class StrongSparsityChecker:
         self.i_cnt = [0] * (1 << n)
         self.cap = [2 * x.bit_count() - 3 for x in range(1 << n)]
         self.edges: list[tuple[int, int]] = []
-        ts = sorted(_bits(self.t_mask))
-        self.s_masks = [_mask_of(sub)
-                        for k in range(2, len(ts) + 1)
-                        for sub in combinations(ts, k)]
+        self.s_masks = [_mask_of(s) for s in subsets_of_two_or_more(_bits(self.t_mask))]
 
     def _unbump(self, eb: int, last: int):
         """Undo the count bumps of the sets holding eb, up to ``last``."""

@@ -8,14 +8,13 @@ import random
 import time
 from itertools import combinations
 
-from coinrig.checks import (coincident_rigid_algebraic,
-                            coincident_rigid_combinatorial, cross_validate,
+from coinrig.checks import (coincident_rigid_combinatorial, cross_validate,
                             fixtures, random_instance)
 from coinrig.constructions import (SplitSpec, henneberg_random, one_extension,
                                    replace_rigid_subgraph, vertex_split,
                                    zero_extension)
 from coinrig.graph import Graph
-from coinrig.linalg import (CoincidenceSpec, Realization, generic_rank,
+from coinrig.linalg import (Realization, generic_rank,
                             generic_realization, is_infinitesimally_rigid,
                             rank_exact, rigidity_matrix, rigidity_target)
 from coinrig.matroid import greedy_rank, mt_oracle, mt_rank_cover_min
@@ -41,7 +40,7 @@ def test_criterion_2_all_seven_base_cases():
     t0 = time.perf_counter()
     for i in range(1, 8):
         f = fixtures()[f"fig3-{i}"]
-        rep = generic_rank(f.graph, CoincidenceSpec.of(f.T), 2, trials=3, seed=i)
+        rep = generic_rank(f.graph, f.T, 2, trials=3, seed=i)
         assert rep.rank == 15 and rep.rigid, f.name
     _report(2, "all seven base-case graphs reach coincident rank 15",
             time.perf_counter() - t0, 5.0)
@@ -59,8 +58,8 @@ def test_criterion_3_counterexample_graph():
     verdict = coincident_rigid_combinatorial(g, T)
     assert verdict.combinatorial is False
     assert verdict.failing_S == frozenset({0, 1})
-    alg = coincident_rigid_algebraic(g, T, trials=3, seed=3)
-    assert alg.reports[0].rank == 12 < 13 and alg.algebraic is False
+    rep = generic_rank(g, T, 2, trials=3, seed=3)
+    assert rep.rank == 12 < 13 and rep.rigid is False
     _report(3, "counterexample: deletion/contraction fails at S={u,v}, rank 12",
             time.perf_counter() - t0, 1.0)
 
@@ -79,11 +78,11 @@ def test_criterion_5_duality_200():
     rng = random.Random(1105)
     for trial in range(200):
         g, T = random_instance(rng, 7, [2, 3][trial % 2])
-        eprime = ([e for e in g.edge_list() if rng.random() < 0.8]
-                  if trial % 2 else g.edge_list())
-        rank = greedy_rank(mt_oracle(g, T), eprime).rank
-        value, witness = mt_rank_cover_min(g, eprime, T)
-        assert rank == value, (g.edge_list(), sorted(T), eprime)
+        if trial % 2:  # an edge subset, ranked as the subgraph it spans
+            g = Graph(g.n, [e for e in g.edge_list() if rng.random() < 0.8])
+        rank = greedy_rank(mt_oracle(g, T)).rank
+        value, witness = mt_rank_cover_min(g, T)
+        assert rank == value, (g.edge_list(), sorted(T))
     _report(5, "200 random instances: greedy rank equals the cover minimum",
             time.perf_counter() - t0, 600.0)
 
@@ -97,8 +96,7 @@ def test_criterion_6_rank_oracle_agreement_1000():
         g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
         ly = min_thin_cover(n, [(1 << a) | (1 << b) for a, b in g.edge_list()])[0]
         pb = pebble_rank_23(g)
-        gr = generic_rank(g, CoincidenceSpec.of({0}), 2, trials=3,
-                          seed=rng.getrandbits(31)).rank
+        gr = generic_rank(g, {0}, 2, trials=3, seed=rng.getrandbits(31)).rank
         assert ly == pb == gr, (g.edge_list(), ly, pb, gr)
     _report(6, "1000 random graphs: cover = pebble = exact-rank agreement",
             time.perf_counter() - t0, 600.0)
@@ -108,13 +106,12 @@ def test_criterion_7_k55():
     t0 = time.perf_counter()
     f = fixtures()["k55"]
     uv = tuple(sorted(f.T))
-    rep = generic_rank(f.graph, CoincidenceSpec.of(f.T), 3, trials=3, seed=7)
+    rep = generic_rank(f.graph, f.T, 3, trials=3, seed=7)
     assert rep.rank <= 23 < 24 and rep.method == "exact-rational"
-    rep_minus = generic_rank(f.graph.delete_edges([uv]),
-                             CoincidenceSpec.of({0}), 3, trials=3, seed=7)
+    rep_minus = generic_rank(f.graph.delete_edges([uv]), {0}, 3, trials=3, seed=7)
     assert rep_minus.rank == 24 and rep_minus.rigid
     gc = f.graph.contract(f.T)
-    rep_contr = generic_rank(gc, CoincidenceSpec.of({0}), 3, trials=3, seed=7)
+    rep_contr = generic_rank(gc, {0}, 3, trials=3, seed=7)
     assert rep_contr.rank == 21 and rep_contr.rigid
     _report(7, "K55 coincident rank <= 23; minus/contracted ranks 24 and 21",
             time.perf_counter() - t0, 30.0)

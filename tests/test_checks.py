@@ -3,14 +3,14 @@ import random
 import pytest
 
 from coinrig.checks import (check_coincident_rigidity,
-                            coincident_rigid_algebraic,
                             coincident_rigid_combinatorial, conjecture_search,
                             cross_validate, fixtures, random_instance)
 from coinrig.graph import complete_graph
-from coinrig.linalg import (CoincidenceSpec, generic_rank, rank_exact,
-                            rank_modp, rigidity_matrix, rigidity_target)
+from coinrig.linalg import (generic_rank, rank_exact, rank_modp,
+                            rigidity_matrix, rigidity_target,
+                            sample_T_coincident)
 from coinrig.pebble import pebble_rank_23
-from coinrig.sparsity import nonempty_subsets_canonical
+from coinrig.sparsity import subsets_of_two_or_more
 
 
 def test_fixture_shapes():
@@ -44,8 +44,8 @@ def test_fig3_graphs_all_verdicts_true():
         f = fixtures()[f"fig3-{i}"]
         comb = coincident_rigid_combinatorial(f.graph, f.T)
         assert comb.combinatorial, f.name
-        alg = coincident_rigid_algebraic(f.graph, f.T, seed=i)
-        assert alg.algebraic and alg.reports[0].rank == 15
+        rep = generic_rank(f.graph, f.T, 2, seed=i)
+        assert rep.rigid and rep.rank == 15
 
 
 def test_fig4_verdicts():
@@ -53,9 +53,9 @@ def test_fig4_verdicts():
     comb = coincident_rigid_combinatorial(f.graph, f.T)
     assert comb.combinatorial is False
     assert comb.failing_S == frozenset({0, 1})
-    alg = coincident_rigid_algebraic(f.graph, f.T, seed=9)
-    assert alg.algebraic is False
-    assert alg.reports[0].rank == 12
+    rep = generic_rank(f.graph, f.T, 2, seed=9)
+    assert rep.rigid is False
+    assert rep.rank == 12
     both = check_coincident_rigidity(f.graph, f.T)
     assert both.combinatorial == both.algebraic is False
     doc = both.to_dict()
@@ -88,12 +88,11 @@ def test_necessity_direction_standalone():
     hits = 0
     for _ in range(80):
         g, T = random_instance(rng, 7, rng.choice([2, 3]))
-        alg = coincident_rigid_algebraic(g, T, seed=rng.getrandbits(16))
-        if not alg.algebraic:
+        if not generic_rank(g, T, 2, seed=rng.getrandbits(16)).rigid:
             continue
         hits += 1
         gp = g.minus_T_edges(T)
-        for s in nonempty_subsets_canonical(T, min_size=2):
+        for s in subsets_of_two_or_more(T):
             gc = gp.contract(s)
             assert pebble_rank_23(gc) == rigidity_target(gc.n, 2)
     assert hits >= 5
@@ -104,8 +103,7 @@ def test_modp_matches_exact_on_fixtures():
     rng_seed = 13
     for name in ("fig3-1", "fig4", "k55"):
         f = fx[name]
-        from coinrig.linalg import CoincidenceSpec, sample_T_coincident
-        p = sample_T_coincident(f.graph, CoincidenceSpec.of(f.T), 2, rng_seed)
+        p = sample_T_coincident(f.graph, f.T, 2, rng_seed)
         M = rigidity_matrix(f.graph, p)
         assert rank_modp(M) == rank_exact(M)
     f1 = fx["fig3-1"]
@@ -115,13 +113,13 @@ def test_modp_matches_exact_on_fixtures():
 
 def test_k55_triple():
     f = fixtures()["k55"]
-    rep = generic_rank(f.graph, CoincidenceSpec.of(f.T), 3, trials=3, seed=1)
+    rep = generic_rank(f.graph, f.T, 3, trials=3, seed=1)
     assert rep.rank <= 23 and not rep.rigid
     minus = f.graph.delete_edges([tuple(sorted(f.T))])
-    rep_minus = generic_rank(minus, CoincidenceSpec.of({0}), 3, trials=3, seed=1)
+    rep_minus = generic_rank(minus, {0}, 3, trials=3, seed=1)
     assert rep_minus.rank == 24 and rep_minus.rigid
     contracted = f.graph.contract(f.T)
-    rep_c = generic_rank(contracted, CoincidenceSpec.of({0}), 3, trials=3, seed=1)
+    rep_c = generic_rank(contracted, {0}, 3, trials=3, seed=1)
     assert rep_c.rank == 21 and rep_c.rigid
 
 

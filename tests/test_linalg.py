@@ -8,12 +8,13 @@ import pytest
 from coinrig import linalg
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (PRIME, CoincidenceSpec, ModpEchelon, Realization,
+from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _sample_points, _sparse_rows,
                             _trial_seed, generic_rank, generic_realization,
                             int_rank, is_infinitesimally_rigid, rank_exact,
                             rank_modp, rigidity_matrix, rigidity_target,
                             sample_T_coincident)
+from coinrig.matroid import rt_oracle
 
 
 def F(x):
@@ -149,14 +150,13 @@ def test_rigidity_thresholds():
 
 def test_sample_T_coincident():
     g = complete_graph(4)
-    spec = CoincidenceSpec.of({1, 2})
-    p = sample_T_coincident(g, spec, 2, 5)
+    p = sample_T_coincident(g, {1, 2}, 2, 5)
     assert p.point(1) == p.point(2)
-    q = sample_T_coincident(g, spec, 2, 5)
+    q = sample_T_coincident(g, {1, 2}, 2, 5)
     assert p.coords == q.coords  # deterministic for a fixed seed
-    r = sample_T_coincident(g, spec, 2, 6)
+    r = sample_T_coincident(g, {1, 2}, 2, 6)
     assert p.coords != r.coords
-    single = sample_T_coincident(g, CoincidenceSpec.of({3}), 2, 5)
+    single = sample_T_coincident(g, {3}, 2, 5)
     assert len({single.point(v) for v in range(4)}) == 4
 
 
@@ -169,27 +169,27 @@ def test_integer_sampler_matches_realization():
             for seed in range(4):
                 n = rng.randint(t_size, 8)
                 g = Graph(n, [])
-                spec = CoincidenceSpec.of(rng.sample(range(n), t_size))
-                pts = _sample_points(g, spec, d, seed)
-                p = sample_T_coincident(g, spec, d, seed)
+                T = frozenset(rng.sample(range(n), t_size))
+                pts = _sample_points(g, T, d, seed)
+                p = sample_T_coincident(g, T, d, seed)
                 assert len(pts) == n
                 for v in range(n):
                     assert pts[v] == tuple(c.numerator for c in p.point(v))
                     assert all(c.denominator == 1 for c in p.point(v))
-                assert len({pts[v] for v in spec.T}) == 1
+                assert len({pts[v] for v in T}) == 1
     with pytest.raises(ValueError, match="invalid vertex"):
-        _sample_points(Graph(3, []), CoincidenceSpec.of({0, 3}), 2, 0)
+        _sample_points(Graph(3, []), frozenset({0, 3}), 2, 0)
 
 
 def test_generic_rank_report_fields():
     K4 = complete_graph(4)
-    rep = generic_rank(K4, CoincidenceSpec.of({0, 1}), 2, trials=3, seed=1)
+    rep = generic_rank(K4, {0, 1}, 2, trials=3, seed=1)
     assert rep.rank == 5 and rep.target == 5
     assert rep.rigid and not rep.independent  # |E| = 6 > 5
     assert rep.method == "exact-rational"
     assert "Schwartz-Zippel" in rep.note
     K3 = complete_graph(3)
-    rep3 = generic_rank(K3, CoincidenceSpec.of({0, 1}), 2, trials=3, seed=1)
+    rep3 = generic_rank(K3, {0, 1}, 2, trials=3, seed=1)
     assert rep3.rank == 2 and not rep3.rigid
 
 
@@ -201,11 +201,11 @@ def test_rank_upper_bound_and_monotonicity():
         m = rng.randint(1, len(pairs))
         chosen = rng.sample(pairs, m)
         g = Graph(n, chosen)
-        rep = generic_rank(g, CoincidenceSpec.of({0}), 2, trials=2, seed=seed)
+        rep = generic_rank(g, {0}, 2, trials=2, seed=seed)
         assert rep.rank <= min(len(g.edges), rigidity_target(n, 2))
         if m >= 2:
             sub = Graph(n, chosen[:-1])
-            sub_rep = generic_rank(sub, CoincidenceSpec.of({0}), 2, trials=2, seed=seed)
+            sub_rep = generic_rank(sub, {0}, 2, trials=2, seed=seed)
             assert sub_rep.rank <= rep.rank
 
 
@@ -306,17 +306,16 @@ def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
             n = rng.randint(2, 9)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
-            T = rng.sample(range(n), rng.randint(1, min(3, n)))
-            spec = CoincidenceSpec.of(T)
-            rows = _sparse_rows(g, _sample_points(g, spec, d, seed), d)
-            p = sample_T_coincident(g, spec, d, seed)
+            T = frozenset(rng.sample(range(n), rng.randint(1, min(3, n))))
+            rows = _sparse_rows(g, _sample_points(g, T, d, seed), d)
+            p = sample_T_coincident(g, T, d, seed)
             assert _echelon_rank(rows.values()) == rank_exact(rigidity_matrix(g, p))
 
 
-def _bareiss_report(g, spec, d, trials, seed):
+def _bareiss_report(g, T, d, trials, seed):
     """The report of generic_rank with every trial ranked by Bareiss."""
-    rep = generic_rank(g, spec, d, trials=trials, seed=seed, use_modp=False)
-    best = max(rank_exact(rigidity_matrix(g, sample_T_coincident(g, spec, d, _trial_seed(seed, t))))
+    rep = generic_rank(g, T, d, trials=trials, seed=seed)
+    best = max(rank_exact(rigidity_matrix(g, sample_T_coincident(g, T, d, _trial_seed(seed, t))))
                for t in range(trials))
     return dataclasses.replace(rep, rank=best, rigid=best == rep.target,
                                independent=best == len(g.edges))
@@ -324,10 +323,9 @@ def _bareiss_report(g, spec, d, trials, seed):
 
 def test_exact_path_matches_all_bareiss_reports():
     f = fixtures()["fig4"]
-    spec = CoincidenceSpec.of(f.T)
-    rep = generic_rank(f.graph, spec, 2, trials=3, seed=1)
+    rep = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
     assert rep.rank == 12 and rep.target == 13  # not T-rigid
-    assert rep == _bareiss_report(f.graph, spec, 2, 3, 1)
+    assert rep == _bareiss_report(f.graph, f.T, 2, 3, 1)
     assert rep.method == "exact-rational"
     rng = random.Random(29)
     for d in (1, 2, 3):
@@ -335,9 +333,9 @@ def test_exact_path_matches_all_bareiss_reports():
             n = rng.randint(1, 8)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            spec = CoincidenceSpec.of(rng.sample(range(n), rng.randint(1, n)))
-            assert (generic_rank(g, spec, d, trials=2, seed=seed)
-                    == _bareiss_report(g, spec, d, 2, seed))
+            T = rng.sample(range(n), rng.randint(1, n))
+            assert (generic_rank(g, T, d, trials=2, seed=seed)
+                    == _bareiss_report(g, T, d, 2, seed))
 
 
 def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
@@ -347,9 +345,31 @@ def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
     for name, f in fixtures().items():
         if name == "fig4":
             continue
-        rep = generic_rank(f.graph, CoincidenceSpec.of(f.T), 2, trials=3, seed=1)
+        rep = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
         assert rep.rank == min(len(f.graph.edges), rep.target)
     assert calls == []
-    generic_rank(fixtures()["fig4"].graph, CoincidenceSpec.of({0, 1, 2}), 2,
-                 trials=3, seed=1)
+    generic_rank(fixtures()["fig4"].graph, {0, 1, 2}, 2, trials=3, seed=1)
     assert len(calls) == 3  # each fig4 trial falls short of 13 and is confirmed
+
+
+def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
+    # every fig4 trial falls short and is confirmed by Bareiss, from the
+    # points that trial already drew: no realization is sampled again
+    f = fixtures()["fig4"]
+    want = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
+
+    def redraw(*args):
+        raise AssertionError("points drawn twice")
+
+    monkeypatch.setattr(linalg, "sample_T_coincident", redraw)
+    monkeypatch.setattr(linalg, "rigidity_matrix", redraw)
+    assert generic_rank(f.graph, f.T, 2, trials=3, seed=1) == want
+
+
+def test_empty_T_is_refused_by_name():
+    g = complete_graph(4)
+    for call in (lambda: generic_rank(g, set(), 2),
+                 lambda: sample_T_coincident(g, set(), 2, 0),
+                 lambda: rt_oracle(g, set())):
+        with pytest.raises(ValueError, match="T must be nonempty"):
+            call()

@@ -7,14 +7,14 @@ import pytest
 import coinrig.matroid
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (CoincidenceSpec, ModpEchelon, _sample_points,
-                            _sparse_rows, _trial_seed, rank_exact,
-                            rigidity_matrix, sample_T_coincident)
+from coinrig.linalg import (ModpEchelon, _sample_points, _sparse_rows,
+                            _trial_seed, rank_exact, rigidity_matrix,
+                            sample_T_coincident)
 from coinrig.matroid import (MatroidRankCertificate, _RtChecker, circuits_upto,
                              greedy_rank, laman_oracle, mt_oracle,
                              mt_rank_cover_min, rt_oracle)
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
-                              nonempty_subsets_canonical, val_augmented,
+                              subsets_of_two_or_more, val_augmented,
                               val_family)
 from test_sparsity import partial_partitions, reference_min_thin_cover
 
@@ -37,14 +37,18 @@ def test_oracle_axioms_spot_checks():
     rng = random.Random(0)
     for _ in range(25):
         g, T = random_instance(rng, 6, rng.randint(1, 3))
-        for oracle in (mt_oracle(g, T), laman_oracle(g),
-                       rt_oracle(g, T, seed=rng.getrandbits(16))):
+        seed = rng.getrandbits(16)
+        for make in (lambda h: mt_oracle(h, T), laman_oracle,
+                     lambda h: rt_oracle(h, T, seed=seed)):
+            oracle = make(g)
             assert oracle.test([])  # I.1
             edges = g.edge_list()
             rng.shuffle(edges)
             chain = edges[:rng.randint(1, len(edges))]
-            # independence is a greedy run that keeps every edge
-            assert oracle.test(chain) == (greedy_rank(oracle, chain).rank == len(chain))
+            # independence is a greedy run over the chain's subgraph that
+            # keeps every edge
+            sub = make(Graph(g.n, chain))
+            assert oracle.test(chain) == (greedy_rank(sub).rank == len(chain))
             if oracle.test(chain):  # I.2 on a random chain
                 for k in range(len(chain)):
                     assert oracle.test(chain[:k])
@@ -67,24 +71,23 @@ def test_mt_oracle_fig4_rank_12():
     g = fig4()
     cert = greedy_rank(mt_oracle(g, {0, 1, 2}))
     assert cert.rank == 12 == len(g.edges) - 1
-    value, witness = mt_rank_cover_min(g, None, {0, 1, 2})
+    value, witness = mt_rank_cover_min(g, {0, 1, 2})
     assert value == 12
     assert witness.S == frozenset({0, 1})
 
 
 def test_greedy_rejects_foreign_edges():
     with pytest.raises(ValueError, match="ground"):
-        greedy_rank(laman_oracle(complete_graph(3)), [(0, 5)])
+        laman_oracle(complete_graph(3)).test([(0, 5)])
 
 
 def test_cover_min_small_cases():
     K4 = complete_graph(4)
-    value, witness = mt_rank_cover_min(K4, None, {0, 1})
+    value, witness = mt_rank_cover_min(K4, {0, 1})
     assert value == 5
     assert witness.is_one_thin()
-    # E' inside E_T: nothing to cover, the empty family of value 0 wins
-    g = Graph(3, [(0, 1), (0, 2)])
-    value, witness = mt_rank_cover_min(g, [(0, 1)], {0, 1})
+    # every edge inside T: nothing to cover, the empty family of value 0 wins
+    value, witness = mt_rank_cover_min(Graph(3, [(0, 1)]), {0, 1})
     assert value == 0 and witness.family is None and witness.xsets == ()
 
 
@@ -93,7 +96,7 @@ def test_cover_min_witness_is_certificate():
     for _ in range(40):
         g, T = random_instance(rng, 7, rng.choice([2, 3]))
         eprime = [e for e in g.edge_list() if rng.random() < 0.8]
-        value, witness = mt_rank_cover_min(g, eprime, T)
+        value, witness = mt_rank_cover_min(Graph(g.n, eprime), T)
         assert witness.is_one_thin()
         assert val_augmented(witness) == value
         covered = witness.covers()
@@ -105,19 +108,18 @@ def test_duality_greedy_equals_cover_min():
     rng = random.Random(2)
     for _ in range(60):
         g, T = random_instance(rng, 7, rng.choice([2, 3]))
-        eprime = [e for e in g.edge_list() if rng.random() < 0.8]
-        assert (greedy_rank(mt_oracle(g, T), eprime).rank
-                == mt_rank_cover_min(g, eprime, T)[0])
+        sub = Graph(g.n, [e for e in g.edge_list() if rng.random() < 0.8])
+        assert greedy_rank(mt_oracle(sub, T)).rank == mt_rank_cover_min(sub, T)[0]
 
 
 def test_cover_min_argument_checks():
     with pytest.raises(ValueError, match=r"\|T\| >= 2"):
-        mt_rank_cover_min(complete_graph(4), None, {0})
+        mt_rank_cover_min(complete_graph(4), {0})
     with pytest.raises(ValueError, match="enumeration cap is 12"):
-        mt_rank_cover_min(Graph(13, [(0, 1)]), None, {0, 1})
+        mt_rank_cover_min(Graph(13, [(0, 1)]), {0, 1})
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        mt_rank_cover_min(complete_graph(5), None, {0, 1, 2, 3})
+        mt_rank_cover_min(complete_graph(5), {0, 1, 2, 3})
         assert any("conjectural" in str(x.message) for x in w)
 
 
@@ -132,7 +134,7 @@ def reference_cover_min(g, eprime, T):
     targets = [(1 << a) | (1 << b) for a, b in edges
                if not (a in ts and b in ts)]
     best_val = best_fam = None
-    for s in nonempty_subsets_canonical(ts, min_size=2):
+    for s in subsets_of_two_or_more(ts):
         s_mask = _mask_of(s)
         others = tuple(v for v in range(g.n) if v not in s)
         for blocks in partial_partitions(others):
@@ -168,7 +170,8 @@ def _dual(aug):
 
 @pytest.mark.parametrize("t_size,count", [(2, 120), (3, 120), (4, 60)])
 def test_cover_min_witness_matches_partition_reference(t_size, count):
-    # the pruned search returns the reference's value and its exact witness
+    # the pruned search returns the reference's value and its exact witness;
+    # an edge subset is ranked as the subgraph it spans
     rng = random.Random(100 + t_size)
     for _ in range(count):
         g, T = random_instance(rng, 8, t_size)
@@ -176,13 +179,14 @@ def test_cover_min_witness_matches_partition_reference(t_size, count):
         for ep in (None, eprime):
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "cover minimum with")
-                value, witness = mt_rank_cover_min(g, ep, T)
+                value, witness = mt_rank_cover_min(
+                    g if ep is None else Graph(g.n, ep), T)
             ref_value, ref_witness = reference_cover_min(g, ep, T)
             assert value == ref_value, (g.edge_list(), sorted(T), ep)
             assert _dual(witness) == _dual(ref_witness), (g.edge_list(), sorted(T), ep)
-    # E' inside T: the empty family of value 0 under the first S
+    # every edge inside T: the empty family of value 0 under the first S
     g, inside = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)]), [(0, 1), (1, 2)]
-    value, witness = mt_rank_cover_min(g, inside, {0, 1, 2})
+    value, witness = mt_rank_cover_min(Graph(5, inside), {0, 1, 2})
     assert (value, _dual(witness)) == (0, {"S": [0, 1], "family": [], "xsets": []})
     assert reference_cover_min(g, inside, {0, 1, 2})[0] == 0
 
@@ -195,7 +199,7 @@ def test_cover_min_calls_min_thin_cover_rarely(monkeypatch):
     g, T = Graph(9, rng.sample(pairs, 15)), frozenset({0, 4, 7})
     leaves = sum(sum(1 for _ in partial_partitions(
         tuple(v for v in range(9) if v not in s)))
-        for s in nonempty_subsets_canonical(T, min_size=2))
+        for s in subsets_of_two_or_more(T))
     calls = []
     real = coinrig.matroid.min_thin_cover
 
@@ -204,7 +208,7 @@ def test_cover_min_calls_min_thin_cover_rarely(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(coinrig.matroid, "min_thin_cover", counting)
-    value, _ = mt_rank_cover_min(g, None, T)
+    value, _ = mt_rank_cover_min(g, T)
     assert value == greedy_rank(mt_oracle(g, T)).rank
     assert leaves > 13000
     assert len(calls) < leaves // 10, (len(calls), leaves)
@@ -256,8 +260,8 @@ def test_rt_checker_matches_eager_reference_on_sampled_rows():
     rng = random.Random(8)
     for _ in range(60):
         g, T = random_instance(rng, 8, rng.randint(1, 3))
-        spec, seed = CoincidenceSpec.of(T), rng.getrandbits(16)
-        row_maps = [_sparse_rows(g, _sample_points(g, spec, 2, _trial_seed(seed, t)), 2)
+        seed = rng.getrandbits(16)
+        row_maps = [_sparse_rows(g, _sample_points(g, T, 2, _trial_seed(seed, t)), 2)
                     for t in range(3)]
         order = g.edge_list()
         rng.shuffle(order)
@@ -288,8 +292,7 @@ def test_rt_checker_matches_eager_reference_when_trials_disagree():
 
 def test_rt_rows_drawn_only_when_a_trial_is_asked():
     k4 = complete_graph(4)
-    spec = CoincidenceSpec.of({0})
-    row_maps = [_sparse_rows(k4, _sample_points(k4, spec, 2, _trial_seed(5, t)), 2)
+    row_maps = [_sparse_rows(k4, _sample_points(k4, frozenset({0}), 2, _trial_seed(5, t)), 2)
                 for t in range(3)]
     asked = []
 
@@ -306,8 +309,6 @@ def test_rt_rows_drawn_only_when_a_trial_is_asked():
 
 def test_rt_oracle_checks_its_arguments_up_front():
     k4, empty = complete_graph(4), Graph(3, [])
-    with pytest.raises(ValueError, match="trials must be at least 1"):
-        rt_oracle(k4, {0, 1}, trials=0)
     for g in (k4, empty):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             rt_oracle(g, {0, 1}, d=0)
@@ -319,12 +320,11 @@ def test_rt_base_is_certified_independent_over_q():
     # elimination in the rt oracle is mod p; Bareiss re-checks its certificate
     for f in fixtures().values():
         for d in (2, 3):
-            base = greedy_rank(rt_oracle(f.graph, f.T, d=d, trials=3, seed=4)).base
+            base = greedy_rank(rt_oracle(f.graph, f.T, d=d, seed=4)).base
             sub = Graph(f.graph.n, base)
-            spec = CoincidenceSpec.of(f.T)
             assert any(
                 rank_exact(rigidity_matrix(
-                    sub, sample_T_coincident(f.graph, spec, d, _trial_seed(4, t))))
+                    sub, sample_T_coincident(f.graph, f.T, d, _trial_seed(4, t))))
                 == len(base) for t in range(3)), (f.name, d)
 
 

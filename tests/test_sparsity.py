@@ -6,14 +6,14 @@ import pytest
 from coinrig import sparsity
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import CoincidenceSpec, generic_rank
+from coinrig.linalg import generic_rank
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, absorb_set,
                               combine_families, coverage, is_S_sparse,
                               is_strongly_T_sparse, merge_overlapping,
-                              min_thin_cover, nonempty_subsets_canonical,
-                              subset_edge_counts, val_augmented, val_family,
-                              val_set)
+                              min_thin_cover, subset_edge_counts,
+                              subsets_of_two_or_more, val_augmented,
+                              val_family, val_set)
 
 S2 = frozenset({0, 1})
 S3 = frozenset({0, 1, 2})
@@ -289,7 +289,8 @@ def test_witnesses_match_unpruned_lexicographic_search():
             g = random_graph(rng, 3, 8)
             T = frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
         first = None
-        for S in nonempty_subsets_canonical(T):
+        singletons = [frozenset({v}) for v in sorted(T)]
+        for S in singletons + subsets_of_two_or_more(T):
             ref = _reference_S_sparse(g, S)
             v = is_S_sparse(g, S)
             assert (v and v.to_dict()) == ref, (g.edge_list(), sorted(S))
@@ -346,7 +347,7 @@ def test_necessity_on_algebraically_independent_inputs():
     for seed in range(60):
         g = random_graph(rng, 4, 7)
         T = frozenset(rng.sample(range(g.n), rng.randint(1, 3)))
-        rep = generic_rank(g, CoincidenceSpec.of(T), 2, trials=3, seed=seed)
+        rep = generic_rank(g, T, 2, trials=3, seed=seed)
         if rep.independent:
             assert is_strongly_T_sparse(g, T) is None, (g.edge_list(), sorted(T))
 
