@@ -56,25 +56,25 @@ class CoincidenceVerdict:
         return out
 
 
-def coincident_rigid_combinatorial(g: Graph, T) -> CoincidenceVerdict:
+def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     """Deletion/contraction characterization of coincident rigidity.
 
-    With G' the graph minus its T-internal edges, the verdict is True iff
+    With G' the graph minus its T-internal edges, g is coincident rigid iff
     G' and every contraction G'/S (S inside T, |S| >= 2) are rigid in the
-    plane; rigidity is decided by the pebble game.
+    plane, by the pebble game.  Returns the failing S: None when g is rigid,
+    the empty set when G' is flexible, else the first S whose G'/S is.
     """
     ts = frozenset(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
     gp = g.minus_T_edges(ts)
     if pebble_rank_23(gp) != rigidity_target(gp.n, 2):
-        return CoincidenceVerdict(g, ts, combinatorial=False,
-                                  failing_S=frozenset())
+        return frozenset()
     for s in subsets_of_two_or_more(ts):
         gc = gp.contract(s)
         if pebble_rank_23(gc) != rigidity_target(gc.n, 2):
-            return CoincidenceVerdict(g, ts, combinatorial=False, failing_S=s)
-    return CoincidenceVerdict(g, ts, combinatorial=True)
+            return s
+    return None
 
 
 def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
@@ -86,12 +86,12 @@ def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
     """
     ts = frozenset(T)
     rep = generic_rank(g, ts, d, trials=trials, seed=seed)
-    verdict = CoincidenceVerdict(g, ts, algebraic=rep.rigid, reports=(rep,))
+    combinatorial = failing_S = None
     if d == 2 and 2 <= len(ts) <= 3:
-        comb_v = coincident_rigid_combinatorial(g, ts)
-        verdict.combinatorial = comb_v.combinatorial
-        verdict.failing_S = comb_v.failing_S
-    return verdict
+        failing_S = coincident_rigid_combinatorial(g, ts)
+        combinatorial = failing_S is None
+    return CoincidenceVerdict(g, ts, combinatorial=combinatorial, algebraic=rep.rigid,
+                              failing_S=failing_S, reports=(rep,))
 
 
 # -- random instances ----------------------------------------------------

@@ -37,7 +37,7 @@ def _load_graph(path: str) -> tuple[Graph, frozenset | None]:
         raise UsageError(str(e))
 
 
-def _parse_T(arg: str | None, file_T, n: int, required: bool = False):
+def _parse_T(arg: str | None, file_T, g: Graph, required: bool = False):
     if arg is not None:
         try:
             T = frozenset(int(x) for x in arg.split(",") if x.strip() != "")
@@ -49,25 +49,23 @@ def _parse_T(arg: str | None, file_T, n: int, required: bool = False):
         if required:
             raise UsageError("no T given (use --T or a T field in the graph file)")
         return None
-    for v in T:
-        if not 0 <= v < n:
-            raise UsageError(f"T contains invalid vertex {v}")
-    if not T:
-        raise UsageError("T must be nonempty")
-    return T
+    return g._check_T(T)
 
 
 def _emit(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {out}: {e}")
     print(text)
 
 
 def _cmd_rank(args) -> int:
     g, file_T = _load_graph(args.graph)
-    T = _parse_T(args.T, file_T, g.n) or frozenset({0})
+    T = _parse_T(args.T, file_T, g) or frozenset({0})
     rep = generic_rank(g, T, args.d, trials=args.trials, seed=args.seed,
                        use_modp=args.mod_p)
     _emit(rep.to_dict(), args.out)
@@ -76,7 +74,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_sparse(args) -> int:
     g, file_T = _load_graph(args.graph)
-    T = _parse_T(args.T, file_T, g.n, required=True)
+    T = _parse_T(args.T, file_T, g, required=True)
     if args.strong:
         violation = is_strongly_T_sparse(g, T, cap=args.cap)
     else:
@@ -90,8 +88,10 @@ def _cmd_sparse(args) -> int:
 
 
 def _cmd_mrank(args) -> int:
+    if args.oracle == "both" and args.d != 2:
+        raise UsageError("--oracle both needs --d 2: mt is the planar matroid")
     g, file_T = _load_graph(args.graph)
-    T = _parse_T(args.T, file_T, g.n, required=True)
+    T = _parse_T(args.T, file_T, g, required=True)
     doc: dict = {"T": sorted(T)}
     mismatch = False
     if args.oracle in ("mt", "both"):
@@ -144,7 +144,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check(args) -> int:
     g, file_T = _load_graph(args.graph)
-    T = _parse_T(args.T, file_T, g.n, required=True)
+    T = _parse_T(args.T, file_T, g, required=True)
     verdict = check_coincident_rigidity(g, T, d=args.d, trials=args.trials,
                                         seed=args.seed)
     _emit(verdict.to_dict(), args.out)
@@ -269,10 +269,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except InvariantError as e:  # a proof-step bound failed

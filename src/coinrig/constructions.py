@@ -17,22 +17,21 @@ from .graph import Graph
 from .sparsity import InvariantError, is_strongly_T_sparse
 
 
-def zero_extension(g: Graph, a: int, b: int, label: str | None = None) -> Graph:
+def zero_extension(g: Graph, a: int, b: int) -> Graph:
     """Add a new vertex joined to the two distinct vertices a and b."""
     if a == b:
         raise ValueError("0-extension needs two distinct attachment vertices")
-    return g.add_vertex([a, b], label=label)
+    return g.add_vertex([a, b])
 
 
-def one_extension(g: Graph, uv: tuple[int, int], x: int,
-                  label: str | None = None) -> Graph:
+def one_extension(g: Graph, uv: tuple[int, int], x: int) -> Graph:
     """Delete edge uv, add a new vertex joined to u, v and a third vertex x."""
     u, v = uv
     if not g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) is not an edge of the graph")
     if x in (u, v):
         raise ValueError("the third neighbour must differ from the split edge's ends")
-    return g.delete_edges([(u, v)]).add_vertex([u, v, x], label=label)
+    return g.delete_edges([(u, v)]).add_vertex([u, v, x])
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,12 @@ class SplitSpec:
             raise ValueError("U1, U2, U3 must be pairwise disjoint")
 
 
-def vertex_split(g: Graph, spec: SplitSpec, label: str | None = None) -> Graph:
+def vertex_split(g: Graph, spec: SplitSpec) -> Graph:
     """Split z: edges to U3 move to a new copy z', which also joins U2."""
     if spec.U1 | spec.U2 | spec.U3 != g.neighbors(spec.z):
         raise ValueError("U1, U2, U3 must partition the neighbourhood of z")
     trimmed = g.delete_edges([(spec.z, u) for u in spec.U3])
-    return trimmed.add_vertex(sorted(spec.U2 | spec.U3), label=label)
+    return trimmed.add_vertex(sorted(spec.U2 | spec.U3))
 
 
 def replace_rigid_subgraph(g: Graph, Y: Iterable[int],

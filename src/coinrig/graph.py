@@ -96,22 +96,30 @@ class Graph:
             adj[b] |= 1 << a
         return adj
 
-    def _check_subset(self, X: Iterable[int]) -> frozenset[int]:
+    def _check_subset(self, X: Iterable[int], name: str) -> frozenset[int]:
         xs = frozenset(X)
-        for v in xs:
-            if not 0 <= v < self.n:
-                raise ValueError(f"vertex {v} is not a vertex of the graph")
+        bad = [v for v in xs if not 0 <= v < self.n]
+        if bad:
+            raise ValueError(f"{name} contains invalid vertex {min(bad)}")
         return xs
+
+    def _check_T(self, T: Iterable[int], name: str = "T") -> frozenset[int]:
+        """T (or S) as a frozenset, checked to be a nonempty set of vertices:
+        the one check behind every entry point that takes T or S."""
+        ts = frozenset(T)
+        if not ts:
+            raise ValueError(f"{name} must be nonempty")
+        return self._check_subset(ts, name)
 
     # -- operations ----------------------------------------------------
 
     def induced_edge_count(self, X: Iterable[int]) -> int:
         """Number of edges with both endpoints in X."""
-        xs = self._check_subset(X)
+        xs = self._check_subset(X, "X")
         return sum(1 for a, b in self.edges if a in xs and b in xs)
 
     def induced_edges(self, X: Iterable[int]) -> list[tuple[int, int]]:
-        xs = self._check_subset(X)
+        xs = self._check_subset(X, "X")
         return sorted(e for e in self.edges if e[0] in xs and e[1] in xs)
 
     def contract(self, S: Iterable[int]) -> "Graph":
@@ -121,7 +129,7 @@ class Graph:
         renumbered densely preserving order.  Loops are dropped and parallel
         edges merged, so the result is simple.
         """
-        ss = self._check_subset(S)
+        ss = self._check_subset(S, "S")
         remap = self.contraction_map(ss)
         new_edges = set()
         for a, b in self.edges:
@@ -136,7 +144,7 @@ class Graph:
 
     def contraction_map(self, S: Iterable[int]) -> dict[int, int]:
         """Old-id -> new-id map of :meth:`contract` (all of S maps to one id)."""
-        ss = self._check_subset(S)
+        ss = self._check_subset(S, "S")
         if len(ss) < 2:
             raise ValueError("contraction needs at least two vertices")
         keep = min(ss)
@@ -158,7 +166,7 @@ class Graph:
 
     def minus_T_edges(self, T: Iterable[int]) -> "Graph":
         """Remove every edge with both endpoints in T."""
-        ts = self._check_subset(T)
+        ts = self._check_subset(T, "T")
         kept = {e for e in self.edges if not (e[0] in ts and e[1] in ts)}
         return Graph(self.n, kept, self.labels)
 

@@ -220,14 +220,10 @@ class ModpEchelon:
 
 
 def rank_modp(M: RigidityMatrix) -> int:
-    """Rank of the matrix reduced mod PRIME; never exceeds the exact rank."""
+    """Rank mod PRIME of the rows scaled to integers; never exceeds the exact rank."""
     ech = ModpEchelon()
-    for row in M.rows:
-        mul = lcm(*(x.denominator for x in row))
-        if mul % PRIME == 0:
-            raise ValueError("denominator divisible by the prime")
-        ech.try_add({c: x.numerator * (mul // x.denominator)
-                     for c, x in enumerate(row) if x})
+    for row in _integer_rows(M.rows):
+        ech.try_add({c: x for c, x in enumerate(row) if x})
     return ech.rank
 
 
@@ -253,20 +249,18 @@ def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
 # -- sampling ----------------------------------------------------------
 
 
-def _check_sample_args(g: Graph, T: frozenset[int], d: int):
-    if not T:
-        raise ValueError("T must be nonempty")
+def _check_sample_args(g: Graph, T: Iterable[int], d: int) -> frozenset[int]:
+    """T as a frozenset, once T and the dimension d are checked."""
+    ts = g._check_T(T)
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    for v in T:
-        if not 0 <= v < g.n:
-            raise ValueError(f"T contains invalid vertex {v}")
+    return ts
 
 
 def _sample_points(g: Graph, T: frozenset[int], d: int,
                    seed: int) -> list[tuple[int, ...]]:
-    """The integer points of ``sample_T_coincident``, indexed by vertex."""
-    _check_sample_args(g, T, d)
+    """The integer points of ``sample_T_coincident``, indexed by vertex;
+    callers check the arguments once (``_check_sample_args``), not per trial."""
     rng = random.Random(seed)
     ref = min(T)
     pts: list[tuple[int, ...]] = []
@@ -285,7 +279,7 @@ def sample_T_coincident(g: Graph, T: Iterable[int], d: int, seed: int) -> Realiz
     uniform integers in [-2^20, 2^20], drawn in vertex-id order, so a seed
     fully determines the realization.
     """
-    pts = _sample_points(g, frozenset(T), d, seed)
+    pts = _sample_points(g, _check_sample_args(g, T, d), d, seed)
     return Realization(d, {v: tuple(Fraction(c) for c in pt)
                            for v, pt in enumerate(pts)})
 
@@ -299,6 +293,12 @@ def generic_realization(g: Graph, d: int, seed: int) -> Realization:
 
 def _trial_seed(seed: int, trial: int) -> int:
     return seed * 1_000_003 + trial
+
+
+def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
+                t: int) -> dict[tuple[int, int], dict[int, int]]:
+    """Trial t's rows of ``generic_rank`` and ``rt_oracle``, edge -> sparse row."""
+    return _sparse_rows(g, _sample_points(g, T, d, _trial_seed(seed, t)), d)
 
 
 def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
@@ -315,7 +315,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    ts = frozenset(T)
+    ts = _check_sample_args(g, T, d)
     use_modp = use_modp or g.n > EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     # a mod-p rank never exceeds the rational rank, which is at most |E| and,
@@ -325,7 +325,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
     cap = min(len(g.edges), target) if d <= 2 else len(g.edges)
     best = 0
     for t in range(trials):
-        rows = _sparse_rows(g, _sample_points(g, ts, d, _trial_seed(seed, t)), d).values()
+        rows = _trial_rows(g, ts, d, seed, t).values()
         ech = ModpEchelon()
         for row in rows:
             ech.try_add(row)

@@ -16,9 +16,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable
 
-from .graph import Graph
-from .linalg import (ModpEchelon, _check_sample_args, _sample_points,
-                     _sparse_rows, _trial_seed)
+from .graph import Graph, _canon_edge
+from .linalg import ModpEchelon, _check_sample_args, _trial_rows
 from .pebble import PebbleGame
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        StrongSparsityChecker, _bits, _check_cap,
@@ -27,10 +26,6 @@ from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
 
 CIRCUIT_SCAN_CAP = 2_000_000
 RT_TRIALS = 3  # sampled realizations behind each rt oracle
-
-
-def _canon_edges(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    return sorted((e if e[0] < e[1] else (e[1], e[0])) for e in edges)
 
 
 class IndependenceOracle:
@@ -47,12 +42,12 @@ class IndependenceOracle:
                  new_checker: Callable[[], Callable[[int, int], bool]],
                  conjectural: bool = False):
         self.name = name
-        self.ground = tuple(_canon_edges(ground))
+        self.ground = tuple(sorted(_canon_edge(a, b) for a, b in ground))
         self.new_checker = new_checker
         self.conjectural = conjectural
 
     def test(self, edges: Iterable[tuple[int, int]]) -> bool:
-        fs = frozenset(_canon_edges(edges))
+        fs = frozenset(_canon_edge(a, b) for a, b in edges)
         for e in fs:
             if e not in self.ground:
                 raise ValueError(f"edge {e} is not in the oracle's ground set")
@@ -93,9 +88,7 @@ class MatroidRankCertificate:
 
 def mt_oracle(g: Graph, T: Iterable[int]) -> IndependenceOracle:
     """Independence = the subgraph is strongly T-sparse."""
-    ts = frozenset(T)
-    if not ts:
-        raise ValueError("T must be nonempty")
+    ts = g._check_T(T)
     n = g.n
     return IndependenceOracle("mt", g.edges,
                               lambda: StrongSparsityChecker(n, ts).try_add,
@@ -163,17 +156,16 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
     One realization per trial (``RT_TRIALS`` of them) is sampled when a
     checker first asks for it and shared by all later queries; rows are
     tested by sparse elimination over GF(2^61 - 1), so accepted rows are
-    independent over the rationals too.  The arguments are checked here,
-    before any sample is drawn.
+    independent over the rationals too.  Trial t's rows are those of
+    ``generic_rank``'s trial t at the same seed.  T and d are checked here,
+    once, before any sample is drawn.
     """
-    ts = frozenset(T)
-    _check_sample_args(g, ts, d)
+    ts = _check_sample_args(g, T, d)
     row_maps: list[dict | None] = [None] * RT_TRIALS
 
     def rows(t: int) -> dict:
         if row_maps[t] is None:
-            pts = _sample_points(g, ts, d, _trial_seed(seed, t))
-            row_maps[t] = _sparse_rows(g, pts, d)
+            row_maps[t] = _trial_rows(g, ts, d, seed, t)
         return row_maps[t]
 
     return IndependenceOracle("rt", g.edges, lambda: _RtChecker(rows, RT_TRIALS).try_add)
@@ -230,8 +222,8 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
       before it starts a block, so no first minimum uses B;
     - the leaf with no block under every S: it is the first leaf again.
     """
+    ts = g._check_T(T)
     _check_cap(g.n)
-    ts = frozenset(T)
     if len(ts) < 2:
         raise ValueError("the cover formula needs |T| >= 2")
     if len(ts) > 3:

@@ -308,23 +308,14 @@ def _check_cap(n: int, cap: int = DEFAULT_CAP):
         raise ValueError(f"graph has {n} vertices, enumeration cap is {cap}")
 
 
-def _check_args(g: Graph, name: str, vs: frozenset[int], cap: int):
-    if not vs:
-        raise ValueError(f"{name} must be nonempty")
-    for v in sorted(vs):
-        if not 0 <= v < g.n:
-            raise ValueError(f"{name} contains invalid vertex {v}")
-    _check_cap(g.n, cap)
-
-
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
     """None iff every set and every S-compatible family respects its capacity.
 
     Otherwise the canonically smallest violating set, or the canonically
     first violating family of candidate blocks, is returned as the witness.
     """
-    ss = frozenset(S)
-    _check_args(g, "S", ss, cap)
+    ss = g._check_T(S, "S")
+    _check_cap(g.n, cap)
     i_cnt = subset_edge_counts(g)
     hit = _set_violation(g, i_cnt, _mask_of(ss))
     if hit:
@@ -352,8 +343,8 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     break a larger S's capacity is a pair S with an edge, and pairs come
     before larger sets.
     """
-    ts = frozenset(T)
-    _check_args(g, "T", ts, cap)
+    ts = g._check_T(T)
+    _check_cap(g.n, cap)
     i_cnt = subset_edge_counts(g)
     hit = _set_violation(g, i_cnt, 0)
     if hit:
@@ -372,9 +363,10 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
 class StrongSparsityChecker:
     """Incremental strong T-sparsity test used by greedy matroid runs.
 
-    Maintains the subgraph accepted so far and its subset-count table;
-    ``try_add`` accepts an edge iff the grown edge set is still strongly
-    T-sparse, and leaves the state unchanged otherwise.  Since the accepted
+    T is a nonempty set of vertices, as ``mt_oracle`` checks.  Maintains
+    the subset-count table of the edges accepted so far; ``try_add``
+    accepts an edge iff the grown edge set is still strongly T-sparse, and
+    leaves the state unchanged otherwise.  Since the accepted
     set always is strongly T-sparse, only what the new edge ab can change
     is tested:
 
@@ -396,11 +388,8 @@ class StrongSparsityChecker:
         self.n = n
         self.full = (1 << n) - 1
         self.t_mask = _mask_of(T)
-        if self.t_mask == 0:
-            raise ValueError("T must be nonempty")
         self.i_cnt = [0] * (1 << n)
         self.cap = [2 * x.bit_count() - 3 for x in range(1 << n)]
-        self.edges: list[tuple[int, int]] = []
         self.s_masks = [_mask_of(s) for s in subsets_of_two_or_more(_bits(self.t_mask))]
 
     def _unbump(self, eb: int, last: int):
@@ -445,7 +434,6 @@ class StrongSparsityChecker:
             if self._family_hit(s_mask, eb & ~s_mask):
                 self._unbump(eb, full)
                 return False
-        self.edges.append((a, b) if a < b else (b, a))
         return True
 
     def accepts_all(self, edges: Iterable[tuple[int, int]]) -> bool:

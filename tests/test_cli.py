@@ -4,7 +4,7 @@ import random
 import pytest
 
 from coinrig.cli import build_parser, main
-from coinrig.graph import Graph, graph_to_json
+from coinrig.graph import Graph, complete_graph, graph_to_json
 from coinrig.matroid import greedy_rank, mt_oracle
 
 
@@ -209,6 +209,52 @@ def test_rt_dimension_is_checked_without_edges(capsys, tmp_path):
     path.write_text('{"n":3,"edges":[],"T":[0,1]}')
     err = error_line(capsys, "mrank", "--oracle", "rt", "--d", "0", "--graph", str(path))
     assert err == "error: dimension must be at least 1\n"
+
+
+T_VERBS = ("rank", "sparse", "mrank", "check")
+# the verbs that read no --graph, with small arguments
+NO_GRAPH_CALLS = {"xval": ["--n-max", "5", "--samples", "2"],
+                  "conjecture": ["--n-max", "5", "--budget", "1"],
+                  "gen": ["--henneberg", "4"],
+                  "fixtures": []}
+USAGE_ERRORS = [
+    *(pytest.param([verb, "--graph", "{graph}", "--T", "0,4"],
+                   "T contains invalid vertex 4", id=f"{verb}-T-above-n")
+      for verb in T_VERBS),
+    *(pytest.param([verb, "--graph", "{graph}", "--T", ""],
+                   "T must be nonempty", id=f"{verb}-T-empty")
+      for verb in T_VERBS),
+    *(pytest.param([verb, "--graph", "{graph}", "--out", "{out}"],
+                   "cannot write {out}: ", id=f"{verb}-out")
+      for verb in T_VERBS),
+    pytest.param(["transform", "--graph", "{graph}", "--op", "0ext", "--args", "0,1",
+                  "--out", "{out}"], "cannot write {out}: ", id="transform-out"),
+    *(pytest.param([verb, *args, "--out", "{out}"], "cannot write {out}: ",
+                   id=f"{verb}-out")
+      for verb, args in NO_GRAPH_CALLS.items()),
+]
+
+
+@pytest.mark.parametrize("argv, want", USAGE_ERRORS)
+def test_usage_error_sweep(capsys, tmp_path, k4_file, argv, want):
+    # each verb reports a bad --T or an unwritable --out as one error line,
+    # exit code 2 and nothing on stdout
+    out = tmp_path / "missing" / "report.json"
+    subst = {"{graph}": k4_file, "{out}": str(out)}
+    err = error_line(capsys, *(subst.get(a, a) for a in argv))
+    assert err.startswith("error: " + want.format(out=out))
+    assert not out.parent.exists()
+
+
+def test_mrank_both_needs_the_plane(capsys, tmp_path):
+    # mt is the planar matroid: on K5 minus {3, 4} with T = {0, 1} it has
+    # rank 7, while rt in d = 3 has rank 8, which violates no theorem
+    path = tmp_path / "k5.json"
+    path.write_text(graph_to_json(complete_graph(5).delete_edges([(3, 4)]), [0, 1]))
+    err = error_line(capsys, "mrank", "--oracle", "both", "--d", "3", "--graph", str(path))
+    assert err == "error: --oracle both needs --d 2: mt is the planar matroid\n"
+    code, doc = run(capsys, "mrank", "--oracle", "rt", "--d", "3", "--graph", str(path))
+    assert code == 0 and doc["rt"]["rank"] == 8
 
 
 def _seeded_graph(n):

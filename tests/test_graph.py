@@ -2,8 +2,13 @@ import random
 
 import pytest
 
+from coinrig.checks import (check_coincident_rigidity,
+                            coincident_rigid_combinatorial)
 from coinrig.graph import (Graph, GraphParseError, complete_graph,
                            graph_to_json, parse_graph, parse_graph_with_T)
+from coinrig.linalg import generic_rank, sample_T_coincident
+from coinrig.matroid import mt_oracle, mt_rank_cover_min, rt_oracle
+from coinrig.sparsity import is_S_sparse, is_strongly_T_sparse
 
 
 def fig4():
@@ -150,3 +155,32 @@ def test_add_and_remove_vertex():
     h = g.remove_vertex(1)
     assert h.n == 2 and h.edges == frozenset({(0, 1)})
     assert h.labels == ("0", "2")
+
+
+# every public entry point that takes a coincidence set T (or a base set S)
+T_ENTRY_POINTS = {
+    "generic_rank": lambda g, T: generic_rank(g, T, 2),
+    "sample_T_coincident": lambda g, T: sample_T_coincident(g, T, 2, 0),
+    "rt_oracle": rt_oracle,
+    "mt_oracle": mt_oracle,
+    "mt_rank_cover_min": mt_rank_cover_min,
+    "is_S_sparse": is_S_sparse,
+    "is_strongly_T_sparse": is_strongly_T_sparse,
+    "coincident_rigid_combinatorial": coincident_rigid_combinatorial,
+    "check_coincident_rigidity": check_coincident_rigidity,
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (set(), "must be nonempty"),
+    ({0, 4}, "contains invalid vertex 4"),
+    ({-1, 0}, "contains invalid vertex -1"),
+], ids=["empty", "above-n", "negative"])
+@pytest.mark.parametrize("entry", list(T_ENTRY_POINTS))
+def test_every_entry_point_checks_T(entry, bad, message):
+    # one check, Graph._check_T, behind every entry point and message
+    want = f"^{'S' if entry == 'is_S_sparse' else 'T'} {message}$"
+    if entry == "coincident_rigid_combinatorial" and not bad:
+        want = r"^the characterization applies to \|T\| in \{2, 3\}$"
+    with pytest.raises(ValueError, match=want):
+        T_ENTRY_POINTS[entry](complete_graph(4), bad)
