@@ -65,9 +65,11 @@ def _emit(doc: dict, out: str | None):
 
 def _cmd_rank(args) -> int:
     g, file_T = _load_graph(args.graph)
-    T = _parse_T(args.T, file_T, g) or frozenset({0})
-    rep = generic_rank(g, T, args.d, trials=args.trials, seed=args.seed,
-                       use_modp=args.mod_p)
+    T = _parse_T(args.T, file_T, g)
+    if T is None and g.n == 0:
+        raise UsageError("the graph is empty: no vertex to default T to")
+    rep = generic_rank(g, T or frozenset({0}), args.d, trials=args.trials,
+                       seed=args.seed, use_modp=args.mod_p)
     _emit(rep.to_dict(), args.out)
     return 0
 
@@ -88,8 +90,8 @@ def _cmd_sparse(args) -> int:
 
 
 def _cmd_mrank(args) -> int:
-    if args.oracle == "both" and args.d != 2:
-        raise UsageError("--oracle both needs --d 2: mt is the planar matroid")
+    if args.oracle != "rt" and args.d != 2:
+        raise UsageError(f"--oracle {args.oracle} needs --d 2: mt is the planar matroid")
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
     doc: dict = {"T": sorted(T)}

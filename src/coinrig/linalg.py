@@ -261,14 +261,22 @@ def _sample_points(g: Graph, T: frozenset[int], d: int,
                    seed: int) -> list[tuple[int, ...]]:
     """The integer points of ``sample_T_coincident``, indexed by vertex;
     callers check the arguments once (``_check_sample_args``), not per trial."""
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    span = 2 * COORD_BOUND
+    k = (span + 1).bit_length()
     ref = min(T)
     pts: list[tuple[int, ...]] = []
     for v in range(g.n):
         if v > ref and v in T:
             pts.append(pts[ref])
-        else:
-            pts.append(tuple(rng.randint(-COORD_BOUND, COORD_BOUND) for _ in range(d)))
+            continue
+        pt = []
+        for _ in range(d):
+            r = bits(k)
+            while r > span:
+                r = bits(k)
+            pt.append(r - COORD_BOUND)
+        pts.append(tuple(pt))
     return pts
 
 
@@ -277,7 +285,10 @@ def sample_T_coincident(g: Graph, T: Iterable[int], d: int, seed: int) -> Realiz
 
     Coordinates of min(T) and of every vertex outside T are independent
     uniform integers in [-2^20, 2^20], drawn in vertex-id order, so a seed
-    fully determines the realization.
+    fully determines the realization.  Each is ``getrandbits(22)``, drawn
+    again while above 2^21, minus 2^20: the stream that
+    ``random.Random(seed).randint(-2^20, 2^20)`` gives, without its
+    per-call overhead.
     """
     pts = _sample_points(g, _check_sample_args(g, T, d), d, seed)
     return Realization(d, {v: tuple(Fraction(c) for c in pt)

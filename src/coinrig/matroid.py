@@ -118,14 +118,33 @@ class _RtChecker:
     so every verdict is the one that feeding each valid echelon every edge
     would give, while a trial's rows are drawn (``rows(t)``) only when its
     echelon is first asked.
+
+    Two exact certificates reject an edge ab with no trial, or with
+    trial 0 alone; the catch-up depends only on the accepted edges, so
+    leaving it for later changes no verdict:
+
+    - both endpoints in T: all of T sits at one point in every trial, so
+      the row is zero;
+    - in the plane (``game``, a ``PebbleGame`` holding exactly the accepted
+      edges): once trial 0 rejects, a game that cannot take ab shows a
+      vertex set X spanning more than 2|X| - 3 accepted edges plus ab.
+      Their rows are dependent in every planar realization (mod p too),
+      and the accepted rows are independent in every valid trial, so every
+      valid trial rejects ab.
+
+    Accepted rows are independent, so the accepted edges are (2,3)-sparse
+    and the game must take each of them; ``InvariantError`` if it does not.
     """
 
-    def __init__(self, rows: Callable[[int], dict], trials: int):
+    def __init__(self, rows: Callable[[int], dict], trials: int,
+                 T: frozenset[int], game: PebbleGame | None):
         self.rows = rows
         self.echelons = [ModpEchelon() for _ in range(trials)]
         self.valid = [True] * trials
         self.done = [0] * trials  # accepted edges each echelon has taken
         self.accepted: list[tuple[int, int]] = []
+        self.T = T
+        self.game = game
 
     def _catch_up(self, j: int) -> bool:
         """Replay the accepted edges echelon j has not seen; False if invalid."""
@@ -140,9 +159,17 @@ class _RtChecker:
         return True
 
     def try_add(self, a, b) -> bool:
+        if a in self.T and b in self.T:
+            return False  # a zero row in every trial
         e = (a, b) if a < b else (b, a)
+        game = self.game
         for j, ech in enumerate(self.echelons):
+            if j == 1 and game is not None and not game.gather(a, b):
+                return False  # over the Maxwell count: dependent in every trial
             if self._catch_up(j) and ech.try_add(self.rows(j)[e]):
+                if game is not None and not game.try_insert(a, b):
+                    raise InvariantError(f"rt accepted {e}, but the accepted "
+                                         "edges are not (2,3)-sparse")
                 self.accepted.append(e)
                 self.done[j] += 1
                 return True
@@ -157,8 +184,10 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
     checker first asks for it and shared by all later queries; rows are
     tested by sparse elimination over GF(2^61 - 1), so accepted rows are
     independent over the rationals too.  Trial t's rows are those of
-    ``generic_rank``'s trial t at the same seed.  T and d are checked here,
-    once, before any sample is drawn.
+    ``generic_rank``'s trial t at the same seed.  Each checker rejects an
+    edge inside T, and in the plane an edge over the Maxwell count of its
+    own pebble game, without asking the later trials (``_RtChecker``).  T
+    and d are checked here, once, before any sample is drawn.
     """
     ts = _check_sample_args(g, T, d)
     row_maps: list[dict | None] = [None] * RT_TRIALS
@@ -168,7 +197,11 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
             row_maps[t] = _trial_rows(g, ts, d, seed, t)
         return row_maps[t]
 
-    return IndependenceOracle("rt", g.edges, lambda: _RtChecker(rows, RT_TRIALS).try_add)
+    def new_checker():
+        game = PebbleGame(g.n) if d == 2 else None
+        return _RtChecker(rows, RT_TRIALS, ts, game).try_add
+
+    return IndependenceOracle("rt", g.edges, new_checker)
 
 
 # -- rank computations ---------------------------------------------------

@@ -1,6 +1,6 @@
 """(2,3)-pebble game: rank computation in the 2-dimensional rigidity matroid.
 
-Each vertex starts with two pebbles.  An edge is accepted when three pebbles
+Each vertex starts with two pebbles.  An edge is accepted when four pebbles
 can be gathered on its endpoints; accepted edges form a maximal (2,3)-sparse
 subset of the input, whose size is the rank of the edge set.  Pebbles are
 fetched by depth-first search along accepted-edge orientations, reversing
@@ -60,11 +60,12 @@ class PebbleGame:
             w = v
         return True
 
-    def try_insert(self, a: int, b: int) -> bool:
-        """Accept edge ab iff the accepted set stays (2,3)-sparse.
+    def gather(self, a: int, b: int) -> bool:
+        """Whether ab keeps the accepted set (2,3)-sparse; accepts nothing.
 
-        Acceptance needs l+1 = 4 pebbles gathered on the endpoints: three
-        would only witness sparsity before the insertion.
+        That needs l+1 = 4 pebbles gathered on the endpoints: three would
+        only witness sparsity before the insertion.  Pebbles may move, but
+        the accepted edges stay the same.
         """
         if a == b:
             raise ValueError("loop edge")
@@ -72,7 +73,11 @@ class PebbleGame:
             pass
         while self.pebbles[b] < 2 and self._fetch(b, a):
             pass
-        if self.pebbles[a] + self.pebbles[b] < 4:
+        return self.pebbles[a] + self.pebbles[b] == 4
+
+    def try_insert(self, a: int, b: int) -> bool:
+        """Accept edge ab iff the accepted set stays (2,3)-sparse."""
+        if not self.gather(a, b):
             return False
         self.accepted += 1
         self.pebbles[a] -= 1

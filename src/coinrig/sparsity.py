@@ -28,6 +28,7 @@ decisions take a ``cap`` argument, which ``sparse --cap`` sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable
 
@@ -302,6 +303,13 @@ def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityV
 # -- sparsity decisions ------------------------------------------------
 
 
+@cache
+def _capacity_table(n: int) -> tuple[int, ...]:
+    """2|X| - 3 for every vertex set X over n vertices, indexed by bitmask;
+    built once per n and shared by every checker."""
+    return tuple(2 * x.bit_count() - 3 for x in range(1 << n))
+
+
 def _check_cap(n: int, cap: int = DEFAULT_CAP):
     """Refuse an enumeration over more than ``cap`` vertices (the one cap)."""
     if n > cap:
@@ -389,7 +397,7 @@ class StrongSparsityChecker:
         self.full = (1 << n) - 1
         self.t_mask = _mask_of(T)
         self.i_cnt = [0] * (1 << n)
-        self.cap = [2 * x.bit_count() - 3 for x in range(1 << n)]
+        self.cap = _capacity_table(n)
         self.s_masks = [_mask_of(s) for s in subsets_of_two_or_more(_bits(self.t_mask))]
 
     def _unbump(self, eb: int, last: int):

@@ -257,6 +257,25 @@ def test_mrank_both_needs_the_plane(capsys, tmp_path):
     assert code == 0 and doc["rt"]["rank"] == 8
 
 
+def test_mrank_mt_needs_the_plane(capsys, k4_file):
+    # --d means one thing for every oracle: mt (the default) has only d = 2
+    for argv in (["--oracle", "mt", "--d", "3"], ["--d", "3"], ["--d", "0"]):
+        err = error_line(capsys, "mrank", *argv, "--graph", k4_file)
+        assert err == "error: --oracle mt needs --d 2: mt is the planar matroid\n", argv
+    code, doc = run(capsys, "mrank", "--d", "2", "--graph", k4_file)
+    assert code == 0 and doc["mt"]["rank"] == 5
+
+
+def test_rank_on_the_empty_graph_names_it(capsys, tmp_path):
+    # with no T given, rank defaults T to {0}, which an empty graph lacks
+    path = tmp_path / "empty.json"
+    path.write_text('{"n":0,"edges":[]}')
+    err = error_line(capsys, "rank", "--graph", str(path))
+    assert err == "error: the graph is empty: no vertex to default T to\n"
+    err = error_line(capsys, "rank", "--graph", str(path), "--T", "0")
+    assert err == "error: T contains invalid vertex 0\n"
+
+
 def _seeded_graph(n):
     rng = random.Random(f"witness:{n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -182,6 +182,22 @@ def test_integer_sampler_matches_realization():
         sample_T_coincident(Graph(3, []), {0, 3}, 2, 0)
 
 
+def test_sampler_draws_the_randint_stream():
+    # the inlined draw must keep every realization, digest and seeded
+    # witness: each coordinate is random.Random(seed).randint's next draw
+    bound = linalg.COORD_BOUND
+    for d in (1, 2, 3):
+        for t_size in (1, 2, 3):
+            for seed in (0, 1, 7, 12345, 2**40 + 3):
+                n = 9
+                T = frozenset(random.Random(seed).sample(range(n), t_size))
+                ref, rng, want = min(T), random.Random(seed), []
+                for v in range(n):
+                    want.append(want[ref] if v > ref and v in T else
+                                tuple(rng.randint(-bound, bound) for _ in range(d)))
+                assert _sample_points(Graph(n, []), T, d, seed) == want, (d, T, seed)
+
+
 def test_generic_rank_report_fields():
     K4 = complete_graph(4)
     rep = generic_rank(K4, {0, 1}, 2, trials=3, seed=1)

@@ -8,12 +8,14 @@ import coinrig.matroid
 from coinrig.checks import fixtures
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (ModpEchelon, _sample_points, _sparse_rows,
-                            _trial_seed, rank_exact, rigidity_matrix,
-                            sample_T_coincident)
+                            _trial_rows, _trial_seed, rank_exact,
+                            rigidity_matrix, sample_T_coincident)
 from coinrig.matroid import (MatroidRankCertificate, _RtChecker, circuits_upto,
                              greedy_rank, laman_oracle, mt_oracle,
                              mt_rank_cover_min, rt_oracle)
-from coinrig.sparsity import (AugmentedFamily, CompatibleFamily, _mask_of,
+from coinrig.pebble import PebbleGame
+from coinrig.sparsity import (AugmentedFamily, CompatibleFamily,
+                              InvariantError, _mask_of,
                               subsets_of_two_or_more, val_augmented,
                               val_family)
 from test_sparsity import partial_partitions, reference_min_thin_cover
@@ -247,7 +249,8 @@ class EagerRtChecker:
 
 
 def _assert_rt_checker_matches_eager(row_maps, order):
-    lazy = _RtChecker(row_maps.__getitem__, len(row_maps))
+    # crafted rows are no rigidity rows: no certificate applies to them
+    lazy = _RtChecker(row_maps.__getitem__, len(row_maps), frozenset(), None)
     eager = EagerRtChecker(row_maps)
     got = [lazy.try_add(a, b) for a, b in order]
     want = [eager.try_add(a, b) for a, b in order]
@@ -274,7 +277,7 @@ def test_rt_checker_matches_eager_reference_when_trials_disagree():
     e1, e2, e3 = (0, 1), (0, 2), (1, 2)
     row_maps = [{e1: {0: 1}, e2: {0: 2}, e3: {1: 1}},
                 {e1: {0: 1}, e2: {1: 1}, e3: {1: 3}}]
-    lazy = _RtChecker(row_maps.__getitem__, 2)
+    lazy = _RtChecker(row_maps.__getitem__, 2, frozenset(), None)
     assert [lazy.try_add(*e) for e in (e1, e2, e3)] == [True, True, False]
     assert _assert_rt_checker_matches_eager(row_maps, [e1, e2, e3]) == [False, True]
     # random low-dimensional rows, different per trial, disagree often
@@ -290,21 +293,79 @@ def test_rt_checker_matches_eager_reference_when_trials_disagree():
     assert invalidated > 100
 
 
-def test_rt_rows_drawn_only_when_a_trial_is_asked():
-    k4 = complete_graph(4)
-    row_maps = [_sparse_rows(k4, _sample_points(k4, frozenset({0}), 2, _trial_seed(5, t)), 2)
-                for t in range(3)]
+def test_rt_oracle_checker_matches_eager_reference():
+    # the certificates (an edge inside T; in the plane, the pebble game)
+    # reject without the later trials, and change no verdict
+    rng = random.Random(10)
+    for d in (2, 3):
+        for t_size in range(1, 6):
+            for _ in range(12):
+                g, T = random_instance(rng, 8, t_size)
+                seed = rng.getrandbits(16)
+                row_maps = [_trial_rows(g, T, d, seed, t) for t in range(3)]
+                order = g.edge_list()
+                rng.shuffle(order)
+                add = rt_oracle(g, T, d=d, seed=seed).incremental()
+                eager = EagerRtChecker(row_maps)
+                assert ([add(a, b) for a, b in order]
+                        == [eager.try_add(a, b) for a, b in order]), (d, g.edge_list(), sorted(T))
+
+
+def _counting_rows(row_maps):
     asked = []
 
     def rows(t):
         asked.append(t)
         return row_maps[t]
 
-    lazy = _RtChecker(rows, 3)
+    return rows, asked
+
+
+def test_rt_rows_drawn_only_when_a_trial_is_asked():
+    # K4 with T = {0}: the sixth edge breaks the Maxwell count 2|X| - 3,
+    # so no further trial is drawn for it
+    k4, T = complete_graph(4), frozenset({0})
+    rows, asked = _counting_rows([_trial_rows(k4, T, 2, 5, t) for t in range(3)])
+    lazy = _RtChecker(rows, 3, T, PebbleGame(4))
     assert all(lazy.try_add(a, b) for a, b in k4.edge_list() if (a, b) != (0, 3))
+    assert not lazy.try_add(0, 3)
     assert set(asked) == {0}
-    assert not lazy.try_add(0, 3)  # K4 is dependent in every trial
+    # K_{2,3} plus the edge inside T = {0, 1}: that edge draws no trial at
+    # all; (1, 4) keeps the count but is dependent with 0 and 1 at one
+    # point, an uncertified rejection that draws trials 1 and 2
+    g, T = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), frozenset({0, 1})
+    rows, asked = _counting_rows([_trial_rows(g, T, 2, 5, t) for t in range(3)])
+    lazy = _RtChecker(rows, 3, T, PebbleGame(5))
+    assert not lazy.try_add(0, 1) and asked == []
+    assert all(lazy.try_add(a, b) for a, b in g.edge_list()[1:-1])
+    assert set(asked) == {0}
+    assert not lazy.try_add(1, 4)
     assert set(asked) == {0, 1, 2}
+
+
+def test_rt_later_trial_accepts_an_uncertified_edge_trial_0_rejects():
+    # trial 0 puts the triangle on a line, so it rejects (1, 2); the pebble
+    # game takes the edge, so trial 1 is asked, replays the accepted edges
+    # and accepts it; trial 0 turns invalid
+    tri, T = complete_graph(3), frozenset({0})
+    row_maps = [_sparse_rows(tri, [(0, 0), (1, 1), (3, 3)], 2),
+                *(_trial_rows(tri, T, 2, 5, t) for t in (1, 2))]
+    lazy = _RtChecker(row_maps.__getitem__, 3, T, PebbleGame(3))
+    assert [lazy.try_add(a, b) for a, b in tri.edge_list()] == [True, True, True]
+    assert [lazy._catch_up(j) for j in range(3)] == [False, True, True]
+    eager = EagerRtChecker(row_maps)
+    assert all(eager.try_add(a, b) for a, b in tri.edge_list())
+
+
+def test_rt_checker_refuses_rows_the_pebble_game_cannot_hold():
+    # independent rows on more edges than the Maxwell count allows are no
+    # planar rigidity rows: the checker stops with InvariantError
+    k4 = complete_graph(4)
+    rows = {e: {i: 1} for i, e in enumerate(k4.edge_list())}
+    lazy = _RtChecker([rows].__getitem__, 1, frozenset({0}), PebbleGame(4))
+    assert all(lazy.try_add(a, b) for a, b in k4.edge_list()[:5])
+    with pytest.raises(InvariantError, match="not \\(2,3\\)-sparse"):
+        lazy.try_add(*k4.edge_list()[5])
 
 
 def test_rt_oracle_checks_its_arguments_up_front():
