@@ -87,7 +87,8 @@ class MatroidRankCertificate:
 
 
 def mt_oracle(g: Graph, T: Iterable[int]) -> IndependenceOracle:
-    """Independence = the subgraph is strongly T-sparse."""
+    """Independence = the subgraph is strongly T-sparse, decided by pebble
+    games on graphs of any size; a T over ``DEFAULT_CAP`` is refused."""
     ts = g._check_T(T)
     n = g.n
     return IndependenceOracle("mt", g.edges,

@@ -1,10 +1,10 @@
-"""(2,3)-pebble game: rank computation in the 2-dimensional rigidity matroid.
+"""Pebble games: rank computation in count matroids, chiefly R_2.
 
-Each vertex starts with two pebbles.  An edge is accepted when four pebbles
-can be gathered on its endpoints; accepted edges form a maximal (2,3)-sparse
-subset of the input, whose size is the rank of the edge set.  Pebbles are
-fetched by depth-first search along accepted-edge orientations, reversing
-the path walked.
+Each vertex v starts with cap[v] pebbles (two by default).  An edge is
+accepted when l + 1 pebbles (four by default) can be gathered on its
+endpoints; accepted edges form a maximal sparse subset of the input, whose
+size is the rank of the edge set.  Pebbles are fetched by depth-first
+search along accepted-edge orientations, reversing the path walked.
 """
 
 from __future__ import annotations
@@ -13,16 +13,18 @@ from .graph import Graph
 
 
 class PebbleGame:
-    """Incremental (2,3)-pebble game on n vertices.
+    """Incremental pebble game on n vertices, (2,3) unless ``cap``/``l`` say.
 
-    Out-degree plus pebbles is 2 at every vertex, so each out-edge list
-    holds at most two heads.  The searches share one visited array, marked
-    with a fresh stamp per search, and one parent array.
+    Out-degree plus pebbles is cap[v] at every vertex, so each out-edge list
+    holds at most cap[v] heads.  The searches share one visited array,
+    marked with a fresh stamp per search, and one parent array.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, cap: list[int] | None = None, l: int = 3):
         self.n = n
-        self.pebbles = [2] * n
+        self.cap = [2] * n if cap is None else cap
+        self.need = l + 1
+        self.pebbles = list(self.cap)
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted = 0
         self._seen = [0] * n
@@ -61,24 +63,27 @@ class PebbleGame:
         return True
 
     def gather(self, a: int, b: int) -> bool:
-        """Whether ab keeps the accepted set (2,3)-sparse; accepts nothing.
+        """Whether ab keeps the accepted set sparse; accepts nothing.
 
-        That needs l+1 = 4 pebbles gathered on the endpoints: three would
-        only witness sparsity before the insertion.  Pebbles may move, but
-        the accepted edges stay the same.
+        That needs l + 1 pebbles gathered on the endpoints: l would only
+        witness sparsity before the insertion.  Pebbles may move, but the
+        accepted edges stay the same.
         """
         if a == b:
             raise ValueError("loop edge")
-        while self.pebbles[a] < 2 and self._fetch(a, b):
+        p, cap, need = self.pebbles, self.cap, self.need
+        while p[a] < cap[a] and p[a] + p[b] < need and self._fetch(a, b):
             pass
-        while self.pebbles[b] < 2 and self._fetch(b, a):
+        while p[b] < cap[b] and p[a] + p[b] < need and self._fetch(b, a):
             pass
-        return self.pebbles[a] + self.pebbles[b] == 4
+        return p[a] + p[b] >= need
 
     def try_insert(self, a: int, b: int) -> bool:
-        """Accept edge ab iff the accepted set stays (2,3)-sparse."""
+        """Accept ab iff the accepted set stays sparse; ab leaves a pebbled end."""
         if not self.gather(a, b):
             return False
+        if not self.pebbles[a]:
+            a, b = b, a
         self.accepted += 1
         self.pebbles[a] -= 1
         self.out[a].append(b)

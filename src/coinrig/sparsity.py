@@ -11,16 +11,15 @@ strictly lowers the family value, so any violating family reduces to one of
 this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
-One bitmask engine decides strong T-sparsity: a table of induced edge
-counts over all vertex subsets, a scan of set capacities (run only once
-the pebble game or an edge inside S shows that some set breaks its
-capacity), and one lexicographic search over weighted candidate blocks
-per S whose first hit is the canonical family witness.  ``is_S_sparse``
-and ``is_strongly_T_sparse`` run it; the incremental
-``StrongSparsityChecker`` shares the family search.
+``is_S_sparse`` and ``is_strongly_T_sparse`` run one bitmask engine: a
+table of induced edge counts over all vertex subsets, a scan of set
+capacities (run only once the pebble game or an edge inside S shows that
+some set breaks its capacity), and one search over weighted candidate
+blocks per S whose first hit is the canonical family witness.  The
+incremental ``StrongSparsityChecker`` decides by pebble games instead.
 
-Every exponential enumeration in the package (the subset tables here and
-the cover minimum in ``matroid``) is bounded by one vertex cap,
+Every enumeration (the subset tables here, the cover minimum in
+``matroid``, the checker's 2^|T| games) is bounded by one cap,
 ``DEFAULT_CAP``, enforced by ``_check_cap`` alone; only the two public
 decisions take a ``cap`` argument, which ``sparse --cap`` sets.
 """
@@ -28,12 +27,11 @@ decisions take a ``cap`` argument, which ``sparse --cap`` sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .pebble import pebble_rank_23
+from .pebble import PebbleGame, pebble_rank_23
 
 DEFAULT_CAP = 12
 
@@ -239,9 +237,8 @@ def _set_violation(g: Graph, i_cnt: list[int], s_mask: int):
     return _bits(best), i_cnt[best], best_cap
 
 
-def _family_candidates(i_cnt: list[int], s_mask: int, free: int,
-                       part: int = 0) -> list[tuple[int, int]]:
-    """Blocks B = part | sub, sub inside free, whose S|B can join a violation.
+def _family_candidates(i_cnt: list[int], s_mask: int, free: int) -> list[tuple[int, int]]:
+    """Blocks B inside free whose S|B can join a violation.
 
     With i(S) = 0 a family {S|B_1, ..., S|B_k} of disjoint blocks violates
     its capacity iff sum of w(B_i) exceeds 2|S|-2, where
@@ -249,15 +246,13 @@ def _family_candidates(i_cnt: list[int], s_mask: int, free: int,
     nonempty blocks with w >= 1 are returned, as (B, w(B)).
     """
     cands = []
-    sub = free
-    while True:
-        b = part | sub
+    b = free
+    while b:
         w = i_cnt[s_mask | b] - 2 * b.bit_count() + 1
-        if w >= 1 and b:
+        if w >= 1:
             cands.append((b, w))
-        if not sub:
-            return cands
-        sub = (sub - 1) & free
+        b = (b - 1) & free
+    return cands
 
 
 def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
@@ -303,17 +298,10 @@ def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityV
 # -- sparsity decisions ------------------------------------------------
 
 
-@cache
-def _capacity_table(n: int) -> tuple[int, ...]:
-    """2|X| - 3 for every vertex set X over n vertices, indexed by bitmask;
-    built once per n and shared by every checker."""
-    return tuple(2 * x.bit_count() - 3 for x in range(1 << n))
-
-
-def _check_cap(n: int, cap: int = DEFAULT_CAP):
+def _check_cap(n: int, cap: int = DEFAULT_CAP, what: str = "graph"):
     """Refuse an enumeration over more than ``cap`` vertices (the one cap)."""
     if n > cap:
-        raise ValueError(f"graph has {n} vertices, enumeration cap is {cap}")
+        raise ValueError(f"{what} has {n} vertices, enumeration cap is {cap}")
 
 
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
@@ -371,77 +359,66 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
 class StrongSparsityChecker:
     """Incremental strong T-sparsity test used by greedy matroid runs.
 
-    T is a nonempty set of vertices, as ``mt_oracle`` checks.  Maintains
-    the subset-count table of the edges accepted so far; ``try_add``
-    accepts an edge iff the grown edge set is still strongly T-sparse, and
-    leaves the state unchanged otherwise.  Since the accepted
-    set always is strongly T-sparse, only what the new edge ab can change
-    is tested:
+    ``try_add`` accepts ab iff F, the accepted edges plus ab, stays
+    strongly T-sparse, and leaves the accepted edges unchanged otherwise.
+    T is a nonempty vertex set (``mt_oracle`` checks it) within the
+    enumeration cap, since each S inside T gets a game.  F is strongly
+    T-sparse iff no edge of F lies inside T, F is (2,3)-sparse (the other
+    set capacities), and for each S with |S| >= 2 no disjoint blocks B_i of
+    V minus S weigh over 2|S| - 2 in total, where w(B) = i(S|B) - 2|B| + 1
+    (the family condition of the module docstring).
 
-    - the (2,3)-count of the sets holding ab, in the same walk that bumps
-      their counts (on a failure only that prefix is undone); with no
-      edge inside T these are all the set capacities that can break;
-    - for each S with |S| >= 2, the families through f = {a, b} minus S.
-      The edge raises the weight w(B) = i(S|B) - 2|B| + 1 of exactly the
-      blocks B holding f, and disjoint blocks hold f at most once, so a
-      family that now weighs over 2|S| - 2 has one such block B0 with
-      w(B0) >= 1 (its other blocks weighed the same before).  S is skipped
-      when no block through f has w >= 1; otherwise each B0 asks the
-      shared family search for positive blocks disjoint from it weighing
-      over 2|S| - 2 - w(B0).
+    The family condition bounds a nullity.  Contract S to s = min S,
+    keeping parallel edges, with capacity c(s) = 0 and c(v) = 2 elsewhere.
+    M_S is the count matroid on G/S in which a nonempty edge set E' has at
+    most f(E') = c(V(E')) - 1 edges; f is nondecreasing and intersecting
+    submodular (for E1, E2 sharing an edge, f(E1) + f(E2) =
+    c(V1 | V2) + c(V1 & V2) - 2 >= f(E1 | E2) + f(E1 & E2)).  By Edmonds'
+    rank formula, the nullity of F in M_S is the largest total excess
+    |F_i| - f(F_i) of disjoint nonempty parts F_i of F.  Only parts of
+    positive excess count, and each spans s, or it would have 2|V(F_i)|
+    edges of G against (2,3)-sparsity.  Two that share a vertex besides s
+    merge into one whose excess beats their sum by c(V_i & V_j) - 1 >= 1.
+    So an optimum takes parts s|B_i with disjoint B_i and every edge they
+    span: the i(S|B_i) edges of S|B_i (none lies inside S), of excess
+    w(B_i).  The nullity is therefore the heaviest family weight, and S's
+    condition says that F's nullity in M_S is at most 2|S| - 2.
+
+    The checker holds a (2,3) ``PebbleGame`` and, per S, a game of M_S
+    (l = 1) with the slack 2|S| - 2 minus the accepted edges' nullity.  ab
+    is accepted iff it is not inside T, four pebbles gather on it in the
+    (2,3) game, and for every S two pebbles gather on its image or the
+    slack is positive: O(2^|T|) pebble searches per edge.
     """
 
     def __init__(self, n: int, T: Iterable[int]):
-        _check_cap(n)
-        self.n = n
-        self.full = (1 << n) - 1
-        self.t_mask = _mask_of(T)
-        self.i_cnt = [0] * (1 << n)
-        self.cap = _capacity_table(n)
-        self.s_masks = [_mask_of(s) for s in subsets_of_two_or_more(_bits(self.t_mask))]
-
-    def _unbump(self, eb: int, last: int):
-        """Undo the count bumps of the sets holding eb, up to ``last``."""
-        i_cnt, full = self.i_cnt, self.full
-        s = eb
-        while True:
-            i_cnt[s] -= 1
-            if s == last or s == full:
-                return
-            s = (s + 1) | eb
-
-    def _family_hit(self, s_mask: int, f: int) -> bool:
-        """Whether some S-family with a block through f weighs over 2|S| - 2."""
-        thresh = 2 * s_mask.bit_count() - 2
-        comp = self.full & ~s_mask
-        for b0, w0 in _family_candidates(self.i_cnt, s_mask, comp & ~f, f):
-            if w0 > thresh:
-                return True  # the block alone
-            rest = _family_candidates(self.i_cnt, s_mask, comp & ~b0)
-            if _family_witness(rest, thresh - w0) is not None:
-                return True
-        return False
+        self.T = frozenset(T)
+        _check_cap(len(self.T), what="T")
+        self.game = PebbleGame(n)
+        self.family_games = []  # (S, s, M_S game)
+        for S in subsets_of_two_or_more(self.T):
+            cap = [2] * n
+            cap[min(S)] = 0
+            self.family_games.append((S, min(S), PebbleGame(n, cap, l=1)))
+        self.slack = [2 * len(S) - 2 for S, _, _ in self.family_games]
 
     def try_add(self, a: int, b: int) -> bool:
-        eb = (1 << a) | (1 << b)
         if a == b:
             raise ValueError("loop edge")
-        if eb & ~self.t_mask == 0:
-            return False  # edge inside T: capacity 0 for S = {a, b}
-        i_cnt, cap, full = self.i_cnt, self.cap, self.full
-        s = eb
-        while True:  # bump i(X) for the sets X holding ab, checking 2|X| - 3
-            i_cnt[s] += 1
-            if i_cnt[s] > cap[s]:
-                self._unbump(eb, s)
+        if a in self.T and b in self.T or not self.game.gather(a, b):
+            return False
+        images = []  # ab's image in each game that takes it, else None
+        for (S, s, game), slack in zip(self.family_games, self.slack):
+            image = (s if a in S else a, s if b in S else b)
+            images.append(image if game.gather(*image) else None)
+            if not (images[-1] or slack):
                 return False
-            if s == full:
-                break
-            s = (s + 1) | eb
-        for s_mask in self.s_masks:
-            if self._family_hit(s_mask, eb & ~s_mask):
-                self._unbump(eb, full)
-                return False
+        self.game.try_insert(a, b)
+        for i, image in enumerate(images):
+            if image:
+                self.family_games[i][2].try_insert(*image)
+            else:
+                self.slack[i] -= 1
         return True
 
     def accepts_all(self, edges: Iterable[tuple[int, int]]) -> bool:

@@ -126,13 +126,11 @@ def test_cross_validate_small():
     assert report["mismatches"] == 0
     assert not report["conjectural"]
     assert set(report["by_t_size"]) == {1, 2, 3}
-    # the one enumeration cap bounds the largest graph a run can draw,
-    # refused before the first sample; up to the cap runs go through
-    assert cross_validate(12, [2, 3], 4, seed=8)["mismatches"] == 0
-    with pytest.raises(ValueError, match="13 vertices, enumeration cap is 12"):
-        cross_validate(13, [2], 1, seed=0)
-    with pytest.raises(ValueError, match="enumeration cap is 12"):
-        cross_validate(6, [2, 13], 0, seed=0)
+    # graphs of any size run; the greedy mt checker refuses a T over the
+    # enumeration cap, since it plays a pebble game per subset of T
+    assert cross_validate(30, [2, 3], 4, seed=8)["mismatches"] == 0
+    with pytest.raises(ValueError, match="T has 13 vertices, enumeration cap is 12"):
+        cross_validate(6, [2, 13], 2, seed=0)
 
 
 def test_conjecture_search():

@@ -305,10 +305,19 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     graph = ["--graph", str(path)]
     msg = "error: graph has 13 vertices, enumeration cap is 12\n"
     for argv in (["sparse", *graph], ["sparse", "--strong", *graph],
-                 ["mrank", *graph], ["mrank", "--witness", *graph],
+                 ["mrank", "--witness", *graph],
                  ["mrank", "--oracle", "both", "--witness", *graph],
-                 ["xval", "--n-max", "13"],
                  ["conjecture", "--n-max", "13"]):
+        assert error_line(capsys, *argv) == msg, argv
+    # the greedy mt checker plays a pebble game per subset of T: graphs of
+    # any size run, and only a T over the cap is refused
+    code, doc = run(capsys, "mrank", *graph)
+    assert code == 0 and doc["mt"]["rank"] == 2
+    code, doc = run(capsys, "xval", "--n-max", "13", "--samples", "6")
+    assert code == 0 and doc["mismatches"] == 0
+    msg = "error: T has 13 vertices, enumeration cap is 12\n"
+    for argv in (["mrank", *graph, "--T", ",".join(map(str, range(13)))],
+                 ["xval", "--t-sizes", "13", "--samples", "2"]):
         assert error_line(capsys, *argv) == msg, argv
     # sparse --cap is the one override
     code, doc = run(capsys, "sparse", "--cap", "13", *graph)

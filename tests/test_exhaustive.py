@@ -6,8 +6,10 @@ small enough to sweep completely.
 
 from itertools import combinations
 
+import pytest
+
 from coinrig.graph import Graph, complete_graph
-from coinrig.matroid import mt_oracle, rt_oracle
+from coinrig.matroid import greedy_rank, mt_oracle, rt_oracle
 from coinrig.sparsity import is_strongly_T_sparse
 
 
@@ -66,3 +68,26 @@ def test_base_cardinality_axiom_exhaustive_k4():
                             continue  # not maximal
                         maximal_sizes.add(k)
                 assert len(maximal_sizes) == 1, (sorted(es), sorted(T))
+
+
+def test_greedy_mt_bases_over_the_graph_atlas():
+    # every graph on 3-6 vertices and every T with |T| = 2-4: the pebble-game
+    # checker's greedy base is strongly T-sparse, and maximal, by the bitmask
+    # decision
+    nx = pytest.importorskip("networkx")
+    pairs = families = 0
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if not 3 <= n <= 6:
+            continue
+        g = Graph(n, list(atlas_graph.edges()))
+        for k in range(2, min(4, n) + 1):
+            for T in combinations(range(n), k):
+                base = greedy_rank(mt_oracle(g, T)).base
+                assert is_strongly_T_sparse(Graph(n, base), T) is None, (g.edge_list(), T)
+                for e in g.edges - set(base):
+                    v = is_strongly_T_sparse(Graph(n, base + (e,)), T)
+                    assert v is not None, (g.edge_list(), T, e)
+                    families += v.kind == "family"
+                pairs += 1
+    assert pairs == 8787 and families > 100

@@ -6,6 +6,7 @@ import pytest
 
 import coinrig.matroid
 from coinrig.checks import fixtures
+from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (ModpEchelon, _sample_points, _sparse_rows,
                             _trial_rows, _trial_seed, rank_exact,
@@ -389,18 +390,44 @@ def test_rt_base_is_certified_independent_over_q():
                 == len(base) for t in range(3)), (f.name, d)
 
 
+def _hinged_henneberg(rng, n, t_size, extra):
+    """A Henneberg graph less its edges inside T, plus ``extra`` edges from
+    T to other vertices: common T-neighbours make family conditions bite."""
+    T = frozenset(rng.sample(range(n), t_size))
+    g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T)
+    others = [v for v in range(n) if v not in T]
+    hinges = [(t, x) for x in rng.sample(others, extra)
+              for t in rng.sample(sorted(T), rng.randint(2, t_size))]
+    return g.add_edges([e for e in hinges if tuple(sorted(e)) not in g.edges][:extra]), T
+
+
 def test_greedy_base_size_permutation_invariant():
+    # a matroid property, so it holds past the enumeration cap with no
+    # reference: the hinged n = 40 graphs have |T| = 4 and 5
     rng = random.Random(4)
-    for _ in range(30):
-        g, T = random_instance(rng, 7, rng.randint(1, 4))
+    instances = [random_instance(rng, 7, rng.randint(1, 4)) for _ in range(30)]
+    instances += [_hinged_henneberg(rng, 40, 4 + i % 2, 10) for i in range(6)]
+    for g, T in instances:
         oracle = mt_oracle(g, T)
-        sizes = set()
+        sizes = {greedy_rank(oracle).rank}
         for _ in range(5):
             order = g.edge_list()
             rng.shuffle(order)
             chk = oracle.incremental()
             sizes.add(sum(1 for a, b in order if chk(a, b)))
-        assert len(sizes) == 1
+        assert len(sizes) == 1, (g.edge_list(), sorted(T))
+
+
+@pytest.mark.parametrize("n", [30, 60, 100, 200])
+def test_mt_rt_agree_past_the_enumeration_cap(n):
+    # the theorem for |T| <= 3 on graphs no subset table could hold
+    rng = random.Random(n)
+    for t_size in (2, 3):
+        g, T = _hinged_henneberg(rng, n, t_size, n // 5)
+        mt = greedy_rank(mt_oracle(g, T))
+        rt = greedy_rank(rt_oracle(g, T, seed=n))
+        assert mt.rank == rt.rank, (g.edge_list(), sorted(T))
+        assert mt.base == rt.base
 
 
 def test_conjectural_flag():

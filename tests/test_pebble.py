@@ -93,3 +93,45 @@ def test_decisions_are_subset_counts_and_pebbles_balance():
                 accepted.append((a, b))
             assert all(len(game.out[v]) + game.pebbles[v] == 2 for v in range(n))
         assert game.accepted == len(accepted)
+
+
+def test_capacity_zero_vertex_with_l_one():
+    # s = 0 holds no pebble; an edge needs two pebbles gathered on its ends
+    game = PebbleGame(3, cap=[0, 2, 2], l=1)
+    assert game.try_insert(0, 1)
+    assert game.out[1] == [0] and game.out[0] == []  # it leaves the pebbled end
+    assert not game.try_insert(1, 0)  # s-a twice spans {s, a}: 2 > c - 1 = 1
+    assert game.try_insert(1, 2)
+    assert game.accepted == 2
+
+
+def _fits_count(cap, l, edges):
+    """Every vertex set X spanning an edge spans at most cap(X) - l of them."""
+    n = len(cap)
+    for k in range(1, n + 1):
+        for X in combinations(range(n), k):
+            xs = set(X)
+            cnt = sum(1 for a, b in edges if a in xs and b in xs)
+            if cnt and cnt > sum(cap[v] for v in X) - l:
+                return False
+    return True
+
+
+def test_capacities_balance_and_decide_the_count():
+    # a vertex of capacity 0 (a contracted set) and l = 1, with parallel
+    # edges: decisions are the count, and pebbles + out-degree = capacity
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        cap = [2] * n
+        cap[rng.randrange(n)] = 0
+        game = PebbleGame(n, cap=cap, l=1)
+        accepted = []
+        for _ in range(rng.randint(0, 3 * n)):
+            a, b = rng.sample(range(n), 2)
+            want = _fits_count(cap, 1, accepted + [(a, b)])
+            assert game.try_insert(a, b) == want, (cap, accepted, (a, b))
+            if want:
+                accepted.append((a, b))
+            assert all(len(game.out[v]) + game.pebbles[v] == cap[v] for v in range(n))
+        assert game.accepted == len(accepted)
