@@ -31,7 +31,7 @@ def _merge_label(parts: Iterable[str]) -> str:
 class Graph:
     """Simple graph: no loops, no parallel edges, vertex ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels")
+    __slots__ = ("n", "edges", "labels", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
@@ -51,6 +51,7 @@ class Graph:
         elif len(labels) != n:
             raise ValueError("labels must cover every vertex")
         object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "_adj", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -77,24 +78,25 @@ class Graph:
     def neighbors(self, v: int) -> set[int]:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
+        out, mask = set(), self.adjacency_masks()[v]
+        while mask:
+            low = mask & -mask
+            out.add(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def adjacency_masks(self) -> list[int]:
-        """Neighborhoods as bitmasks, one int per vertex."""
-        adj = [0] * self.n
-        for a, b in self.edges:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return adj
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighborhoods as bitmasks, one int per vertex; built on first use."""
+        if self._adj is None:
+            adj = [0] * self.n
+            for a, b in self.edges:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            object.__setattr__(self, "_adj", tuple(adj))
+        return self._adj
 
     def _check_subset(self, X: Iterable[int], name: str) -> frozenset[int]:
         xs = frozenset(X)

@@ -11,12 +11,15 @@ strictly lowers the family value, so any violating family reduces to one of
 this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
-``is_S_sparse`` and ``is_strongly_T_sparse`` run one bitmask engine: a
-table of induced edge counts over all vertex subsets, a scan of set
-capacities (run only once the pebble game or an edge inside S shows that
-some set breaks its capacity), and one search over weighted candidate
-blocks per S whose first hit is the canonical family witness.  The
-incremental ``StrongSparsityChecker`` decides by pebble games instead.
+``is_S_sparse`` and ``is_strongly_T_sparse`` decide by pebble games, the
+proof of which is in the ``StrongSparsityChecker`` docstring: one (2,3)
+game for the set capacities, a count of the edges inside S, and per S one
+game of a count matroid M_S whose nullity is the heaviest family weight.
+A verdict costs O(2^|T|) games.  Only a violation builds the bitmask
+engine, to name its canonical witness: a table of induced edge counts over
+all vertex subsets, then a scan of set capacities or a search over
+weighted candidate blocks of the failing S, whose first hit is the
+canonical family witness.
 
 Every enumeration (the subset tables here, the cover minimum in
 ``matroid``, the checker's 2^|T| games) is bounded by one cap,
@@ -218,22 +221,21 @@ def _lex_less(x: int, y: int) -> bool:
     return bool(y & above) if x & low else not x & above
 
 
-def _set_violation(g: Graph, i_cnt: list[int], s_mask: int):
-    """Lexicographically smallest set X with i(X) > val_S(X), if any.
+def _set_violation(n: int, i_cnt: list[int], s_mask: int):
+    """Lexicographically smallest set X with i(X) > val_S(X).
 
-    One exists iff an edge lies inside S or g is not (2,3)-sparse, which
-    the pebble game decides; only then are the 2^n sets scanned.
+    Callers scan only once a pebble game or an edge inside S shows that
+    some set breaks its capacity.
     """
-    if not i_cnt[s_mask] and pebble_rank_23(g) == len(g.edges):
-        return None
     best = best_cap = 0
-    for x in range(1, 1 << g.n):
+    for x in range(1, 1 << n):
         pc = x.bit_count()
         if pc < 2:
             continue
         cap = 0 if x & ~s_mask == 0 else 2 * pc - 3
         if i_cnt[x] > cap and (not best or _lex_less(x, best)):
             best, best_cap = x, cap
+    _require(best != 0, "a set was shown to break its capacity, but none does")
     return _bits(best), i_cnt[best], best_cap
 
 
@@ -283,13 +285,13 @@ def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | No
     return dfs(blocks, 0)
 
 
-def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityViolation | None:
-    """The canonical violating S-family (given i(S) = 0), or None."""
+def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityViolation:
+    """The canonical violating S-family, given i(S) = 0 and that one exists."""
     s_mask = _mask_of(ss)
     cands = _family_candidates(i_cnt, s_mask, ((1 << n) - 1) & ~s_mask)
     blocks = _family_witness(cands, 2 * len(ss) - 2)
-    if blocks is None:
-        return None
+    _require(blocks is not None, "the family game's nullity exceeds 2|S| - 2, "
+             "but no family of blocks is that heavy")
     fam = CompatibleFamily(ss, tuple(ss | frozenset(_bits(b)) for b in blocks))
     lhs = sum(i_cnt[s_mask | b] for b in blocks)
     return SparsityViolation("family", ss, fam, lhs, val_family(fam))
@@ -304,20 +306,45 @@ def _check_cap(n: int, cap: int = DEFAULT_CAP, what: str = "graph"):
         raise ValueError(f"{what} has {n} vertices, enumeration cap is {cap}")
 
 
+def _family_game(n: int, S: frozenset[int]) -> PebbleGame:
+    """The pebble game of M_S on n vertices: S contracted to min(S), which
+    holds no pebble, two pebbles elsewhere, and l = 1."""
+    cap = [2] * n
+    cap[min(S)] = 0
+    return PebbleGame(n, cap, l=1)
+
+
+def _family_breaks(g: Graph, ss: frozenset[int]) -> bool:
+    """Whether g's nullity in M_S exceeds 2|S| - 2: with g (2,3)-sparse and
+    no edge inside S, whether some S-family breaks its capacity."""
+    s, game = min(ss), _family_game(g.n, ss)
+    slack = 2 * len(ss) - 2
+    for a, b in g.edge_list():
+        if not game.try_insert(s if a in ss else a, s if b in ss else b):
+            slack -= 1
+            if slack < 0:
+                return True
+    return False
+
+
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
     """None iff every set and every S-compatible family respects its capacity.
 
     Otherwise the canonically smallest violating set, or the canonically
     first violating family of candidate blocks, is returned as the witness.
+    Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
+    its capacity iff an edge lies inside S or the (2,3) game rejects an
+    edge; failing that, some family does iff the nullity in M_S exceeds
+    2|S| - 2.  The 2^n subset table is built only to name a violation.
     """
     ss = g._check_T(S, "S")
     _check_cap(g.n, cap)
-    i_cnt = subset_edge_counts(g)
-    hit = _set_violation(g, i_cnt, _mask_of(ss))
-    if hit:
-        key, lhs, rhs = hit
+    if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
+        key, lhs, rhs = _set_violation(g.n, subset_edge_counts(g), _mask_of(ss))
         return SparsityViolation("set", ss, frozenset(key), lhs, rhs)
-    return _family_violation(g.n, i_cnt, ss)
+    if _family_breaks(g, ss):
+        return _family_violation(g.n, subset_edge_counts(g), ss)
+    return None
 
 
 def subsets_of_two_or_more(T: Iterable[int]) -> list[frozenset[int]]:
@@ -331,28 +358,27 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     """None iff g is S-sparse for every nonempty S inside T.
 
     Subsets are checked smallest first (then lexicographically); the first
-    violation found is returned, as ``is_S_sparse`` would report it.  One
-    subset table serves every S.  All singletons share the (2,3)-count
-    capacities and have no family condition (with threshold 0 a block
-    counts iff S|B breaks the (2,3)-count), so one scan stands for them,
-    reported under S = {min T}.  Once it passes, the only set that can
-    break a larger S's capacity is a pair S with an edge, and pairs come
-    before larger sets.
+    violation found is returned, as ``is_S_sparse`` would report it.  All
+    singletons share the (2,3)-count capacities and have no family
+    condition (with threshold 0 a block counts iff S|B breaks the
+    (2,3)-count), so one (2,3) pebble game stands for them, and a
+    violation is reported under S = {min T}.  Once it passes, the only set
+    that can break a larger S's capacity is a pair S with an edge, and
+    pairs come before larger sets.  Each S then plays its M_S game (see
+    ``StrongSparsityChecker``): O(2^|T|) games per verdict, and a subset
+    table only to name a violating set or family.
     """
     ts = g._check_T(T)
     _check_cap(g.n, cap)
-    i_cnt = subset_edge_counts(g)
-    hit = _set_violation(g, i_cnt, 0)
-    if hit:
-        key, lhs, rhs = hit
+    if pebble_rank_23(g) < len(g.edges):
+        key, lhs, rhs = _set_violation(g.n, subset_edge_counts(g), 0)
         return SparsityViolation("set", frozenset({min(ts)}), frozenset(key), lhs, rhs)
     for s in subsets_of_two_or_more(ts):
-        inside = i_cnt[_mask_of(s)]
+        inside = g.induced_edge_count(s)
         if inside:
             return SparsityViolation("set", s, s, inside, 0)
-        v = _family_violation(g.n, i_cnt, s)
-        if v is not None:
-            return v
+        if _family_breaks(g, s):
+            return _family_violation(g.n, subset_edge_counts(g), s)
     return None
 
 
@@ -397,9 +423,7 @@ class StrongSparsityChecker:
         self.game = PebbleGame(n)
         self.family_games = []  # (S, s, M_S game)
         for S in subsets_of_two_or_more(self.T):
-            cap = [2] * n
-            cap[min(S)] = 0
-            self.family_games.append((S, min(S), PebbleGame(n, cap, l=1)))
+            self.family_games.append((S, min(S), _family_game(n, S)))
         self.slack = [2 * len(S) - 2 for S, _, _ in self.family_games]
 
     def try_add(self, a: int, b: int) -> bool:

@@ -81,6 +81,19 @@ def test_induced_count_monotone_and_total():
         assert g.induced_edge_count(X) <= g.induced_edge_count(Y)
 
 
+def test_neighbors_and_degree():
+    g = fig4()
+    assert g.neighbors(7) == {2, 4, 5} and g.degree(7) == 3
+    assert all(g.neighbors(v) == {w for e in g.edges if v in e for w in e} - {v}
+               for v in range(g.n))
+    assert Graph(3, [(0, 1)]).neighbors(2) == set()
+    for v in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match="out of range"):
+            g.degree(v)
+
+
 def test_contract_fig4():
     g = fig4()
     guv = g.contract({0, 1})

@@ -7,6 +7,7 @@ from coinrig import sparsity
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import generic_rank
+from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, absorb_set,
                               combine_families, coverage, is_S_sparse,
@@ -210,12 +211,16 @@ def test_matches_enumeration_reference():
 
 
 def test_checker_agrees_with_public_decision():
+    # both play pebble games, so each is held to the game-free enumeration
     rng = random.Random(43)
     for _ in range(150):
         g = random_graph(rng, 3, 7)
         T = frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n))))
-        fast = StrongSparsityChecker(g.n, T).accepts_all(g.edge_list())
-        assert fast == (is_strongly_T_sparse(g, T) is None)
+        hit = _reference_strong(g, T)
+        v = is_strongly_T_sparse(g, T)
+        assert (v and v.to_dict()) == (hit and _reference_S_sparse(g, hit[0])), \
+            (g.edge_list(), sorted(T))
+        assert StrongSparsityChecker(g.n, T).accepts_all(g.edge_list()) == (hit is None)
 
 
 def _reference_family(i_cnt, n, S):
@@ -267,6 +272,24 @@ def _reference_S_sparse(g, S):
             "lhs": lhs, "rhs": val_family(fam)}
 
 
+def _reference_strong(g, T):
+    """(S, kind) of the first violation that is_strongly_T_sparse(g, T)
+    reports, or None, by enumeration: no pebble game.  Every singleton S
+    has the (2,3) set capacities and no family past them, so {min T}
+    stands for all.  Once those hold, a set breaks a larger S's capacity
+    only by lying inside S with an edge, and then so does a pair inside S,
+    which comes first.  _reference_S_sparse(g, S) names the violation."""
+    i_cnt = subset_edge_counts(g)
+    if any(i_cnt[x] > 2 * x.bit_count() - 3 for x in range(1 << g.n) if x.bit_count() > 1):
+        return frozenset({min(T)}), "set"
+    for S in subsets_of_two_or_more(T):
+        if i_cnt[sum(1 << v for v in S)]:
+            return S, "set"
+        if _reference_family(i_cnt, g.n, S):
+            return S, "family"
+    return None
+
+
 def _hinged_graph(rng):
     """A Laman graph less its T-internal edges, whose other vertices gain
     edges to several T vertices: common neighbours of S breed family
@@ -304,7 +327,8 @@ def test_witnesses_match_unpruned_lexicographic_search():
 
 def test_checker_decides_each_edge_like_the_public_decision():
     # try_add tests only the sets and families through the new edge; every
-    # verdict must still be the full decision on the accepted edges plus it
+    # verdict, and the public decision's, must still be the full
+    # enumeration on the accepted edges plus it
     rng = random.Random(46)
     kinds = []
     for i in range(300):
@@ -318,26 +342,53 @@ def test_checker_decides_each_edge_like_the_public_decision():
         chk = StrongSparsityChecker(g.n, T)
         accepted = []
         for e in order:
-            v = is_strongly_T_sparse(Graph(g.n, accepted + [e]), T)
-            assert chk.try_add(*e) == (v is None), (accepted, e, sorted(T))
-            if v is None:
+            h = Graph(g.n, accepted + [e])
+            hit = _reference_strong(h, T)
+            v = is_strongly_T_sparse(h, T)
+            assert (v and v.to_dict()) == (hit and _reference_S_sparse(h, hit[0])), \
+                (accepted, e, sorted(T))
+            assert chk.try_add(*e) == (hit is None), (accepted, e, sorted(T))
+            if hit is None:
                 accepted.append(e)
             else:
-                kinds.append(v.kind)
+                kinds.append(hit[1])
     assert kinds.count("set") > 100 and kinds.count("family") > 20
 
 
-def test_strong_decision_builds_one_subset_table(monkeypatch):
-    calls = []
+def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
+    tables, ranks = [], []
 
-    def counting(g):
-        calls.append(g)
+    def counting_table(g):
+        tables.append(g)
         return subset_edge_counts(g)
 
-    monkeypatch.setattr(sparsity, "subset_edge_counts", counting)
+    def counting_rank(g):
+        ranks.append(g)
+        return pebble_rank_23(g)
+
+    monkeypatch.setattr(sparsity, "subset_edge_counts", counting_table)
+    monkeypatch.setattr(sparsity, "pebble_rank_23", counting_rank)
+
+    def counts(decide, g, T):
+        tables.clear()
+        ranks.clear()
+        v = decide(g, T)
+        return v and v.kind, len(tables), len(ranks)
+
+    T = {0, 2, 4, 6}
     path = Graph(8, [(v, v + 1) for v in range(7)])
-    assert is_strongly_T_sparse(path, {0, 2, 4, 6}) is None
-    assert len(calls) == 1
+    assert counts(is_strongly_T_sparse, path, T) == (None, 0, 1)
+    assert counts(is_S_sparse, path, T) == (None, 0, 1)
+    # an edge inside a pair S is its own witness; is_S_sparse must still
+    # scan for the lexicographically first set
+    chord = path.add_edges([(0, 2)])
+    assert counts(is_strongly_T_sparse, chord, T) == ("set", 0, 1)
+    assert counts(is_S_sparse, chord, T) == ("set", 1, 0)
+    # a set violation plays the (2,3) game once and does not replay it
+    assert counts(is_strongly_T_sparse, complete_graph(4), {0, 1}) == ("set", 1, 1)
+    assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 1, 1)
+    assert counts(is_strongly_T_sparse, fig4(), {0, 1, 2}) == ("family", 1, 1)
+    assert counts(is_S_sparse, fig4(), {0, 1}) == ("family", 1, 1)
 
 
 def test_necessity_on_algebraically_independent_inputs():
