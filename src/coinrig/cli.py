@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from .checks import (check_coincident_rigidity, conjecture_search,
                      cross_validate, fixtures)
@@ -92,6 +93,8 @@ def _cmd_sparse(args) -> int:
 def _cmd_mrank(args) -> int:
     if args.oracle != "rt" and args.d != 2:
         raise UsageError(f"--oracle {args.oracle} needs --d 2: mt is the planar matroid")
+    if args.oracle == "rt" and args.witness:
+        raise UsageError("--witness needs --oracle mt or both: the cover certifies mt")
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
     doc: dict = {"T": sorted(T)}
@@ -99,7 +102,9 @@ def _cmd_mrank(args) -> int:
     if args.oracle in ("mt", "both"):
         cert = greedy_rank(mt_oracle(g, T))
         if args.witness:
-            value, dual = mt_rank_cover_min(g, T)
+            with warnings.catch_warnings():  # "conjectural" is in the JSON
+                warnings.simplefilter("ignore")
+                value, dual = mt_rank_cover_min(g, T)
             if value == cert.rank:
                 cert.dual = dual
             else:  # greedy/cover disagreement: only conceivable for |T| >= 4

@@ -19,9 +19,9 @@ from typing import Callable, Iterable
 from .graph import Graph, _canon_edge
 from .linalg import ModpEchelon, _check_sample_args, _trial_rows
 from .pebble import PebbleGame
-from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
-                       StrongSparsityChecker, _bits, _check_cap,
-                       _cover_lb_table, _mask_of, min_thin_cover,
+from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
+                       InvariantError, StrongSparsityChecker, _bits,
+                       _check_cap, _mask_of, min_thin_cover,
                        subsets_of_two_or_more)
 
 CIRCUIT_SCAN_CAP = 2_000_000
@@ -270,7 +270,6 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
     if res is None:
         raise InvariantError("no 1-thin cover of the edges by pairs")
     best_val, best_at = res[0], (subsets[0], (), res[1])
-    lb = _cover_lb_table(len(targets))
 
     for s in subsets:
         s_mask = _mask_of(s)
@@ -280,7 +279,7 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
             nonlocal best_val, best_at
             # uncovered edges with an endpoint in ``out`` (outside S and
             # elems) stay uncovered by every block below: a leaf pays for them
-            stuck_lb = lb[len([e for e in uncovered if e & out])]
+            stuck_lb = _COVER_LB[len([e for e in uncovered if e & out])]
             if base + stuck_lb >= best_val:
                 return
             if not elems:

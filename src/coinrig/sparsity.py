@@ -16,15 +16,21 @@ proof of which is in the ``StrongSparsityChecker`` docstring: one (2,3)
 game for the set capacities, a count of the edges inside S, and per S one
 game of a count matroid M_S whose nullity is the heaviest family weight.
 A verdict costs O(2^|T|) games.  Only a violation builds the bitmask
-engine, to name its canonical witness: a table of induced edge counts over
-all vertex subsets, then a scan of set capacities or a search over
-weighted candidate blocks of the failing S, whose first hit is the
-canonical family witness.
+engine, to name its canonical witness, by one call per kind:
+``_set_violation`` scans a table of induced edge counts over all vertex
+subsets for the set capacities, and ``_family_violation`` searches the
+weighted candidate blocks of the failing S.
 
-Every enumeration (the subset tables here, the cover minimum in
-``matroid``, the checker's 2^|T| games) is bounded by one cap,
-``DEFAULT_CAP``, enforced by ``_check_cap`` alone; only the two public
-decisions take a ``cap`` argument, which ``sparse --cap`` sets.
+Witness order: vertex sets compare by their sorted vertex tuples
+(``_bits``), lexicographically, and family members are listed in that
+order.  The canonical set witness is the first violating set in it; the
+canonical family is the first hit of the block search, which tries blocks
+in it.
+
+Every enumeration (the subset tables and the 1-thin cover search here,
+the cover minimum in ``matroid``, the checker's 2^|T| games) is bounded by
+one cap, ``DEFAULT_CAP``, enforced by ``_check_cap`` alone; only the two
+public decisions take a ``cap`` argument, which ``sparse --cap`` sets.
 """
 
 from __future__ import annotations
@@ -210,63 +216,30 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lex_less(x: int, y: int) -> bool:
-    """Whether the sorted vertex tuple of mask x precedes that of y (x != y).
-
-    Below their lowest differing vertex v the tuples agree; the one holding
-    v comes first iff the other goes on past v.
-    """
-    low = (x ^ y) & -(x ^ y)
-    above = -(low << 1)
-    return bool(y & above) if x & low else not x & above
-
-
-def _set_violation(n: int, i_cnt: list[int], s_mask: int):
-    """Lexicographically smallest set X with i(X) > val_S(X).
+def _set_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
+    """The canonical set violation of S: the first set X, in witness order,
+    with i(X) > val_S(X).
 
     Callers scan only once a pebble game or an edge inside S shows that
     some set breaks its capacity.
     """
-    best = best_cap = 0
-    for x in range(1, 1 << n):
-        pc = x.bit_count()
-        if pc < 2:
-            continue
-        cap = 0 if x & ~s_mask == 0 else 2 * pc - 3
-        if i_cnt[x] > cap and (not best or _lex_less(x, best)):
-            best, best_cap = x, cap
-    _require(best != 0, "a set was shown to break its capacity, but none does")
-    return _bits(best), i_cnt[best], best_cap
-
-
-def _family_candidates(i_cnt: list[int], s_mask: int, free: int) -> list[tuple[int, int]]:
-    """Blocks B inside free whose S|B can join a violation.
-
-    With i(S) = 0 a family {S|B_1, ..., S|B_k} of disjoint blocks violates
-    its capacity iff sum of w(B_i) exceeds 2|S|-2, where
-    w(B) = i(S|B) - 2|B| + 1.  Blocks with w <= 0 never help, so only the
-    nonempty blocks with w >= 1 are returned, as (B, w(B)).
-    """
-    cands = []
-    b = free
-    while b:
-        w = i_cnt[s_mask | b] - 2 * b.bit_count() + 1
-        if w >= 1:
-            cands.append((b, w))
-        b = (b - 1) & free
-    return cands
+    i_cnt, s_mask = subset_edge_counts(g), _mask_of(S)
+    hits = [x for x in range(1, 1 << g.n) if (pc := x.bit_count()) > 1
+            and i_cnt[x] > (0 if x & ~s_mask == 0 else 2 * pc - 3)]
+    _require(bool(hits), "a set was shown to break its capacity, but none does")
+    X = _bits(min(hits, key=_bits))
+    return SparsityViolation("set", S, frozenset(X), i_cnt[_mask_of(X)], val_set(X, S))
 
 
 def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
-    """Canonically first disjoint collection of blocks weighing over thresh.
+    """First disjoint collection of blocks, in witness order, weighing over
+    thresh; None if there is none.
 
-    Blocks are tried in lexicographic order of their vertex tuples, so the
-    first hit is the canonical witness.  Each level keeps only the later
-    blocks disjoint from those chosen, and stops once its remaining weight
-    cannot exceed thresh; both prunes cut only subtrees without a hit.
+    Blocks are tried in witness order, so the first hit is the canonical
+    witness.  Each level keeps only the later blocks disjoint from those
+    chosen, and stops once its remaining weight cannot exceed thresh; both
+    prunes cut only subtrees without a hit.
     """
-    if sum(w for _, w in cands) <= thresh:
-        return None
     blocks = [(b, w) for _, b, w in sorted((_bits(b), b, w) for b, w in cands)]
 
     def dfs(avail: list[tuple[int, int]], acc: int) -> list[int] | None:
@@ -285,16 +258,30 @@ def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | No
     return dfs(blocks, 0)
 
 
-def _family_violation(n: int, i_cnt: list[int], ss: frozenset[int]) -> SparsityViolation:
-    """The canonical violating S-family, given i(S) = 0 and that one exists."""
-    s_mask = _mask_of(ss)
-    cands = _family_candidates(i_cnt, s_mask, ((1 << n) - 1) & ~s_mask)
-    blocks = _family_witness(cands, 2 * len(ss) - 2)
+def _family_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
+    """The canonical violating S-family, given i(S) = 0 and that one exists:
+    the first family of candidate blocks, in witness order, to break its
+    capacity.
+
+    A family {S|B_1, ..., S|B_k} of disjoint blocks violates its capacity
+    iff the sum of w(B_i) exceeds 2|S| - 2, where w(B) = i(S|B) - 2|B| + 1.
+    Blocks with w <= 0 never help, so the candidates are the nonempty
+    blocks with w >= 1, as (B, w(B)).
+    """
+    i_cnt, s_mask = subset_edge_counts(g), _mask_of(S)
+    free = b = ((1 << g.n) - 1) & ~s_mask
+    cands = []
+    while b:
+        w = i_cnt[s_mask | b] - 2 * b.bit_count() + 1
+        if w >= 1:
+            cands.append((b, w))
+        b = (b - 1) & free
+    blocks = _family_witness(cands, 2 * len(S) - 2)
     _require(blocks is not None, "the family game's nullity exceeds 2|S| - 2, "
              "but no family of blocks is that heavy")
-    fam = CompatibleFamily(ss, tuple(ss | frozenset(_bits(b)) for b in blocks))
+    fam = CompatibleFamily(S, tuple(S | frozenset(_bits(b)) for b in blocks))
     lhs = sum(i_cnt[s_mask | b] for b in blocks)
-    return SparsityViolation("family", ss, fam, lhs, val_family(fam))
+    return SparsityViolation("family", S, fam, lhs, val_family(fam))
 
 
 # -- sparsity decisions ------------------------------------------------
@@ -330,8 +317,8 @@ def _family_breaks(g: Graph, ss: frozenset[int]) -> bool:
 def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
     """None iff every set and every S-compatible family respects its capacity.
 
-    Otherwise the canonically smallest violating set, or the canonically
-    first violating family of candidate blocks, is returned as the witness.
+    Otherwise the first violating set, or failing that the first violating
+    family, in witness order (module docstring) is returned as the witness.
     Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
     its capacity iff an edge lies inside S or the (2,3) game rejects an
     edge; failing that, some family does iff the nullity in M_S exceeds
@@ -340,10 +327,9 @@ def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityV
     ss = g._check_T(S, "S")
     _check_cap(g.n, cap)
     if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
-        key, lhs, rhs = _set_violation(g.n, subset_edge_counts(g), _mask_of(ss))
-        return SparsityViolation("set", ss, frozenset(key), lhs, rhs)
+        return _set_violation(g, ss)
     if _family_breaks(g, ss):
-        return _family_violation(g.n, subset_edge_counts(g), ss)
+        return _family_violation(g, ss)
     return None
 
 
@@ -371,14 +357,13 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     ts = g._check_T(T)
     _check_cap(g.n, cap)
     if pebble_rank_23(g) < len(g.edges):
-        key, lhs, rhs = _set_violation(g.n, subset_edge_counts(g), 0)
-        return SparsityViolation("set", frozenset({min(ts)}), frozenset(key), lhs, rhs)
+        return _set_violation(g, frozenset({min(ts)}))
     for s in subsets_of_two_or_more(ts):
         inside = g.induced_edge_count(s)
         if inside:
             return SparsityViolation("set", s, s, inside, 0)
         if _family_breaks(g, s):
-            return _family_violation(g.n, subset_edge_counts(g), s)
+            return _family_violation(g, s)
     return None
 
 
@@ -567,7 +552,7 @@ def combine_families(f1: CompatibleFamily, f2: CompatibleFamily) -> CompatibleFa
 # -- 1-thin cover minima -----------------------------------------------
 
 
-def _coverage_lower_bounds(max_val: int = 64) -> list[int]:
+def _coverage_lower_bounds(max_val: int) -> list[int]:
     """lb[m] = least total value any set family covering m edges can have.
 
     A family of total value V covers at most max sum of C((v_i+3)/2, 2)
@@ -587,14 +572,8 @@ def _coverage_lower_bounds(max_val: int = 64) -> list[int]:
     return lb
 
 
-_COVER_LB = _coverage_lower_bounds()
-
-
-def _cover_lb_table(m: int) -> list[int]:
-    """``_COVER_LB`` indexable up to m; past its end the last bound holds."""
-    if m < len(_COVER_LB):
-        return _COVER_LB
-    return _COVER_LB + [_COVER_LB[-1]] * (m - len(_COVER_LB) + 1)
+# indexed by up to C(DEFAULT_CAP, 2) edges: one set of DEFAULT_CAP vertices
+_COVER_LB = _coverage_lower_bounds(2 * DEFAULT_CAP - 3)
 
 
 def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
@@ -620,7 +599,10 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
       minus that vertex, with the pair of its one edge if it has one, or
       the pairs of all edges inside x, cover the same edges for less and
       stay 1-thin: no other set meets x in two vertices.
+
+    More than ``DEFAULT_CAP`` vertices are refused (``_check_cap``).
     """
+    _check_cap(n)
     targets = []
     for e in edge_masks:
         if (e & forbidden) == e:
@@ -637,7 +619,6 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
 
     state = [best_val, best_sets]
     ends = {e: _bits(e) for e in targets}
-    lb = _cover_lb_table(len(targets))
 
     def candidates(uncovered: list[int], chosen: list[int], acc: int):
         e = uncovered[0]
@@ -705,7 +686,7 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
                     if inside < 4 * k + 2:
                         continue  # fewer than 2|x| - 3 edges
                     left = m - inside // 2
-                    if cost + lb[left] < state[0]:
+                    if cost + _COVER_LB[left] < state[0]:
                         yield x, cost, left
 
     def dfs(uncovered: list[int], chosen: list[int], acc: int):
@@ -718,7 +699,7 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
             dfs([f for f in uncovered if f & outside], chosen, cost)
             chosen.pop()
 
-    if lb[len(targets)] < state[0]:
+    if _COVER_LB[len(targets)] < state[0]:
         dfs(targets, [], 0)
     if state[1] is None:
         return None

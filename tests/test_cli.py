@@ -192,6 +192,32 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, doc):
     error_line(capsys, "rank", "--graph", str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 3, "edges": [[0, 1]', "invalid JSON: "),
+    ('{"edges": []}', 'graph JSON needs "n" and "edges"'),
+    ('{"n": 2, "edges": [], "labels": {"x": "a"}}', "label key 'x' is not a vertex id"),
+    ('{"n": 2, "edges": [], "labels": {"2": "a"}}', "label key '2' outside 0..1"),
+    (" \n\n", "empty edge-list document"),
+    ("3\n", 'first line must be "n m", got \'3\''),
+    ("3 x\n", 'first line must be "n m", got \'3 x\''),
+    ("3 1\n0 1 2\n", "malformed edge line '0 1 2'"),
+    ("3 1\n0 a\n", "malformed edge line '0 a'"),
+    ("3 1\n1 1\n", "loop edge line '1 1' is not allowed"),
+    ("3 1\n0 3\n", "edge line '0 3' has an endpoint outside 0..2"),
+    ("3 2\n0 1\n1 0\n", "duplicate edge in edge-list document"),
+], ids=["json-invalid", "json-no-n", "json-label-key", "json-label-range",
+        "list-empty", "list-head-short", "list-head-int", "list-edge-short",
+        "list-edge-int", "list-loop", "list-range", "list-duplicate"])
+def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message):
+    # one file per parse error, each named in its one error line by every
+    # verb that reads a graph and T
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for verb in T_VERBS:
+        err = error_line(capsys, verb, "--graph", str(path), "--T", "0,1")
+        assert err.startswith("error: " + message), (verb, err)
+
+
 @pytest.mark.parametrize("argv", [
     ["rank", "--d", "0"],
     ["rank", "--d", "-1"],
@@ -322,3 +348,24 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     # sparse --cap is the one override
     code, doc = run(capsys, "sparse", "--cap", "13", *graph)
     assert code == 0 and doc["sparse"]
+
+
+@pytest.mark.filterwarnings("error")  # pytest would otherwise hide a warning
+def test_mrank_witness_beyond_the_theorem_keeps_stderr_clean(capsys, tmp_path):
+    # with |T| >= 4 the cover minimum is conjectural: the JSON says so, and
+    # a successful call prints nothing on stderr, not even a warning
+    path = tmp_path / "t4.json"
+    path.write_text('{"n":6,"edges":[[0,4],[1,4],[2,5],[3,5],[4,5]],"T":[0,1,2,3]}')
+    code = main(["mrank", "--witness", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["mt"]["conjectural"] and doc["mt"]["dual"] is not None
+
+
+def test_mrank_rt_witness_is_a_usage_error(capsys, k4_file):
+    # the dual cover certifies only the mt rank; rt must not drop the flag
+    err = error_line(capsys, "mrank", "--oracle", "rt", "--witness", "--graph", k4_file)
+    assert err == "error: --witness needs --oracle mt or both: the cover certifies mt\n"
+    code, doc = run(capsys, "mrank", "--oracle", "both", "--witness", "--graph", k4_file)
+    assert code == 0 and doc["mt"]["dual"] is not None

@@ -1,13 +1,15 @@
 """Exhaustive small-scale agreement checks (every edge subset, every T).
 
 Random harnesses can miss corner cases; on five vertices the whole space is
-small enough to sweep completely.
+small enough to sweep completely, and on six the Graph Atlas (every graph
+up to isomorphism, with every T) is.
 """
 
 from itertools import combinations
 
 import pytest
 
+from coinrig.checks import check_coincident_rigidity
 from coinrig.graph import Graph, complete_graph
 from coinrig.matroid import greedy_rank, mt_oracle, rt_oracle
 from coinrig.sparsity import is_strongly_T_sparse
@@ -72,17 +74,23 @@ def test_base_cardinality_axiom_exhaustive_k4():
                 assert len(maximal_sizes) == 1, (sorted(es), sorted(T))
 
 
+def _atlas(max_n):
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n <= max_n:
+            yield Graph(n, list(atlas_graph.edges()))
+
+
 def test_greedy_mt_bases_over_the_graph_atlas():
     # every graph on 3-6 vertices and every T with |T| = 2-4: the pebble-game
     # checker's greedy base is strongly T-sparse, and maximal, by an
     # enumeration that plays no pebble game
-    nx = pytest.importorskip("networkx")
     pairs = families = 0
-    for atlas_graph in nx.graph_atlas_g():
-        n = atlas_graph.number_of_nodes()
-        if not 3 <= n <= 6:
+    for g in _atlas(6):
+        n = g.n
+        if n < 3:
             continue
-        g = Graph(n, list(atlas_graph.edges()))
         for k in range(2, min(4, n) + 1):
             for T in combinations(range(n), k):
                 base = greedy_rank(mt_oracle(g, T)).base
@@ -93,3 +101,39 @@ def test_greedy_mt_bases_over_the_graph_atlas():
                     families += hit[1] == "family"
                 pairs += 1
     assert pairs == 8787 and families > 100
+
+
+def test_check_agrees_with_both_greedy_ranks_over_the_graph_atlas():
+    # every graph on at most 6 vertices and every T with |T| = 2 or 3, where
+    # the paper proves the characterization: check's two verdicts, "greedy
+    # mt rank = 2n - 3" and "greedy rt rank = 2n - 3" all agree, and so do
+    # the two ranks
+    pairs, mismatches = 0, []
+    for g in _atlas(6):
+        for k in (2, 3):
+            for T in combinations(range(g.n), k):
+                mt = greedy_rank(mt_oracle(g, T)).rank
+                rt = greedy_rank(rt_oracle(g, T)).rank
+                v = check_coincident_rigidity(g, T)
+                verdicts = (v.combinatorial, v.algebraic,
+                            mt == 2 * g.n - 3, rt == 2 * g.n - 3)
+                if len(set(verdicts)) > 1 or mt != rt:
+                    mismatches.append((g.edge_list(), T, verdicts, mt, rt))
+                pairs += 1
+    assert mismatches == []
+    assert pairs == 6268
+
+
+def test_mt_rank_equals_rt_rank_over_the_graph_atlas_beyond_the_theorem():
+    # |T| = 4 or 5, where the paper's conjecture is unproved
+    pairs, mismatches = 0, []
+    for g in _atlas(6):
+        for k in (4, 5):
+            for T in combinations(range(g.n), k):
+                mt = greedy_rank(mt_oracle(g, T)).rank
+                rt = greedy_rank(rt_oracle(g, T)).rank
+                if mt != rt:
+                    mismatches.append((g.edge_list(), T, mt, rt))
+                pairs += 1
+    assert mismatches == []
+    assert pairs == 3491

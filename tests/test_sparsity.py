@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -618,6 +619,16 @@ def test_ly_rank_small_cases():
     two_triangles = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert min_thin_cover(5, masks_of(two_triangles))[0] == 6
     assert min_thin_cover(3, [])[0] == 0
+
+
+def test_cover_bounds_reach_every_edge_count_under_the_cap():
+    # one table, sized by the cap: a capped graph has at most C(12, 2)
+    # distinct edges, and a bigger graph is refused before any lookup
+    assert len(_COVER_LB) == comb(sparsity.DEFAULT_CAP, 2) + 1
+    assert _COVER_LB[-1] == 2 * sparsity.DEFAULT_CAP - 3
+    assert min_thin_cover(12, masks_of(complete_graph(12)))[0] == 21
+    with pytest.raises(ValueError, match="graph has 13 vertices, enumeration cap is 12"):
+        min_thin_cover(13, [0b11])
 
 
 def reference_min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
