@@ -3,9 +3,10 @@
 Exact linear-algebraic rank computation and combinatorial strong-sparsity
 certificates for planar frameworks in which a prescribed set of vertices is
 pinned to one point, with cross-validation harnesses between the two
-characterizations.  Every enumeration (subset tables, family and cover
-searches) refuses graphs above 12 vertices (``sparsity.DEFAULT_CAP``); the
-greedy strong-sparsity checker plays pebble games, and caps only |T|.
+characterizations.  Strong-sparsity verdicts play pebble games on graphs
+of any size.  Every enumeration (the subset table that names a violation's
+witness, the cover searches, the subsets of T) refuses more than 12
+vertices (``sparsity.DEFAULT_CAP``).
 """
 
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,

@@ -20,7 +20,7 @@ from .graph import Graph, complete_bipartite, graph_to_json
 from .linalg import RankReport, Realization, generic_rank, rigidity_target
 from .matroid import greedy_rank, mt_oracle, rt_oracle
 from .pebble import pebble_rank_23
-from .sparsity import _check_cap, is_strongly_T_sparse, subsets_of_two_or_more
+from .sparsity import is_strongly_T_sparse, subsets_of_two_or_more
 
 
 @dataclass
@@ -97,11 +97,6 @@ def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
 # -- random instances ----------------------------------------------------
 
 
-def _largest_n(n_max: int, t_size: int) -> int:
-    """The most vertices ``random_instance(rng, n_max, t_size)`` can draw."""
-    return max(n_max, t_size + 1, 4)
-
-
 def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph, frozenset[int]]:
     """Random near-threshold graph with a random coincidence set.
 
@@ -109,7 +104,7 @@ def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph,
     are Henneberg graphs with a few extra edges: both concentrate near the
     rigidity threshold where the characterizations bite.
     """
-    n = rng.randint(max(t_size + 1, 4), _largest_n(n_max, t_size))
+    n = rng.randint(max(t_size + 1, 4), max(n_max, t_size + 1, 4))
     if rng.random() < 0.5:
         pairs = list(combinations(range(n), 2))
         m = max(1, min(len(pairs), 2 * n - 3 + rng.randint(-3, 3)))
@@ -174,18 +169,19 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
 
     Any hit is re-verified with ten fresh exact-arithmetic seeds before it
     is reported; an empty candidate list means no counterexample was found
-    within the budget.
+    within the budget.  The strong-sparsity side is the ``mt`` oracle, so
+    graphs of any size run; only a hit that it rejects on more than
+    ``DEFAULT_CAP`` vertices is refused, since naming its violation builds
+    the subset table.
     """
     if t_size < 4:
         raise ValueError("sizes up to three are settled; search needs |T| >= 4")
-    _check_cap(_largest_n(n_max, t_size))
     rng = random.Random(seed)
     t0 = time.perf_counter()
     candidates = []
     for _ in range(budget):
         g, T = random_instance(rng, n_max, t_size)
-        violation = is_strongly_T_sparse(g, T)
-        mt_ind = violation is None
+        mt_ind = mt_oracle(g, T).test(g.edges)
         rep = generic_rank(g, T, 2, trials=3, seed=rng.getrandbits(31))
         rt_ind = rep.independent
         if mt_ind == rt_ind:
@@ -201,7 +197,7 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
             "graph": graph_to_json(g, T),
             "T": sorted(T),
             "strongly_T_sparse": mt_ind,
-            "violation": violation.to_dict() if violation else None,
+            "violation": None if mt_ind else is_strongly_T_sparse(g, T).to_dict(),
             "verified_rank": max(best, rep.rank),
             "edge_count": len(g.edges),
         })

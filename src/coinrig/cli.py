@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -20,8 +21,7 @@ from .constructions import SplitSpec, henneberg_random, one_extension, \
 from .graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
 from .linalg import generic_rank
 from .matroid import greedy_rank, mt_oracle, mt_rank_cover_min, rt_oracle
-from .sparsity import (DEFAULT_CAP, InvariantError, is_S_sparse,
-                       is_strongly_T_sparse)
+from .sparsity import InvariantError, is_S_sparse, is_strongly_T_sparse
 
 
 class UsageError(Exception):
@@ -61,7 +61,11 @@ def _emit(doc: dict, out: str | None):
                 fh.write(text + "\n")
         except OSError as e:
             raise UsageError(f"cannot write {out}: {e}")
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout closed early (``| head``): end quietly
+        # point stdout at devnull, so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_rank(args) -> int:
@@ -79,9 +83,9 @@ def _cmd_sparse(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
     if args.strong:
-        violation = is_strongly_T_sparse(g, T, cap=args.cap)
+        violation = is_strongly_T_sparse(g, T)
     else:
-        violation = is_S_sparse(g, T, cap=args.cap)
+        violation = is_S_sparse(g, T)
     doc = {"sparse": violation is None,
            "strong": bool(args.strong),
            "T": sorted(T),
@@ -211,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--T", help="comma-separated vertex ids")
     p.add_argument("--strong", action="store_true")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=_cmd_sparse)
 
     p = sub.add_parser("mrank", help="matroid rank certificate")

@@ -14,7 +14,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .sparsity import InvariantError, is_strongly_T_sparse
+from .matroid import mt_oracle
+from .sparsity import InvariantError
 
 
 def zero_extension(g: Graph, a: int, b: int) -> Graph:
@@ -98,12 +99,13 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int) -> Graph:
     Degree 2: remove z.  Degree 3: remove z and add the first non-adjacent
     neighbour pair (canonical order) that keeps the graph strongly T-sparse;
     such a pair always exists when the input is strongly T-sparse and z has
-    at most one neighbour in T.  Ids above z shift down by one.
+    at most one neighbour in T.  Ids above z shift down by one.  Strong
+    sparsity is decided by the ``mt`` oracle's pebble games, at any size.
     """
     ts = frozenset(T)
     if z in ts:
         raise ValueError("z must lie outside T")
-    if is_strongly_T_sparse(g, ts) is not None:
+    if not mt_oracle(g, ts).test(g.edges):
         raise ValueError("the input graph is not strongly T-sparse")
     nbrs = g.neighbors(z)
     if len(nbrs & ts) > 1:
@@ -119,7 +121,7 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int) -> Graph:
         if g.has_edge(x, y):
             continue
         candidate = removed.add_edges([(shift(x), shift(y))])
-        if is_strongly_T_sparse(candidate, new_T) is None:
+        if mt_oracle(candidate, new_T).test(candidate.edges):
             return candidate
     raise InvariantError(
         "no admissible neighbour pair found; this contradicts the reduction "

@@ -27,10 +27,11 @@ order.  The canonical set witness is the first violating set in it; the
 canonical family is the first hit of the block search, which tries blocks
 in it.
 
-Every enumeration (the subset tables and the 1-thin cover search here,
-the cover minimum in ``matroid``, the checker's 2^|T| games) is bounded by
-one cap, ``DEFAULT_CAP``, enforced by ``_check_cap`` alone; only the two
-public decisions take a ``cap`` argument, which ``sparse --cap`` sets.
+Every enumeration (the subset table and the 1-thin cover search here,
+the cover minimum in ``matroid``, the 2^|T| subsets of T) is bounded by
+one cap, ``DEFAULT_CAP``, checked by ``_check_cap`` where it runs.  So the
+decisions answer at any size, and only a violation above the cap is
+refused, for want of the table that names its witness.
 """
 
 from __future__ import annotations
@@ -189,7 +190,9 @@ class SparsityViolation:
 
 
 def subset_edge_counts(g: Graph) -> list[int]:
-    """i_G(X) for every vertex subset X, indexed by bitmask."""
+    """i_G(X) for every vertex subset X, indexed by bitmask; more than
+    ``DEFAULT_CAP`` vertices are refused."""
+    _check_cap(g.n)
     adj = g.adjacency_masks()
     size = 1 << g.n
     cnt = [0] * size
@@ -287,10 +290,10 @@ def _family_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
 # -- sparsity decisions ------------------------------------------------
 
 
-def _check_cap(n: int, cap: int = DEFAULT_CAP, what: str = "graph"):
-    """Refuse an enumeration over more than ``cap`` vertices (the one cap)."""
-    if n > cap:
-        raise ValueError(f"{what} has {n} vertices, enumeration cap is {cap}")
+def _check_cap(n: int, what: str = "graph"):
+    """Refuse an enumeration over more than ``DEFAULT_CAP`` vertices (the one cap)."""
+    if n > DEFAULT_CAP:
+        raise ValueError(f"{what} has {n} vertices, enumeration cap is {DEFAULT_CAP}")
 
 
 def _family_game(n: int, S: frozenset[int]) -> PebbleGame:
@@ -314,7 +317,7 @@ def _family_breaks(g: Graph, ss: frozenset[int]) -> bool:
     return False
 
 
-def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
+def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     """None iff every set and every S-compatible family respects its capacity.
 
     Otherwise the first violating set, or failing that the first violating
@@ -322,10 +325,11 @@ def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityV
     Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
     its capacity iff an edge lies inside S or the (2,3) game rejects an
     edge; failing that, some family does iff the nullity in M_S exceeds
-    2|S| - 2.  The 2^n subset table is built only to name a violation.
+    2|S| - 2.  The 2^n subset table is built only to name a violation, so
+    a sparse graph of any size gets None, and a violation on more than
+    ``DEFAULT_CAP`` vertices is refused.
     """
     ss = g._check_T(S, "S")
-    _check_cap(g.n, cap)
     if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
         return _set_violation(g, ss)
     if _family_breaks(g, ss):
@@ -334,13 +338,15 @@ def is_S_sparse(g: Graph, S: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityV
 
 
 def subsets_of_two_or_more(T: Iterable[int]) -> list[frozenset[int]]:
-    """The subsets S of T with |S| >= 2, smallest first, then lexicographic."""
+    """The subsets S of T with |S| >= 2, smallest first, then lexicographic;
+    a T over ``DEFAULT_CAP`` vertices is refused."""
     ts = sorted(set(T))
+    _check_cap(len(ts), what="T")
     return [frozenset(sub) for k in range(2, len(ts) + 1)
             for sub in combinations(ts, k)]
 
 
-def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> SparsityViolation | None:
+def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None:
     """None iff g is S-sparse for every nonempty S inside T.
 
     Subsets are checked smallest first (then lexicographically); the first
@@ -351,11 +357,11 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int], cap: int = DEFAULT_CAP) -> 
     violation is reported under S = {min T}.  Once it passes, the only set
     that can break a larger S's capacity is a pair S with an edge, and
     pairs come before larger sets.  Each S then plays its M_S game (see
-    ``StrongSparsityChecker``): O(2^|T|) games per verdict, and a subset
-    table only to name a violating set or family.
+    ``StrongSparsityChecker``): O(2^|T|) games per verdict at any size, and
+    a subset table only to name a violating set or family, which refuses
+    more than ``DEFAULT_CAP`` vertices.  So does a T over the cap.
     """
     ts = g._check_T(T)
-    _check_cap(g.n, cap)
     if pebble_rank_23(g) < len(g.edges):
         return _set_violation(g, frozenset({min(ts)}))
     for s in subsets_of_two_or_more(ts):
@@ -373,11 +379,12 @@ class StrongSparsityChecker:
     ``try_add`` accepts ab iff F, the accepted edges plus ab, stays
     strongly T-sparse, and leaves the accepted edges unchanged otherwise.
     T is a nonempty vertex set (``mt_oracle`` checks it) within the
-    enumeration cap, since each S inside T gets a game.  F is strongly
-    T-sparse iff no edge of F lies inside T, F is (2,3)-sparse (the other
-    set capacities), and for each S with |S| >= 2 no disjoint blocks B_i of
-    V minus S weigh over 2|S| - 2 in total, where w(B) = i(S|B) - 2|B| + 1
-    (the family condition of the module docstring).
+    enumeration cap (``subsets_of_two_or_more`` refuses a larger one),
+    since each S inside T gets a game.  F is strongly T-sparse iff no edge
+    of F lies inside T, F is (2,3)-sparse (the other set capacities), and
+    for each S with |S| >= 2 no disjoint blocks B_i of V minus S weigh over
+    2|S| - 2 in total, where w(B) = i(S|B) - 2|B| + 1 (the family condition
+    of the module docstring).
 
     The family condition bounds a nullity.  Contract S to s = min S,
     keeping parallel edges, with capacity c(s) = 0 and c(v) = 2 elsewhere.
@@ -404,7 +411,6 @@ class StrongSparsityChecker:
 
     def __init__(self, n: int, T: Iterable[int]):
         self.T = frozenset(T)
-        _check_cap(len(self.T), what="T")
         self.game = PebbleGame(n)
         self.family_games = []  # (S, s, M_S game)
         for S in subsets_of_two_or_more(self.T):

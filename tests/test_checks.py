@@ -138,8 +138,11 @@ def test_conjecture_search():
     assert empty["candidates"] == [] and empty["budget"] == 0
     with pytest.raises(ValueError, match=r"\|T\| >= 4"):
         conjecture_search(6, 3, 10, seed=0)
-    with pytest.raises(ValueError, match="13 vertices, enumeration cap is 12"):
-        conjecture_search(13, 4, 0, seed=0)
+    # the mt oracle plays pebble games, so graphs of any size run, and only
+    # a T over the enumeration cap is refused
+    assert conjecture_search(20, 4, 10, seed=3)["candidates"] == []
+    with pytest.raises(ValueError, match="T has 13 vertices, enumeration cap is 12"):
+        conjecture_search(14, 13, 1, seed=0)
     report = conjecture_search(6, 4, 120, seed=9)
     assert report["candidates"] == []  # the conjecture is expected to hold
 

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from coinrig.cli import build_parser, main
+from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph, graph_to_json
 from coinrig.matroid import greedy_rank, mt_oracle
 
@@ -116,6 +121,22 @@ def test_fixtures_command(capsys):
     assert doc["fig3-1"]["realization"]["coords"]["8"] == ["2/1", "2/1"]
 
 
+def test_closed_stdout_ends_the_call_quietly():
+    # a reader that closed the pipe before any output (``| head``, ``| true``)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "coinrig.cli", "fixtures"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
 def test_out_flag_writes_file(capsys, tmp_path, k4_file):
     out = tmp_path / "report.json"
     code, doc = run(capsys, "rank", "--graph", k4_file, "--out", str(out))
@@ -126,8 +147,12 @@ def test_out_flag_writes_file(capsys, tmp_path, k4_file):
 def test_usage_errors(capsys, k4_file, tmp_path):
     code = main(["sparse", "--graph", k4_file, "--T", ""])
     assert code == 2  # empty T
-    code = main(["sparse", "--graph", k4_file, "--T", "0,1", "--cap", "3"])
-    assert code == 2  # enumeration cap exceeded
+    # a violation over the enumeration cap has no witness
+    k4_13 = tmp_path / "k4_13.json"
+    k4_13.write_text(graph_to_json(Graph(13, complete_graph(4).edges), [0]))
+    capsys.readouterr()
+    assert (error_line(capsys, "sparse", "--graph", str(k4_13))
+            == "error: graph has 13 vertices, enumeration cap is 12\n")
     bad = tmp_path / "bad.json"
     bad.write_text('{"n":2,"edges":[[0,0]]}')
     code = main(["rank", "--graph", str(bad)])
@@ -329,25 +354,37 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     path = tmp_path / "g13.json"
     path.write_text(graph_to_json(Graph(13, [(1, 2), (2, 3)]), [0, 1]))
     graph = ["--graph", str(path)]
+    violating = tmp_path / "k4_13.json"
+    violating.write_text(graph_to_json(Graph(13, complete_graph(4).edges), [0, 1]))
     msg = "error: graph has 13 vertices, enumeration cap is 12\n"
-    for argv in (["sparse", *graph], ["sparse", "--strong", *graph],
+    for argv in (["sparse", "--graph", str(violating)],
+                 ["sparse", "--strong", "--graph", str(violating)],
                  ["mrank", "--witness", *graph],
-                 ["mrank", "--oracle", "both", "--witness", *graph],
-                 ["conjecture", "--n-max", "13"]):
+                 ["mrank", "--oracle", "both", "--witness", *graph]):
         assert error_line(capsys, *argv) == msg, argv
-    # the greedy mt checker plays a pebble game per subset of T: graphs of
-    # any size run, and only a T over the cap is refused
+    # verdicts play a pebble game per subset of T: graphs of any size run,
+    # and only a violation, whose witness needs the subset table, or a T
+    # over the cap is refused
+    for strong in ([], ["--strong"]):
+        code, doc = run(capsys, "sparse", *strong, *graph)
+        assert code == 0 and doc["sparse"] and doc["violation"] is None
+    h40 = tmp_path / "h40.json"
+    h40.write_text(graph_to_json(henneberg_random(40, 1)))
+    code, doc = run(capsys, "sparse", "--strong", "--graph", str(h40), "--T", "0")
+    assert code == 0 and doc["sparse"] and doc["violation"] is None
     code, doc = run(capsys, "mrank", *graph)
     assert code == 0 and doc["mt"]["rank"] == 2
     code, doc = run(capsys, "xval", "--n-max", "13", "--samples", "6")
     assert code == 0 and doc["mismatches"] == 0
+    code, doc = run(capsys, "conjecture", "--n-max", "14", "--budget", "10")
+    assert code == 0 and doc["candidates"] == []
     msg = "error: T has 13 vertices, enumeration cap is 12\n"
-    for argv in (["mrank", *graph, "--T", ",".join(map(str, range(13)))],
-                 ["xval", "--t-sizes", "13", "--samples", "2"]):
+    all13 = ",".join(map(str, range(13)))
+    for argv in (["mrank", *graph, "--T", all13],
+                 ["sparse", "--strong", *graph, "--T", all13],
+                 ["xval", "--t-sizes", "13", "--samples", "2"],
+                 ["conjecture", "--n-max", "14", "--t-size", "13", "--budget", "2"]):
         assert error_line(capsys, *argv) == msg, argv
-    # sparse --cap is the one override
-    code, doc = run(capsys, "sparse", "--cap", "13", *graph)
-    assert code == 0 and doc["sparse"]
 
 
 @pytest.mark.filterwarnings("error")  # pytest would otherwise hide a warning

@@ -10,6 +10,7 @@ from coinrig.constructions import (SplitSpec, henneberg_random, one_extension,
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (Realization, generic_realization, rank_exact,
                             rigidity_matrix)
+from coinrig.matroid import greedy_rank, mt_oracle
 from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import is_strongly_T_sparse
 
@@ -166,6 +167,19 @@ def test_reduce_low_degree():
                 assert len(out.edges) == len(g.edges) - 2
                 assert is_strongly_T_sparse(out, newT) is None
                 done3 += 1
+
+
+def test_reduce_low_degree_past_the_enumeration_cap():
+    # the input and candidate checks ask the mt oracle, which plays pebble
+    # games at any size
+    T = frozenset({0, 1, 2})
+    g = henneberg_random(40, 3).minus_T_edges(T)
+    base = Graph(40, greedy_rank(mt_oracle(g, T)).base)
+    assert reduce_low_degree(zero_extension(base, 0, 3), T, 40) == base
+    u, v = next(e for e in base.edge_list() if not set(e) & T)
+    out = reduce_low_degree(one_extension(base, (u, v), 0), T, 40)
+    assert out.n == 40 and len(out.edges) == len(base.edges)
+    assert mt_oracle(out, T).test(out.edges)
 
 
 def test_reduce_low_degree_preconditions():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,6 @@ import coinrig.constructions
 from coinrig import InvariantError
 from coinrig.constructions import reduce_low_degree
 from coinrig.graph import Graph
-from coinrig.sparsity import SparsityViolation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,13 +22,12 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
     # pretend the input is strongly sparse but none of its three reductions is
     g = Graph(5, [(3, 0), (3, 1), (3, 2), (0, 4)])
     calls = []
-    bad = SparsityViolation("set", frozenset({0}), frozenset({0, 1}), 1, 0)
 
     def fake(graph, T):
         calls.append(graph)
-        return None if len(calls) == 1 else bad
+        return SimpleNamespace(test=lambda edges: len(calls) == 1)
 
-    monkeypatch.setattr(coinrig.constructions, "is_strongly_T_sparse", fake)
+    monkeypatch.setattr(coinrig.constructions, "mt_oracle", fake)
     with pytest.raises(InvariantError, match="admissible"):
         reduce_low_degree(g, {4}, 3)
     assert len(calls) == 4

@@ -2,14 +2,16 @@
 
 The pebble games behind the decisions walk edges and vertices in an order
 that depends on the vertex labels, so a verdict that changed under
-relabeling would expose an order-dependent game.
+relabeling would expose an order-dependent game.  The growth moves that
+keep strong sparsity are checked from greedy ``mt`` bases.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from coinrig.constructions import one_extension, reduce_low_degree, zero_extension
 from coinrig.graph import Graph
 from coinrig.matroid import greedy_rank, mt_oracle
 from coinrig.sparsity import is_S_sparse, is_strongly_T_sparse
@@ -57,3 +59,32 @@ def test_deleting_an_edge_keeps_strong_sparsity(case):
     assert is_strongly_T_sparse(base, T) is None
     for e in base.edge_list():
         assert is_strongly_T_sparse(base.delete_edges([e]), T) is None, (base.edge_list(), e)
+
+
+@PROPERTY
+@given(st.data())
+def test_zero_extension_keeps_strong_sparsity(data):
+    # at most one end in T; the reduction at the new vertex undoes the move
+    g, T = data.draw(graphs_with_T())
+    base = Graph(g.n, greedy_rank(mt_oracle(g, T)).base)
+    ends = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if not (a in T and b in T)]
+    assume(ends)
+    a, b = data.draw(st.sampled_from(ends))
+    grown = zero_extension(base, a, b)
+    assert is_strongly_T_sparse(grown, T) is None, (base.edge_list(), sorted(T), a, b)
+    assert reduce_low_degree(grown, T, g.n) == base
+
+
+@PROPERTY
+@given(st.data())
+def test_one_extension_keeps_strong_sparsity(data):
+    # at most one of u, v and x in T
+    g, T = data.draw(graphs_with_T())
+    base = Graph(g.n, greedy_rank(mt_oracle(g, T)).base)
+    moves = [(u, v, x) for u, v in base.edge_list() for x in range(g.n)
+             if x not in (u, v) and len({u, v, x} & T) <= 1]
+    assume(moves)
+    u, v, x = data.draw(st.sampled_from(moves))
+    grown = one_extension(base, (u, v), x)
+    assert is_strongly_T_sparse(grown, T) is None, (base.edge_list(), sorted(T), u, v, x)

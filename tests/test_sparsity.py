@@ -8,6 +8,7 @@ from coinrig import sparsity
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import generic_rank
+from coinrig.matroid import greedy_rank, mt_oracle
 from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, absorb_set,
@@ -143,9 +144,10 @@ def test_is_S_sparse_laman_cases():
 def test_is_S_sparse_errors():
     with pytest.raises(ValueError, match="nonempty"):
         is_S_sparse(complete_graph(3), set())
-    big = Graph(13, [(0, 1)])
-    with pytest.raises(ValueError, match="cap"):
-        is_S_sparse(big, {0})
+    # a verdict needs no subset table; naming a violation's witness does
+    assert is_S_sparse(Graph(13, [(0, 1)]), {0}) is None
+    with pytest.raises(ValueError, match="graph has 13 vertices, enumeration cap is 12"):
+        is_S_sparse(Graph(13, complete_graph(4).edges), {0})
 
 
 def test_fig4_family_violation():
@@ -390,6 +392,27 @@ def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
     assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 1, 1)
     assert counts(is_strongly_T_sparse, fig4(), {0, 1, 2}) == ("family", 1, 1)
     assert counts(is_S_sparse, fig4(), {0, 1}) == ("family", 1, 1)
+
+
+@pytest.mark.parametrize("n", [13, 40, 200])
+def test_decisions_answer_past_the_enumeration_cap(n):
+    # no subset table could hold these graphs: on a greedy mt base the
+    # decisions and the mt oracle say sparse, and one rejected edge more is
+    # a violation that both see, refused for want of its witness
+    rng = random.Random(n)
+    for t_size in (1, 2, 3):
+        T = frozenset(rng.sample(range(n), t_size))
+        others = [v for v in range(n) if v not in T]
+        hinges = [(t, x) for x in rng.sample(others, 4) for t in T]
+        g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T).add_edges(hinges)
+        base = Graph(n, greedy_rank(mt_oracle(g, T)).base)
+        assert mt_oracle(base, T).test(base.edges)
+        assert is_strongly_T_sparse(base, T) is None
+        assert is_S_sparse(base, T) is None
+        worse = base.add_edges([min(g.edges - base.edges)])
+        assert not mt_oracle(worse, T).test(worse.edges)
+        with pytest.raises(ValueError, match=f"graph has {n} vertices, enumeration cap is 12"):
+            is_strongly_T_sparse(worse, T)
 
 
 def test_necessity_on_algebraically_independent_inputs():
