@@ -77,7 +77,7 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     return None
 
 
-def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
+def check_coincident_rigidity(g: Graph, T, d: int = 2,
                               seed: int = 0) -> CoincidenceVerdict:
     """Both verdicts side by side (combinatorial one only in the plane).
 
@@ -85,7 +85,7 @@ def check_coincident_rigidity(g: Graph, T, d: int = 2, trials: int = 3,
     realizations with the rigidity target.
     """
     ts = frozenset(T)
-    rep = generic_rank(g, ts, d, trials=trials, seed=seed)
+    rep = generic_rank(g, ts, d, seed=seed)
     combinatorial = failing_S = None
     if d == 2 and 2 <= len(ts) <= 3:
         failing_S = coincident_rigid_combinatorial(g, ts)
@@ -182,7 +182,7 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     for _ in range(budget):
         g, T = random_instance(rng, n_max, t_size)
         mt_ind = mt_oracle(g, T).test(g.edges)
-        rep = generic_rank(g, T, 2, trials=3, seed=rng.getrandbits(31))
+        rep = generic_rank(g, T, 2, seed=rng.getrandbits(31))
         rt_ind = rep.independent
         if mt_ind == rt_ind:
             continue

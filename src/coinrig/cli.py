@@ -73,8 +73,7 @@ def _cmd_rank(args) -> int:
     T = _parse_T(args.T, file_T, g)
     if T is None and g.n == 0:
         raise UsageError("the graph is empty: no vertex to default T to")
-    rep = generic_rank(g, T or frozenset({0}), args.d, trials=args.trials,
-                       seed=args.seed, use_modp=args.mod_p)
+    rep = generic_rank(g, T or frozenset({0}), args.d, seed=args.seed)
     _emit(rep.to_dict(), args.out)
     return 0
 
@@ -156,8 +155,7 @@ def _cmd_transform(args) -> int:
 def _cmd_check(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
-    verdict = check_coincident_rigidity(g, T, d=args.d, trials=args.trials,
-                                        seed=args.seed)
+    verdict = check_coincident_rigidity(g, T, d=args.d, seed=args.seed)
     _emit(verdict.to_dict(), args.out)
     if (verdict.combinatorial is not None and verdict.algebraic is not None
             and verdict.combinatorial != verdict.algebraic):
@@ -166,7 +164,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_xval(args) -> int:
-    t_sizes = [int(x) for x in args.t_sizes.split(",")]
+    try:
+        t_sizes = [int(x) for x in args.t_sizes.split(",")]
+    except ValueError:
+        t_sizes = [0]
+    if min(t_sizes) < 1:
+        raise UsageError(f"--t-sizes must list integers >= 1, got {args.t_sizes!r}")
+    if args.samples < 0:
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
     report = cross_validate(args.n_max, t_sizes, args.samples, args.seed)
     _emit(report, args.out)
     proven = [m for m in report["mismatch_details"] if not m["conjectural"]]
@@ -174,6 +179,8 @@ def _cmd_xval(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
     report = conjecture_search(args.n_max, args.t_size, args.budget, args.seed)
     _emit(report, args.out)
     return 1 if report["candidates"] else 0
@@ -206,9 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--T", help="comma-separated vertex ids")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mod-p", action="store_true", help="rank over GF(2^61-1)")
     p.set_defaults(fn=_cmd_rank)
 
     p = sub.add_parser("sparse", help="S-sparsity / strong T-sparsity verdict")
@@ -244,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--T", help="comma-separated vertex ids")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_check)
 

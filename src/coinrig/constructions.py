@@ -9,6 +9,7 @@ produce independent test graphs with 2n-3 edges.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -138,13 +139,14 @@ def henneberg_random(n: int, seed: int) -> Graph:
     if n < 2:
         raise ValueError("need at least two vertices")
     rng = random.Random(seed)
-    g = Graph(2, [(0, 1)])
-    while g.n < n:
-        if g.n < 3 or rng.random() < 0.7:
-            a, b = rng.sample(range(g.n), 2)
-            g = zero_extension(g, a, b)
-        else:
-            u, v = rng.choice(g.edge_list())
-            x = rng.choice([w for w in range(g.n) if w not in (u, v)])
-            g = one_extension(g, (u, v), x)
-    return g
+    edges = [(0, 1)]  # kept sorted, as ``Graph.edge_list`` gives them
+    for w in range(2, n):  # w is the new vertex
+        if w < 3 or rng.random() < 0.7:  # 0-extension
+            nbrs = rng.sample(range(w), 2)
+        else:  # 1-extension
+            u, v = rng.choice(edges)
+            nbrs = (u, v, rng.choice([y for y in range(w) if y not in (u, v)]))
+            edges.remove((u, v))
+        for a in nbrs:
+            insort(edges, (a, w))
+    return Graph(n, edges)

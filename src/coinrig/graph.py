@@ -176,7 +176,7 @@ class Graph:
         return Graph(self.n, set(self.edges) | {_canon_edge(a, b) for a, b in F},
                      self.labels)
 
-    def add_vertex(self, edges_to: Iterable[int] = (), label: str | None = None) -> "Graph":
+    def add_vertex(self, edges_to: Iterable[int] = ()) -> "Graph":
         """Append a new vertex with id n, joined to ``edges_to``."""
         w = self.n
         new = set(self.edges)
@@ -184,8 +184,7 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} is not a vertex of the graph")
             new.add((v, w))
-        labels = self.labels + ((label if label is not None else str(w)),)
-        return Graph(self.n + 1, new, labels)
+        return Graph(self.n + 1, new, self.labels + (str(w),))
 
     def remove_vertex(self, z: int) -> "Graph":
         """Delete z and its edges; vertices above z shift down by one."""

@@ -7,7 +7,8 @@ integer coordinates of the sample.  Rows independent mod p are independent
 over the rationals, so a mod-p rank is a certified lower bound.  Bareiss
 fraction-free elimination over the integers (``int_rank``/``rank_exact``)
 computes exact ranks of explicit matrices, and confirms a sampled rank that
-falls short of its upper bound on the exact-rational path.
+falls short of its upper bound on the exact-rational path, which the vertex
+count alone selects (``EXACT_VERTEX_LIMIT``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .graph import Graph
 COORD_BOUND = 1 << 20
 PRIME = (1 << 61) - 1
 EXACT_VERTEX_LIMIT = 30
+# sampled realizations per rank; the rt oracle and generic_rank must use the
+# same trials, so that trial t's rows are the same in both
+TRIALS = 3
 
 
 @dataclass
@@ -312,14 +316,14 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
     return _sparse_rows(g, _sample_points(g, T, d, _trial_seed(seed, t)), d)
 
 
-def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
-                 seed: int = 0, use_modp: bool = False) -> RankReport:
+def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
+                 seed: int = 0) -> RankReport:
     """Max rigidity-matrix rank over sampled generic T-coincident realizations.
 
     Each trial draws ``sample_T_coincident``'s points and ranks their rows
-    mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices, and every graph
-    when ``use_modp`` is set, keep that rank; otherwise a trial that falls
-    short of its cap is re-ranked exactly (Bareiss) from the same rows.
+    mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices keep that rank
+    ("prime-field"); on smaller ones a trial that falls short of its cap is
+    re-ranked exactly (Bareiss) from the same rows ("exact-rational").
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
     d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
@@ -327,7 +331,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ts = _check_sample_args(g, T, d)
-    use_modp = use_modp or g.n > EXACT_VERTEX_LIMIT
+    exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     # a mod-p rank never exceeds the rational rank, which is at most |E| and,
     # for d <= 2, at most the target (the translations and the rotation lie
@@ -341,7 +345,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
         for row in rows:
             ech.try_add(row)
         r = ech.rank
-        if not use_modp and r < cap:
+        if exact and r < cap:
             dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows]
             r = rank_exact(RigidityMatrix(d, g.n, dense))
         best = max(best, r)
@@ -351,7 +355,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = 3,
         target=target,
         rigid=best == target,
         independent=best == len(g.edges),
-        method="prime-field" if use_modp else "exact-rational",
+        method="exact-rational" if exact else "prime-field",
         trials=trials,
         seed=seed,
         note=(f"rank is a lower bound on the generic T-coincident rank; "

@@ -17,7 +17,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph, _canon_edge
-from .linalg import ModpEchelon, _check_sample_args, _trial_rows
+from .linalg import TRIALS, ModpEchelon, _check_sample_args, _trial_rows
 from .pebble import PebbleGame
 from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                        InvariantError, StrongSparsityChecker, _bits,
@@ -25,7 +25,6 @@ from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                        subsets_of_two_or_more)
 
 CIRCUIT_SCAN_CAP = 2_000_000
-RT_TRIALS = 3  # sampled realizations behind each rt oracle
 
 
 class IndependenceOracle:
@@ -181,7 +180,7 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
               seed: int = 0) -> IndependenceOracle:
     """Independence in the algebraic T-coincident rigidity matroid.
 
-    One realization per trial (``RT_TRIALS`` of them) is sampled when a
+    One realization per trial (``linalg.TRIALS`` of them) is sampled when a
     checker first asks for it and shared by all later queries; rows are
     tested by sparse elimination over GF(2^61 - 1), so accepted rows are
     independent over the rationals too.  Trial t's rows are those of
@@ -191,7 +190,7 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
     and d are checked here, once, before any sample is drawn.
     """
     ts = _check_sample_args(g, T, d)
-    row_maps: list[dict | None] = [None] * RT_TRIALS
+    row_maps: list[dict | None] = [None] * TRIALS
 
     def rows(t: int) -> dict:
         if row_maps[t] is None:
@@ -200,7 +199,7 @@ def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
 
     def new_checker():
         game = PebbleGame(g.n) if d == 2 else None
-        return _RtChecker(rows, RT_TRIALS, ts, game).try_add
+        return _RtChecker(rows, TRIALS, ts, game).try_add
 
     return IndependenceOracle("rt", g.edges, new_checker)
 

@@ -38,12 +38,26 @@ def run(capsys, *argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
-def test_rank_command(capsys, k4_file):
+def test_rank_command(capsys, tmp_path, k4_file):
     code, doc = run(capsys, "rank", "--graph", k4_file, "--T", "0,1", "--seed", "3")
     assert code == 0
     assert doc["rank"] == 5 and doc["rigid"] and doc["method"] == "exact-rational"
-    code, doc = run(capsys, "rank", "--graph", k4_file, "--mod-p")
-    assert code == 0 and doc["method"] == "prime-field" and doc["rank"] == 5
+    # the method follows the vertex count: exact-rational up to
+    # EXACT_VERTEX_LIMIT = 30 vertices, prime-field above
+    for n, method in ((30, "exact-rational"), (31, "prime-field")):
+        path = tmp_path / f"h{n}.json"
+        path.write_text(graph_to_json(henneberg_random(n, 1)))
+        code, doc = run(capsys, "rank", "--graph", str(path), "--T", "0,1")
+        assert code == 0 and doc["method"] == method and doc["trials"] == 3
+        assert doc["independent"] and doc["rank"] == 2 * n - 3
+
+
+@pytest.mark.parametrize("argv", [["rank", "--mod-p"], ["rank", "--trials", "5"],
+                                  ["check", "--trials", "5"]])
+def test_removed_rank_options_are_rejected(capsys, k4_file, argv):
+    # the method follows the vertex count and the trial count is a constant
+    assert main([*argv, "--graph", k4_file]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_rank_uses_file_T(capsys, k4_file):
@@ -176,7 +190,8 @@ def test_parser_is_built_once_and_reused(capsys, k4_file, fig4_file):
              ["mrank", "--graph", k4_file, "--T", "0,1", "--witness"],
              ["check"],
              ["sparse", "--help"],
-             ["rank", "--graph", k4_file, "--mod-p"]]
+             ["rank", "--graph", k4_file, "--mod-p"],
+             ["rank", "--graph", k4_file, "--seed", "3"]]
 
     def outcome(argv):
         code = main(list(argv))
@@ -190,7 +205,8 @@ def test_parser_is_built_once_and_reused(capsys, k4_file, fig4_file):
         build_parser.cache_clear()
         fresh.append(outcome(argv))
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2, 0]
+    assert shared[-1] == shared[4]  # a rejected flag leaves the parser as it was
 
 
 def error_line(capsys, *argv):
@@ -385,6 +401,19 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
                  ["xval", "--t-sizes", "13", "--samples", "2"],
                  ["conjecture", "--n-max", "14", "--t-size", "13", "--budget", "2"]):
         assert error_line(capsys, *argv) == msg, argv
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["xval", "--t-sizes", "-1", "--samples", "2"],
+     "--t-sizes must list integers >= 1, got '-1'"),
+    (["xval", "--t-sizes", "1,,2"], "--t-sizes must list integers >= 1, got '1,,2'"),
+    (["xval", "--t-sizes", "0"], "--t-sizes must list integers >= 1, got '0'"),
+    (["xval", "--samples", "-3"], "--samples must be at least 0, got -3"),
+    (["conjecture", "--budget", "-3"], "--budget must be at least 0, got -3"),
+], ids=["xval-t-negative", "xval-t-empty-entry", "xval-t-zero", "xval-samples",
+        "conjecture-budget"])
+def test_bad_counts_are_usage_errors(capsys, argv, msg):
+    assert error_line(capsys, *argv) == f"error: {msg}\n"
 
 
 @pytest.mark.filterwarnings("error")  # pytest would otherwise hide a warning

@@ -137,7 +137,7 @@ def test_replace_recovers_inner_triangle_fixture():
     # the blown-up block reproduces the original graph
     from coinrig.checks import fixtures
     fig31 = fixtures()["fig3-1"].graph
-    inflated = fig31.add_vertex([6, 7, 8], label="d2")  # Y = {d,e,f,d2} is K4
+    inflated = fig31.add_vertex([6, 7, 8])  # Y = {d,e,f} and the new vertex is K4
     out = replace_rigid_subgraph(inflated, [6, 7, 8, 9], [[6, 9], [7], [8]])
     assert out.n == 9 and out.edges == fig31.edges
 
@@ -208,3 +208,26 @@ def test_henneberg_random():
         assert pebble_rank_23(g) == 2 * rng_n - 3
     with pytest.raises(ValueError):
         henneberg_random(1, 0)
+
+
+def chained_henneberg(n, seed):
+    # the generator as a chain of validated extension moves: one Graph per step
+    rng = random.Random(seed)
+    g = Graph(2, [(0, 1)])
+    while g.n < n:
+        if g.n < 3 or rng.random() < 0.7:
+            a, b = rng.sample(range(g.n), 2)
+            g = zero_extension(g, a, b)
+        else:
+            u, v = rng.choice(g.edge_list())
+            x = rng.choice([w for w in range(g.n) if w not in (u, v)])
+            g = one_extension(g, (u, v), x)
+    return g
+
+
+def test_henneberg_random_matches_chained_extensions():
+    # the generator draws what the chained moves draw, so its graphs (and
+    # every benchmark input made from them) stay the same
+    for n in [*range(2, 40), 60, 120, 250]:
+        for seed in range(40):
+            assert henneberg_random(n, seed) == chained_henneberg(n, seed), (n, seed)

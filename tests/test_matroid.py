@@ -8,8 +8,8 @@ import coinrig.matroid
 from coinrig.checks import fixtures
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (ModpEchelon, _sample_points, _sparse_rows,
-                            _trial_rows, _trial_seed, rank_exact,
+from coinrig.linalg import (TRIALS, ModpEchelon, _sample_points, _sparse_rows,
+                            _trial_rows, _trial_seed, generic_rank, rank_exact,
                             rigidity_matrix, sample_T_coincident)
 from coinrig.matroid import (MatroidRankCertificate, _RtChecker, circuits_upto,
                              greedy_rank, laman_oracle, mt_oracle,
@@ -247,6 +247,14 @@ class EagerRtChecker:
             if not ok:
                 self.valid[j] = False
         return True
+
+
+def test_rt_oracle_and_generic_rank_share_the_trial_count():
+    # the rt oracle ranks the realizations that generic_rank samples
+    g = henneberg_random(8, 2)
+    assert generic_rank(g, {0, 1}, 2, seed=5).trials == TRIALS
+    add = rt_oracle(g, {0, 1}, seed=5).incremental()
+    assert len(add.__self__.echelons) == TRIALS
 
 
 def _assert_rt_checker_matches_eager(row_maps, order):

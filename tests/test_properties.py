@@ -3,7 +3,8 @@
 The pebble games behind the decisions walk edges and vertices in an order
 that depends on the vertex labels, so a verdict that changed under
 relabeling would expose an order-dependent game.  The growth moves that
-keep strong sparsity are checked from greedy ``mt`` bases.
+keep strong sparsity are checked from greedy ``mt`` bases, and a greedy
+rank must not depend on the order the edges are offered in.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coinrig.constructions import one_extension, reduce_low_degree, zero_extension
 from coinrig.graph import Graph
-from coinrig.matroid import greedy_rank, mt_oracle
+from coinrig.matroid import greedy_rank, laman_oracle, mt_oracle
 from coinrig.sparsity import is_S_sparse, is_strongly_T_sparse
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -49,6 +50,21 @@ def test_verdicts_are_invariant_under_relabeling(data):
     U = frozenset(perm[t] for t in T)
     for decide in (is_strongly_T_sparse, is_S_sparse):
         assert (decide(g, T) is None) == (decide(h, U) is None), decide.__name__
+
+
+@PROPERTY
+@given(st.data())
+def test_greedy_rank_is_independent_of_edge_order(data):
+    # in a matroid every maximal independent set has the same size: a fresh
+    # checker fed the edges in any order keeps rank-many, and they are
+    # independent
+    g, T = data.draw(graphs_with_T())
+    order = data.draw(st.permutations(sorted(g.edges)))
+    for oracle in (mt_oracle(g, T), laman_oracle(g)):
+        add = oracle.incremental()
+        kept = [(a, b) for a, b in order if add(a, b)]
+        assert len(kept) == greedy_rank(oracle).rank, (oracle.name, order, sorted(T))
+        assert oracle.test(kept), (oracle.name, order, sorted(T))
 
 
 @PROPERTY
