@@ -8,7 +8,13 @@ over the rationals, so a mod-p rank is a certified lower bound.  Bareiss
 fraction-free elimination over the integers (``int_rank``/``rank_exact``)
 computes exact ranks of explicit matrices, and confirms a sampled rank that
 falls short of its upper bound on the exact-rational path, which the vertex
-count alone selects (``EXACT_VERTEX_LIMIT``).
+count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that bound is
+the generic rank of G', the graph minus its T-internal edges, from the
+(2,3) pebble game: a fact about R_2, not the coincidence theorem, so the
+rank verdict stays independent of the strong-sparsity one.
+``generic_rank`` stops at the first trial that reaches the bound; its
+report's ``trials`` is the configured count, ``TRIALS``, not the number
+drawn.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from math import comb, lcm
 from typing import Iterable
 
 from .graph import Graph
+from .pebble import pebble_rank_23
+from .sparsity import InvariantError
 
 COORD_BOUND = 1 << 20
 PRIME = (1 << 61) - 1
@@ -246,10 +254,6 @@ def _sparse_rows(g: Graph, pts: list[tuple[int, ...]],
     return rows
 
 
-def is_infinitesimally_rigid(g: Graph, p: Realization) -> bool:
-    return rank_exact(rigidity_matrix(g, p)) == rigidity_target(g.n, p.dim)
-
-
 # -- sampling ----------------------------------------------------------
 
 
@@ -327,17 +331,31 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
     d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
+
+    No trial ranks above the cap.  A T-coincident sample is one realization
+    of G', the graph minus its T-internal edges (their rows are zero), and
+    a mod-p rank is at most the rational rank, so a trial's rank is at most
+    the generic rank of G'.  In the plane that is ``pebble_rank_23(G')``
+    (Asimow-Roth; Laman): a bound from R_2 alone, not from the coincidence
+    theorem, so this verdict stays independent of the strong-sparsity one.
+    In d = 1 the cap is min(|E|, target) (the translation lies in the
+    kernel), in d >= 3 it is |E|.  A trial that reaches the cap has its
+    rational rank already: it skips Bareiss and ends the loop, since no
+    later trial can change ``rank``, ``rigid`` or ``independent``.  A trial
+    ranked above the cap raises ``InvariantError``.  The report's
+    ``trials`` is the configured count, not the number drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ts = _check_sample_args(g, T, d)
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
-    # a mod-p rank never exceeds the rational rank, which is at most |E| and,
-    # for d <= 2, at most the target (the translations and the rotation lie
-    # in the kernel; if all points coincide every row is zero): a trial that
-    # reaches this cap has its rational rank already
-    cap = min(len(g.edges), target) if d <= 2 else len(g.edges)
+    if d == 2:
+        cap = pebble_rank_23(g.minus_T_edges(ts))
+    elif d == 1:
+        cap = min(len(g.edges), target)
+    else:
+        cap = len(g.edges)
     best = 0
     for t in range(trials):
         rows = _trial_rows(g, ts, d, seed, t).values()
@@ -348,7 +366,11 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
         if exact and r < cap:
             dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows]
             r = rank_exact(RigidityMatrix(d, g.n, dense))
+        if r > cap:
+            raise InvariantError(f"trial {t} has rank {r}, above its bound {cap}")
         best = max(best, r)
+        if best == cap:
+            break
     bound = Fraction(min(d * g.n, len(g.edges)), 2 * COORD_BOUND + 1)
     return RankReport(
         rank=best,

@@ -47,7 +47,10 @@ DEFAULT_CAP = 12
 
 
 class InvariantError(RuntimeError):
-    """A bound from the paper's proof steps failed: a bug or a false theorem.
+    """A proven bound failed: a bug or a false theorem.
+
+    The bounds are the paper's proof steps and, in ``linalg.generic_rank``,
+    the R_2 rank of G' that caps every sampled rank in the plane.
 
     Raised by explicit checks that stay active under ``python -O``; the CLI
     reports it as a theorem violation (exit code 1).

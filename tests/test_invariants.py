@@ -11,7 +11,9 @@ from types import SimpleNamespace
 import pytest
 
 import coinrig.constructions
+import coinrig.linalg
 from coinrig import InvariantError
+from coinrig.cli import main
 from coinrig.constructions import reduce_low_degree
 from coinrig.graph import Graph
 
@@ -33,9 +35,25 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
     assert len(calls) == 4
 
 
+K4 = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+
+
+@pytest.mark.parametrize("verb", ["rank", "check"])
+def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_path, verb):
+    # K4 minus the edge inside T = {0, 1} has R_2 rank 5; a bound of 4 is
+    # one that a sampled trial beats
+    real = coinrig.linalg.pebble_rank_23
+    monkeypatch.setattr(coinrig.linalg, "pebble_rank_23", lambda g: real(g) - 1)
+    graph = tmp_path / "k4.json"
+    graph.write_text(K4)
+    assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invariant violated: ") and err.count("\n") == 1
+
+
 SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
-    import coinrig.matroid, coinrig.sparsity
+    import coinrig.linalg, coinrig.matroid, coinrig.sparsity
     from coinrig import InvariantError
     from coinrig.cli import main
     from coinrig.sparsity import CompatibleFamily, merge_overlapping
@@ -54,14 +72,21 @@ SCRIPT = textwrap.dedent("""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["mrank", "--graph", sys.argv[1], "--T", "0,1", "--witness"])
+
+    real_rank = coinrig.linalg.pebble_rank_23
+    coinrig.linalg.pebble_rank_23 = lambda g: real_rank(g) - 1
+    rank_err = io.StringIO()
+    with contextlib.redirect_stderr(rank_err):
+        rank_code = main(["rank", "--graph", sys.argv[1], "--T", "0,1"])
     print(json.dumps({"optimize": sys.flags.optimize, "merge": merge,
-                      "code": code, "stderr": err.getvalue()}))
+                      "code": code, "stderr": err.getvalue(),
+                      "rank_code": rank_code, "rank_stderr": rank_err.getvalue()}))
 """)
 
 
 def test_invariants_fire_under_optimize(tmp_path):
     graph = tmp_path / "k4.json"
-    graph.write_text('{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}')
+    graph.write_text(K4)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -75,3 +100,5 @@ def test_invariants_fire_under_optimize(tmp_path):
     # a theorem violation, not the usage error (exit 2) a ValueError gives
     assert out["code"] == 1
     assert out["stderr"].startswith("error: ") and out["stderr"].count("\n") == 1
+    assert out["rank_code"] == 1
+    assert out["rank_stderr"].startswith("error: invariant violated: ")

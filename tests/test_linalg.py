@@ -1,19 +1,21 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from coinrig import linalg
 from coinrig.checks import fixtures
+from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _sample_points, _sparse_rows,
-                            _trial_seed, generic_rank, generic_realization,
-                            int_rank, is_infinitesimally_rigid, rank_exact,
-                            rank_modp, rigidity_matrix, rigidity_target,
-                            sample_T_coincident)
+                            generic_rank, generic_realization, int_rank,
+                            rank_exact, rank_modp, rigidity_matrix,
+                            rigidity_target, sample_T_coincident)
+from coinrig.pebble import pebble_rank_23
 
 
 def F(x):
@@ -141,10 +143,10 @@ def test_rank_modp_scales_rows_to_integers_first():
 def test_rigidity_thresholds():
     g = Graph(2, [(0, 1)])
     p = Realization(2, {0: (F(0), F(0)), 1: (F(5), F(1))})
-    assert is_infinitesimally_rigid(g, p)  # rank 1 = 2*2-3
+    assert rank_exact(rigidity_matrix(g, p)) == rigidity_target(2, 2)  # 1 = 2*2-3
     path = Graph(3, [(0, 1), (1, 2)])
     q = generic_realization(path, 2, 7)
-    assert not is_infinitesimally_rigid(path, q)
+    assert rank_exact(rigidity_matrix(path, q)) != rigidity_target(3, 2)
     assert rigidity_target(1, 2) == 0  # |V| < d branch
     assert rigidity_target(9, 2) == 15
 
@@ -329,11 +331,17 @@ def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
             assert _echelon_rank(rows.values()) == rank_exact(rigidity_matrix(g, p))
 
 
-def _bareiss_report(g, T, d, trials, seed):
-    """The report of generic_rank with every trial ranked by Bareiss."""
-    rep = generic_rank(g, T, d, trials=trials, seed=seed)
-    best = max(rank_exact(rigidity_matrix(g, sample_T_coincident(g, T, d, _trial_seed(seed, t))))
-               for t in range(trials))
+def _every_trial_report(g, T, d, seed, rep):
+    """``rep`` with the best rank of all its trials, each drawn and ranked:
+    by Bareiss on the exact-rational path, mod p above it."""
+    ranks = []
+    for t in range(rep.trials):
+        rows = linalg._trial_rows(g, frozenset(T), d, seed, t).values()
+        if g.n <= linalg.EXACT_VERTEX_LIMIT:
+            ranks.append(int_rank([[row.get(c, 0) for c in range(d * g.n)] for row in rows]))
+        else:
+            ranks.append(_echelon_rank(rows))
+    best = max(ranks)
     return dataclasses.replace(rep, rank=best, rigid=best == rep.target,
                                independent=best == len(g.edges))
 
@@ -342,7 +350,7 @@ def test_exact_path_matches_all_bareiss_reports():
     f = fixtures()["fig4"]
     rep = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
     assert rep.rank == 12 and rep.target == 13  # not T-rigid
-    assert rep == _bareiss_report(f.graph, f.T, 2, 3, 1)
+    assert rep == _every_trial_report(f.graph, f.T, 2, 1, rep)
     assert rep.method == "exact-rational"
     rng = random.Random(29)
     for d in (1, 2, 3):
@@ -351,8 +359,8 @@ def test_exact_path_matches_all_bareiss_reports():
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
             T = rng.sample(range(n), rng.randint(1, n))
-            assert (generic_rank(g, T, d, trials=2, seed=seed)
-                    == _bareiss_report(g, T, d, 2, seed))
+            rep = generic_rank(g, T, d, trials=2, seed=seed)
+            assert rep == _every_trial_report(g, T, d, seed, rep)
 
 
 def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
@@ -381,3 +389,63 @@ def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
     monkeypatch.setattr(linalg, "sample_T_coincident", redraw)
     monkeypatch.setattr(linalg, "rigidity_matrix", redraw)
     assert generic_rank(f.graph, f.T, 2, trials=3, seed=1) == want
+
+
+def test_trials_stop_at_the_pebble_bound(monkeypatch):
+    drawn, bareiss = [], []
+    rows, rank = linalg._trial_rows, linalg.rank_exact
+    monkeypatch.setattr(linalg, "_trial_rows",
+                        lambda g, T, d, seed, t: drawn.append(t) or rows(g, T, d, seed, t))
+    monkeypatch.setattr(linalg, "rank_exact", lambda M: bareiss.append(M) or rank(M))
+    # vertex 23 has degree 2 and T holds it and its neighbour 11, so G' is
+    # flexible: the bound 116 is below min(|E|, 2n - 3) = 117, and trial 0
+    # reaches it
+    g = henneberg_random(60, 1)
+    extra = [p for p in combinations(range(60), 2) if p not in g.edges]
+    random.Random(1).shuffle(extra)
+    g = g.add_edges(extra[:3])
+    assert pebble_rank_23(g.minus_T_edges({11, 23})) == 116
+    assert generic_rank(g, {11, 23}, 2).rank == 116
+    assert drawn == [0]
+    drawn.clear()
+    assert generic_rank(complete_graph(4), {0, 1}, 2).rank == 5
+    assert drawn == [0] and bareiss == []
+    # fig4's G' is rigid, but every T-coincident trial falls short of 13
+    drawn.clear()
+    f = fixtures()["fig4"]
+    assert generic_rank(f.graph, f.T, 2, seed=1).rank == 12
+    assert drawn == [0, 1, 2] and len(bareiss) == 3
+    # in d = 3 the bound is |E|: K5 ranks 9 of its 10 edges
+    drawn.clear()
+    assert generic_rank(complete_graph(5), {0}, 3).rank == 9
+    assert drawn == [0, 1, 2]
+
+
+def test_stopping_at_the_pebble_bound_matches_every_trial_over_the_graph_atlas():
+    # every graph on at most 6 vertices and every T with |T| <= 3
+    nx = pytest.importorskip("networkx")
+    cases = 0
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n > 6:
+            break
+        g = Graph(n, list(atlas_graph.edges()))
+        for k in (1, 2, 3):
+            for T in combinations(range(n), k):
+                rep = generic_rank(g, T, 2, seed=cases)
+                assert rep == _every_trial_report(g, T, 2, cases, rep), (g.edge_list(), T)
+                cases += 1
+    assert cases == 7435
+
+
+def test_stopping_at_the_cap_matches_every_trial_on_random_graphs():
+    rng = random.Random(37)
+    for d in (1, 2, 3):
+        for seed in range(6):
+            n = rng.randint(2, 40)
+            pairs = list(combinations(range(n), 2))
+            m = min(len(pairs), rng.randint(d * n - 6, d * n + 2))
+            g = Graph(n, rng.sample(pairs, max(m, 0)))
+            T = rng.sample(range(n), rng.randint(1, min(3, n)))
+            rep = generic_rank(g, T, d, seed=seed)
+            assert rep == _every_trial_report(g, T, d, seed, rep), (d, seed)
