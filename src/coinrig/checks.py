@@ -4,7 +4,9 @@ The combinatorial characterization of coincident rigidity (deletion and
 contraction checks via the pebble game) runs against the algebraic one
 (exact rank of sampled coincident realizations) on bundled fixtures and on
 random instances; disagreements for coincidence sets of size at most three
-are genuine correctness failures and fail the harness.
+are genuine correctness failures and fail the harness.  The combinatorial
+side plays one full game, on G'; each contraction G'/S is decided from that
+game's final orientation, not by a game of its own.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .constructions import henneberg_random
 from .graph import Graph, complete_bipartite, graph_to_json
 from .linalg import RankReport, Realization, generic_rank, rigidity_target
 from .matroid import greedy_rank, mt_oracle, rt_oracle
-from .pebble import pebble_rank_23
-from .sparsity import is_strongly_T_sparse, subsets_of_two_or_more
+from .pebble import PebbleGame
+from .sparsity import (InvariantError, is_strongly_T_sparse,
+                       subsets_of_two_or_more)
 
 
 @dataclass
@@ -56,6 +59,37 @@ class CoincidenceVerdict:
         return out
 
 
+def _contraction_games(gp: Graph, ts: frozenset[int]):
+    """(S, game) for G' (S empty), then for each G'/S, S inside T, |S| >= 2.
+
+    The (2,3) game on G' is played on every edge, and the edges it rejects
+    are kept.  Each G'/S game starts from that game's final orientation by
+    ``PebbleGame.contracted``, which keeps the accepted edges that avoid S;
+    it then takes the edges at the merged vertex and the rejected edges that
+    avoid S, and stops once it holds 2n' - 3 edges.  Its count is the R_2
+    rank of G'/S whenever that rank is short of 2n' - 3.
+    """
+    game = PebbleGame(gp.n)
+    rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
+    yield frozenset(), game
+    for s in subsets_of_two_or_more(ts):
+        sub, remap = game.contracted(s)
+        target = rigidity_target(sub.n, 2)
+        if sub.accepted > target:  # a (2,3)-sparse set holds at most 2n' - 3
+            raise InvariantError(f"the copied state of G'/{sorted(s)} holds "
+                                 f"{sub.accepted} edges, above {target}")
+        m = remap[min(s)]
+        # G' has no edge inside T, so every neighbour of S lies outside it
+        star = sorted({remap[w] for t in s for w in gp.neighbors(t)})
+        rest = ((remap[a], remap[b]) for a, b in rejected
+                if a not in s and b not in s)
+        for a, b in chain(((m, w) for w in star), rest):
+            if sub.accepted == target:
+                break
+            sub.try_insert(a, b)
+        yield s, sub
+
+
 def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     """Deletion/contraction characterization of coincident rigidity.
 
@@ -63,16 +97,17 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     G' and every contraction G'/S (S inside T, |S| >= 2) are rigid in the
     plane, by the pebble game.  Returns the failing S: None when g is rigid,
     the empty set when G' is flexible, else the first S whose G'/S is.
+
+    One full game is played, on G'; each G'/S is decided from its final
+    orientation (``_contraction_games``), so it costs the edges at the
+    merged vertex and the edges the G' game rejected, not a game on all
+    of G'/S.
     """
     ts = frozenset(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
-    gp = g.minus_T_edges(ts)
-    if pebble_rank_23(gp) != rigidity_target(gp.n, 2):
-        return frozenset()
-    for s in subsets_of_two_or_more(ts):
-        gc = gp.contract(s)
-        if pebble_rank_23(gc) != rigidity_target(gc.n, 2):
+    for s, game in _contraction_games(g.minus_T_edges(ts), ts):
+        if game.accepted != rigidity_target(game.n, 2):
             return s
     return None
 

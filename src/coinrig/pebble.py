@@ -4,7 +4,9 @@ Each vertex v starts with cap[v] pebbles (two by default).  An edge is
 accepted when l + 1 pebbles (four by default) can be gathered on its
 endpoints; accepted edges form a maximal sparse subset of the input, whose
 size is the rank of the edge set.  Pebbles are fetched by depth-first
-search along accepted-edge orientations, reversing the path walked.
+search along accepted-edge orientations, reversing the path walked.  A
+game's orientation also starts the game of a contraction of its graph
+(``PebbleGame.contracted``), which then needs only the edges it lacks.
 """
 
 from __future__ import annotations
@@ -88,6 +90,37 @@ class PebbleGame:
         self.pebbles[a] -= 1
         self.out[a].append(b)
         return True
+
+    def contracted(self, S: frozenset[int]) -> tuple[PebbleGame, list[int]]:
+        """This game's state with S merged into one vertex, and the id map.
+
+        Ids follow ``Graph.contract``: S goes to the new id of min(S), the
+        other vertices are renumbered densely in order.  Every out-edge that
+        touches S is dropped and its tail gets the pebble back; the merged
+        vertex has two pebbles and no out-edges.  The accepted edges left
+        avoid S, so they stay sparse on the new vertices, and out-degree plus
+        pebbles is two everywhere: any such orientation is a state of the
+        game (Lee-Streinu 2008), so further ``try_insert`` calls extend the
+        accepted set to a maximal sparse one.  Only for a game with the
+        default caps; ``l`` is kept.
+        """
+        keep = min(S)
+        remap = [0] * self.n
+        nxt = 0
+        for v in range(self.n):
+            if v not in S or v == keep:
+                remap[v] = nxt
+                nxt += 1
+        for v in S:
+            remap[v] = remap[keep]
+        game = PebbleGame(nxt, l=self.need - 1)
+        for v, heads in enumerate(self.out):
+            if v not in S:
+                kept = [remap[w] for w in heads if w not in S]
+                game.out[remap[v]] = kept
+                game.pebbles[remap[v]] -= len(kept)
+                game.accepted += len(kept)
+        return game, remap
 
 
 def pebble_rank_23(g: Graph) -> int:

@@ -1,16 +1,20 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from coinrig.checks import (check_coincident_rigidity,
+from coinrig.checks import (_contraction_games, check_coincident_rigidity,
                             coincident_rigid_combinatorial, conjecture_search,
                             cross_validate, fixtures, random_instance)
+from coinrig.constructions import henneberg_random
 from coinrig.graph import complete_graph
 from coinrig.linalg import (generic_rank, rank_exact, rank_modp,
                             rigidity_matrix, rigidity_target,
                             sample_T_coincident)
-from coinrig.pebble import pebble_rank_23
+from coinrig.pebble import PebbleGame, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
+
+from test_exhaustive import _atlas
 
 
 def test_fixture_shapes():
@@ -77,6 +81,61 @@ def test_characterization_equivalence_random_corpus():
         g, T = random_instance(rng, 7, rng.choice([2, 3]))
         both = check_coincident_rigidity(g, T, seed=rng.getrandbits(16))
         assert both.combinatorial == both.algebraic, (g.edge_list(), sorted(T))
+
+
+def _replayed_combinatorial(g, T):
+    """The verdict with every G'/S played from scratch on its own edges."""
+    gp = g.minus_T_edges(T)
+    if pebble_rank_23(gp) != rigidity_target(gp.n, 2):
+        return frozenset()
+    for s in subsets_of_two_or_more(T):
+        gc = gp.contract(s)
+        if pebble_rank_23(gc) != rigidity_target(gc.n, 2):
+            return s
+    return None
+
+
+def _assert_contraction_games_match(g, T):
+    gp = g.minus_T_edges(T)
+    for s, game in _contraction_games(gp, T):
+        gs = gp.contract(s) if s else gp
+        assert game.n == gs.n
+        assert game.accepted == pebble_rank_23(gs), (g.edge_list(), sorted(T), sorted(s))
+        assert all(len(heads) + p == 2 for heads, p in zip(game.out, game.pebbles))
+        oriented = {tuple(sorted((v, w))) for v, heads in enumerate(game.out) for w in heads}
+        assert len(oriented) == game.accepted and oriented <= gs.edges
+    assert coincident_rigid_combinatorial(g, T) == _replayed_combinatorial(g, T)
+
+
+def test_contraction_games_match_replayed_games_over_the_graph_atlas():
+    pairs = 0
+    for g in _atlas(6):
+        for k in (2, 3):
+            for T in combinations(range(g.n), k):
+                _assert_contraction_games_match(g, frozenset(T))
+                pairs += 1
+    assert pairs == 6268
+
+
+def test_contraction_games_match_replayed_games_on_random_graphs():
+    rng = random.Random(17)
+    for _ in range(150):
+        g, T = random_instance(rng, 60, rng.choice([2, 3]))
+        _assert_contraction_games_match(g, T)
+
+
+def test_contractions_reuse_the_g_prime_game(monkeypatch):
+    # T is independent in this Henneberg graph, so G' is the graph itself,
+    # rigid, and all four contractions are decided; replaying every edge
+    # into each G'/S takes about 5|E| inserts
+    g = henneberg_random(120, 1)
+    T = frozenset({10, 50, 100})
+    inserts = []
+    real = PebbleGame.try_insert
+    monkeypatch.setattr(PebbleGame, "try_insert",
+                        lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
+    assert coincident_rigid_combinatorial(g, T) is None
+    assert len(inserts) < 2 * len(g.edges)
 
 
 def test_necessity_direction_standalone():

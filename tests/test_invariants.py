@@ -53,7 +53,7 @@ def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_pa
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
-    import coinrig.linalg, coinrig.matroid, coinrig.sparsity
+    import coinrig.linalg, coinrig.matroid, coinrig.pebble, coinrig.sparsity
     from coinrig import InvariantError
     from coinrig.cli import main
     from coinrig.sparsity import CompatibleFamily, merge_overlapping
@@ -78,9 +78,25 @@ SCRIPT = textwrap.dedent("""
     rank_err = io.StringIO()
     with contextlib.redirect_stderr(rank_err):
         rank_code = main(["rank", "--graph", sys.argv[1], "--T", "0,1"])
+    coinrig.linalg.pebble_rank_23 = real_rank
+
+    # a copied G'/S state holding more than 2n' - 3 edges
+    real_contracted = coinrig.pebble.PebbleGame.contracted
+
+    def overfull(game, S):
+        sub, remap = real_contracted(game, S)
+        sub.accepted += 2 * sub.n
+        return sub, remap
+
+    coinrig.pebble.PebbleGame.contracted = overfull
+    check_err = io.StringIO()
+    with contextlib.redirect_stderr(check_err), contextlib.redirect_stdout(io.StringIO()):
+        check_code = main(["check", "--graph", sys.argv[1], "--T", "0,1"])
     print(json.dumps({"optimize": sys.flags.optimize, "merge": merge,
                       "code": code, "stderr": err.getvalue(),
-                      "rank_code": rank_code, "rank_stderr": rank_err.getvalue()}))
+                      "rank_code": rank_code, "rank_stderr": rank_err.getvalue(),
+                      "check_code": check_code,
+                      "check_stderr": check_err.getvalue()}))
 """)
 
 
@@ -102,3 +118,5 @@ def test_invariants_fire_under_optimize(tmp_path):
     assert out["stderr"].startswith("error: ") and out["stderr"].count("\n") == 1
     assert out["rank_code"] == 1
     assert out["rank_stderr"].startswith("error: invariant violated: ")
+    assert out["check_code"] == 1
+    assert out["check_stderr"].startswith("error: invariant violated: the copied state")
