@@ -32,11 +32,11 @@ print("prime-field rank:", rank_modp(M))
 # some edge rows into zero rows and can destroy rigidity.  K4 with two
 # coincident vertices is still rigid; a triangle is not.
 K4 = complete_graph(4)
-report = generic_rank(K4, {0, 1}, d=2, trials=3, seed=42)
+report = generic_rank(K4, {0, 1}, d=2, seed=42)
 print("\nK4 with vertices 0,1 coincident:")
 print("  rank", report.rank, "of target", report.target, "-> rigid:", report.rigid)
 
-report = generic_rank(tri, {0, 1}, d=2, trials=3, seed=42)
+report = generic_rank(tri, {0, 1}, d=2, seed=42)
 print("K3 with vertices 0,1 coincident:")
 print("  rank", report.rank, "of target", report.target, "-> rigid:", report.rigid)
 

@@ -50,9 +50,9 @@ print("conjecture search:", search["budget"], "instances,",
 # the coincident framework is flexible (nine points always sit on a quadric).
 k55 = fx["k55"]
 uv = tuple(sorted(k55.T))
-rep = generic_rank(k55.graph, k55.T, d=3, trials=3, seed=2)
-rep_minus = generic_rank(k55.graph.delete_edges([uv]), {0}, d=3, trials=3, seed=2)
-rep_contr = generic_rank(k55.graph.contract(k55.T), {0}, d=3, trials=3, seed=2)
+rep = generic_rank(k55.graph, k55.T, d=3, seed=2)
+rep_minus = generic_rank(k55.graph.delete_edges([uv]), {0}, d=3, seed=2)
+rep_contr = generic_rank(k55.graph.contract(k55.T), {0}, d=3, seed=2)
 print("\nK_{5,5} in 3D: coincident rank", rep.rank, "of", rep.target,
       "(flexible);  minus-edge rank", rep_minus.rank,
       "(rigid);  contracted rank", rep_contr.rank, "(rigid)")

@@ -112,17 +112,18 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     return None
 
 
-def check_coincident_rigidity(g: Graph, T, d: int = 2,
-                              seed: int = 0) -> CoincidenceVerdict:
-    """Both verdicts side by side (combinatorial one only in the plane).
+def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
+    """Both planar verdicts side by side.
 
-    The algebraic verdict compares the rank of generic T-coincident
-    realizations with the rigidity target.
+    The algebraic verdict compares the rank of generic T-coincident planar
+    realizations with the rigidity target 2n - 3.  The combinatorial one,
+    the deletion/contraction characterization, is given for 2 <= |T| <= 3
+    only, the sizes where it is proved; otherwise it stays None.
     """
     ts = frozenset(T)
-    rep = generic_rank(g, ts, d, seed=seed)
+    rep = generic_rank(g, ts, 2, seed=seed)
     combinatorial = failing_S = None
-    if d == 2 and 2 <= len(ts) <= 3:
+    if 2 <= len(ts) <= 3:
         failing_S = coincident_rigid_combinatorial(g, ts)
         combinatorial = failing_S is None
     return CoincidenceVerdict(g, ts, combinatorial=combinatorial, algebraic=rep.rigid,
@@ -165,32 +166,27 @@ def cross_validate(n_max: int, t_sizes: list[int], samples: int,
     """
     rng = random.Random(seed)
     t0 = time.perf_counter()
-    checked = 0
     by_t: dict[int, int] = {}
     mismatches = []
     for i in range(samples):
         t_size = t_sizes[i % len(t_sizes)]
         g, T = random_instance(rng, n_max, t_size)
-        mt = mt_oracle(g, T)
-        rt = rt_oracle(g, T, d=2, seed=rng.getrandbits(31))
-        mt_rank = greedy_rank(mt).rank
-        rt_rank = greedy_rank(rt).rank
-        # a fresh checker fed the sorted edges accepts them all iff the greedy
-        # run over the same edges keeps every one
-        mt_ind = mt_rank == len(g.edges)
-        rt_ind = rt_rank == len(g.edges)
-        checked += 1
+        mt_rank = greedy_rank(mt_oracle(g, T)).rank
+        rt_rank = greedy_rank(rt_oracle(g, T, seed=rng.getrandbits(31))).rank
         by_t[t_size] = by_t.get(t_size, 0) + 1
-        if mt_ind != rt_ind or mt_rank != rt_rank:
+        # equal ranks give equal independence verdicts: a fresh checker fed
+        # the sorted edges accepts them all iff the greedy run keeps every one
+        if mt_rank != rt_rank:
             mismatches.append({
                 "graph": graph_to_json(g, T),
                 "T": sorted(T),
-                "mt_independent": mt_ind, "rt_independent": rt_ind,
+                "mt_independent": mt_rank == len(g.edges),
+                "rt_independent": rt_rank == len(g.edges),
                 "mt_rank": mt_rank, "rt_rank": rt_rank,
                 "conjectural": t_size >= 4,
             })
     return {
-        "samples": checked,
+        "samples": samples,
         "by_t_size": by_t,
         "mismatches": len(mismatches),
         "mismatch_details": mismatches,
@@ -202,12 +198,13 @@ def cross_validate(n_max: int, t_sizes: list[int], samples: int,
 def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     """Random search for a strong-sparsity/exact-rank disagreement, |T| >= 4.
 
-    Any hit is re-verified with ten fresh exact-arithmetic seeds before it
-    is reported; an empty candidate list means no counterexample was found
-    within the budget.  The strong-sparsity side is the ``mt`` oracle, so
-    graphs of any size run; only a hit that it rejects on more than
-    ``DEFAULT_CAP`` vertices is refused, since naming its violation builds
-    the subset table.
+    Any hit is re-verified by ten fresh ``generic_rank`` calls, each with
+    its own seed and up to ``TRIALS`` samples, before it is reported: it
+    stands only if the best of their ranks still disagrees.  An empty
+    candidate list means no counterexample was found within the budget.
+    The strong-sparsity side is the ``mt`` oracle, so graphs of any size
+    run; only a hit that it rejects on more than ``DEFAULT_CAP`` vertices
+    is refused, since naming its violation builds the subset table.
     """
     if t_size < 4:
         raise ValueError("sizes up to three are settled; search needs |T| >= 4")
@@ -222,7 +219,7 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
         if mt_ind == rt_ind:
             continue
         # quarantine: only exact re-verified disagreements are reported
-        fresh = [generic_rank(g, T, 2, trials=1, seed=rng.getrandbits(31))
+        fresh = [generic_rank(g, T, 2, seed=rng.getrandbits(31))
                  for _ in range(10)]
         best = max(r.rank for r in fresh)
         rt_ind_verified = best == len(g.edges)

@@ -94,8 +94,6 @@ def _cmd_sparse(args) -> int:
 
 
 def _cmd_mrank(args) -> int:
-    if args.oracle != "rt" and args.d != 2:
-        raise UsageError(f"--oracle {args.oracle} needs --d 2: mt is the planar matroid")
     if args.oracle == "rt" and args.witness:
         raise UsageError("--witness needs --oracle mt or both: the cover certifies mt")
     g, file_T = _load_graph(args.graph)
@@ -115,7 +113,7 @@ def _cmd_mrank(args) -> int:
                 mismatch = True
         doc["mt"] = cert.to_dict(g.labels)
     if args.oracle in ("rt", "both"):
-        cert = greedy_rank(rt_oracle(g, T, d=args.d, seed=args.seed))
+        cert = greedy_rank(rt_oracle(g, T, seed=args.seed))
         doc["rt"] = cert.to_dict(g.labels)
     _emit(doc, args.out)
     if args.oracle == "both" and doc["mt"]["rank"] != doc["rt"]["rank"]:
@@ -155,10 +153,9 @@ def _cmd_transform(args) -> int:
 def _cmd_check(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
-    verdict = check_coincident_rigidity(g, T, d=args.d, seed=args.seed)
+    verdict = check_coincident_rigidity(g, T, seed=args.seed)
     _emit(verdict.to_dict(), args.out)
-    if (verdict.combinatorial is not None and verdict.algebraic is not None
-            and verdict.combinatorial != verdict.algebraic):
+    if verdict.combinatorial is not None and verdict.combinatorial != verdict.algebraic:
         return 1
     return 0
 
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=["mt", "rt", "both"], default="mt")
     p.add_argument("--witness", action="store_true",
                    help="attach the dual cover witness (mt only)")
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_mrank)
 
@@ -248,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="coincident-rigidity verdicts for one graph")
     common(p)
     p.add_argument("--T", help="comma-separated vertex ids")
-    p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(fn=_cmd_check)
 

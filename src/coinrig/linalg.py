@@ -12,9 +12,9 @@ count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that bound is
 the generic rank of G', the graph minus its T-internal edges, from the
 (2,3) pebble game: a fact about R_2, not the coincidence theorem, so the
 rank verdict stays independent of the strong-sparsity one.
-``generic_rank`` stops at the first trial that reaches the bound; its
-report's ``trials`` is the configured count, ``TRIALS``, not the number
-drawn.
+``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
+caller overrides, and stops at the first trial that reaches the bound; its
+report's ``trials`` is ``TRIALS``, not the number drawn.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from .sparsity import InvariantError
 COORD_BOUND = 1 << 20
 PRIME = (1 << 61) - 1
 EXACT_VERTEX_LIMIT = 30
-# sampled realizations per rank; the rt oracle and generic_rank must use the
-# same trials, so that trial t's rows are the same in both
+# sampled realizations per rank, with no override; the rt oracle and
+# generic_rank must use the same trials, so that trial t's rows are the same
+# in both
 TRIALS = 3
 
 
@@ -320,14 +321,16 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
     return _sparse_rows(g, _sample_points(g, T, d, _trial_seed(seed, t)), d)
 
 
-def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
-                 seed: int = 0) -> RankReport:
+def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankReport:
     """Max rigidity-matrix rank over sampled generic T-coincident realizations.
 
-    Each trial draws ``sample_T_coincident``'s points and ranks their rows
-    mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices keep that rank
-    ("prime-field"); on smaller ones a trial that falls short of its cap is
-    re-ranked exactly (Bareiss) from the same rows ("exact-rational").
+    The one sampled rank that takes a dimension d; ``rt_oracle`` and
+    ``check_coincident_rigidity`` are planar.  Each of at most
+    ``TRIALS`` trials draws ``sample_T_coincident``'s points and ranks
+    their rows mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices keep
+    that rank ("prime-field"); on smaller ones a trial that falls short of
+    its cap is re-ranked exactly (Bareiss) from the same rows
+    ("exact-rational").
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
     d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
@@ -343,10 +346,8 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
     rational rank already: it skips Bareiss and ends the loop, since no
     later trial can change ``rank``, ``rigid`` or ``independent``.  A trial
     ranked above the cap raises ``InvariantError``.  The report's
-    ``trials`` is the configured count, not the number drawn.
+    ``trials`` is ``TRIALS``, the most that are drawn, not the number drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     ts = _check_sample_args(g, T, d)
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
@@ -357,7 +358,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
     else:
         cap = len(g.edges)
     best = 0
-    for t in range(trials):
+    for t in range(TRIALS):
         rows = _trial_rows(g, ts, d, seed, t).values()
         ech = ModpEchelon()
         for row in rows:
@@ -378,7 +379,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, trials: int = TRIALS,
         rigid=best == target,
         independent=best == len(g.edges),
         method="exact-rational" if exact else "prime-field",
-        trials=trials,
+        trials=TRIALS,
         seed=seed,
         note=(f"rank is a lower bound on the generic T-coincident rank; "
               f"per-trial failure probability <= {bound} (Schwartz-Zippel)"),

@@ -3,9 +3,10 @@
 Three oracles share one shape, an incremental checker: the combinatorial
 matroid whose independent sets are the strongly T-sparse edge sets, the
 algebraic T-coincident rigidity matroid decided by exact rank of sampled
-realizations, and the plain 2-dimensional rigidity matroid via the pebble
-game.  Greedy base construction, the 1-thin augmented-cover minimum that
-certifies the combinatorial rank, and small-circuit enumeration sit on top.
+planar realizations, and the plain 2-dimensional rigidity matroid via the
+pebble game.  Greedy base construction, the 1-thin augmented-cover minimum
+that certifies the combinatorial rank, and small-circuit enumeration sit on
+top.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb
 from typing import Callable, Iterable
 
 from .graph import Graph, _canon_edge
-from .linalg import TRIALS, ModpEchelon, _check_sample_args, _trial_rows
+from .linalg import TRIALS, ModpEchelon, _trial_rows
 from .pebble import PebbleGame
 from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                        InvariantError, StrongSparsityChecker, _bits,
@@ -125,15 +126,18 @@ class _RtChecker:
 
     - both endpoints in T: all of T sits at one point in every trial, so
       the row is zero;
-    - in the plane (``game``, a ``PebbleGame`` holding exactly the accepted
-      edges): once trial 0 rejects, a game that cannot take ab shows a
-      vertex set X spanning more than 2|X| - 3 accepted edges plus ab.
-      Their rows are dependent in every planar realization (mod p too),
-      and the accepted rows are independent in every valid trial, so every
-      valid trial rejects ab.
+    - over the Maxwell count (``game``, a ``PebbleGame`` holding exactly
+      the accepted edges): once trial 0 rejects, a game that cannot take ab
+      shows a vertex set X spanning more than 2|X| - 3 accepted edges plus
+      ab.  Their rows are dependent in every planar realization (mod p
+      too), and the accepted rows are independent in every valid trial, so
+      every valid trial rejects ab.
 
     Accepted rows are independent, so the accepted edges are (2,3)-sparse
     and the game must take each of them; ``InvariantError`` if it does not.
+    ``rt_oracle`` always passes a game; ``game=None`` skips the second
+    certificate and the (2,3) check, and is only for test fakes whose
+    synthetic rows come from no planar realization.
     """
 
     def __init__(self, rows: Callable[[int], dict], trials: int,
@@ -176,30 +180,28 @@ class _RtChecker:
         return False  # no row added anywhere: state unchanged
 
 
-def rt_oracle(g: Graph, T: Iterable[int], d: int = 2,
-              seed: int = 0) -> IndependenceOracle:
-    """Independence in the algebraic T-coincident rigidity matroid.
+def rt_oracle(g: Graph, T: Iterable[int], seed: int = 0) -> IndependenceOracle:
+    """Independence in the algebraic T-coincident rigidity matroid of the plane.
 
-    One realization per trial (``linalg.TRIALS`` of them) is sampled when a
-    checker first asks for it and shared by all later queries; rows are
-    tested by sparse elimination over GF(2^61 - 1), so accepted rows are
-    independent over the rationals too.  Trial t's rows are those of
-    ``generic_rank``'s trial t at the same seed.  Each checker rejects an
-    edge inside T, and in the plane an edge over the Maxwell count of its
-    own pebble game, without asking the later trials (``_RtChecker``).  T
-    and d are checked here, once, before any sample is drawn.
+    One planar realization per trial (``linalg.TRIALS`` of them) is sampled
+    when a checker first asks for it and shared by all later queries; rows
+    are tested by sparse elimination over GF(2^61 - 1), so accepted rows
+    are independent over the rationals too.  Trial t's rows are those of
+    ``generic_rank``'s trial t in d = 2 at the same seed.  Each checker
+    rejects an edge inside T, and an edge over the Maxwell count of its own
+    pebble game, without asking the later trials (``_RtChecker``).  T is
+    checked here, once, before any sample is drawn.
     """
-    ts = _check_sample_args(g, T, d)
+    ts = g._check_T(T)
     row_maps: list[dict | None] = [None] * TRIALS
 
     def rows(t: int) -> dict:
         if row_maps[t] is None:
-            row_maps[t] = _trial_rows(g, ts, d, seed, t)
+            row_maps[t] = _trial_rows(g, ts, 2, seed, t)
         return row_maps[t]
 
     def new_checker():
-        game = PebbleGame(g.n) if d == 2 else None
-        return _RtChecker(rows, TRIALS, ts, game).try_add
+        return _RtChecker(rows, TRIALS, ts, PebbleGame(g.n)).try_add
 
     return IndependenceOracle("rt", g.edges, new_checker)
 

@@ -39,7 +39,7 @@ def test_criterion_2_all_seven_base_cases():
     t0 = time.perf_counter()
     for i in range(1, 8):
         f = fixtures()[f"fig3-{i}"]
-        rep = generic_rank(f.graph, f.T, 2, trials=3, seed=i)
+        rep = generic_rank(f.graph, f.T, 2, seed=i)
         assert rep.rank == 15 and rep.rigid, f.name
     _report(2, "all seven base-case graphs reach coincident rank 15",
             time.perf_counter() - t0, 5.0)
@@ -55,7 +55,7 @@ def test_criterion_3_counterexample_graph():
     guv = g.contract({0, 1})
     assert pebble_rank_23(guv) <= 10 < 11
     assert coincident_rigid_combinatorial(g, T) == frozenset({0, 1})
-    rep = generic_rank(g, T, 2, trials=3, seed=3)
+    rep = generic_rank(g, T, 2, seed=3)
     assert rep.rank == 12 < 13 and rep.rigid is False
     _report(3, "counterexample: deletion/contraction fails at S={u,v}, rank 12",
             time.perf_counter() - t0, 1.0)
@@ -93,7 +93,7 @@ def test_criterion_6_rank_oracle_agreement_1000():
         g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
         ly = min_thin_cover(n, [(1 << a) | (1 << b) for a, b in g.edge_list()])[0]
         pb = pebble_rank_23(g)
-        gr = generic_rank(g, {0}, 2, trials=3, seed=rng.getrandbits(31)).rank
+        gr = generic_rank(g, {0}, 2, seed=rng.getrandbits(31)).rank
         assert ly == pb == gr, (g.edge_list(), ly, pb, gr)
     _report(6, "1000 random graphs: cover = pebble = exact-rank agreement",
             time.perf_counter() - t0, 600.0)
@@ -103,12 +103,12 @@ def test_criterion_7_k55():
     t0 = time.perf_counter()
     f = fixtures()["k55"]
     uv = tuple(sorted(f.T))
-    rep = generic_rank(f.graph, f.T, 3, trials=3, seed=7)
+    rep = generic_rank(f.graph, f.T, 3, seed=7)
     assert rep.rank <= 23 < 24 and rep.method == "exact-rational"
-    rep_minus = generic_rank(f.graph.delete_edges([uv]), {0}, 3, trials=3, seed=7)
+    rep_minus = generic_rank(f.graph.delete_edges([uv]), {0}, 3, seed=7)
     assert rep_minus.rank == 24 and rep_minus.rigid
     gc = f.graph.contract(f.T)
-    rep_contr = generic_rank(gc, {0}, 3, trials=3, seed=7)
+    rep_contr = generic_rank(gc, {0}, 3, seed=7)
     assert rep_contr.rank == 21 and rep_contr.rigid
     _report(7, "K55 coincident rank <= 23; minus/contracted ranks 24 and 21",
             time.perf_counter() - t0, 30.0)

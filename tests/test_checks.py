@@ -1,8 +1,10 @@
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from coinrig import checks
 from coinrig.checks import (_contraction_games, check_coincident_rigidity,
                             coincident_rigid_combinatorial, conjecture_search,
                             cross_validate, fixtures, random_instance)
@@ -11,6 +13,7 @@ from coinrig.graph import complete_graph
 from coinrig.linalg import (generic_rank, rank_exact, rank_modp,
                             rigidity_matrix, rigidity_target,
                             sample_T_coincident)
+from coinrig.matroid import mt_oracle
 from coinrig.pebble import PebbleGame, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
 
@@ -169,13 +172,13 @@ def test_modp_matches_exact_on_fixtures():
 
 def test_k55_triple():
     f = fixtures()["k55"]
-    rep = generic_rank(f.graph, f.T, 3, trials=3, seed=1)
+    rep = generic_rank(f.graph, f.T, 3, seed=1)
     assert rep.rank <= 23 and not rep.rigid
     minus = f.graph.delete_edges([tuple(sorted(f.T))])
-    rep_minus = generic_rank(minus, {0}, 3, trials=3, seed=1)
+    rep_minus = generic_rank(minus, {0}, 3, seed=1)
     assert rep_minus.rank == 24 and rep_minus.rigid
     contracted = f.graph.contract(f.T)
-    rep_c = generic_rank(contracted, {0}, 3, trials=3, seed=1)
+    rep_c = generic_rank(contracted, {0}, 3, seed=1)
     assert rep_c.rank == 21 and rep_c.rigid
 
 
@@ -204,6 +207,54 @@ def test_conjecture_search():
         conjecture_search(14, 13, 1, seed=0)
     report = conjecture_search(6, 4, 120, seed=9)
     assert report["candidates"] == []  # the conjecture is expected to hold
+
+
+def _fake_search(monkeypatch, fresh_rank):
+    """Run ``conjecture_search`` with a fake ``generic_rank``.  The first
+    call after each draw (the screening call) ranks |E| - 1, so a strongly
+    T-sparse draw is a disagreement; later calls rank ``fresh_rank(|E|)``.
+    Returns the report and, per draw, (g, T, the (d, seed) of each call)."""
+    draws = []
+
+    def instance(*args):
+        g, T = random_instance(*args)
+        draws.append((g, T, []))
+        return g, T
+
+    def fake(g, T, d, seed=0, **kwargs):
+        calls, m = draws[-1][2], len(g.edges)
+        r = fresh_rank(m) if calls else m - 1
+        calls.append((d, seed))
+        return SimpleNamespace(rank=r, independent=r == m)
+
+    monkeypatch.setattr(checks, "random_instance", instance)
+    monkeypatch.setattr(checks, "generic_rank", fake)
+    report = conjecture_search(6, 4, 20, seed=9)
+    assert len(draws) == 20
+    return report, draws
+
+
+@pytest.mark.parametrize("confirm", [False, True])
+def test_conjecture_quarantine_reverifies_each_disagreement(monkeypatch, confirm):
+    # seed 9 draws a strongly T-sparse graph, which the screening rank
+    # |E| - 1 calls dependent: ten fresh calls, each with its own seed,
+    # re-rank it.  Fresh ranks of |E| overrule the screening; fresh ranks of
+    # |E| - 1 confirm it, and the draw is reported
+    report, draws = _fake_search(monkeypatch, lambda m: m - 1 if confirm else m)
+    hits = []
+    for g, T, calls in draws:
+        hit = mt_oracle(g, T).test(g.edges)
+        assert len(calls) == (11 if hit else 1)
+        assert all(d == 2 for d, _ in calls)
+        assert len({seed for _, seed in calls[1:]}) == len(calls) - 1
+        if hit:
+            hits.append(len(g.edges))
+    assert hits
+    cands = report["candidates"]
+    assert [c["edge_count"] for c in cands] == (hits if confirm else [])
+    for c in cands:
+        assert c["strongly_T_sparse"] and c["violation"] is None
+        assert c["verified_rank"] == c["edge_count"] - 1
 
 
 def test_random_instance_shapes():

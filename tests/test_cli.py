@@ -53,9 +53,12 @@ def test_rank_command(capsys, tmp_path, k4_file):
 
 
 @pytest.mark.parametrize("argv", [["rank", "--mod-p"], ["rank", "--trials", "5"],
-                                  ["check", "--trials", "5"]])
+                                  ["check", "--trials", "5"], ["check", "--d", "3"],
+                                  ["mrank", "--d", "3"],
+                                  ["mrank", "--oracle", "rt", "--d", "3"]])
 def test_removed_rank_options_are_rejected(capsys, k4_file, argv):
-    # the method follows the vertex count and the trial count is a constant
+    # the method follows the vertex count, the trial count is a constant and
+    # rank is the one verb that takes a dimension
     assert main([*argv, "--graph", k4_file]) == 2
     assert capsys.readouterr().out == ""
 
@@ -262,19 +265,9 @@ def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message
 @pytest.mark.parametrize("argv", [
     ["rank", "--d", "0"],
     ["rank", "--d", "-1"],
-    ["check", "--d", "0"],
-    ["mrank", "--oracle", "rt", "--d", "0"],
 ])
 def test_dimension_below_one_is_a_usage_error(capsys, k4_file, argv):
     err = error_line(capsys, *argv, "--graph", k4_file)
-    assert err == "error: dimension must be at least 1\n"
-
-
-def test_rt_dimension_is_checked_without_edges(capsys, tmp_path):
-    # rt rows are drawn lazily, so no edge ever asks for a sample here
-    path = tmp_path / "edgeless.json"
-    path.write_text('{"n":3,"edges":[],"T":[0,1]}')
-    err = error_line(capsys, "mrank", "--oracle", "rt", "--d", "0", "--graph", str(path))
     assert err == "error: dimension must be at least 1\n"
 
 
@@ -311,26 +304,6 @@ def test_usage_error_sweep(capsys, tmp_path, k4_file, argv, want):
     err = error_line(capsys, *(subst.get(a, a) for a in argv))
     assert err.startswith("error: " + want.format(out=out))
     assert not out.parent.exists()
-
-
-def test_mrank_both_needs_the_plane(capsys, tmp_path):
-    # mt is the planar matroid: on K5 minus {3, 4} with T = {0, 1} it has
-    # rank 7, while rt in d = 3 has rank 8, which violates no theorem
-    path = tmp_path / "k5.json"
-    path.write_text(graph_to_json(complete_graph(5).delete_edges([(3, 4)]), [0, 1]))
-    err = error_line(capsys, "mrank", "--oracle", "both", "--d", "3", "--graph", str(path))
-    assert err == "error: --oracle both needs --d 2: mt is the planar matroid\n"
-    code, doc = run(capsys, "mrank", "--oracle", "rt", "--d", "3", "--graph", str(path))
-    assert code == 0 and doc["rt"]["rank"] == 8
-
-
-def test_mrank_mt_needs_the_plane(capsys, k4_file):
-    # --d means one thing for every oracle: mt (the default) has only d = 2
-    for argv in (["--oracle", "mt", "--d", "3"], ["--d", "3"], ["--d", "0"]):
-        err = error_line(capsys, "mrank", *argv, "--graph", k4_file)
-        assert err == "error: --oracle mt needs --d 2: mt is the planar matroid\n", argv
-    code, doc = run(capsys, "mrank", "--d", "2", "--graph", k4_file)
-    assert code == 0 and doc["mt"]["rank"] == 5
 
 
 def test_rank_on_the_empty_graph_names_it(capsys, tmp_path):

@@ -202,13 +202,13 @@ def test_sampler_draws_the_randint_stream():
 
 def test_generic_rank_report_fields():
     K4 = complete_graph(4)
-    rep = generic_rank(K4, {0, 1}, 2, trials=3, seed=1)
+    rep = generic_rank(K4, {0, 1}, 2, seed=1)
     assert rep.rank == 5 and rep.target == 5
     assert rep.rigid and not rep.independent  # |E| = 6 > 5
     assert rep.method == "exact-rational"
     assert "Schwartz-Zippel" in rep.note
     K3 = complete_graph(3)
-    rep3 = generic_rank(K3, {0, 1}, 2, trials=3, seed=1)
+    rep3 = generic_rank(K3, {0, 1}, 2, seed=1)
     assert rep3.rank == 2 and not rep3.rigid
 
 
@@ -220,11 +220,11 @@ def test_rank_upper_bound_and_monotonicity():
         m = rng.randint(1, len(pairs))
         chosen = rng.sample(pairs, m)
         g = Graph(n, chosen)
-        rep = generic_rank(g, {0}, 2, trials=2, seed=seed)
+        rep = generic_rank(g, {0}, 2, seed=seed)
         assert rep.rank <= min(len(g.edges), rigidity_target(n, 2))
         if m >= 2:
             sub = Graph(n, chosen[:-1])
-            sub_rep = generic_rank(sub, {0}, 2, trials=2, seed=seed)
+            sub_rep = generic_rank(sub, {0}, 2, seed=seed)
             assert sub_rep.rank <= rep.rank
 
 
@@ -348,7 +348,7 @@ def _every_trial_report(g, T, d, seed, rep):
 
 def test_exact_path_matches_all_bareiss_reports():
     f = fixtures()["fig4"]
-    rep = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
+    rep = generic_rank(f.graph, f.T, 2, seed=1)
     assert rep.rank == 12 and rep.target == 13  # not T-rigid
     assert rep == _every_trial_report(f.graph, f.T, 2, 1, rep)
     assert rep.method == "exact-rational"
@@ -359,7 +359,7 @@ def test_exact_path_matches_all_bareiss_reports():
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
             T = rng.sample(range(n), rng.randint(1, n))
-            rep = generic_rank(g, T, d, trials=2, seed=seed)
+            rep = generic_rank(g, T, d, seed=seed)
             assert rep == _every_trial_report(g, T, d, seed, rep)
 
 
@@ -370,10 +370,10 @@ def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
     for name, f in fixtures().items():
         if name == "fig4":
             continue
-        rep = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
+        rep = generic_rank(f.graph, f.T, 2, seed=1)
         assert rep.rank == min(len(f.graph.edges), rep.target)
     assert calls == []
-    generic_rank(fixtures()["fig4"].graph, {0, 1, 2}, 2, trials=3, seed=1)
+    generic_rank(fixtures()["fig4"].graph, {0, 1, 2}, 2, seed=1)
     assert len(calls) == 3  # each fig4 trial falls short of 13 and is confirmed
 
 
@@ -381,14 +381,14 @@ def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
     # every fig4 trial falls short and is confirmed by Bareiss, from the
     # points that trial already drew: no realization is sampled again
     f = fixtures()["fig4"]
-    want = generic_rank(f.graph, f.T, 2, trials=3, seed=1)
+    want = generic_rank(f.graph, f.T, 2, seed=1)
 
     def redraw(*args):
         raise AssertionError("points drawn twice")
 
     monkeypatch.setattr(linalg, "sample_T_coincident", redraw)
     monkeypatch.setattr(linalg, "rigidity_matrix", redraw)
-    assert generic_rank(f.graph, f.T, 2, trials=3, seed=1) == want
+    assert generic_rank(f.graph, f.T, 2, seed=1) == want
 
 
 def test_trials_stop_at_the_pebble_bound(monkeypatch):

@@ -303,21 +303,20 @@ def test_rt_checker_matches_eager_reference_when_trials_disagree():
 
 
 def test_rt_oracle_checker_matches_eager_reference():
-    # the certificates (an edge inside T; in the plane, the pebble game)
-    # reject without the later trials, and change no verdict
+    # the certificates (an edge inside T, the pebble game) reject without
+    # the later trials, and change no verdict
     rng = random.Random(10)
-    for d in (2, 3):
-        for t_size in range(1, 6):
-            for _ in range(12):
-                g, T = random_instance(rng, 8, t_size)
-                seed = rng.getrandbits(16)
-                row_maps = [_trial_rows(g, T, d, seed, t) for t in range(3)]
-                order = g.edge_list()
-                rng.shuffle(order)
-                add = rt_oracle(g, T, d=d, seed=seed).incremental()
-                eager = EagerRtChecker(row_maps)
-                assert ([add(a, b) for a, b in order]
-                        == [eager.try_add(a, b) for a, b in order]), (d, g.edge_list(), sorted(T))
+    for t_size in range(1, 6):
+        for _ in range(12):
+            g, T = random_instance(rng, 8, t_size)
+            seed = rng.getrandbits(16)
+            row_maps = [_trial_rows(g, T, 2, seed, t) for t in range(3)]
+            order = g.edge_list()
+            rng.shuffle(order)
+            add = rt_oracle(g, T, seed=seed).incremental()
+            eager = EagerRtChecker(row_maps)
+            assert ([add(a, b) for a, b in order]
+                    == [eager.try_add(a, b) for a, b in order]), (g.edge_list(), sorted(T))
 
 
 def _counting_rows(row_maps):
@@ -380,8 +379,6 @@ def test_rt_checker_refuses_rows_the_pebble_game_cannot_hold():
 def test_rt_oracle_checks_its_arguments_up_front():
     k4, empty = complete_graph(4), Graph(3, [])
     for g in (k4, empty):
-        with pytest.raises(ValueError, match="dimension must be at least 1"):
-            rt_oracle(g, {0, 1}, d=0)
         with pytest.raises(ValueError, match="invalid vertex 7"):
             rt_oracle(g, {0, 7})
 
@@ -389,13 +386,12 @@ def test_rt_oracle_checks_its_arguments_up_front():
 def test_rt_base_is_certified_independent_over_q():
     # elimination in the rt oracle is mod p; Bareiss re-checks its certificate
     for f in fixtures().values():
-        for d in (2, 3):
-            base = greedy_rank(rt_oracle(f.graph, f.T, d=d, seed=4)).base
-            sub = Graph(f.graph.n, base)
-            assert any(
-                rank_exact(rigidity_matrix(
-                    sub, sample_T_coincident(f.graph, f.T, d, _trial_seed(4, t))))
-                == len(base) for t in range(3)), (f.name, d)
+        base = greedy_rank(rt_oracle(f.graph, f.T, seed=4)).base
+        sub = Graph(f.graph.n, base)
+        assert any(
+            rank_exact(rigidity_matrix(
+                sub, sample_T_coincident(f.graph, f.T, 2, _trial_seed(4, t))))
+            == len(base) for t in range(3)), f.name
 
 
 def _hinged_henneberg(rng, n, t_size, extra):
