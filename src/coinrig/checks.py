@@ -60,34 +60,36 @@ class CoincidenceVerdict:
 
 
 def _contraction_games(gp: Graph, ts: frozenset[int]):
-    """(S, game) for G' (S empty), then for each G'/S, S inside T, |S| >= 2.
+    """(S, game, target) for G' (S empty), then for each G'/S, S inside T.
 
-    The (2,3) game on G' is played on every edge, and the edges it rejects
-    are kept.  Each G'/S game starts from that game's final orientation by
-    ``PebbleGame.contracted``, which keeps the accepted edges that avoid S;
-    it then takes the edges at the merged vertex and the rejected edges that
-    avoid S, and stops once it holds 2n' - 3 edges.  Its count is the R_2
-    rank of G'/S whenever that rank is short of 2n' - 3.
+    Every S has |S| >= 2, and target is the rigidity target 2n' - 3 of the
+    graph decided.  The (2,3) game on G' is played on every edge, and the
+    edges it rejects are kept.  Each G'/S game starts from that game's final
+    orientation by ``PebbleGame.contracted``, which keeps the input's ids
+    and the accepted edges that avoid S: S goes into min(S), and S's other
+    vertices keep two pebbles and take no edge.  The game then takes the
+    edges at min(S) and the rejected edges that avoid S, and stops once it
+    holds 2n' - 3 edges, with n' = n - |S| + 1.  Its count is the R_2 rank
+    of G'/S whenever that rank is short of 2n' - 3.
     """
     game = PebbleGame(gp.n)
     rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
-    yield frozenset(), game
+    yield frozenset(), game, rigidity_target(gp.n, 2)
     for s in subsets_of_two_or_more(ts):
-        sub, remap = game.contracted(s)
-        target = rigidity_target(sub.n, 2)
+        sub = game.contracted(s)
+        target = rigidity_target(gp.n - len(s) + 1, 2)
         if sub.accepted > target:  # a (2,3)-sparse set holds at most 2n' - 3
             raise InvariantError(f"the copied state of G'/{sorted(s)} holds "
                                  f"{sub.accepted} edges, above {target}")
-        m = remap[min(s)]
+        m = min(s)
         # G' has no edge inside T, so every neighbour of S lies outside it
-        star = sorted({remap[w] for t in s for w in gp.neighbors(t)})
-        rest = ((remap[a], remap[b]) for a, b in rejected
-                if a not in s and b not in s)
+        star = sorted({w for t in s for w in gp.neighbors(t)})
+        rest = ((a, b) for a, b in rejected if a not in s and b not in s)
         for a, b in chain(((m, w) for w in star), rest):
             if sub.accepted == target:
                 break
             sub.try_insert(a, b)
-        yield s, sub
+        yield s, sub, target
 
 
 def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
@@ -106,8 +108,8 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     ts = frozenset(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
-    for s, game in _contraction_games(g.minus_T_edges(ts), ts):
-        if game.accepted != rigidity_target(game.n, 2):
+    for s, game, target in _contraction_games(g.minus_T_edges(ts), ts):
+        if game.accepted != target:
             return s
     return None
 

@@ -48,9 +48,9 @@ class IndependenceOracle:
 
     def test(self, edges: Iterable[tuple[int, int]]) -> bool:
         fs = frozenset(_canon_edge(a, b) for a, b in edges)
-        for e in fs:
-            if e not in self.ground:
-                raise ValueError(f"edge {e} is not in the oracle's ground set")
+        foreign = fs.difference(self.ground)
+        if foreign:
+            raise ValueError(f"edge {min(foreign)} is not in the oracle's ground set")
         add = self.new_checker()
         return all(add(a, b) for a, b in sorted(fs))
 

@@ -7,6 +7,8 @@ size is the rank of the edge set.  Pebbles are fetched by depth-first
 search along accepted-edge orientations, reversing the path walked.  A
 game's orientation also starts the game of a contraction of its graph
 (``PebbleGame.contracted``), which then needs only the edges it lacks.
+That game keeps the input's vertex ids: the contracted set is merged into
+its smallest vertex, and its other vertices are left isolated.
 """
 
 from __future__ import annotations
@@ -91,36 +93,26 @@ class PebbleGame:
         self.out[a].append(b)
         return True
 
-    def contracted(self, S: frozenset[int]) -> tuple[PebbleGame, list[int]]:
-        """This game's state with S merged into one vertex, and the id map.
+    def contracted(self, S: frozenset[int]) -> PebbleGame:
+        """This game's state with S merged into min(S), on the same ids.
 
-        Ids follow ``Graph.contract``: S goes to the new id of min(S), the
-        other vertices are renumbered densely in order.  Every out-edge that
-        touches S is dropped and its tail gets the pebble back; the merged
-        vertex has two pebbles and no out-edges.  The accepted edges left
-        avoid S, so they stay sparse on the new vertices, and out-degree plus
-        pebbles is two everywhere: any such orientation is a state of the
-        game (Lee-Streinu 2008), so further ``try_insert`` calls extend the
-        accepted set to a maximal sparse one.  Only for a game with the
-        default caps; ``l`` is kept.
+        Every out-edge that touches S is dropped and its tail gets the pebble
+        back, so each vertex of S has two pebbles and no out-edges; only
+        min(S) takes new edges, and the other vertices of S stay isolated.
+        The accepted edges left avoid S, so they stay sparse on the
+        contracted graph, and out-degree plus pebbles is two everywhere: any
+        such orientation is a state of the game (Lee-Streinu 2008), so
+        further ``try_insert`` calls extend the accepted set to a maximal
+        sparse one.  Only for a game with the default caps; ``l`` is kept.
         """
-        keep = min(S)
-        remap = [0] * self.n
-        nxt = 0
-        for v in range(self.n):
-            if v not in S or v == keep:
-                remap[v] = nxt
-                nxt += 1
-        for v in S:
-            remap[v] = remap[keep]
-        game = PebbleGame(nxt, l=self.need - 1)
+        game = PebbleGame(self.n, l=self.need - 1)
         for v, heads in enumerate(self.out):
             if v not in S:
-                kept = [remap[w] for w in heads if w not in S]
-                game.out[remap[v]] = kept
-                game.pebbles[remap[v]] -= len(kept)
+                kept = [w for w in heads if w not in S]
+                game.out[v] = kept
+                game.pebbles[v] -= len(kept)
                 game.accepted += len(kept)
-        return game, remap
+        return game
 
 
 def pebble_rank_23(g: Graph) -> int:

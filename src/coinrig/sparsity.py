@@ -672,11 +672,12 @@ def min_thin_cover(n: int, edge_masks: list[int], forbidden: int = 0,
         # descending mask order.  That is the order of every subset of the
         # uncovered support enumerated by descending mask, then sorted
         # stably by size, biggest first: the order the witnesses are pinned to.
+        # Every cost stays below the bound state[0] without a check: the
+        # first k gives a cost below it, a cover found below a candidate costs
+        # at least that candidate's cost, and each later k costs less still.
         m = len(uncovered)
         for k in range(min(len(free), (state[0] - acc - 2) // 2), -1, -1):
             cost = acc + 2 * k + 1
-            if cost >= state[0]:
-                continue
             for extra in combinations(free, k):
                 sub = 0
                 for v in extra:

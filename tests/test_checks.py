@@ -100,12 +100,20 @@ def _replayed_combinatorial(g, T):
 
 def _assert_contraction_games_match(g, T):
     gp = g.minus_T_edges(T)
-    for s, game in _contraction_games(gp, T):
+    for s, game, target in _contraction_games(gp, T):
         gs = gp.contract(s) if s else gp
-        assert game.n == gs.n
+        assert game.n == gp.n
+        assert target == rigidity_target(gs.n, 2)
         assert game.accepted == pebble_rank_23(gs), (g.edge_list(), sorted(T), sorted(s))
         assert all(len(heads) + p == 2 for heads, p in zip(game.out, game.pebbles))
         oriented = {tuple(sorted((v, w))) for v, heads in enumerate(game.out) for w in heads}
+        if s:
+            # S's other vertices keep two pebbles and no edge at either end
+            idle = s - {min(s)}
+            assert all(game.pebbles[v] == 2 for v in idle)
+            assert not idle & {v for e in oriented for v in e}
+            cmap = gp.contraction_map(s)
+            oriented = {tuple(sorted((cmap[v], cmap[w]))) for v, w in oriented}
         assert len(oriented) == game.accepted and oriented <= gs.edges
     assert coincident_rigid_combinatorial(g, T) == _replayed_combinatorial(g, T)
 

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import coinrig.checks
+import coinrig.cli
 from coinrig.cli import build_parser, main
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph, graph_to_json
-from coinrig.matroid import greedy_rank, mt_oracle
+from coinrig.matroid import greedy_rank, laman_oracle, mt_oracle
 
 
 @pytest.fixture
@@ -122,6 +124,43 @@ def test_check_command(capsys, fig4_file, k4_file):
 def test_xval_command(capsys):
     code, doc = run(capsys, "xval", "--n-max", "6", "--samples", "10", "--seed", "2")
     assert code == 0 and doc["mismatches"] == 0
+
+
+def _laman_as_rt(g, T, seed=0):
+    """A fake rt oracle: it accepts the T-internal edges that mt rejects."""
+    return laman_oracle(g)
+
+
+def test_check_exits_1_when_the_sides_disagree(capsys, monkeypatch, k4_file):
+    monkeypatch.setattr(coinrig.checks, "coincident_rigid_combinatorial",
+                        lambda g, T: frozenset())
+    code, doc = run(capsys, "check", "--graph", k4_file)
+    assert code == 1  # a theorem violation, with the JSON still printed
+    assert doc["combinatorial"] is False and doc["algebraic"] is True
+    assert doc["failing_S"] == []
+
+
+def test_mrank_both_exits_1_when_the_ranks_differ(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(coinrig.cli, "rt_oracle", _laman_as_rt)
+    path = tmp_path / "k3.json"
+    path.write_text('{"n":3,"edges":[[0,1],[0,2],[1,2]],"T":[0,1]}')
+    code, doc = run(capsys, "mrank", "--oracle", "both", "--graph", str(path))
+    assert code == 1
+    assert doc["mt"]["rank"] == 2 and doc["rt"]["rank"] == 3
+
+
+def test_xval_exits_1_only_on_a_proven_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(coinrig.checks, "rt_oracle", _laman_as_rt)
+    code, doc = run(capsys, "xval", "--n-max", "6", "--t-sizes", "2",
+                    "--samples", "20", "--seed", "1")
+    assert code == 1 and doc["mismatches"] == len(doc["mismatch_details"]) > 0
+    m = doc["mismatch_details"][0]
+    assert m["mt_rank"] < m["rt_rank"] and not m["conjectural"]
+    # for |T| >= 4 every mismatch is conjectural, and the call exits 0
+    code, doc = run(capsys, "xval", "--n-max", "7", "--t-sizes", "4",
+                    "--samples", "20", "--seed", "1")
+    assert code == 0 and doc["mismatches"] > 0
+    assert all(m["conjectural"] for m in doc["mismatch_details"])
 
 
 def test_conjecture_command(capsys):
@@ -292,13 +331,19 @@ USAGE_ERRORS = [
     *(pytest.param([verb, *args, "--out", "{out}"], "cannot write {out}: ",
                    id=f"{verb}-out")
       for verb, args in NO_GRAPH_CALLS.items()),
+    pytest.param(["rank", "--graph", "{graph}", "--T", "a,b"],
+                 "--T must be a comma-separated id list", id="rank-T-not-ids"),
+    pytest.param(["transform", "--graph", "{graph}", "--op", "split", "--args", "1:2"],
+                 'split needs --args "z:U1:U2:U3"', id="transform-split-args"),
+    pytest.param(["transform", "--graph", "{graph}", "--op", "1ext", "--args", "0,1"],
+                 "bad --args for 1ext", id="transform-1ext-args"),
 ]
 
 
 @pytest.mark.parametrize("argv, want", USAGE_ERRORS)
 def test_usage_error_sweep(capsys, tmp_path, k4_file, argv, want):
-    # each verb reports a bad --T or an unwritable --out as one error line,
-    # exit code 2 and nothing on stdout
+    # each verb reports a bad --T, bad --args or an unwritable --out as one
+    # error line, exit code 2 and nothing on stdout
     out = tmp_path / "missing" / "report.json"
     subst = {"{graph}": k4_file, "{out}": str(out)}
     err = error_line(capsys, *(subst.get(a, a) for a in argv))

@@ -84,9 +84,9 @@ SCRIPT = textwrap.dedent("""
     real_contracted = coinrig.pebble.PebbleGame.contracted
 
     def overfull(game, S):
-        sub, remap = real_contracted(game, S)
+        sub = real_contracted(game, S)
         sub.accepted += 2 * sub.n
-        return sub, remap
+        return sub
 
     coinrig.pebble.PebbleGame.contracted = overfull
     check_err = io.StringIO()

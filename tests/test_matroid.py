@@ -80,8 +80,9 @@ def test_mt_oracle_fig4_rank_12():
 
 
 def test_greedy_rejects_foreign_edges():
-    with pytest.raises(ValueError, match="ground"):
-        laman_oracle(complete_graph(3)).test([(0, 5)])
+    for edges in ([(0, 5)], [(7, 3), (0, 1), (5, 0)]):
+        with pytest.raises(ValueError, match=r"edge \(0, 5\) is not in the oracle's ground"):
+            laman_oracle(complete_graph(3)).test(edges)
 
 
 def test_cover_min_small_cases():
