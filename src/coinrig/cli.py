@@ -68,6 +68,12 @@ def _emit(doc: dict, out: str | None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _theorem_violated(what: str) -> int:
+    """Report a disagreement of the two sides on stderr; exit code 1."""
+    print(f"error: theorem violated: {what}", file=sys.stderr)
+    return 1
+
+
 def _cmd_rank(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g)
@@ -99,7 +105,7 @@ def _cmd_mrank(args) -> int:
     g, file_T = _load_graph(args.graph)
     T = _parse_T(args.T, file_T, g, required=True)
     doc: dict = {"T": sorted(T)}
-    mismatch = False
+    mismatches = []
     if args.oracle in ("mt", "both"):
         cert = greedy_rank(mt_oracle(g, T))
         if args.witness:
@@ -110,15 +116,15 @@ def _cmd_mrank(args) -> int:
                 cert.dual = dual
             else:  # greedy/cover disagreement: only conceivable for |T| >= 4
                 doc["cover_min"] = value
-                mismatch = True
+                mismatches.append(f"greedy mt rank {cert.rank}, cover minimum {value}")
         doc["mt"] = cert.to_dict(g.labels)
     if args.oracle in ("rt", "both"):
         cert = greedy_rank(rt_oracle(g, T, seed=args.seed))
         doc["rt"] = cert.to_dict(g.labels)
     _emit(doc, args.out)
     if args.oracle == "both" and doc["mt"]["rank"] != doc["rt"]["rank"]:
-        mismatch = True
-    return 1 if mismatch else 0
+        mismatches.append(f"mt rank {doc['mt']['rank']}, rt rank {doc['rt']['rank']}")
+    return _theorem_violated("; ".join(mismatches)) if mismatches else 0
 
 
 def _cmd_gen(args) -> int:
@@ -156,7 +162,8 @@ def _cmd_check(args) -> int:
     verdict = check_coincident_rigidity(g, T, seed=args.seed)
     _emit(verdict.to_dict(), args.out)
     if verdict.combinatorial is not None and verdict.combinatorial != verdict.algebraic:
-        return 1
+        return _theorem_violated(f"combinatorial verdict {verdict.combinatorial}, "
+                                 f"algebraic verdict {verdict.algebraic}")
     return 0
 
 
@@ -172,7 +179,10 @@ def _cmd_xval(args) -> int:
     report = cross_validate(args.n_max, t_sizes, args.samples, args.seed)
     _emit(report, args.out)
     proven = [m for m in report["mismatch_details"] if not m["conjectural"]]
-    return 1 if proven else 0
+    if proven:
+        return _theorem_violated(f"mt and rt ranks differ on {len(proven)} "
+                                 "instances with |T| <= 3")
+    return 0
 
 
 def _cmd_conjecture(args) -> int:

@@ -15,11 +15,13 @@ this shape.  Such families are exactly the collections of disjoint nonempty
 proof of which is in the ``StrongSparsityChecker`` docstring: one (2,3)
 game for the set capacities, a count of the edges inside S, and per S one
 game of a count matroid M_S whose nullity is the heaviest family weight.
-A verdict costs O(2^|T|) games.  Only a violation builds the bitmask
+A verdict costs O(2^|T|) games.  Only a violation runs the bitmask
 engine, to name its canonical witness, by one call per kind:
-``_set_violation`` scans a table of induced edge counts over all vertex
-subsets for the set capacities, and ``_family_violation`` searches the
-weighted candidate blocks of the failing S.
+``_set_violation`` walks the vertex sets in witness order, counting
+induced edges as it goes, until one breaks its capacity, and
+``_family_violation`` builds a table of induced edge counts over all
+vertex subsets and searches the weighted candidate blocks of the failing
+S.
 
 Witness order: vertex sets compare by their sorted vertex tuples
 (``_bits``), lexicographically, and family members are listed in that
@@ -27,11 +29,11 @@ order.  The canonical set witness is the first violating set in it; the
 canonical family is the first hit of the block search, which tries blocks
 in it.
 
-Every enumeration (the subset table and the 1-thin cover search here,
-the cover minimum in ``matroid``, the 2^|T| subsets of T) is bounded by
-one cap, ``DEFAULT_CAP``, checked by ``_check_cap`` where it runs.  So the
-decisions answer at any size, and only a violation above the cap is
-refused, for want of the table that names its witness.
+Every enumeration (the set search, the subset table and the 1-thin cover
+search here, the cover minimum in ``matroid``, the 2^|T| subsets of T) is
+bounded by one cap, ``DEFAULT_CAP``, checked by ``_check_cap`` where it
+runs.  So the decisions answer at any size, and only a violation above
+the cap is refused, for want of the search that names its witness.
 """
 
 from __future__ import annotations
@@ -226,15 +228,33 @@ def _set_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
     """The canonical set violation of S: the first set X, in witness order,
     with i(X) > val_S(X).
 
-    Callers scan only once a pebble game or an edge inside S shows that
+    Sets are walked depth first, each extended only by vertices above its
+    largest, so the preorder is witness order and the first hit is the
+    canonical witness.  The walk carries i(X): adding v adds the edges from
+    v into X.  It visits each set at most once and builds no table.
+    Callers search only once a pebble game or an edge inside S shows that
     some set breaks its capacity.
     """
-    i_cnt, s_mask = subset_edge_counts(g), _mask_of(S)
-    hits = [x for x in range(1, 1 << g.n) if (pc := x.bit_count()) > 1
-            and i_cnt[x] > (0 if x & ~s_mask == 0 else 2 * pc - 3)]
-    _require(bool(hits), "a set was shown to break its capacity, but none does")
-    X = _bits(min(hits, key=_bits))
-    return SparsityViolation("set", S, frozenset(X), i_cnt[_mask_of(X)], val_set(X, S))
+    n = g.n
+    _check_cap(n)
+    adj, s_mask = g.adjacency_masks(), _mask_of(S)
+
+    def first(x: int, k: int, i: int) -> tuple[int, int] | None:
+        # the first hit among the sets that extend x (k vertices, i edges)
+        for v in range(x.bit_length(), n):
+            y, j = x | 1 << v, i + (adj[v] & x).bit_count()
+            if k and j > (2 * k - 1 if y & ~s_mask else 0):
+                return y, j
+            if v + 1 < n:  # a set holding n - 1 has no extension
+                hit = first(y, k + 1, j)
+                if hit:
+                    return hit
+        return None
+
+    hit = first(0, 0, 0)
+    _require(hit is not None, "a set was shown to break its capacity, but none does")
+    X = _bits(hit[0])
+    return SparsityViolation("set", S, frozenset(X), hit[1], val_set(X, S))
 
 
 def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
@@ -328,9 +348,9 @@ def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
     its capacity iff an edge lies inside S or the (2,3) game rejects an
     edge; failing that, some family does iff the nullity in M_S exceeds
-    2|S| - 2.  The 2^n subset table is built only to name a violation, so
-    a sparse graph of any size gets None, and a violation on more than
-    ``DEFAULT_CAP`` vertices is refused.
+    2|S| - 2.  Only naming a violation enumerates vertex sets (the 2^n
+    subset table only for a family), so a sparse graph of any size gets
+    None, and a violation on more than ``DEFAULT_CAP`` vertices is refused.
     """
     ss = g._check_T(S, "S")
     if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
@@ -361,8 +381,9 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None
     that can break a larger S's capacity is a pair S with an edge, and
     pairs come before larger sets.  Each S then plays its M_S game (see
     ``StrongSparsityChecker``): O(2^|T|) games per verdict at any size, and
-    a subset table only to name a violating set or family, which refuses
-    more than ``DEFAULT_CAP`` vertices.  So does a T over the cap.
+    a search over vertex sets only to name a violating set or family
+    (a subset table only for a family), which refuses more than
+    ``DEFAULT_CAP`` vertices.  So does a T over the cap.
     """
     ts = g._check_T(T)
     if pebble_rank_23(g) < len(g.edges):

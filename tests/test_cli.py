@@ -34,10 +34,15 @@ def fig4_file(tmp_path):
     return str(path)
 
 
-def run(capsys, *argv):
+def run_err(capsys, *argv):
+    """Run a call; return its exit code, its parsed stdout and its stderr."""
     code = main(list(argv))
-    out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    out, err = capsys.readouterr()
+    return code, (json.loads(out) if out.strip() else None), err
+
+
+def run(capsys, *argv):
+    return run_err(capsys, *argv)[:2]
 
 
 def test_rank_command(capsys, tmp_path, k4_file):
@@ -132,34 +137,62 @@ def _laman_as_rt(g, T, seed=0):
 
 
 def test_check_exits_1_when_the_sides_disagree(capsys, monkeypatch, k4_file):
+    code, doc, err = run_err(capsys, "check", "--graph", k4_file)
+    assert code == 0 and err == ""  # consistent: nothing on stderr
     monkeypatch.setattr(coinrig.checks, "coincident_rigid_combinatorial",
                         lambda g, T: frozenset())
-    code, doc = run(capsys, "check", "--graph", k4_file)
+    code, doc, err = run_err(capsys, "check", "--graph", k4_file)
     assert code == 1  # a theorem violation, with the JSON still printed
     assert doc["combinatorial"] is False and doc["algebraic"] is True
     assert doc["failing_S"] == []
+    assert err == ("error: theorem violated: combinatorial verdict False, "
+                   "algebraic verdict True\n")
 
 
 def test_mrank_both_exits_1_when_the_ranks_differ(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(coinrig.cli, "rt_oracle", _laman_as_rt)
     path = tmp_path / "k3.json"
     path.write_text('{"n":3,"edges":[[0,1],[0,2],[1,2]],"T":[0,1]}')
-    code, doc = run(capsys, "mrank", "--oracle", "both", "--graph", str(path))
+    code, doc, err = run_err(capsys, "mrank", "--oracle", "both", "--graph", str(path))
     assert code == 1
     assert doc["mt"]["rank"] == 2 and doc["rt"]["rank"] == 3
+    assert err == "error: theorem violated: mt rank 2, rt rank 3\n"
+    # one side alone compares nothing
+    code, doc, err = run_err(capsys, "mrank", "--oracle", "rt", "--graph", str(path))
+    assert code == 0 and doc["rt"]["rank"] == 3 and err == ""
+
+
+def test_mrank_exits_1_when_greedy_and_cover_differ(capsys, monkeypatch, tmp_path,
+                                                    k4_file):
+    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min", lambda g, T: (4, None))
+    code, doc, err = run_err(capsys, "mrank", "--witness", "--graph", k4_file)
+    assert code == 1 and doc["cover_min"] == 4 and doc["mt"]["rank"] == 5
+    assert err == "error: theorem violated: greedy mt rank 5, cover minimum 4\n"
+    # both disagreements at once share the one line
+    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min", lambda g, T: (1, None))
+    monkeypatch.setattr(coinrig.cli, "rt_oracle", _laman_as_rt)
+    path = tmp_path / "k3.json"
+    path.write_text('{"n":3,"edges":[[0,1],[0,2],[1,2]],"T":[0,1]}')
+    code, doc, err = run_err(capsys, "mrank", "--oracle", "both", "--witness",
+                             "--graph", str(path))
+    assert code == 1
+    assert err == ("error: theorem violated: greedy mt rank 2, cover minimum 1; "
+                   "mt rank 2, rt rank 3\n")
 
 
 def test_xval_exits_1_only_on_a_proven_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(coinrig.checks, "rt_oracle", _laman_as_rt)
-    code, doc = run(capsys, "xval", "--n-max", "6", "--t-sizes", "2",
-                    "--samples", "20", "--seed", "1")
+    code, doc, err = run_err(capsys, "xval", "--n-max", "6", "--t-sizes", "2",
+                             "--samples", "20", "--seed", "1")
     assert code == 1 and doc["mismatches"] == len(doc["mismatch_details"]) > 0
     m = doc["mismatch_details"][0]
     assert m["mt_rank"] < m["rt_rank"] and not m["conjectural"]
+    assert err == (f"error: theorem violated: mt and rt ranks differ on "
+                   f"{doc['mismatches']} instances with |T| <= 3\n")
     # for |T| >= 4 every mismatch is conjectural, and the call exits 0
-    code, doc = run(capsys, "xval", "--n-max", "7", "--t-sizes", "4",
-                    "--samples", "20", "--seed", "1")
-    assert code == 0 and doc["mismatches"] > 0
+    code, doc, err = run_err(capsys, "xval", "--n-max", "7", "--t-sizes", "4",
+                             "--samples", "20", "--seed", "1")
+    assert code == 0 and doc["mismatches"] > 0 and err == ""
     assert all(m["conjectural"] for m in doc["mismatch_details"])
 
 

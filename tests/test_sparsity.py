@@ -383,15 +383,38 @@ def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
     assert counts(is_strongly_T_sparse, path, T) == (None, 0, 1)
     assert counts(is_S_sparse, path, T) == (None, 0, 1)
     # an edge inside a pair S is its own witness; is_S_sparse must still
-    # scan for the lexicographically first set
+    # search for the lexicographically first set, which needs no table
     chord = path.add_edges([(0, 2)])
     assert counts(is_strongly_T_sparse, chord, T) == ("set", 0, 1)
-    assert counts(is_S_sparse, chord, T) == ("set", 1, 0)
+    assert counts(is_S_sparse, chord, T) == ("set", 0, 0)
     # a set violation plays the (2,3) game once and does not replay it
-    assert counts(is_strongly_T_sparse, complete_graph(4), {0, 1}) == ("set", 1, 1)
-    assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 1, 1)
+    assert counts(is_strongly_T_sparse, complete_graph(4), {0, 1}) == ("set", 0, 1)
+    assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 0, 1)
+    # only a family witness builds the table
     assert counts(is_strongly_T_sparse, fig4(), {0, 1, 2}) == ("family", 1, 1)
     assert counts(is_S_sparse, fig4(), {0, 1}) == ("family", 1, 1)
+
+
+def test_set_witness_is_first_in_witness_order_not_minimal():
+    # K5 on {1..5} plus the isolated vertex 0: K4 on {1..4} already breaks
+    # its capacity, but every set holding 0 comes first, and the first of
+    # them to break it is the whole vertex set
+    k5 = Graph(6, [(a, b) for a, b in combinations(range(1, 6), 2)])
+    for decide in (is_S_sparse, is_strongly_T_sparse):
+        assert decide(k5, {0}).to_dict() == {
+            "kind": "set", "S": [0], "witness": [0, 1, 2, 3, 4, 5],
+            "lhs": 10, "rhs": 9}
+
+
+def test_set_witness_late_in_witness_order_at_the_cap():
+    # a path on 0..7 plus K4 on {8..11}: no set with a vertex below 8
+    # breaks its capacity, so the search passes all but a few of the 4,095
+    # sets before it reaches the K4
+    g = Graph(12, [(v, v + 1) for v in range(7)]
+              + list(combinations(range(8, 12), 2)))
+    for decide in (is_S_sparse, is_strongly_T_sparse):
+        v = decide(g, {0})
+        assert (v.kind, sorted(v.witness), v.lhs, v.rhs) == ("set", [8, 9, 10, 11], 6, 5)
 
 
 @pytest.mark.parametrize("n", [13, 40, 200])
