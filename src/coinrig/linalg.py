@@ -15,6 +15,14 @@ rank verdict stays independent of the strong-sparsity one.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
+
+In the plane a trial feeds the rows of the bound's basis first: the edges
+the (2,3) game accepts (``pebble_basis_23``), played in ``edge_list`` order
+because its accepted set is the row set fed first.  Above
+``EXACT_VERTEX_LIMIT`` the other rows are fed only while the rank is short
+of the bound, and each rejected edge is recounted instead: the vertex set
+its failed gather reached spans at least 2|R| - 3 accepted edges, so the
+edge lies in the R_2 closure of the basis and no trial can rank above it.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from math import comb, lcm
 from typing import Iterable
 
 from .graph import Graph
-from .pebble import pebble_rank_23
+from .pebble import PebbleGame
 from .sparsity import InvariantError
 
 COORD_BOUND = 1 << 20
@@ -321,6 +329,73 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
     return _sparse_rows(g, _sample_points(g, T, d, _trial_seed(seed, t)), d)
 
 
+# -- the planar cap ----------------------------------------------------
+
+
+def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
+                                        dict[tuple[int, int], tuple[int, ...]]]:
+    """The (2,3) game's accepted edges, and the set each rejected edge reached.
+
+    Edges are played in ``edge_list`` order, so the accepted list, a basis
+    of g in R_2, is the same one ``pebble_rank_23`` counts.  A rejected ab
+    is mapped to R, the vertices reachable from a and b along the game's
+    orientation once its gather failed: the gather leaves l = 3 pebbles on
+    a and b and none on R's other vertices, and every out-edge of R stays
+    in R, so R spans at least 2|R| - 3 accepted edges (Lee-Streinu 2008).
+    """
+    game = PebbleGame(g.n)
+    basis, reached = [], {}
+    for a, b in g.edge_list():
+        if game.try_insert(a, b):
+            basis.append((a, b))
+        else:
+            reached[(a, b)] = _reach(game.out, a, b)
+    return basis, reached
+
+
+def _reach(out: list[list[int]], a: int, b: int) -> tuple[int, ...]:
+    """Vertices reachable from a or b along ``out``, a and b included, as a
+    tuple: it is kept until the recount, and takes less memory than a set."""
+    seen = {a, b}
+    stack = [a, b]
+    while stack:
+        for w in out[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return tuple(seen)
+
+
+def _prove_cap(g: Graph, basis: list[tuple[int, int]],
+               reached: dict[tuple[int, int], tuple[int, ...]]) -> None:
+    """Raise InvariantError unless every edge of g off ``basis`` is in its R_2
+    closure, recounted from the accepted list, not from the orientation.
+
+    Each such ab needs a set R that holds a and b and spans at least
+    2|R| - 3 basis edges.  Those edges are independent (the game accepts
+    only edges that keep its set sparse), and no planar realization ranks
+    the rows of R's edges above 2|R| - 3, coincident points included, so
+    ab's row is in their span generically.  The generic rank of g is then
+    |basis|, and no sampled trial ranks above it.
+    """
+    missing = g.edges.difference(basis, reached)
+    if missing:
+        raise InvariantError(f"rejected edge {min(missing)} is not in the R_2 "
+                             f"closure of the accepted edges: it has no set")
+    if not reached:
+        return
+    up: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in basis:
+        up[a].append(b)
+    for (a, b), R in reached.items():
+        R = set(R)
+        spanned = sum(len(R.intersection(up[v])) for v in R)
+        if a not in R or b not in R or spanned < 2 * len(R) - 3:
+            raise InvariantError(
+                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
+                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
+
+
 def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankReport:
     """Max rigidity-matrix rank over sampled generic T-coincident realizations.
 
@@ -338,34 +413,51 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     No trial ranks above the cap.  A T-coincident sample is one realization
     of G', the graph minus its T-internal edges (their rows are zero), and
     a mod-p rank is at most the rational rank, so a trial's rank is at most
-    the generic rank of G'.  In the plane that is ``pebble_rank_23(G')``
-    (Asimow-Roth; Laman): a bound from R_2 alone, not from the coincidence
-    theorem, so this verdict stays independent of the strong-sparsity one.
-    In d = 1 the cap is min(|E|, target) (the translation lies in the
-    kernel), in d >= 3 it is |E|.  A trial that reaches the cap has its
-    rational rank already: it skips Bareiss and ends the loop, since no
-    later trial can change ``rank``, ``rigid`` or ``independent``.  A trial
-    ranked above the cap raises ``InvariantError``.  The report's
-    ``trials`` is ``TRIALS``, the most that are drawn, not the number drawn.
+    the generic rank of G'.  In the plane that is the size of the (2,3)
+    game's basis of G', ``pebble_basis_23`` (Asimow-Roth; Laman): a bound
+    from R_2 alone, not from the coincidence theorem, so this verdict stays
+    independent of the strong-sparsity one.  In d = 1 the cap is
+    min(|E|, target) (the translation lies in the kernel), in d >= 3 it
+    is |E|.  A trial that reaches the cap has its rational rank already: it
+    skips Bareiss and ends the loop, since no later trial can change
+    ``rank``, ``rigid`` or ``independent``.  The report's ``trials`` is
+    ``TRIALS``, the most that are drawn, not the number drawn.
+
+    A mod-p rank does not depend on row order, so in the plane each trial
+    feeds the basis rows first, then the rest in ``edge_list`` order.  On
+    the exact-rational path every row is fed, and a trial ranked above the
+    cap raises ``InvariantError``.  Above it a trial stops at the row that
+    brings its rank to the cap, most often the last basis row, so the rows
+    of dependent edges, each reduced all the way to zero, are rarely fed;
+    the cap is proved instead (``_prove_cap``), and a rejection that fails
+    its recount raises ``InvariantError``.
     """
     ts = _check_sample_args(g, T, d)
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
+    order = g.edge_list()
     if d == 2:
-        cap = pebble_rank_23(g.minus_T_edges(ts))
+        gp = g.minus_T_edges(ts)
+        basis, reached = pebble_basis_23(gp)
+        if not exact:
+            _prove_cap(gp, basis, reached)
+        cap = len(basis)
+        kept = set(basis)
+        order = basis + [e for e in order if e not in kept]
     elif d == 1:
         cap = min(len(g.edges), target)
     else:
         cap = len(g.edges)
     best = 0
     for t in range(TRIALS):
-        rows = _trial_rows(g, ts, d, seed, t).values()
+        rows = _trial_rows(g, ts, d, seed, t)
         ech = ModpEchelon()
-        for row in rows:
-            ech.try_add(row)
+        for e in order:
+            if ech.try_add(rows[e]) and ech.rank == cap and not exact:
+                break
         r = ech.rank
         if exact and r < cap:
-            dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows]
+            dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows.values()]
             r = rank_exact(RigidityMatrix(d, g.n, dense))
         if r > cap:
             raise InvariantError(f"trial {t} has rank {r}, above its bound {cap}")

@@ -18,6 +18,7 @@ from coinrig.pebble import PebbleGame, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
 
 from test_exhaustive import _atlas
+from test_linalg import henneberg_plus
 
 
 def test_fixture_shapes():
@@ -133,6 +134,40 @@ def test_contraction_games_match_replayed_games_on_random_graphs():
     for _ in range(150):
         g, T = random_instance(rng, 60, rng.choice([2, 3]))
         _assert_contraction_games_match(g, T)
+
+
+def test_contraction_games_match_replayed_games_above_the_exact_limit():
+    for n in (31, 45, 60, 120):
+        for k in (2, 3):
+            for seed in range(3):
+                T = frozenset(random.Random(n + seed).sample(range(n), k))
+                _assert_contraction_games_match(henneberg_plus(n, seed), T)
+
+
+def test_g_prime_game_plays_edges_in_degree_order(monkeypatch):
+    # edges at a low-degree vertex first, each from its higher-degree end;
+    # a G'/S game takes its star, then the rejected edges in edge_list order
+    g = henneberg_plus(60, 4)
+    T = frozenset({18, 23, 30})
+    gp = g.minus_T_edges(T)
+    deg = [len(gp.neighbors(v)) for v in range(gp.n)]
+    inserts = []
+    real = PebbleGame.try_insert
+    monkeypatch.setattr(PebbleGame, "try_insert",
+                        lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
+    games = _contraction_games(gp, T)
+    next(games)
+    assert sorted(tuple(sorted(e)) for e in inserts) == gp.edge_list()
+    assert all(deg[a] >= deg[b] for a, b in inserts)
+    lows = [deg[b] for a, b in inserts]
+    assert lows == sorted(lows)
+    inserts.clear()
+    s, _, _ = next(games)
+    k = sum(a == min(s) for a, b in inserts)
+    star, rest = inserts[:k], inserts[k:]
+    assert all(a == min(s) for a, b in star)
+    assert len(rest) >= 2 and rest == sorted(rest)
+    assert not any(v in s for e in rest for v in e)
 
 
 def test_contractions_reuse_the_g_prime_game(monkeypatch):

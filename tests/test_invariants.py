@@ -14,8 +14,9 @@ import coinrig.constructions
 import coinrig.linalg
 from coinrig import InvariantError
 from coinrig.cli import main
-from coinrig.constructions import reduce_low_degree
-from coinrig.graph import Graph
+from coinrig.constructions import henneberg_random, reduce_low_degree
+from coinrig.graph import Graph, graph_to_json
+from coinrig.linalg import pebble_basis_23 as linalg_basis_23
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,19 +37,54 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
 
 
 K4 = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+# 40 vertices, above EXACT_VERTEX_LIMIT: the cap is proved, not tested
+H40 = graph_to_json(henneberg_random(40, 1))
+
+
+def _drop_a_basis_edge(basis_23):
+    """A cap game that loses its first accepted edge, listed nowhere."""
+    def forged(g):
+        basis, reached = basis_23(g)
+        return basis[1:], reached
+    return forged
+
+
+def _reject_a_basis_edge(basis_23):
+    """A cap game that reports its first accepted edge as rejected, with
+    every vertex as the set it reached."""
+    def forged(g):
+        basis, reached = basis_23(g)
+        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}
+    return forged
 
 
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_path, verb):
-    # K4 minus the edge inside T = {0, 1} has R_2 rank 5; a bound of 4 is
-    # one that a sampled trial beats
-    real = coinrig.linalg.pebble_rank_23
-    monkeypatch.setattr(coinrig.linalg, "pebble_rank_23", lambda g: real(g) - 1)
+    # K4 minus the edge inside T = {0, 1} has R_2 rank 5; a basis of 4
+    # edges is a bound that a sampled trial beats, since every row is fed
+    # on the exact-rational path
+    monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
+                        _drop_a_basis_edge(linalg_basis_23))
     graph = tmp_path / "k4.json"
     graph.write_text(K4)
     assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invariant violated: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", ["rank", "check"])
+def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb):
+    # on the prime-field path the basis rows reach the forged cap and no
+    # other row is fed, so only the recount of the rejection can catch it
+    graph = tmp_path / "h40.json"
+    graph.write_text(H40)
+    for forge in (_reject_a_basis_edge, _drop_a_basis_edge):
+        monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
+                            forge(linalg_basis_23))
+        assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invariant violated: rejected edge ")
+        assert err.count("\n") == 1
 
 
 SCRIPT = textwrap.dedent("""
@@ -73,12 +109,28 @@ SCRIPT = textwrap.dedent("""
     with contextlib.redirect_stderr(err):
         code = main(["mrank", "--graph", sys.argv[1], "--T", "0,1", "--witness"])
 
-    real_rank = coinrig.linalg.pebble_rank_23
-    coinrig.linalg.pebble_rank_23 = lambda g: real_rank(g) - 1
+    # a cap game that drops an accepted edge (K4, every row fed) and one
+    # that reports it as rejected (40 vertices, the recount)
+    real_basis = coinrig.linalg.pebble_basis_23
+
+    def dropped(g):
+        basis, reached = real_basis(g)
+        return basis[1:], reached
+
+    def rejected(g):
+        basis, reached = real_basis(g)
+        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}
+
+    coinrig.linalg.pebble_basis_23 = dropped
     rank_err = io.StringIO()
     with contextlib.redirect_stderr(rank_err):
         rank_code = main(["rank", "--graph", sys.argv[1], "--T", "0,1"])
-    coinrig.linalg.pebble_rank_23 = real_rank
+    coinrig.linalg.pebble_basis_23 = rejected
+    recount_err = io.StringIO()
+    with contextlib.redirect_stderr(recount_err), contextlib.redirect_stdout(io.StringIO()):
+        recount_codes = [main([verb, "--graph", sys.argv[2], "--T", "0,1,2"])
+                         for verb in ("rank", "check")]
+    coinrig.linalg.pebble_basis_23 = real_basis
 
     # a copied G'/S state holding more than 2n' - 3 edges
     real_contracted = coinrig.pebble.PebbleGame.contracted
@@ -95,6 +147,8 @@ SCRIPT = textwrap.dedent("""
     print(json.dumps({"optimize": sys.flags.optimize, "merge": merge,
                       "code": code, "stderr": err.getvalue(),
                       "rank_code": rank_code, "rank_stderr": rank_err.getvalue(),
+                      "recount_codes": recount_codes,
+                      "recount_stderr": recount_err.getvalue(),
                       "check_code": check_code,
                       "check_stderr": check_err.getvalue()}))
 """)
@@ -103,10 +157,12 @@ SCRIPT = textwrap.dedent("""
 def test_invariants_fire_under_optimize(tmp_path):
     graph = tmp_path / "k4.json"
     graph.write_text(K4)
+    large = tmp_path / "h40.json"
+    large.write_text(H40)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(graph)],
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(graph), str(large)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -118,5 +174,9 @@ def test_invariants_fire_under_optimize(tmp_path):
     assert out["stderr"].startswith("error: ") and out["stderr"].count("\n") == 1
     assert out["rank_code"] == 1
     assert out["rank_stderr"].startswith("error: invariant violated: ")
+    assert out["recount_codes"] == [1, 1]
+    lines = out["recount_stderr"].splitlines()
+    assert len(lines) == 2
+    assert all(ln.startswith("error: invariant violated: rejected edge ") for ln in lines)
     assert out["check_code"] == 1
     assert out["check_stderr"].startswith("error: invariant violated: the copied state")

@@ -8,12 +8,13 @@ import pytest
 
 from coinrig import linalg
 from coinrig.checks import fixtures
-from coinrig.constructions import henneberg_random
+from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _sample_points, _sparse_rows,
                             generic_rank, generic_realization, int_rank,
-                            rank_exact, rank_modp, rigidity_matrix,
+                            pebble_basis_23, rank_exact, rank_modp,
+                            rigidity_matrix,
                             rigidity_target, sample_T_coincident)
 from coinrig.pebble import pebble_rank_23
 
@@ -449,3 +450,60 @@ def test_stopping_at_the_cap_matches_every_trial_on_random_graphs():
             T = rng.sample(range(n), rng.randint(1, min(3, n)))
             rep = generic_rank(g, T, d, seed=seed)
             assert rep == _every_trial_report(g, T, d, seed, rep), (d, seed)
+
+
+def henneberg_plus(n, seed):
+    """A Henneberg graph on n vertices plus n // 20 random extra edges."""
+    g = henneberg_random(n, seed)
+    extra = [p for p in combinations(range(n), 2) if p not in g.edges]
+    return g.add_edges(random.Random(seed).sample(extra, n // 20))
+
+
+def test_cap_game_rejections_recount():
+    # each rejected edge's reached set holds it and spans at least
+    # 2|R| - 3 accepted edges, so the basis is as large as pebble_rank_23
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(2, 40)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, rng.sample(pairs, min(len(pairs), rng.randint(n, 3 * n))))
+        basis, reached = pebble_basis_23(g)
+        assert len(basis) == pebble_rank_23(g)
+        assert sorted(basis + list(reached)) == g.edge_list()
+        for (a, b), R in reached.items():
+            inside = sum(u in R and v in R for u, v in basis)
+            assert a in R and b in R and inside >= 2 * len(R) - 3
+        linalg._prove_cap(g, basis, reached)
+
+
+def test_basis_rows_first_match_every_trial_above_the_exact_limit():
+    # the prime-field path stops at the row that reaches the cap; ranking
+    # every row of every trial gives the same report
+    for n in (31, 45, 60, 120):
+        for k in (2, 3):
+            for seed in range(3):
+                g = henneberg_plus(n, seed)
+                T = random.Random(n + seed).sample(range(n), k)
+                rep = generic_rank(g, T, 2, seed=seed)
+                assert rep.method == "prime-field"
+                assert rep == _every_trial_report(g, T, 2, seed, rep), (n, T, seed)
+
+
+def test_rows_past_the_basis_are_fed_when_a_trial_falls_short(monkeypatch):
+    # fig4 grown by 0-extensions to 40 vertices keeps its T-coincident
+    # flex, so every trial's basis rows fall short of the cap; a K4 on
+    # 4, 7, 8, 9 gives G' one rejected edge, whose row is fed too
+    f = fixtures()["fig4"]
+    g = zero_extension(zero_extension(f.graph, 4, 7), 4, 8).add_edges([(7, 9)])
+    rng = random.Random(3)
+    while g.n < 40:
+        g = zero_extension(g, *rng.sample(range(g.n), 2))
+    basis, reached = pebble_basis_23(g.minus_T_edges(f.T))
+    assert len(basis) == 77 and list(reached) == [(8, 9)]
+    fed = []
+    real = ModpEchelon.try_add
+    monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
+    rep = generic_rank(g, f.T, 2, seed=1)
+    assert (rep.rank, rep.target, rep.method) == (76, 77, "prime-field")
+    assert len(fed) == 3 * len(g.edges)  # three trials, every row
+    assert rep == _every_trial_report(g, f.T, 2, 1, rep)
