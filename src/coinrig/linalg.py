@@ -4,11 +4,12 @@ All arithmetic is exact: coordinates are rationals and no floating point is
 used anywhere.  Every sampled rank comes from one incremental sparse row
 echelon over GF(2^61 - 1) (``ModpEchelon``), fed rows built straight from the
 integer coordinates of the sample.  Rows independent mod p are independent
-over the rationals, so a mod-p rank is a certified lower bound.  Bareiss
-fraction-free elimination over the integers (``int_rank``/``rank_exact``)
-computes exact ranks of explicit matrices, and confirms a sampled rank that
-falls short of its upper bound on the exact-rational path, which the vertex
-count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that bound is
+over the rationals, so a mod-p rank is a certified lower bound.  A sparse
+fraction-free echelon over the integers with the same layout
+(``_exact_rank``) computes exact ranks: of explicit matrices
+(``rank_exact``), and of a sample's rows when their mod-p rank falls short
+of its upper bound on the exact-rational path, which the vertex count alone
+selects (``EXACT_VERTEX_LIMIT``).  In the plane that bound is
 the generic rank of G', the graph minus its T-internal edges, from the
 (2,3) pebble game: a fact about R_2, not the coincidence theorem, so the
 rank verdict stays independent of the strong-sparsity one.
@@ -31,7 +32,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .graph import Graph
@@ -152,91 +153,100 @@ def _integer_rows(rows) -> list[list[int]]:
     return out
 
 
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by Bareiss fraction-free elimination.
+def _exact_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over the rationals of sparse integer rows (dicts column -> int).
 
-    The cross-multiplication update divided by the previous pivot stays
-    integral, which keeps intermediate entries at minor-determinant size.
+    Fraction-free elimination over the integers with ``ModpEchelon``'s
+    layout: each kept row leads on its highest nonzero column.  A row r
+    whose lead f sits on the column of a kept row s with lead l becomes
+    (l/k) r - (f/k) s, k = gcd(l, f), which clears that column, and each
+    row is divided by the gcd of its entries, which removes the common
+    factors the cross multiplication brings in.  Rows are scaled by nonzero
+    integers only, so a row reduced to zero is in the rational span of the
+    kept rows, and the kept rows, with distinct leading columns, are
+    independent.
     """
-    m = [r[:] for r in rows]
-    nrows = len(m)
-    if nrows == 0:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = -1
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {c: x for c, x in row.items() if x}
+        while r:
+            g = gcd(*r.values())
+            if g > 1:
+                r = {j: x // g for j, x in r.items()}
+            c = max(r)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = r
                 break
-        if piv < 0:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            if mic:
-                mr = m[r]
-                mi = m[i]
-                for j in range(c + 1, ncols):
-                    mi[j] = (pivot * mi[j] - mic * mr[j]) // prev
-                mi[c] = 0
-            else:
-                mi = m[i]
-                for j in range(c + 1, ncols):
-                    mi[j] = (pivot * mi[j]) // prev
-        prev = pivot
-        r += 1
-        if r == nrows:
-            break
-    return r
+            l, f = prow[c], r[c]
+            k = gcd(l, f)
+            a, b = l // k, f // k
+            if a != 1:
+                r = {j: a * x for j, x in r.items()}
+            for j, x in prow.items():
+                y = r.get(j, 0) - b * x
+                if y:
+                    r[j] = y
+                else:
+                    r.pop(j, None)
+    return len(pivots)
 
 
 def rank_exact(M: RigidityMatrix) -> int:
     """Exact rank over the rationals."""
-    return int_rank(_integer_rows(M.rows))
+    return _exact_rank({c: x for c, x in enumerate(row) if x}
+                       for row in _integer_rows(M.rows))
 
 
 class ModpEchelon:
     """Incremental row echelon over GF(PRIME) of sparse integer rows.
 
     A row is a dict column -> integer.  Each kept row leads on its highest
-    nonzero column and is scaled so that entry is 1.  A rigidity row then
-    leads on its higher endpoint; when vertices are numbered in Henneberg
-    construction order that endpoint is the later vertex, so a row reduces
-    against rows of its own and earlier vertices and fill-in stays local.
-    Rows independent mod PRIME are independent over the rationals, so
-    ``rank`` never exceeds the exact rank.
+    column nonzero mod PRIME and is stored as it was reduced, unnormalized:
+    entries may be raw input integers, negative, above PRIME or 0 mod PRIME.
+    The inverse of a kept row's lead is computed the first time that row
+    reduces another, and cached, so a pivot that never reduces a row costs
+    no inversion.  A rigidity row leads on its higher endpoint; when
+    vertices are numbered in Henneberg construction order that endpoint is
+    the later vertex, so a row reduces against rows of its own and earlier
+    vertices and fill-in stays local.  Rows independent mod PRIME are
+    independent over the rationals, so ``rank`` never exceeds the exact
+    rank.
     """
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}  # leading column -> row
+        self._inv: dict[int, int] = {}  # leading column -> lead^-1 mod PRIME
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def try_add(self, row: dict[int, int]) -> bool:
-        """Reduce ``row`` (left unchanged) and keep it iff it is independent."""
+        """Reduce a copy of ``row`` and keep it iff it is independent."""
         p = PRIME
-        r = {c: x % p for c, x in row.items() if x % p}
+        pivots, inv = self.pivots, self._inv
+        r = dict(row)
         while r:
             c = max(r)
-            prow = self.pivots.get(c)
+            lead = r[c] % p
+            if not lead:
+                del r[c]
+                continue
+            prow = pivots.get(c)
             if prow is None:
-                inv = pow(r[c], -1, p)
-                self.pivots[c] = {j: x * inv % p for j, x in r.items()}
+                pivots[c] = r
                 return True
-            f = r[c]
+            i = inv.get(c)
+            if i is None:
+                i = inv[c] = pow(prow[c], -1, p)
+            f = lead * i % p
             for j, x in prow.items():
                 y = (r.get(j, 0) - f * x) % p
                 if y:
                     r[j] = y
                 else:
-                    del r[j]
+                    r.pop(j, None)
         return False
 
 
@@ -404,8 +414,8 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     ``TRIALS`` trials draws ``sample_T_coincident``'s points and ranks
     their rows mod p.  Graphs above ``EXACT_VERTEX_LIMIT`` vertices keep
     that rank ("prime-field"); on smaller ones a trial that falls short of
-    its cap is re-ranked exactly (Bareiss) from the same rows
-    ("exact-rational").
+    its cap is re-ranked exactly from the same sparse rows (``_exact_rank``,
+    "exact-rational").
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
     d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
@@ -419,7 +429,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     independent of the strong-sparsity one.  In d = 1 the cap is
     min(|E|, target) (the translation lies in the kernel), in d >= 3 it
     is |E|.  A trial that reaches the cap has its rational rank already: it
-    skips Bareiss and ends the loop, since no later trial can change
+    skips the exact rank and ends the loop, since no later trial can change
     ``rank``, ``rigid`` or ``independent``.  The report's ``trials`` is
     ``TRIALS``, the most that are drawn, not the number drawn.
 
@@ -457,8 +467,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
                 break
         r = ech.rank
         if exact and r < cap:
-            dense = [[row.get(c, 0) for c in range(d * g.n)] for row in rows.values()]
-            r = rank_exact(RigidityMatrix(d, g.n, dense))
+            r = _exact_rank(rows.values())
         if r > cap:
             raise InvariantError(f"trial {t} has rank {r}, above its bound {cap}")
         best = max(best, r)

@@ -11,8 +11,8 @@ from coinrig.checks import fixtures
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
-                            RigidityMatrix, _sample_points, _sparse_rows,
-                            generic_rank, generic_realization, int_rank,
+                            RigidityMatrix, _exact_rank, _sample_points,
+                            _sparse_rows, generic_rank, generic_realization,
                             pebble_basis_23, rank_exact, rank_modp,
                             rigidity_matrix,
                             rigidity_target, sample_T_coincident)
@@ -94,24 +94,69 @@ def test_missing_coordinates_error():
         rigidity_matrix(g, p)
 
 
-def test_int_rank_against_fraction_gauss():
-    # oracle: plain Gaussian elimination over Fractions
-    def frac_rank(rows):
-        m = [[Fraction(x) for x in r] for r in rows]
-        rank = 0
-        cols = len(m[0]) if m else 0
-        for c in range(cols):
-            piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            for i in range(len(m)):
-                if i != rank and m[i][c]:
-                    f = m[i][c] / m[rank][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-        return rank
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of a dense integer matrix by Bareiss fraction-free elimination:
+    the independent dense reference for the package's sparse kernels.
 
+    The cross-multiplication update divided by the previous pivot stays
+    integral, which keeps intermediate entries at minor-determinant size.
+    """
+    m = [r[:] for r in rows]
+    nrows = len(m)
+    if nrows == 0:
+        return 0
+    ncols = len(m[0])
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        piv = -1
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        pivot = m[r][c]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            if mic:
+                mr = m[r]
+                mi = m[i]
+                for j in range(c + 1, ncols):
+                    mi[j] = (pivot * mi[j] - mic * mr[j]) // prev
+                mi[c] = 0
+            else:
+                mi = m[i]
+                for j in range(c + 1, ncols):
+                    mi[j] = (pivot * mi[j]) // prev
+        prev = pivot
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def frac_rank(rows) -> int:
+    """Rank by plain Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for c in range(cols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_int_rank_against_fraction_gauss():
     rng = random.Random(0)
     for _ in range(60):
         rows = rng.randint(1, 6)
@@ -301,8 +346,8 @@ def test_echelon_rank_equals_int_rank_on_random_matrices():
         mat = _random_int_matrix(rng)
         sparse = [{c: x for c, x in enumerate(r) if x} for r in mat]
         before = [dict(r) for r in sparse]
-        assert _echelon_rank(sparse) == int_rank(mat)
-        assert sparse == before  # try_add leaves its argument unchanged
+        assert _echelon_rank(sparse) == _exact_rank(sparse) == int_rank(mat) == frac_rank(mat)
+        assert sparse == before  # neither kernel changes its argument
         scales = [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 9)) for _ in mat]
         frac_rows = [[s * x for x in r] for s, r in zip(scales, mat)]
         M = RigidityMatrix(1, len(mat[0]), frac_rows)
@@ -330,6 +375,60 @@ def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
             rows = _sparse_rows(g, _sample_points(g, T, d, seed), d)
             p = sample_T_coincident(g, T, d, seed)
             assert _echelon_rank(rows.values()) == rank_exact(rigidity_matrix(g, p))
+
+
+def test_echelon_skips_a_lead_that_is_zero_mod_p():
+    ech = ModpEchelon()
+    assert ech.try_add({5: 2 ** 61 - 1, 2: 3})
+    assert list(ech.pivots) == [2]  # leads on column 2, not 5
+    assert not ech.try_add({2: 1})
+    assert ech.try_add({5: 1})
+    assert ech.rank == 2
+
+
+def test_echelon_pivot_with_an_entry_zero_mod_p_reduces_a_row():
+    ech = ModpEchelon()
+    assert ech.try_add({3: 1, 1: PRIME})  # stored raw: column 1 holds PRIME
+    assert not ech.try_add({3: 2})  # column 1 cancels in r without a KeyError
+    assert ech.try_add({1: 5})
+    assert ech.rank == 2
+
+
+def test_echelon_negative_and_large_leads():
+    ech = ModpEchelon()
+    assert ech.try_add({2: -3, 0: 1})
+    assert ech.try_add({1: PRIME + 4})
+    assert not ech._inv  # no pivot has reduced a row yet
+    assert not ech.try_add({2: PRIME + 6, 0: -2})  # -2 times row 0 mod p
+    assert not ech.try_add({1: -8, 0: 0})  # -2 times row 1 mod p
+    assert ech._inv[2] * -3 % PRIME == 1 and ech._inv[1] * 4 % PRIME == 1
+    assert ech.try_add({2: 6, 0: 1})
+    assert ech.rank == 3
+
+
+def test_echelon_keeps_a_copy_of_each_row():
+    ech = ModpEchelon()
+    row = {1: 1, 0: PRIME}
+    assert ech.try_add(row)
+    assert row == {1: 1, 0: PRIME}  # the argument is unchanged
+    row[0] = 1  # the pivot kept the row as it was fed
+    assert ech.pivots[1] == {1: 1, 0: PRIME}
+    assert not ech.try_add({1: 2})
+    assert ech.try_add(row)
+
+
+@pytest.mark.parametrize("seed, T, rank", [
+    (4, (0, 1, 2), 55), (8, (0, 1, 2), 55), (11, (0, 1, 2), 53),
+    (11, (0, 1, 29), 54), (11, (0, 15, 29), 56)])
+def test_exact_rank_equals_bareiss_on_rank_deficient_coincident_samples(seed, T, rank):
+    # 30 vertices, the largest exact-rational input: every trial falls
+    # short of its cap, so generic_rank confirms each with the sparse kernel
+    g = henneberg_random(30, seed)
+    assert generic_rank(g, T, 2).rank == rank < len(g.edges) == 57
+    for t in range(linalg.TRIALS):
+        rows = linalg._trial_rows(g, frozenset(T), 2, 0, t).values()
+        dense = [[row.get(c, 0) for c in range(2 * g.n)] for row in rows]
+        assert _exact_rank(rows) == int_rank(dense) == frac_rank(dense) == rank
 
 
 def _every_trial_report(g, T, d, seed, rep):
@@ -364,22 +463,23 @@ def test_exact_path_matches_all_bareiss_reports():
             assert rep == _every_trial_report(g, T, d, seed, rep)
 
 
-def test_bareiss_skipped_when_every_trial_reaches_its_cap(monkeypatch):
-    calls = []
-    real = linalg.rank_exact
-    monkeypatch.setattr(linalg, "rank_exact", lambda M: calls.append(M) or real(M))
+def test_exact_confirm_skipped_when_every_trial_reaches_its_cap(monkeypatch):
+    confirms = []
+    real = linalg._exact_rank
+    monkeypatch.setattr(linalg, "_exact_rank",
+                        lambda rows: confirms.append(rows) or real(rows))
     for name, f in fixtures().items():
         if name == "fig4":
             continue
         rep = generic_rank(f.graph, f.T, 2, seed=1)
         assert rep.rank == min(len(f.graph.edges), rep.target)
-    assert calls == []
+    assert confirms == []
     generic_rank(fixtures()["fig4"].graph, {0, 1, 2}, 2, seed=1)
-    assert len(calls) == 3  # each fig4 trial falls short of 13 and is confirmed
+    assert len(confirms) == 3  # each fig4 trial falls short of 13 and is confirmed
 
 
 def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
-    # every fig4 trial falls short and is confirmed by Bareiss, from the
+    # every fig4 trial falls short and is confirmed exactly, from the
     # points that trial already drew: no realization is sampled again
     f = fixtures()["fig4"]
     want = generic_rank(f.graph, f.T, 2, seed=1)
@@ -393,11 +493,12 @@ def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
 
 
 def test_trials_stop_at_the_pebble_bound(monkeypatch):
-    drawn, bareiss = [], []
-    rows, rank = linalg._trial_rows, linalg.rank_exact
+    drawn, confirms = [], []
+    rows, rank = linalg._trial_rows, linalg._exact_rank
     monkeypatch.setattr(linalg, "_trial_rows",
                         lambda g, T, d, seed, t: drawn.append(t) or rows(g, T, d, seed, t))
-    monkeypatch.setattr(linalg, "rank_exact", lambda M: bareiss.append(M) or rank(M))
+    monkeypatch.setattr(linalg, "_exact_rank",
+                        lambda rows: confirms.append(rows) or rank(rows))
     # vertex 23 has degree 2 and T holds it and its neighbour 11, so G' is
     # flexible: the bound 116 is below min(|E|, 2n - 3) = 117, and trial 0
     # reaches it
@@ -410,12 +511,12 @@ def test_trials_stop_at_the_pebble_bound(monkeypatch):
     assert drawn == [0]
     drawn.clear()
     assert generic_rank(complete_graph(4), {0, 1}, 2).rank == 5
-    assert drawn == [0] and bareiss == []
+    assert drawn == [0] and confirms == []
     # fig4's G' is rigid, but every T-coincident trial falls short of 13
     drawn.clear()
     f = fixtures()["fig4"]
     assert generic_rank(f.graph, f.T, 2, seed=1).rank == 12
-    assert drawn == [0, 1, 2] and len(bareiss) == 3
+    assert drawn == [0, 1, 2] and len(confirms) == 3
     # in d = 3 the bound is |E|: K5 ranks 9 of its 10 edges
     drawn.clear()
     assert generic_rank(complete_graph(5), {0}, 3).rank == 9

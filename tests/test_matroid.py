@@ -385,7 +385,7 @@ def test_rt_oracle_checks_its_arguments_up_front():
 
 
 def test_rt_base_is_certified_independent_over_q():
-    # elimination in the rt oracle is mod p; Bareiss re-checks its certificate
+    # the rt oracle eliminates mod p; the exact rank re-checks its certificate
     for f in fixtures().values():
         base = greedy_rank(rt_oracle(f.graph, f.T, seed=4)).base
         sub = Graph(f.graph.n, base)
