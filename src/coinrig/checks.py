@@ -63,27 +63,19 @@ def _contraction_games(gp: Graph, ts: frozenset[int]):
     """(S, game, target) for G' (S empty), then for each G'/S, S inside T.
 
     Every S has |S| >= 2, and target is the rigidity target 2n' - 3 of the
-    graph decided.  The (2,3) game on G' is played on every edge, in degree
-    order: edges at a low-degree vertex first, each inserted from its
-    higher-degree end, which shortens the pebble searches; a game's count
-    does not depend on the order.  The edges it rejects are kept, sorted in
-    ``edge_list`` order.  Each G'/S game starts from that game's final
-    orientation by ``PebbleGame.contracted``, which keeps the input's ids
-    and the accepted edges that avoid S: S goes into min(S), and S's other
-    vertices keep two pebbles and take no edge.  The game then takes the
-    edges at min(S) and the rejected edges that avoid S, and stops once it
-    holds 2n' - 3 edges, with n' = n - |S| + 1.  Its count is the R_2 rank
-    of G'/S whenever that rank is short of 2n' - 3.
+    graph decided.  The (2,3) game on G' is played on every edge, in
+    ``edge_list`` order, where the game's count rule takes most edges with
+    no pebble search; the edges it rejects are kept, in that order.  Each
+    G'/S game starts from that game's final orientation by
+    ``PebbleGame.contracted``, which keeps the input's ids and the accepted
+    edges that avoid S: S goes into min(S), and S's other vertices keep two
+    pebbles and take no edge.  The game then takes the edges at min(S) and
+    the rejected edges that avoid S, and stops once it holds 2n' - 3 edges,
+    with n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
+    rank is short of 2n' - 3.
     """
-    deg = [0] * gp.n
-    for a, b in gp.edges:
-        deg[a] += 1
-        deg[b] += 1
-    # (high, low) pairs, sorted by the low end's degree
-    order = [(a, b) if deg[a] >= deg[b] else (b, a) for a, b in gp.edges]
-    order.sort(key=lambda e: (deg[e[1]], e[1], e[0]))
     game = PebbleGame(gp.n)
-    rejected = sorted((min(e), max(e)) for e in order if not game.try_insert(*e))
+    rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
     yield frozenset(), game, rigidity_target(gp.n, 2)
     for s in subsets_of_two_or_more(ts):
         sub = game.contracted(s)

@@ -19,7 +19,8 @@ report's ``trials`` is ``TRIALS``, not the number drawn.
 
 In the plane a trial feeds the rows of the bound's basis first: the edges
 the (2,3) game accepts (``pebble_basis_23``), played in ``edge_list`` order
-because its accepted set is the row set fed first.  Above
+because its accepted set is the row set fed first; the game's count rule
+takes most of those edges with no pebble search.  Above
 ``EXACT_VERTEX_LIMIT`` the other rows are fed only while the rank is short
 of the bound, and each rejected edge is recounted instead: the vertex set
 its failed gather reached spans at least 2|R| - 3 accepted edges, so the
@@ -347,11 +348,14 @@ def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
     """The (2,3) game's accepted edges, and the set each rejected edge reached.
 
     Edges are played in ``edge_list`` order, so the accepted list, a basis
-    of g in R_2, is the same one ``pebble_rank_23`` counts.  A rejected ab
-    is mapped to R, the vertices reachable from a and b along the game's
-    orientation once its gather failed: the gather leaves l = 3 pebbles on
-    a and b and none on R's other vertices, and every out-edge of R stays
-    in R, so R spans at least 2|R| - 3 accepted edges (Lee-Streinu 2008).
+    of g in R_2, is the same one ``pebble_rank_23`` counts.  Most inserts
+    need no pebble search: the game's count rule accepts an edge at a
+    vertex of accepted degree at most one outright, and a rejection is
+    always a failed search.  A rejected ab is mapped to R, the vertices
+    reachable from a and b along the game's orientation once its gather
+    failed: the gather leaves l = 3 pebbles on a and b and none on R's
+    other vertices, and every out-edge of R stays in R, so R spans at least
+    2|R| - 3 accepted edges (Lee-Streinu 2008).
     """
     game = PebbleGame(g.n)
     basis, reached = [], {}

@@ -9,6 +9,14 @@ game's orientation also starts the game of a contraction of its graph
 (``PebbleGame.contracted``), which then needs only the edges it lacks.
 That game keeps the input's vertex ids: the contracted set is merged into
 its smallest vertex, and its other vertices are left isolated.
+
+A (2,3) game with the default caps also takes most edges without a search,
+by a count rule: an edge ab that is not yet accepted, at a vertex v with at
+most one accepted edge, keeps the accepted set F sparse.  For a vertex set
+X holding a and b with |X| >= 3, i_F(X) <= i_F(X - v) + 1 <= 2|X| - 4,
+and {a, b} spans no edge of F, so F + ab is (2,3)-sparse.  The rule
+changes no accepted set, since whether an edge is accepted depends only on
+the accepted edges before it; it changes only the orientation.
 """
 
 from __future__ import annotations
@@ -22,6 +30,15 @@ class PebbleGame:
     Out-degree plus pebbles is cap[v] at every vertex, so each out-edge list
     holds at most cap[v] heads.  The searches share one visited array,
     marked with a fresh stamp per search, and one parent array.
+
+    With the default caps and l = 3, ``deg[v]`` counts the accepted edges
+    at v, and an edge that the count rule accepts (see the module
+    docstring) is taken with no search, out of its end v of degree at most
+    one: v has a pebble, as out-degree(v) <= deg[v] <= 1, so out-degree
+    plus pebbles stays two everywhere and the accepted set stays sparse,
+    which makes the orientation a state of the game (Lee-Streinu 2008), as
+    in ``contracted``.  Other games (custom caps, other l) keep ``deg``
+    None and always search.
     """
 
     def __init__(self, n: int, cap: list[int] | None = None, l: int = 3):
@@ -31,9 +48,25 @@ class PebbleGame:
         self.pebbles = list(self.cap)
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted = 0
+        self.deg = [0] * n if cap is None and l == 3 else None
         self._seen = [0] * n
         self._stamp = 0
         self._parent = [0] * n
+
+    def _free_end(self, a: int, b: int) -> int:
+        """An end of ab the count rule inserts ab out of, or -1 if none.
+
+        That is an end of accepted degree at most one, and ab must not be
+        accepted already: it would be oriented out of a or out of b, and
+        each out-edge list holds at most two heads.
+        """
+        deg = self.deg
+        if deg is None:
+            return -1
+        v = a if deg[a] <= deg[b] else b
+        if deg[v] > 1 or b in self.out[a] or a in self.out[b]:
+            return -1
+        return v
 
     def _fetch(self, root: int, avoid: int) -> bool:
         """Pull one pebble to root via a directed path, avoiding ``avoid``."""
@@ -66,15 +99,8 @@ class PebbleGame:
             w = v
         return True
 
-    def gather(self, a: int, b: int) -> bool:
-        """Whether ab keeps the accepted set sparse; accepts nothing.
-
-        That needs l + 1 pebbles gathered on the endpoints: l would only
-        witness sparsity before the insertion.  Pebbles may move, but the
-        accepted edges stay the same.
-        """
-        if a == b:
-            raise ValueError("loop edge")
+    def _search(self, a: int, b: int) -> bool:
+        """Gather l + 1 pebbles on a and b by fetches; whether that worked."""
         p, cap, need = self.pebbles, self.cap, self.need
         while p[a] < cap[a] and p[a] + p[b] < need and self._fetch(a, b):
             pass
@@ -82,15 +108,38 @@ class PebbleGame:
             pass
         return p[a] + p[b] >= need
 
+    def gather(self, a: int, b: int) -> bool:
+        """Whether ab keeps the accepted set sparse; accepts nothing.
+
+        That needs l + 1 pebbles gathered on the endpoints: l would only
+        witness sparsity before the insertion.  Pebbles may move, but the
+        accepted edges stay the same.  An edge the count rule accepts is
+        answered with no search, and no pebble moves.
+        """
+        if a == b:
+            raise ValueError("loop edge")
+        return self._free_end(a, b) >= 0 or self._search(a, b)
+
     def try_insert(self, a: int, b: int) -> bool:
-        """Accept ab iff the accepted set stays sparse; ab leaves a pebbled end."""
-        if not self.gather(a, b):
-            return False
-        if not self.pebbles[a]:
-            a, b = b, a
+        """Accept ab iff the accepted set stays sparse; ab leaves a pebbled end.
+
+        An edge the count rule accepts is taken with no search, out of its
+        end of accepted degree at most one.
+        """
+        if a == b:
+            raise ValueError("loop edge")
+        v = self._free_end(a, b)
+        if v < 0:
+            if not self._search(a, b):
+                return False
+            v = a if self.pebbles[a] else b
+        w = b if v == a else a
         self.accepted += 1
-        self.pebbles[a] -= 1
-        self.out[a].append(b)
+        self.pebbles[v] -= 1
+        self.out[v].append(w)
+        if self.deg is not None:
+            self.deg[v] += 1
+            self.deg[w] += 1
         return True
 
     def contracted(self, S: frozenset[int]) -> PebbleGame:
@@ -103,15 +152,21 @@ class PebbleGame:
         contracted graph, and out-degree plus pebbles is two everywhere: any
         such orientation is a state of the game (Lee-Streinu 2008), so
         further ``try_insert`` calls extend the accepted set to a maximal
-        sparse one.  Only for a game with the default caps; ``l`` is kept.
+        sparse one.  Only for a game with the default caps; ``l`` is kept,
+        and so are the kept edges' degrees.
         """
         game = PebbleGame(self.n, l=self.need - 1)
+        deg = game.deg
         for v, heads in enumerate(self.out):
             if v not in S:
                 kept = [w for w in heads if w not in S]
                 game.out[v] = kept
                 game.pebbles[v] -= len(kept)
                 game.accepted += len(kept)
+                if deg is not None:
+                    deg[v] += len(kept)
+                    for w in kept:
+                        deg[w] += 1
         return game
 
 

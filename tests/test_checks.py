@@ -144,30 +144,33 @@ def test_contraction_games_match_replayed_games_above_the_exact_limit():
                 _assert_contraction_games_match(henneberg_plus(n, seed), T)
 
 
-def test_g_prime_game_plays_edges_in_degree_order(monkeypatch):
-    # edges at a low-degree vertex first, each from its higher-degree end;
-    # a G'/S game takes its star, then the rejected edges in edge_list order
+def test_games_play_edge_list_order_then_star_then_rejected(monkeypatch):
+    # the G' game inserts gp.edge_list() in that order; each G'/S game takes
+    # its star at min(S), then the rejected edges that avoid S, in
+    # edge_list order, until it holds its target
     g = henneberg_plus(60, 4)
     T = frozenset({18, 23, 30})
     gp = g.minus_T_edges(T)
-    deg = [len(gp.neighbors(v)) for v in range(gp.n)]
+    game = PebbleGame(gp.n)
+    rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
     inserts = []
     real = PebbleGame.try_insert
     monkeypatch.setattr(PebbleGame, "try_insert",
                         lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
     games = _contraction_games(gp, T)
     next(games)
-    assert sorted(tuple(sorted(e)) for e in inserts) == gp.edge_list()
-    assert all(deg[a] >= deg[b] for a, b in inserts)
-    lows = [deg[b] for a, b in inserts]
-    assert lows == sorted(lows)
+    assert inserts == gp.edge_list()
     inserts.clear()
-    s, _, _ = next(games)
-    k = sum(a == min(s) for a, b in inserts)
-    star, rest = inserts[:k], inserts[k:]
-    assert all(a == min(s) for a, b in star)
-    assert len(rest) >= 2 and rest == sorted(rest)
-    assert not any(v in s for e in rest for v in e)
+    for i, (s, _, _) in enumerate(games):
+        k = sum(a == min(s) for a, b in inserts)
+        star, rest = inserts[:k], inserts[k:]
+        assert all(a == min(s) for a, b in star)
+        assert [b for a, b in star] == sorted({w for t in s for w in gp.neighbors(t)})[:k]
+        assert rest == [e for e in rejected if not s & set(e)][:len(rest)]
+        if i == 0:
+            assert len(rest) >= 2 and rest == sorted(rest)
+            assert not any(v in s for e in rest for v in e)
+        inserts.clear()
 
 
 def test_contractions_reuse_the_g_prime_game(monkeypatch):

@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
 
-from coinrig.constructions import henneberg_random
+from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
+from coinrig.linalg import pebble_basis_23
 from coinrig.pebble import PebbleGame, pebble_rank_23
 
 
@@ -135,3 +136,112 @@ def test_capacities_balance_and_decide_the_count():
                 accepted.append((a, b))
             assert all(len(game.out[v]) + game.pebbles[v] == cap[v] for v in range(n))
         assert game.accepted == len(accepted)
+
+
+class SearchOnlyGame(PebbleGame):
+    """The (2,3) game with no count rule: every edge is decided by a search."""
+
+    def gather(self, a, b):
+        if a == b:
+            raise ValueError("loop edge")
+        p, cap, need = self.pebbles, self.cap, self.need
+        while p[a] < cap[a] and p[a] + p[b] < need and self._fetch(a, b):
+            pass
+        while p[b] < cap[b] and p[a] + p[b] < need and self._fetch(b, a):
+            pass
+        return p[a] + p[b] >= need
+
+    def try_insert(self, a, b):
+        if not self.gather(a, b):
+            return False
+        if not self.pebbles[a]:
+            a, b = b, a
+        self.accepted += 1
+        self.pebbles[a] -= 1
+        self.out[a].append(b)
+        return True
+
+    def contracted(self, S):
+        game = SearchOnlyGame(self.n)
+        for v, heads in enumerate(self.out):
+            if v not in S:
+                kept = [w for w in heads if w not in S]
+                game.out[v] = kept
+                game.pebbles[v] -= len(kept)
+                game.accepted += len(kept)
+        return game
+
+
+def _play_both(game, ref, edges, rng):
+    """Feed both games the same edges, some gathered first, and check that
+    they accept the same ones, with balance and degrees right at each step."""
+    accepted = [tuple(sorted((v, w))) for v, heads in enumerate(game.out) for w in heads]
+    for a, b in edges:
+        if rng.random() < 0.5:
+            a, b = b, a
+        if rng.random() < 0.3:
+            assert game.gather(a, b) == ref.gather(a, b), (accepted, (a, b))
+        took = game.try_insert(a, b)
+        assert took == ref.try_insert(a, b), (accepted, (a, b))
+        if took:
+            accepted.append((min(a, b), max(a, b)))
+        assert all(len(game.out[v]) + game.pebbles[v] == 2 for v in range(game.n))
+        deg = [0] * game.n
+        for e in accepted:
+            for v in e:
+                deg[v] += 1
+        assert game.deg == deg and game.accepted == len(accepted)
+
+
+def test_count_rule_accepts_what_the_search_accepts():
+    # shuffled orders, both endpoint orders, repeated inserts, gathers
+    # before inserts, and contracted states fed the merged images
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        pairs = list(combinations(range(n), 2))
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+        edges += rng.sample(edges, min(len(edges), rng.randint(0, 3)))
+        rng.shuffle(edges)
+        game, ref = PebbleGame(n), SearchOnlyGame(n)
+        _play_both(game, ref, edges, rng)
+        if n < 3:
+            continue
+        S = frozenset(rng.sample(range(n), rng.randint(2, min(3, n - 1))))
+        m = min(S)
+        images = [(m if a in S else a, m if b in S else b) for a, b in edges]
+        images = [e for e in images if e[0] != e[1]]
+        rng.shuffle(images)
+        _play_both(game.contracted(S), ref.contracted(S), images, rng)
+
+
+def test_zero_extension_graphs_need_no_search(monkeypatch):
+    # in edge_list order each edge of a 0-extension graph meets an endpoint
+    # of accepted degree at most one, so the cap game never fetches a pebble
+    rng = random.Random(3)
+    g = Graph(2, [(0, 1)])
+    while g.n < 40:
+        g = zero_extension(g, *rng.sample(range(g.n), 2))
+    fetches = []
+    real = PebbleGame._fetch
+    monkeypatch.setattr(PebbleGame, "_fetch",
+                        lambda game, root, avoid: fetches.append(root) or real(game, root, avoid))
+    basis, reached = pebble_basis_23(g)
+    assert len(basis) == 2 * g.n - 3 and not reached
+    assert fetches == []
+
+
+def test_second_insert_of_an_edge():
+    # the default (2,3) game rejects ab twice, though both ends have degree 1
+    game = PebbleGame(3)
+    assert game.try_insert(0, 1)
+    assert not game.gather(1, 0) and not game.try_insert(1, 0)
+    assert game.deg == [1, 1, 0] and game.accepted == 1
+    # the capacity-0, l = 1 game keeps no degrees and decides by searches:
+    # it takes a parallel image 1-2 twice, as {1, 2} spans 3 = 2 + 2 - 1
+    game = PebbleGame(3, cap=[0, 2, 2], l=1)
+    assert game.deg is None
+    assert game.try_insert(1, 2) and game.try_insert(2, 1)
+    assert game.try_insert(0, 1)  # {0, 1, 2} spans 3 = 0 + 2 + 2 - 1
+    assert not game.try_insert(1, 2) and not game.try_insert(0, 2)
+    assert game.accepted == 3
