@@ -10,9 +10,9 @@ not a numerical guess.
 
 from fractions import Fraction
 
-from coinrig import (Realization, complete_graph, generic_rank, rank_exact,
-                     rank_modp, rigidity_matrix, rigidity_target,
-                     sample_T_coincident)
+from coinrig import (Realization, complete_graph, generic_rank,
+                     henneberg_random, rank_exact, rigidity_matrix,
+                     rigidity_target, sample_T_coincident)
 
 # %% A triangle pinned at three explicit points is infinitesimally rigid:
 # its three rows are independent and 3 = 2*3 - 3 is the rigid target.
@@ -24,9 +24,15 @@ M = rigidity_matrix(tri, p)
 print("triangle matrix shape:", M.shape)
 print("exact rank:", rank_exact(M), " target:", rigidity_target(3, 2))
 
-# %% The same rank can be recomputed over the prime field GF(2^61 - 1).
-# That path is faster for large instances and never exceeds the exact rank.
-print("prime-field rank:", rank_modp(M))
+# %% Large graphs are ranked over the prime field GF(2^61 - 1): rows
+# independent mod p are independent over the rationals, so the rank is a
+# certified lower bound.  The method follows the vertex count alone, and a
+# Henneberg graph on 40 vertices is above the exact-rational limit of 30.
+h40 = henneberg_random(40, seed=1)
+big = generic_rank(h40, {0}, d=2, seed=0)
+print("Henneberg graph on 40 vertices:", big.method, "rank", big.rank,
+      "of target", big.target)
+assert big.method == "prime-field" and big.rigid
 
 # %% Coincident vertices.  Forcing a set T of vertices onto one point turns
 # some edge rows into zero rows and can destroy rigidity.  K4 with two

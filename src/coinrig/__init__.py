@@ -10,10 +10,10 @@ vertices (``sparsity.DEFAULT_CAP``).
 """
 
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,
-                    graph_to_json, parse_graph, parse_graph_with_T)
+                    graph_to_json, parse_graph_with_T)
 from .linalg import (RankReport, Realization, RigidityMatrix, generic_rank,
-                     generic_realization, rank_exact, rank_modp,
-                     rigidity_matrix, rigidity_target, sample_T_coincident)
+                     generic_realization, rank_exact, rigidity_matrix,
+                     rigidity_target, sample_T_coincident)
 from .pebble import PebbleGame, pebble_rank_23
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        SparsityViolation, absorb_set, combine_families,

@@ -120,10 +120,6 @@ class Graph:
         xs = self._check_subset(X, "X")
         return sum(1 for a, b in self.edges if a in xs and b in xs)
 
-    def induced_edges(self, X: Iterable[int]) -> list[tuple[int, int]]:
-        xs = self._check_subset(X, "X")
-        return sorted(e for e in self.edges if e[0] in xs and e[1] in xs)
-
     def contract(self, S: Iterable[int]) -> "Graph":
         """Contract the vertices of S to a single vertex.
 
@@ -200,18 +196,13 @@ class Graph:
 # -- serialization -----------------------------------------------------
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the JSON graph format or the plain edge-list text format.
+def parse_graph_with_T(text: str) -> tuple[Graph, frozenset[int] | None]:
+    """Parse the JSON graph format or the plain edge-list text format, and
+    return the graph with its optional T set (None when absent).
 
     JSON: ``{"n": int, "edges": [[i, j], ...], "labels": {"i": name}?, "T": [...]?}``.
     Text: first line ``n m`` then m lines ``i j``.
     """
-    g, _ = parse_graph_with_T(text)
-    return g
-
-
-def parse_graph_with_T(text: str) -> tuple[Graph, frozenset[int] | None]:
-    """Like :func:`parse_graph` but also returns the optional T set."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(stripped)
@@ -309,7 +300,7 @@ def _parse_edge_list(text: str) -> Graph:
 
 
 def graph_to_json(g: Graph, T: Iterable[int] | None = None) -> str:
-    """Canonical JSON serialization (round-trips through parse_graph)."""
+    """Canonical JSON serialization (round-trips through parse_graph_with_T)."""
     doc: dict = {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
     if g.labels != tuple(str(i) for i in range(g.n)):
         doc["labels"] = {str(i): g.labels[i] for i in range(g.n)}

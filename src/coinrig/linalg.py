@@ -20,11 +20,11 @@ report's ``trials`` is ``TRIALS``, not the number drawn.
 In the plane a trial feeds the rows of the bound's basis first: the edges
 the (2,3) game accepts (``pebble_basis_23``), played in ``edge_list`` order
 because its accepted set is the row set fed first; the game's count rule
-takes most of those edges with no pebble search.  Above
-``EXACT_VERTEX_LIMIT`` the other rows are fed only while the rank is short
-of the bound, and each rejected edge is recounted instead: the vertex set
-its failed gather reached spans at least 2|R| - 3 accepted edges, so the
-edge lies in the R_2 closure of the basis and no trial can rank above it.
+takes most of those edges with no pebble search.  At every size the other
+rows are fed only while the rank is short of the bound, and each rejected
+edge is recounted instead: the vertex set its failed gather reached spans
+at least 2|R| - 3 accepted edges, so the edge lies in the R_2 closure of
+the basis and no trial can rank above it.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ class Realization:
             "coords": {str(v): [f"{c.numerator}/{c.denominator}" for c in pt]
                        for v, pt in sorted(self.coords.items())},
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "Realization":
-        doc = json.loads(text)
-        coords = {int(v): tuple(Fraction(s) for s in pt)
-                  for v, pt in doc["coords"].items()}
-        return cls(doc["d"], coords)
 
 
 @dataclass
@@ -249,14 +242,6 @@ class ModpEchelon:
                 else:
                     r.pop(j, None)
         return False
-
-
-def rank_modp(M: RigidityMatrix) -> int:
-    """Rank mod PRIME of the rows scaled to integers; never exceeds the exact rank."""
-    ech = ModpEchelon()
-    for row in _integer_rows(M.rows):
-        ech.try_add({c: x for c, x in enumerate(row) if x})
-    return ech.rank
 
 
 def _sparse_rows(g: Graph, pts: list[tuple[int, ...]],
@@ -438,13 +423,14 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     ``TRIALS``, the most that are drawn, not the number drawn.
 
     A mod-p rank does not depend on row order, so in the plane each trial
-    feeds the basis rows first, then the rest in ``edge_list`` order.  On
-    the exact-rational path every row is fed, and a trial ranked above the
-    cap raises ``InvariantError``.  Above it a trial stops at the row that
-    brings its rank to the cap, most often the last basis row, so the rows
-    of dependent edges, each reduced all the way to zero, are rarely fed;
-    the cap is proved instead (``_prove_cap``), and a rejection that fails
-    its recount raises ``InvariantError``.
+    feeds the basis rows first, then the rest in ``edge_list`` order.  At
+    every size a trial stops at the row that brings its rank to the cap,
+    most often the last basis row, so the rows of dependent edges, each
+    reduced all the way to zero, are rarely fed; the cap is proved instead
+    (``_prove_cap``), and a rejection that fails its recount raises
+    ``InvariantError``.  A trial that falls short has been fed every row,
+    and on the exact-rational path its confirmed rank is checked against
+    the cap: one above it raises ``InvariantError`` too.
     """
     ts = _check_sample_args(g, T, d)
     exact = g.n <= EXACT_VERTEX_LIMIT
@@ -453,8 +439,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     if d == 2:
         gp = g.minus_T_edges(ts)
         basis, reached = pebble_basis_23(gp)
-        if not exact:
-            _prove_cap(gp, basis, reached)
+        _prove_cap(gp, basis, reached)
         cap = len(basis)
         kept = set(basis)
         order = basis + [e for e in order if e not in kept]
@@ -467,7 +452,7 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
         rows = _trial_rows(g, ts, d, seed, t)
         ech = ModpEchelon()
         for e in order:
-            if ech.try_add(rows[e]) and ech.rank == cap and not exact:
+            if ech.try_add(rows[e]) and ech.rank == cap:
                 break
         r = ech.rank
         if exact and r < cap:

@@ -22,8 +22,8 @@ from .linalg import TRIALS, ModpEchelon, _trial_rows
 from .pebble import PebbleGame
 from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                        InvariantError, StrongSparsityChecker, _bits,
-                       _check_cap, _mask_of, min_thin_cover,
-                       subsets_of_two_or_more)
+                       _check_cap, _mask_of, _require, min_thin_cover,
+                       subsets_of_two_or_more, val_augmented)
 
 CIRCUIT_SCAN_CAP = 2_000_000
 
@@ -31,7 +31,7 @@ CIRCUIT_SCAN_CAP = 2_000_000
 class IndependenceOracle:
     """An edge-subset independence test over a fixed ground set.
 
-    The oracle is defined by its incremental checker: ``new_checker()``
+    The oracle is defined by its incremental checker: ``incremental()``
     returns a fresh ``add(a, b) -> bool`` that accepts an edge iff the
     edges accepted so far plus this one stay independent, and leaves its
     state unchanged otherwise.  A set is independent iff a fresh checker
@@ -43,7 +43,7 @@ class IndependenceOracle:
                  conjectural: bool = False):
         self.name = name
         self.ground = tuple(sorted(_canon_edge(a, b) for a, b in ground))
-        self.new_checker = new_checker
+        self._new_checker = new_checker
         self.conjectural = conjectural
 
     def test(self, edges: Iterable[tuple[int, int]]) -> bool:
@@ -51,12 +51,12 @@ class IndependenceOracle:
         foreign = fs.difference(self.ground)
         if foreign:
             raise ValueError(f"edge {min(foreign)} is not in the oracle's ground set")
-        add = self.new_checker()
+        add = self.incremental()
         return all(add(a, b) for a, b in sorted(fs))
 
     def incremental(self) -> Callable[[int, int], bool]:
         """A fresh checker ``add(a, b) -> bool``."""
-        return self.new_checker()
+        return self._new_checker()
 
 
 @dataclass
@@ -103,7 +103,7 @@ def laman_oracle(g: Graph) -> IndependenceOracle:
 
 
 class _RtChecker:
-    """Row-independence under several sampled realizations.
+    """Row-independence under ``TRIALS`` sampled realizations.
 
     An echelon stays a valid witness while it has accepted every edge
     accepted so far; an edge is accepted iff some valid witness accepts it.
@@ -135,20 +135,16 @@ class _RtChecker:
 
     Accepted rows are independent, so the accepted edges are (2,3)-sparse
     and the game must take each of them; ``InvariantError`` if it does not.
-    ``rt_oracle`` always passes a game; ``game=None`` skips the second
-    certificate and the (2,3) check, and is only for test fakes whose
-    synthetic rows come from no planar realization.
     """
 
-    def __init__(self, rows: Callable[[int], dict], trials: int,
-                 T: frozenset[int], game: PebbleGame | None):
+    def __init__(self, rows: Callable[[int], dict], T: frozenset[int], n: int):
         self.rows = rows
-        self.echelons = [ModpEchelon() for _ in range(trials)]
-        self.valid = [True] * trials
-        self.done = [0] * trials  # accepted edges each echelon has taken
+        self.echelons = [ModpEchelon() for _ in range(TRIALS)]
+        self.valid = [True] * TRIALS
+        self.done = [0] * TRIALS  # accepted edges each echelon has taken
         self.accepted: list[tuple[int, int]] = []
         self.T = T
-        self.game = game
+        self.game = PebbleGame(n)
 
     def _catch_up(self, j: int) -> bool:
         """Replay the accepted edges echelon j has not seen; False if invalid."""
@@ -168,10 +164,10 @@ class _RtChecker:
         e = (a, b) if a < b else (b, a)
         game = self.game
         for j, ech in enumerate(self.echelons):
-            if j == 1 and game is not None and not game.gather(a, b):
+            if j == 1 and not game.gather(a, b):
                 return False  # over the Maxwell count: dependent in every trial
             if self._catch_up(j) and ech.try_add(self.rows(j)[e]):
-                if game is not None and not game.try_insert(a, b):
+                if not game.try_insert(a, b):
                     raise InvariantError(f"rt accepted {e}, but the accepted "
                                          "edges are not (2,3)-sparse")
                 self.accepted.append(e)
@@ -201,7 +197,7 @@ def rt_oracle(g: Graph, T: Iterable[int], seed: int = 0) -> IndependenceOracle:
         return row_maps[t]
 
     def new_checker():
-        return _RtChecker(rows, TRIALS, ts, PebbleGame(g.n)).try_add
+        return _RtChecker(rows, ts, g.n).try_add
 
     return IndependenceOracle("rt", g.edges, new_checker)
 
@@ -225,7 +221,9 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
     Families with an empty compatible part are admissible under every S.
     Returns the minimum and an attaining family; when every edge lies
     inside T, that is the empty family of value 0.  The rank of an edge
-    subset is the rank of the subgraph it spans.
+    subset is the rank of the subgraph it spans.  The family is checked
+    before it is returned: it is 1-thin, covers every edge not inside T and
+    has the minimum as its value, or ``InvariantError`` is raised.
 
     Graphs above the enumeration cap (``DEFAULT_CAP`` vertices) are refused.
     For each S (canonical order) one depth-first search walks the partial
@@ -314,7 +312,16 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
     s, blocks, xmasks = best_at
     fam = (CompatibleFamily(s, tuple(s | frozenset(_bits(b)) for b in blocks))
            if blocks else None)
-    return best_val, AugmentedFamily(s, fam, tuple(frozenset(_bits(x)) for x in xmasks))
+    dual = AugmentedFamily(s, fam, tuple(frozenset(_bits(x)) for x in xmasks))
+    # the search counts on bitmasks; the certificate is rechecked on its sets
+    _require(dual.is_one_thin(), "the cover minimum's family is not 1-thin")
+    _require(dual.covers().issuperset(
+        (a, b) for a, b in g.edges if not (a in ts and b in ts)),
+        "the cover minimum's family misses an edge not inside T")
+    value = val_augmented(dual)
+    _require(value == best_val,
+             f"the cover minimum's family has value {value}, not {best_val}")
+    return best_val, dual
 
 
 def circuits_upto(oracle: IndependenceOracle, k: int) -> list[frozenset]:

@@ -10,14 +10,14 @@ from coinrig.checks import (_contraction_games, check_coincident_rigidity,
                             cross_validate, fixtures, random_instance)
 from coinrig.constructions import henneberg_random
 from coinrig.graph import complete_graph
-from coinrig.linalg import (generic_rank, rank_exact, rank_modp,
-                            rigidity_matrix, rigidity_target,
-                            sample_T_coincident)
+from coinrig.linalg import (generic_rank, rank_exact, rigidity_matrix,
+                            rigidity_target, sample_T_coincident)
 from coinrig.matroid import mt_oracle
 from coinrig.pebble import PebbleGame, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
 
 from test_exhaustive import _atlas
+from test_linalg import modp_rank
 from test_linalg import henneberg_plus
 
 
@@ -44,7 +44,7 @@ def test_fig3_printed_realization():
     M = rigidity_matrix(f.graph, f.realization)
     assert M.shape == (15, 18)
     assert rank_exact(M) == 15
-    assert rank_modp(M) == 15
+    assert modp_rank(M) == 15
 
 
 def test_fig3_graphs_all_verdicts_true():
@@ -210,10 +210,10 @@ def test_modp_matches_exact_on_fixtures():
         f = fx[name]
         p = sample_T_coincident(f.graph, f.T, 2, rng_seed)
         M = rigidity_matrix(f.graph, p)
-        assert rank_modp(M) == rank_exact(M)
+        assert modp_rank(M) == rank_exact(M)
     f1 = fx["fig3-1"]
     M = rigidity_matrix(f1.graph, f1.realization)
-    assert rank_modp(M) == rank_exact(M) == 15
+    assert modp_rank(M) == rank_exact(M) == 15
 
 
 def test_k55_triple():

@@ -49,8 +49,9 @@ def test_rank_command(capsys, tmp_path, k4_file):
     code, doc = run(capsys, "rank", "--graph", k4_file, "--T", "0,1", "--seed", "3")
     assert code == 0
     assert doc["rank"] == 5 and doc["rigid"] and doc["method"] == "exact-rational"
-    # the method follows the vertex count: exact-rational up to
-    # EXACT_VERTEX_LIMIT = 30 vertices, prime-field above
+    # the method label follows the vertex count: exact-rational up to
+    # EXACT_VERTEX_LIMIT = 30 vertices, prime-field above; on both paths a
+    # trial stops at its cap, which these rigid inputs reach
     for n, method in ((30, "exact-rational"), (31, "prime-field")):
         path = tmp_path / f"h{n}.json"
         path.write_text(graph_to_json(henneberg_random(n, 1)))

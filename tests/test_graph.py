@@ -5,7 +5,7 @@ import pytest
 from coinrig.checks import (check_coincident_rigidity,
                             coincident_rigid_combinatorial)
 from coinrig.graph import (Graph, GraphParseError, complete_graph,
-                           graph_to_json, parse_graph, parse_graph_with_T)
+                           graph_to_json, parse_graph_with_T)
 from coinrig.linalg import generic_rank, sample_T_coincident
 from coinrig.matroid import mt_oracle, mt_rank_cover_min, rt_oracle
 from coinrig.sparsity import is_S_sparse, is_strongly_T_sparse
@@ -19,28 +19,28 @@ def fig4():
 
 
 def test_parse_triangle():
-    g = parse_graph('{"n":3,"edges":[[0,1],[1,2],[0,2]]}')
+    g = parse_graph_with_T('{"n":3,"edges":[[0,1],[1,2],[0,2]]}')[0]
     assert g.n == 3 and len(g.edges) == 3
     assert g == complete_graph(3)
 
 
 def test_parse_rejects_loop():
     with pytest.raises(GraphParseError, match="loop"):
-        parse_graph('{"n":2,"edges":[[0,0]]}')
+        parse_graph_with_T('{"n":2,"edges":[[0,0]]}')
 
 
 def test_parse_rejects_duplicate_and_range():
     with pytest.raises(GraphParseError, match="duplicate"):
-        parse_graph('{"n":3,"edges":[[0,1],[1,0]]}')
+        parse_graph_with_T('{"n":3,"edges":[[0,1],[1,0]]}')
     with pytest.raises(GraphParseError, match="outside"):
-        parse_graph('{"n":2,"edges":[[0,5]]}')
+        parse_graph_with_T('{"n":2,"edges":[[0,5]]}')
 
 
 def test_parse_edge_list_format():
-    g = parse_graph("3 2\n0 1\n1 2\n")
+    g = parse_graph_with_T("3 2\n0 1\n1 2\n")[0]
     assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
     with pytest.raises(GraphParseError):
-        parse_graph("3 2\n0 1\n")
+        parse_graph_with_T("3 2\n0 1\n")
 
 
 def test_parse_T_and_labels():
@@ -57,7 +57,7 @@ def test_roundtrip_random_graphs():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         m = rng.randint(0, len(pairs))
         g = Graph(n, rng.sample(pairs, m))
-        assert parse_graph(graph_to_json(g)) == g
+        assert parse_graph_with_T(graph_to_json(g))[0] == g
 
 
 def test_induced_edge_count():

@@ -13,6 +13,7 @@ import pytest
 import coinrig.constructions
 import coinrig.linalg
 from coinrig import InvariantError
+from coinrig.checks import fixtures
 from coinrig.cli import main
 from coinrig.constructions import henneberg_random, reduce_low_degree
 from coinrig.graph import Graph, graph_to_json
@@ -37,8 +38,11 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
 
 
 K4 = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
-# 40 vertices, above EXACT_VERTEX_LIMIT: the cap is proved, not tested
+# 40 vertices, above EXACT_VERTEX_LIMIT: the prime-field path
 H40 = graph_to_json(henneberg_random(40, 1))
+# every T-coincident trial of fig4 falls short of its cap 13 and is
+# confirmed by the exact rank
+FIG4 = graph_to_json(fixtures()["fig4"].graph, fixtures()["fig4"].T)
 
 
 def _drop_a_basis_edge(basis_23):
@@ -60,31 +64,32 @@ def _reject_a_basis_edge(basis_23):
 
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_path, verb):
-    # K4 minus the edge inside T = {0, 1} has R_2 rank 5; a basis of 4
-    # edges is a bound that a sampled trial beats, since every row is fed
-    # on the exact-rational path
-    monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
-                        _drop_a_basis_edge(linalg_basis_23))
-    graph = tmp_path / "k4.json"
-    graph.write_text(K4)
-    assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
+    # a fig4 trial falls short of its proved cap, so its rank is confirmed
+    # exactly; an exact kernel that counts two rows too many puts the
+    # confirmed rank above the cap
+    real = coinrig.linalg._exact_rank
+    monkeypatch.setattr(coinrig.linalg, "_exact_rank", lambda rows: real(rows) + 2)
+    graph = tmp_path / "fig4.json"
+    graph.write_text(FIG4)
+    assert main([verb, "--graph", str(graph)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: invariant violated: ") and err.count("\n") == 1
+    assert err == "error: invariant violated: trial 0 has rank 14, above its bound 13\n"
 
 
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb):
-    # on the prime-field path the basis rows reach the forged cap and no
-    # other row is fed, so only the recount of the rejection can catch it
-    graph = tmp_path / "h40.json"
-    graph.write_text(H40)
-    for forge in (_reject_a_basis_edge, _drop_a_basis_edge):
-        monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
-                            forge(linalg_basis_23))
-        assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: invariant violated: rejected edge ")
-        assert err.count("\n") == 1
+    # on 4 and on 40 vertices alike the basis rows reach the forged cap and
+    # no other row is fed, so only the recount of the rejection can catch it
+    graph = tmp_path / "graph.json"
+    for text in (K4, H40):
+        graph.write_text(text)
+        for forge in (_reject_a_basis_edge, _drop_a_basis_edge):
+            monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
+                                forge(linalg_basis_23))
+            assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invariant violated: rejected edge ")
+            assert err.count("\n") == 1
 
 
 SCRIPT = textwrap.dedent("""
@@ -109,8 +114,8 @@ SCRIPT = textwrap.dedent("""
     with contextlib.redirect_stderr(err):
         code = main(["mrank", "--graph", sys.argv[1], "--T", "0,1", "--witness"])
 
-    # a cap game that drops an accepted edge (K4, every row fed) and one
-    # that reports it as rejected (40 vertices, the recount)
+    # a cap game that drops an accepted edge and one that reports it as
+    # rejected, on 4 and on 40 vertices: the recount catches each
     real_basis = coinrig.linalg.pebble_basis_23
 
     def dropped(g):
@@ -121,16 +126,23 @@ SCRIPT = textwrap.dedent("""
         basis, reached = real_basis(g)
         return basis[1:], {**reached, basis[0]: tuple(range(g.n))}
 
-    coinrig.linalg.pebble_basis_23 = dropped
+    recount_err = io.StringIO()
+    recount_codes = []
+    with contextlib.redirect_stderr(recount_err), contextlib.redirect_stdout(io.StringIO()):
+        for forged in (dropped, rejected):
+            coinrig.linalg.pebble_basis_23 = forged
+            for path in sys.argv[1:3]:
+                recount_codes += [main([verb, "--graph", path, "--T", "0,1,2"])
+                                  for verb in ("rank", "check")]
+    coinrig.linalg.pebble_basis_23 = real_basis
+
+    # an exact kernel that puts fig4's confirmed rank above its cap
+    real_exact = coinrig.linalg._exact_rank
+    coinrig.linalg._exact_rank = lambda rows: real_exact(rows) + 2
     rank_err = io.StringIO()
     with contextlib.redirect_stderr(rank_err):
-        rank_code = main(["rank", "--graph", sys.argv[1], "--T", "0,1"])
-    coinrig.linalg.pebble_basis_23 = rejected
-    recount_err = io.StringIO()
-    with contextlib.redirect_stderr(recount_err), contextlib.redirect_stdout(io.StringIO()):
-        recount_codes = [main([verb, "--graph", sys.argv[2], "--T", "0,1,2"])
-                         for verb in ("rank", "check")]
-    coinrig.linalg.pebble_basis_23 = real_basis
+        rank_code = main(["rank", "--graph", sys.argv[3]])
+    coinrig.linalg._exact_rank = real_exact
 
     # a copied G'/S state holding more than 2n' - 3 edges
     real_contracted = coinrig.pebble.PebbleGame.contracted
@@ -159,10 +171,13 @@ def test_invariants_fire_under_optimize(tmp_path):
     graph.write_text(K4)
     large = tmp_path / "h40.json"
     large.write_text(H40)
+    fig4 = tmp_path / "fig4.json"
+    fig4.write_text(FIG4)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(graph), str(large)],
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(graph), str(large),
+                           str(fig4)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -173,10 +188,11 @@ def test_invariants_fire_under_optimize(tmp_path):
     assert out["code"] == 1
     assert out["stderr"].startswith("error: ") and out["stderr"].count("\n") == 1
     assert out["rank_code"] == 1
-    assert out["rank_stderr"].startswith("error: invariant violated: ")
-    assert out["recount_codes"] == [1, 1]
+    assert out["rank_stderr"] == ("error: invariant violated: trial 0 has rank 14, "
+                                  "above its bound 13\n")
+    assert out["recount_codes"] == [1] * 8
     lines = out["recount_stderr"].splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 8
     assert all(ln.startswith("error: invariant violated: rejected edge ") for ln in lines)
     assert out["check_code"] == 1
     assert out["check_stderr"].startswith("error: invariant violated: the copied state")

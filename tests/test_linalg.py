@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,8 +14,7 @@ from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _exact_rank, _sample_points,
                             _sparse_rows, generic_rank, generic_realization,
-                            pebble_basis_23, rank_exact, rank_modp,
-                            rigidity_matrix,
+                            pebble_basis_23, rank_exact, rigidity_matrix,
                             rigidity_target, sample_T_coincident)
 from coinrig.pebble import pebble_rank_23
 
@@ -76,7 +76,7 @@ def test_coincident_edge_gives_zero_row():
     M = rigidity_matrix(g, p)
     assert M.rows[0] == [F(0)] * 4
     assert rank_exact(M) == 0
-    assert rank_modp(M) == 0
+    assert modp_rank(M) == 0
 
 
 def test_triangle_rank():
@@ -84,7 +84,7 @@ def test_triangle_rank():
     p = Realization(2, {0: (F(0), F(0)), 1: (F(1), F(0)), 2: (F(0), F(1))})
     M = rigidity_matrix(g, p)
     assert rank_exact(M) == 3
-    assert rank_modp(M) == 3
+    assert modp_rank(M) == 3
 
 
 def test_missing_coordinates_error():
@@ -173,8 +173,8 @@ def test_rank_modp_never_exceeds_exact():
         g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
         p = generic_realization(g, 2, seed)
         M = rigidity_matrix(g, p)
-        assert rank_modp(M) <= rank_exact(M)
-        assert rank_modp(M) == rank_exact(M)  # equality on all sampled instances
+        assert modp_rank(M) <= rank_exact(M)
+        assert modp_rank(M) == rank_exact(M)  # equality on all sampled instances
 
 
 def test_rank_modp_scales_rows_to_integers_first():
@@ -183,7 +183,7 @@ def test_rank_modp_scales_rows_to_integers_first():
     g = Graph(2, [(0, 1)])
     p = Realization(2, {0: (F(0), F(0)), 1: (Fraction(1, PRIME), F(1))})
     M = rigidity_matrix(g, p)
-    assert rank_modp(M) == rank_exact(M) == 1
+    assert modp_rank(M) == rank_exact(M) == 1
 
 
 def test_rigidity_thresholds():
@@ -309,8 +309,10 @@ def test_contraction_kernel_bound():
 
 def test_realization_json_roundtrip():
     p = Realization(2, {0: (F(1) / 3, F(-2)), 1: (F(0), F(5) / 7)})
-    q = Realization.from_json(p.to_json())
-    assert q.dim == 2 and q.coords == p.coords
+    doc = json.loads(p.to_json())
+    assert doc == {"d": 2, "coords": {"0": ["1/3", "-2/1"], "1": ["0/1", "5/7"]}}
+    coords = {int(v): tuple(map(Fraction, pt)) for v, pt in doc["coords"].items()}
+    assert Realization(doc["d"], coords) == p
 
 
 def _echelon_rank(rows) -> int:
@@ -318,6 +320,12 @@ def _echelon_rank(rows) -> int:
     for row in rows:
         ech.try_add(row)
     return ech.rank
+
+
+def modp_rank(M: RigidityMatrix) -> int:
+    """Rank mod PRIME of M's rows, each scaled to integers first."""
+    return _echelon_rank({c: x for c, x in enumerate(row) if x}
+                         for row in linalg._integer_rows(M.rows))
 
 
 def _random_int_matrix(rng):
@@ -351,7 +359,7 @@ def test_echelon_rank_equals_int_rank_on_random_matrices():
         scales = [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 9)) for _ in mat]
         frac_rows = [[s * x for x in r] for s, r in zip(scales, mat)]
         M = RigidityMatrix(1, len(mat[0]), frac_rows)
-        assert rank_modp(M) == rank_exact(M) == int_rank(mat)
+        assert modp_rank(M) == rank_exact(M) == int_rank(mat)
 
 
 def test_echelon_rejects_dependent_rows():
@@ -432,8 +440,9 @@ def test_exact_rank_equals_bareiss_on_rank_deficient_coincident_samples(seed, T,
 
 
 def _every_trial_report(g, T, d, seed, rep):
-    """``rep`` with the best rank of all its trials, each drawn and ranked:
-    by Bareiss on the exact-rational path, mod p above it."""
+    """``rep`` with the best rank of all its trials, each drawn and every
+    row ranked, with no cap: by Bareiss on the exact-rational path, mod p
+    above it."""
     ranks = []
     for t in range(rep.trials):
         rows = linalg._trial_rows(g, frozenset(T), d, seed, t).values()
@@ -523,6 +532,26 @@ def test_trials_stop_at_the_pebble_bound(monkeypatch):
     assert drawn == [0, 1, 2]
 
 
+def test_exact_path_trials_stop_at_the_cap(monkeypatch):
+    # a rigid 30-vertex input with two dependent edges: the exact-rational
+    # path, too, stops trial 0 at its last basis row and never feeds the
+    # rows of the two rejected edges
+    g = henneberg_random(30, 1)
+    extra = [p for p in combinations(range(30), 2) if p not in g.edges]
+    random.Random(1).shuffle(extra)
+    g = g.add_edges(extra[:2])
+    fed = []
+    real = ModpEchelon.try_add
+    monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
+    for T in ({0}, {0, 29}):
+        basis, reached = pebble_basis_23(g.minus_T_edges(T))
+        assert len(basis) == 57 and len(reached) == 2
+        fed.clear()
+        rep = generic_rank(g, T, 2)
+        assert (rep.rank, rep.rigid, rep.method) == (57, True, "exact-rational")
+        assert len(fed) == 57 < len(g.edges) == 59
+
+
 def test_stopping_at_the_pebble_bound_matches_every_trial_over_the_graph_atlas():
     # every graph on at most 6 vertices and every T with |T| <= 3
     nx = pytest.importorskip("networkx")
@@ -578,8 +607,9 @@ def test_cap_game_rejections_recount():
 
 
 def test_basis_rows_first_match_every_trial_above_the_exact_limit():
-    # the prime-field path stops at the row that reaches the cap; ranking
-    # every row of every trial gives the same report
+    # a trial stops at the row that reaches the cap, and above the exact
+    # limit its mod-p rank is not confirmed; ranking every row of every
+    # trial gives the same report
     for n in (31, 45, 60, 120):
         for k in (2, 3):
             for seed in range(3):

@@ -14,7 +14,6 @@ from coinrig.linalg import (TRIALS, ModpEchelon, _sample_points, _sparse_rows,
 from coinrig.matroid import (MatroidRankCertificate, _RtChecker, circuits_upto,
                              greedy_rank, laman_oracle, mt_oracle,
                              mt_rank_cover_min, rt_oracle)
-from coinrig.pebble import PebbleGame
 from coinrig.sparsity import (AugmentedFamily, CompatibleFamily,
                               InvariantError, _mask_of,
                               subsets_of_two_or_more, val_augmented,
@@ -106,6 +105,25 @@ def test_cover_min_witness_is_certificate():
         covered = witness.covers()
         for a, b in eprime:
             assert (a in T and b in T) or (a, b) in covered
+
+
+@pytest.mark.parametrize("forge, what", [
+    (lambda val, sets: (val, sets[:-1]), "misses an edge not inside T"),
+    (lambda val, sets: (val, sets + sets[:1]), "is not 1-thin"),
+    (lambda val, sets: (val - 1, sets), "has value"),
+], ids=["uncovered", "thick", "undervalued"])
+def test_cover_min_rechecks_its_family(monkeypatch, forge, what):
+    # a forged cover search: the returned family is rechecked on its sets
+    real = coinrig.matroid.min_thin_cover
+
+    def forged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return res and forge(*res)
+
+    monkeypatch.setattr(coinrig.matroid, "min_thin_cover", forged)
+    f = fixtures()["fig4"]
+    with pytest.raises(InvariantError, match=what):
+        mt_rank_cover_min(f.graph, f.T)
 
 
 def test_duality_greedy_equals_cover_min():
@@ -258,9 +276,14 @@ def test_rt_oracle_and_generic_rank_share_the_trial_count():
     assert len(add.__self__.echelons) == TRIALS
 
 
-def _assert_rt_checker_matches_eager(row_maps, order):
-    # crafted rows are no rigidity rows: no certificate applies to them
-    lazy = _RtChecker(row_maps.__getitem__, len(row_maps), frozenset(), None)
+def _assert_rt_checker_matches_eager(monkeypatch, row_maps, order,
+                                     T=frozenset()):
+    # one echelon per row map; crafted rows with at most 3 columns keep at
+    # most 3 accepted edges, and any 4 edges are (2,3)-sparse, so the
+    # checker's pebble game neither rejects an edge nor raises
+    monkeypatch.setattr(coinrig.matroid, "TRIALS", len(row_maps))
+    n = 1 + max((max(e) for e in order), default=0)
+    lazy = _RtChecker(row_maps.__getitem__, frozenset(T), n)
     eager = EagerRtChecker(row_maps)
     got = [lazy.try_add(a, b) for a, b in order]
     want = [eager.try_add(a, b) for a, b in order]
@@ -269,7 +292,7 @@ def _assert_rt_checker_matches_eager(row_maps, order):
     return eager.valid
 
 
-def test_rt_checker_matches_eager_reference_on_sampled_rows():
+def test_rt_checker_matches_eager_reference_on_sampled_rows(monkeypatch):
     rng = random.Random(8)
     for _ in range(60):
         g, T = random_instance(rng, 8, rng.randint(1, 3))
@@ -278,18 +301,20 @@ def test_rt_checker_matches_eager_reference_on_sampled_rows():
                     for t in range(3)]
         order = g.edge_list()
         rng.shuffle(order)
-        _assert_rt_checker_matches_eager(row_maps, order)
+        _assert_rt_checker_matches_eager(monkeypatch, row_maps, order, T)
 
 
-def test_rt_checker_matches_eager_reference_when_trials_disagree():
+def test_rt_checker_matches_eager_reference_when_trials_disagree(monkeypatch):
     # trial 0 finds e2 dependent, trial 1 does not: e2 is accepted, trial 0
     # turns invalid, and e3 (dependent in trial 1) is rejected
     e1, e2, e3 = (0, 1), (0, 2), (1, 2)
     row_maps = [{e1: {0: 1}, e2: {0: 2}, e3: {1: 1}},
                 {e1: {0: 1}, e2: {1: 1}, e3: {1: 3}}]
-    lazy = _RtChecker(row_maps.__getitem__, 2, frozenset(), None)
+    monkeypatch.setattr(coinrig.matroid, "TRIALS", 2)
+    lazy = _RtChecker(row_maps.__getitem__, frozenset(), 3)
     assert [lazy.try_add(*e) for e in (e1, e2, e3)] == [True, True, False]
-    assert _assert_rt_checker_matches_eager(row_maps, [e1, e2, e3]) == [False, True]
+    assert (_assert_rt_checker_matches_eager(monkeypatch, row_maps, [e1, e2, e3])
+            == [False, True])
     # random low-dimensional rows, different per trial, disagree often
     rng = random.Random(9)
     invalidated = 0
@@ -299,7 +324,8 @@ def test_rt_checker_matches_eager_reference_when_trials_disagree():
         row_maps = [{e: {c: rng.randint(-2, 2) for c in range(3) if rng.random() < 0.6}
                      for e in edges} for _ in range(trials)]
         rng.shuffle(edges)
-        invalidated += _assert_rt_checker_matches_eager(row_maps, edges).count(False)
+        invalidated += _assert_rt_checker_matches_eager(
+            monkeypatch, row_maps, edges).count(False)
     assert invalidated > 100
 
 
@@ -335,7 +361,7 @@ def test_rt_rows_drawn_only_when_a_trial_is_asked():
     # so no further trial is drawn for it
     k4, T = complete_graph(4), frozenset({0})
     rows, asked = _counting_rows([_trial_rows(k4, T, 2, 5, t) for t in range(3)])
-    lazy = _RtChecker(rows, 3, T, PebbleGame(4))
+    lazy = _RtChecker(rows, T, 4)
     assert all(lazy.try_add(a, b) for a, b in k4.edge_list() if (a, b) != (0, 3))
     assert not lazy.try_add(0, 3)
     assert set(asked) == {0}
@@ -344,7 +370,7 @@ def test_rt_rows_drawn_only_when_a_trial_is_asked():
     # point, an uncertified rejection that draws trials 1 and 2
     g, T = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), frozenset({0, 1})
     rows, asked = _counting_rows([_trial_rows(g, T, 2, 5, t) for t in range(3)])
-    lazy = _RtChecker(rows, 3, T, PebbleGame(5))
+    lazy = _RtChecker(rows, T, 5)
     assert not lazy.try_add(0, 1) and asked == []
     assert all(lazy.try_add(a, b) for a, b in g.edge_list()[1:-1])
     assert set(asked) == {0}
@@ -359,19 +385,20 @@ def test_rt_later_trial_accepts_an_uncertified_edge_trial_0_rejects():
     tri, T = complete_graph(3), frozenset({0})
     row_maps = [_sparse_rows(tri, [(0, 0), (1, 1), (3, 3)], 2),
                 *(_trial_rows(tri, T, 2, 5, t) for t in (1, 2))]
-    lazy = _RtChecker(row_maps.__getitem__, 3, T, PebbleGame(3))
+    lazy = _RtChecker(row_maps.__getitem__, T, 3)
     assert [lazy.try_add(a, b) for a, b in tri.edge_list()] == [True, True, True]
     assert [lazy._catch_up(j) for j in range(3)] == [False, True, True]
     eager = EagerRtChecker(row_maps)
     assert all(eager.try_add(a, b) for a, b in tri.edge_list())
 
 
-def test_rt_checker_refuses_rows_the_pebble_game_cannot_hold():
+def test_rt_checker_refuses_rows_the_pebble_game_cannot_hold(monkeypatch):
     # independent rows on more edges than the Maxwell count allows are no
     # planar rigidity rows: the checker stops with InvariantError
     k4 = complete_graph(4)
     rows = {e: {i: 1} for i, e in enumerate(k4.edge_list())}
-    lazy = _RtChecker([rows].__getitem__, 1, frozenset({0}), PebbleGame(4))
+    monkeypatch.setattr(coinrig.matroid, "TRIALS", 1)
+    lazy = _RtChecker([rows].__getitem__, frozenset({0}), 4)
     assert all(lazy.try_add(a, b) for a, b in k4.edge_list()[:5])
     with pytest.raises(InvariantError, match="not \\(2,3\\)-sparse"):
         lazy.try_add(*k4.edge_list()[5])
