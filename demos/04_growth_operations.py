@@ -11,10 +11,10 @@ arithmetic rather than trusting the count.
 import random
 from fractions import Fraction
 
-from coinrig import (Realization, SplitSpec, generic_realization,
-                     henneberg_random, one_extension, pebble_rank_23,
-                     rank_exact, reduce_low_degree, rigidity_matrix,
-                     vertex_split, zero_extension)
+from coinrig import (Realization, SplitSpec, henneberg_random, one_extension,
+                     pebble_rank_23, rank_exact, reduce_low_degree,
+                     replace_rigid_subgraph, rigidity_matrix, rigidity_target,
+                     sample_T_coincident, vertex_split, zero_extension)
 from coinrig.graph import Graph
 
 rng = random.Random(0)
@@ -23,7 +23,7 @@ rng = random.Random(0)
 # and (for generic placement) exactly +2 rank.
 g = henneberg_random(6, seed=3)
 g2 = zero_extension(g, 0, 1)
-p2 = generic_realization(g2, 2, seed=11)
+p2 = sample_T_coincident(g2, {0}, 2, seed=11)
 p = Realization(2, {v: p2.coords[v] for v in range(g.n)})
 print("0-extension:",
       rank_exact(rigidity_matrix(g, p)), "->", rank_exact(rigidity_matrix(g2, p2)))
@@ -59,6 +59,21 @@ coords = dict(p.coords)
 coords[g.n] = p.coords[z]
 print("coincident split rank:", rank_exact(rigidity_matrix(g, p)), "->",
       rank_exact(rigidity_matrix(gsplit, Realization(2, coords))))
+
+# %% Rigid-subgraph replacement contracts each class of a partition of a
+# rigid block Y to one vertex and joins the class representatives in a
+# triangle.  Y is the rigid 6-vertex graph above, inside a 9-vertex graph
+# grown from it by three 0-extensions; the replaced graph is rigid again:
+# a generic sample reaches the target rank.
+grown = g
+for _ in range(3):
+    grown = zero_extension(grown, 0, grown.n - 1)
+replaced = replace_rigid_subgraph(grown, range(6), [[0, 1], [2, 3], [4, 5]])
+q = sample_T_coincident(replaced, {0}, 2, seed=5)
+rank = rank_exact(rigidity_matrix(replaced, q))
+print("rigid-subgraph replacement:", grown.n, "->", replaced.n, "vertices, rank",
+      rank, "of target", rigidity_target(replaced.n, 2))
+assert rank == rigidity_target(replaced.n, 2)
 
 # %% The inverse direction: a degree-2 or degree-3 vertex outside T can be
 # removed (adding one repair edge in the degree-3 case) without losing

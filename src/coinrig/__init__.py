@@ -12,8 +12,8 @@ vertices (``sparsity.DEFAULT_CAP``).
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,
                     graph_to_json, parse_graph_with_T)
 from .linalg import (RankReport, Realization, RigidityMatrix, generic_rank,
-                     generic_realization, rank_exact, rigidity_matrix,
-                     rigidity_target, sample_T_coincident)
+                     rank_exact, rigidity_matrix, rigidity_target,
+                     sample_T_coincident)
 from .pebble import PebbleGame, pebble_rank_23
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
                        SparsityViolation, absorb_set, combine_families,

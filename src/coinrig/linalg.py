@@ -1,18 +1,21 @@
 """Exact rigidity-matrix construction and rank computation.
 
 All arithmetic is exact: coordinates are rationals and no floating point is
-used anywhere.  Every sampled rank comes from one incremental sparse row
-echelon over GF(2^61 - 1) (``ModpEchelon``), fed rows built straight from the
-integer coordinates of the sample.  Rows independent mod p are independent
-over the rationals, so a mod-p rank is a certified lower bound.  A sparse
-fraction-free echelon over the integers with the same layout
-(``_exact_rank``) computes exact ranks: of explicit matrices
-(``rank_exact``), and of a sample's rows when their mod-p rank falls short
-of its upper bound on the exact-rational path, which the vertex count alone
-selects (``EXACT_VERTEX_LIMIT``).  In the plane that bound is
-the generic rank of G', the graph minus its T-internal edges, from the
-(2,3) pebble game: a fact about R_2, not the coincidence theorem, so the
-rank verdict stays independent of the strong-sparsity one.
+used anywhere.  One builder lays out every rigidity row (``_sparse_rows``):
+a sparse dict of integers, p(u) - p(v) at u's columns and its negation at
+v's, built from integer points.  A sample's points are integers already;
+``rigidity_matrix`` scales an explicit realization's rational points by one
+common denominator first.  Every sampled rank comes from one incremental
+sparse row echelon over GF(2^61 - 1) (``ModpEchelon``).  Rows independent
+mod p are independent over the rationals, so a mod-p rank is a certified
+lower bound.  A sparse fraction-free echelon over the integers with the
+same layout (``_exact_rank``) computes exact ranks: of an explicit
+realization's matrix (``rank_exact``), and of a sample's rows when their
+mod-p rank falls short of its upper bound on the exact-rational path, which
+the vertex count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
+bound is the generic rank of G', the graph minus its T-internal edges, from
+the (2,3) pebble game: a fact about R_2, not the coincidence theorem, so
+the rank verdict stays independent of the strong-sparsity one.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable
@@ -79,11 +82,13 @@ class Realization:
 
 @dataclass
 class RigidityMatrix:
-    """|E| x d|V| matrix; row for uv holds p(u)-p(v) and p(v)-p(u)."""
+    """|E| x d|V| matrix as sparse integer rows (dicts column -> entry), in
+    ``edge_list`` order; row uv holds p(u)-p(v) and p(v)-p(u), all scaled
+    by one positive integer."""
 
     dim: int
     n: int
-    rows: list[list[Fraction | int]]
+    rows: list[dict[int, int]]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -104,9 +109,7 @@ class RankReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"rank": self.rank, "target": self.target, "rigid": self.rigid,
-                "independent": self.independent, "method": self.method,
-                "trials": self.trials, "seed": self.seed, "note": self.note}
+        return asdict(self)
 
 
 def rigidity_target(n: int, d: int) -> int:
@@ -117,34 +120,16 @@ def rigidity_target(n: int, d: int) -> int:
 
 
 def rigidity_matrix(g: Graph, p: Realization) -> RigidityMatrix:
-    d = p.dim
-    rows = []
-    for u, v in g.edge_list():
-        pu, pv = p.point(u), p.point(v)
-        row = [Fraction(0)] * (d * g.n)
-        for i in range(d):
-            row[d * u + i] = pu[i] - pv[i]
-            row[d * v + i] = pv[i] - pu[i]
-        rows.append(row)
-    return RigidityMatrix(d, g.n, rows)
+    """The rows of ``_sparse_rows`` at p's points, each coordinate times the
+    lcm of all their denominators: one scalar for every row keeps the rank.
+    An edge end with no point raises ``ValueError``."""
+    scale = lcm(*(c.denominator for pt in p.coords.values() for c in pt))
+    pts = {v: tuple(int(c * scale) for c in p.point(v))
+           for e in g.edge_list() for v in e}
+    return RigidityMatrix(p.dim, g.n, list(_sparse_rows(g, pts, p.dim).values()))
 
 
 # -- exact rank --------------------------------------------------------
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in rows:
-        mul = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                mul = lcm(mul, x.denominator)
-        if mul == 1:
-            out.append([int(x) for x in row])
-        else:
-            out.append([int(x * mul) for x in row])
-    return out
 
 
 def _exact_rank(rows: Iterable[dict[int, int]]) -> int:
@@ -188,8 +173,7 @@ def _exact_rank(rows: Iterable[dict[int, int]]) -> int:
 
 def rank_exact(M: RigidityMatrix) -> int:
     """Exact rank over the rationals."""
-    return _exact_rank({c: x for c, x in enumerate(row) if x}
-                       for row in _integer_rows(M.rows))
+    return _exact_rank(M.rows)
 
 
 class ModpEchelon:
@@ -244,9 +228,10 @@ class ModpEchelon:
         return False
 
 
-def _sparse_rows(g: Graph, pts: list[tuple[int, ...]],
+def _sparse_rows(g: Graph, pts: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
                  d: int) -> dict[tuple[int, int], dict[int, int]]:
-    """Edge -> rigidity-matrix row as a sparse dict, from integer points."""
+    """Edge -> rigidity-matrix row as a sparse dict, from integer points
+    indexed by vertex; a zero entry is left out."""
     rows = {}
     for u, v in g.edge_list():
         pu, pv = pts[u], pts[v]
@@ -306,13 +291,6 @@ def sample_T_coincident(g: Graph, T: Iterable[int], d: int, seed: int) -> Realiz
     pts = _sample_points(g, _check_sample_args(g, T, d), d, seed)
     return Realization(d, {v: tuple(Fraction(c) for c in pt)
                            for v, pt in enumerate(pts)})
-
-
-def generic_realization(g: Graph, d: int, seed: int) -> Realization:
-    """Random integer realization with no coincidence constraint."""
-    if g.n == 0:
-        return Realization(d, {})
-    return sample_T_coincident(g, {0}, d, seed)
 
 
 def _trial_seed(seed: int, trial: int) -> int:

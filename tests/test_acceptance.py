@@ -14,8 +14,9 @@ from coinrig.constructions import (SplitSpec, henneberg_random, one_extension,
                                    replace_rigid_subgraph, vertex_split,
                                    zero_extension)
 from coinrig.graph import Graph
-from coinrig.linalg import (Realization, generic_rank, generic_realization,
-                            rank_exact, rigidity_matrix, rigidity_target)
+from coinrig.linalg import (Realization, generic_rank, rank_exact,
+                            rigidity_matrix, rigidity_target,
+                            sample_T_coincident)
 from coinrig.matroid import greedy_rank, mt_oracle, mt_rank_cover_min
 from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import min_thin_cover
@@ -122,21 +123,21 @@ def test_criterion_8_extension_moves():
         g = henneberg_random(rng.randint(3, 8), rng.getrandbits(20))
         a, b = rng.sample(range(g.n), 2)
         g2 = zero_extension(g, a, b)
-        p2 = generic_realization(g2, 2, rng.getrandbits(20))
+        p2 = sample_T_coincident(g2, {0}, 2, rng.getrandbits(20))
         p = Realization(2, {v: p2.coords[v] for v in range(g.n)})
         assert (rank_exact(rigidity_matrix(g2, p2))
                 == rank_exact(rigidity_matrix(g, p)) + 2)
 
     for _ in range(100):  # 1-extension admits an independent placement
         g = henneberg_random(rng.randint(4, 8), rng.getrandbits(20))
-        p = generic_realization(g, 2, rng.getrandbits(20))
+        p = sample_T_coincident(g, {0}, 2, rng.getrandbits(20))
         assert rank_exact(rigidity_matrix(g, p)) == len(g.edges)
         uv = rng.choice(g.edge_list())
         x = rng.choice([w for w in range(g.n) if w not in uv])
         g2 = one_extension(g, uv, x)
         for _ in range(5):
             coords = dict(p.coords)
-            coords[g.n] = generic_realization(Graph(1, []), 2,
+            coords[g.n] = sample_T_coincident(Graph(1, []), {0}, 2,
                                               rng.getrandbits(20)).coords[0]
             if rank_exact(rigidity_matrix(g2, Realization(2, coords))) == len(g2.edges):
                 break
@@ -152,7 +153,7 @@ def test_criterion_8_extension_moves():
         cut = rng.randint(0, len(rest))
         g2 = vertex_split(g, SplitSpec(z, frozenset(rest[:cut]),
                                        frozenset(nb[:2]), frozenset(rest[cut:])))
-        p = generic_realization(g, 2, rng.getrandbits(20))
+        p = sample_T_coincident(g, {0}, 2, rng.getrandbits(20))
         assert rank_exact(rigidity_matrix(g, p)) == len(g.edges)
         coords = dict(p.coords)
         coords[g.n] = p.coords[z]
@@ -172,7 +173,7 @@ def test_criterion_8_extension_moves():
         gprime = replace_rigid_subgraph(g, range(ky), parts)
         if pebble_rank_23(gprime) != rigidity_target(gprime.n, 2):
             continue  # the preservation claim assumes a rigid replacement
-        pprime = generic_realization(gprime, 2, rng.getrandbits(20))
+        pprime = sample_T_coincident(gprime, {0}, 2, rng.getrandbits(20))
         if rank_exact(rigidity_matrix(gprime, pprime)) != rigidity_target(gprime.n, 2):
             continue
         where = {v: v for v in range(g.n)}
@@ -190,7 +191,7 @@ def test_criterion_8_extension_moves():
         assert rank_exact(rigidity_matrix(gstar, coincident)) == rigidity_target(gstar.n, 2)
         # the stated conclusion: some realization agreeing outside Y is rigid
         coords = dict(coincident.coords)
-        fresh = generic_realization(Graph(ky, []), 2, rng.getrandbits(20))
+        fresh = sample_T_coincident(Graph(ky, []), {0}, 2, rng.getrandbits(20))
         for v in range(ky):
             coords[v] = fresh.coords[v]
         realized = Realization(2, coords)

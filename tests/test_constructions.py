@@ -8,8 +8,8 @@ from coinrig.constructions import (SplitSpec, henneberg_random, one_extension,
                                    reduce_low_degree, replace_rigid_subgraph,
                                    vertex_split, zero_extension)
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import (Realization, generic_realization, rank_exact,
-                            rigidity_matrix)
+from coinrig.linalg import (Realization, rank_exact, rigidity_matrix,
+                            sample_T_coincident)
 from coinrig.matroid import greedy_rank, mt_oracle
 from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import is_strongly_T_sparse
@@ -37,7 +37,7 @@ def test_zero_extension_rank_plus_two():
         g = henneberg_random(rng.randint(3, 8), rng.getrandbits(16))
         a, b = rng.sample(range(g.n), 2)
         g2 = zero_extension(g, a, b)
-        p2 = generic_realization(g2, 2, rng.getrandbits(16))
+        p2 = sample_T_coincident(g2, {0}, 2, rng.getrandbits(16))
         p = Realization(2, {v: p2.coords[v] for v in range(g.n)})
         assert (rank_exact(rigidity_matrix(g2, p2))
                 == rank_exact(rigidity_matrix(g, p)) + 2)
@@ -62,7 +62,7 @@ def test_one_extension_independence_witness():
     rng = random.Random(1)
     for _ in range(25):
         g = henneberg_random(rng.randint(4, 8), rng.getrandbits(16))
-        p = generic_realization(g, 2, rng.getrandbits(16))
+        p = sample_T_coincident(g, {0}, 2, rng.getrandbits(16))
         assert rank_exact(rigidity_matrix(g, p)) == len(g.edges)
         uv = rng.choice(g.edge_list())
         x = rng.choice([w for w in range(g.n) if w not in uv])
@@ -106,7 +106,7 @@ def test_vertex_split_coincident_preservation():
         cut = rng.randint(0, len(rest))
         g2 = vertex_split(g, SplitSpec(z, frozenset(rest[:cut]), u2,
                                        frozenset(rest[cut:])))
-        p = generic_realization(g, 2, rng.getrandbits(16))
+        p = sample_T_coincident(g, {0}, 2, rng.getrandbits(16))
         assert rank_exact(rigidity_matrix(g, p)) == len(g.edges)
         coords = dict(p.coords)
         coords[g.n] = p.coords[z]

@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -13,9 +13,9 @@ from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _exact_rank, _sample_points,
-                            _sparse_rows, generic_rank, generic_realization,
-                            pebble_basis_23, rank_exact, rigidity_matrix,
-                            rigidity_target, sample_T_coincident)
+                            _sparse_rows, generic_rank, pebble_basis_23,
+                            rank_exact, rigidity_matrix, rigidity_target,
+                            sample_T_coincident)
 from coinrig.pebble import pebble_rank_23
 
 
@@ -36,9 +36,24 @@ def lift_contracted_realization(g, T, p_T):
 def kernel_contains(M, vec):
     """Check R * vec = 0 by explicit multiplication."""
     for row in M.rows:
-        if sum(a * b for a, b in zip(row, vec)):
+        if sum(x * vec[c] for c, x in row.items()):
             return False
     return True
+
+
+def dense_rows(g, p):
+    """The rigidity matrix of g at p as dense Fraction rows, written entry by
+    entry: the reference layout for ``rigidity_matrix``'s sparse rows."""
+    d = p.dim
+    rows = []
+    for u, v in g.edge_list():
+        pu, pv = p.point(u), p.point(v)
+        row = [Fraction(0)] * (d * g.n)
+        for i in range(d):
+            row[d * u + i] = pu[i] - pv[i]
+            row[d * v + i] = pv[i] - pu[i]
+        rows.append(row)
+    return rows
 
 
 def rigid_motion_basis(p, n):
@@ -66,7 +81,7 @@ def test_single_edge_row():
     p = Realization(2, {0: (F(0), F(0)), 1: (F(1), F(0))})
     M = rigidity_matrix(g, p)
     assert M.shape == (1, 4)
-    assert M.rows[0] == [F(-1), F(0), F(1), F(0)]
+    assert M.rows[0] == {0: -1, 2: 1}
     assert rank_exact(M) == 1
 
 
@@ -74,7 +89,8 @@ def test_coincident_edge_gives_zero_row():
     g = Graph(2, [(0, 1)])
     p = Realization(2, {0: (F(2), F(3)), 1: (F(2), F(3))})
     M = rigidity_matrix(g, p)
-    assert M.rows[0] == [F(0)] * 4
+    assert M.shape == (1, 4)
+    assert M.rows[0] == {}
     assert rank_exact(M) == 0
     assert modp_rank(M) == 0
 
@@ -92,6 +108,31 @@ def test_missing_coordinates_error():
     p = Realization(2, {0: (F(0), F(0))})
     with pytest.raises(ValueError, match="no coordinates"):
         rigidity_matrix(g, p)
+
+
+def test_rigidity_rows_match_the_dense_reference():
+    # one builder lays out every row; check it against dense Fraction rows
+    # on realizations with coincident T, half of them with fractional points
+    # (T keeps one point: its vertices share their denominators)
+    rng = random.Random(43)
+    for d in (1, 2, 3):
+        for k in range(40):
+            n = rng.randint(1, 8)
+            pairs = list(combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            T = rng.sample(range(n), rng.randint(1, n))
+            p = sample_T_coincident(g, T, d, k)
+            if k % 2:
+                dens = {v: [rng.randint(1, 30) for _ in range(d)] for v in range(n)}
+                p = Realization(d, {v: tuple(c / q for c, q in zip(
+                    pt, dens[min(T) if v in T else v])) for v, pt in p.coords.items()})
+            ref = dense_rows(g, p)
+            scale = lcm(*(c.denominator for pt in p.coords.values() for c in pt))
+            M = rigidity_matrix(g, p)
+            assert M.shape == (len(g.edges), d * n)
+            assert M.rows == [{c: x * scale for c, x in enumerate(row) if x} for row in ref]
+            assert all(type(x) is int for row in M.rows for x in row.values())
+            assert rank_exact(M) == frac_rank(ref), (d, k)
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -171,15 +212,15 @@ def test_rank_modp_never_exceeds_exact():
         n = rng.randint(2, 6)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
-        p = generic_realization(g, 2, seed)
+        p = sample_T_coincident(g, {0}, 2, seed)
         M = rigidity_matrix(g, p)
         assert modp_rank(M) <= rank_exact(M)
         assert modp_rank(M) == rank_exact(M)  # equality on all sampled instances
 
 
 def test_rank_modp_scales_rows_to_integers_first():
-    # the row's denominators are PRIME itself: scaled to integers, it stays
-    # nonzero mod PRIME
+    # the point's denominator is PRIME itself: scaled by it to integers, the
+    # row stays nonzero mod PRIME
     g = Graph(2, [(0, 1)])
     p = Realization(2, {0: (F(0), F(0)), 1: (Fraction(1, PRIME), F(1))})
     M = rigidity_matrix(g, p)
@@ -191,7 +232,7 @@ def test_rigidity_thresholds():
     p = Realization(2, {0: (F(0), F(0)), 1: (F(5), F(1))})
     assert rank_exact(rigidity_matrix(g, p)) == rigidity_target(2, 2)  # 1 = 2*2-3
     path = Graph(3, [(0, 1), (1, 2)])
-    q = generic_realization(path, 2, 7)
+    q = sample_T_coincident(path, {0}, 2, 7)
     assert rank_exact(rigidity_matrix(path, q)) != rigidity_target(3, 2)
     assert rigidity_target(1, 2) == 0  # |V| < d branch
     assert rigidity_target(9, 2) == 15
@@ -281,7 +322,7 @@ def test_rigid_motions_lie_in_kernel():
             n = rng.randint(d, 6)
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            p = generic_realization(g, d, seed)
+            p = sample_T_coincident(g, {0}, d, seed)
             M = rigidity_matrix(g, p)
             basis = rigid_motion_basis(p, n)
             assert len(basis) == comb(d + 1, 2)
@@ -298,7 +339,7 @@ def test_contraction_kernel_bound():
         g = Graph(n, rng.sample(pairs, rng.randint(1, len(pairs))))
         T = frozenset(rng.sample(range(n), rng.randint(2, 3)))
         gT = g.contract(T)
-        pT = generic_realization(gT, 2, seed)
+        pT = sample_T_coincident(gT, {0}, 2, seed)
         lifted = lift_contracted_realization(g, T, pT)
         for v in T:
             assert lifted.point(v) == lifted.point(min(T))
@@ -323,9 +364,8 @@ def _echelon_rank(rows) -> int:
 
 
 def modp_rank(M: RigidityMatrix) -> int:
-    """Rank mod PRIME of M's rows, each scaled to integers first."""
-    return _echelon_rank({c: x for c, x in enumerate(row) if x}
-                         for row in linalg._integer_rows(M.rows))
+    """Rank mod PRIME of M's sparse integer rows."""
+    return _echelon_rank(M.rows)
 
 
 def _random_int_matrix(rng):
@@ -356,9 +396,9 @@ def test_echelon_rank_equals_int_rank_on_random_matrices():
         before = [dict(r) for r in sparse]
         assert _echelon_rank(sparse) == _exact_rank(sparse) == int_rank(mat) == frac_rank(mat)
         assert sparse == before  # neither kernel changes its argument
-        scales = [Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 9)) for _ in mat]
-        frac_rows = [[s * x for x in r] for s, r in zip(scales, mat)]
-        M = RigidityMatrix(1, len(mat[0]), frac_rows)
+        scales = [rng.choice((-3, 1, 2, PRIME + 1)) for _ in mat]
+        M = RigidityMatrix(1, len(mat[0]), [{c: s * x for c, x in r.items()}
+                                            for s, r in zip(scales, sparse)])
         assert modp_rank(M) == rank_exact(M) == int_rank(mat)
 
 

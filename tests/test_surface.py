@@ -22,8 +22,6 @@ ALLOWED = {
     # step-by-step witness construction still to come (ROADMAP item 5)
     "sparsity.absorb_set",
     "sparsity.combine_families",
-    # the acceptance test of the paper's rigid-subgraph replacement lemma
-    "constructions.replace_rigid_subgraph",
 }
 
 
