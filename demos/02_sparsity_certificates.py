@@ -9,8 +9,7 @@ explicit violating witnesses, which makes a flexibility verdict auditable.
 """
 
 from coinrig import (CompatibleFamily, complete_graph, fixtures, is_S_sparse,
-                     is_strongly_T_sparse, merge_overlapping, val_family,
-                     val_set)
+                     is_strongly_T_sparse, val_family, val_set)
 
 # %% Set capacities: 2|X| - 3 in general, but 0 for sets inside S (edges
 # between coincident vertices have zero rows).
@@ -43,6 +42,6 @@ print("  S = {u,v,w} alone passes:", is_S_sparse(fig4.graph, fig4.T) is None)
 # fewer edges and the capacity strictly drops, so violation witnesses may be
 # assumed pairwise intersecting exactly in S.
 fam = CompatibleFamily(S, (S | {2, 3}, S | {2, 4}))
-merged = merge_overlapping(fam)
+merged = CompatibleFamily(S, (fam.members[0] | fam.members[1],))
 print("\nmerge:", [sorted(H) for H in fam.members], "value", val_family(fam),
       "->", [sorted(H) for H in merged.members], "value", val_family(merged))

@@ -16,9 +16,9 @@ from .linalg import (RankReport, Realization, RigidityMatrix, generic_rank,
                      sample_T_coincident)
 from .pebble import PebbleGame, pebble_rank_23
 from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
-                       SparsityViolation, absorb_set, combine_families,
-                       coverage, is_S_sparse, is_strongly_T_sparse,
-                       merge_overlapping, val_augmented, val_family, val_set)
+                       SparsityViolation, coverage, is_S_sparse,
+                       is_strongly_T_sparse, val_augmented, val_family,
+                       val_set)
 from .matroid import (IndependenceOracle, MatroidRankCertificate, circuits_upto,
                       greedy_rank, laman_oracle, mt_oracle, mt_rank_cover_min,
                       rt_oracle)

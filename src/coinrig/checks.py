@@ -107,7 +107,7 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     merged vertex and the edges the G' game rejected, not a game on all
     of G'/S.
     """
-    ts = frozenset(T)
+    ts = g._check_T(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
     for s, game, target in _contraction_games(g.minus_T_edges(ts), ts):

@@ -152,10 +152,13 @@ class PebbleGame:
         contracted graph, and out-degree plus pebbles is two everywhere: any
         such orientation is a state of the game (Lee-Streinu 2008), so
         further ``try_insert`` calls extend the accepted set to a maximal
-        sparse one.  Only for a game with the default caps; ``l`` is kept,
-        and so are the kept edges' degrees.
+        sparse one.  The copy counts the degrees of the edges it keeps.
+        Only the default (2,3) game can be copied: any other raises
+        ``ValueError``.
         """
-        game = PebbleGame(self.n, l=self.need - 1)
+        if self.deg is None:
+            raise ValueError("only the default (2,3) game can be contracted")
+        game = PebbleGame(self.n)
         deg = game.deg
         for v, heads in enumerate(self.out):
             if v not in S:
@@ -163,10 +166,9 @@ class PebbleGame:
                 game.out[v] = kept
                 game.pebbles[v] -= len(kept)
                 game.accepted += len(kept)
-                if deg is not None:
-                    deg[v] += len(kept)
-                    for w in kept:
-                        deg[w] += 1
+                deg[v] += len(kept)
+                for w in kept:
+                    deg[w] += 1
         return game
 
 

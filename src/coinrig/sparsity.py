@@ -2,8 +2,8 @@
 
 Capacities val_S of vertex sets, S-compatible and augmented families with
 their values, (strongly) T-sparse decisions with explicit violation
-witnesses, the family transformation steps, and the 1-thin cover minimum
-that realizes the rank function of the 2-dimensional rigidity matroid.
+witnesses, and the 1-thin cover minimum that realizes the rank function of
+the 2-dimensional rigidity matroid.
 
 Family checks only enumerate families whose members pairwise intersect
 exactly in S: merging an overlapping pair never shrinks coverage and
@@ -51,8 +51,14 @@ DEFAULT_CAP = 12
 class InvariantError(RuntimeError):
     """A proven bound failed: a bug or a false theorem.
 
-    The bounds are the paper's proof steps and, in ``linalg.generic_rank``,
-    the R_2 rank of G' that caps every sampled rank in the plane.
+    The bounds are the proven facts the code relies on: a violation that a
+    pebble game shows has a witness for the searches here to name; the
+    cover minimum's family (``matroid``) is 1-thin, covers the edges and
+    has the minimum as its value; the edges the rt oracle accepts, and
+    those a contracted game keeps, stay (2,3)-sparse;
+    ``constructions.reduce_low_degree`` finds an admissible pair; and in
+    ``linalg.generic_rank`` the R_2 rank of G' caps every sampled rank in
+    the plane.
 
     Raised by explicit checks that stay active under ``python -O``; the CLI
     reports it as a theorem violation (exit code 1).
@@ -97,9 +103,6 @@ class CompatibleFamily:
         for H in self.members:
             if not (self.S < H):
                 raise ValueError(f"member {sorted(H)} is not a proper superset of S")
-
-    def coverage(self) -> frozenset[tuple[int, int]]:
-        return coverage(self.members)
 
     def union(self) -> frozenset[int]:
         out: frozenset[int] = frozenset()
@@ -470,113 +473,6 @@ class StrongSparsityChecker:
             if not self.try_add(a, b):
                 return False
         return True
-
-
-# -- family transformations: merging and absorption ---------------------
-
-
-def merge_overlapping(fam: CompatibleFamily) -> CompatibleFamily:
-    """Replace the first pair of members meeting outside S by their union.
-
-    The family value strictly drops (by at least one) and the coverage can
-    only grow; both facts are checked (``InvariantError``).
-    """
-    members = fam.members
-    for i, j in combinations(range(len(members)), 2):
-        if len(members[i] & members[j]) >= len(fam.S) + 1:
-            merged = members[i] | members[j]
-            rest = [members[k] for k in range(len(members)) if k not in (i, j)]
-            out = CompatibleFamily(fam.S, tuple(rest + [merged]))
-            _require(val_family(out) <= val_family(fam) - 1,
-                     "merging did not lower the family value")
-            _require(fam.coverage() <= out.coverage(), "merging lost coverage")
-            return out
-    raise ValueError("no pair of members intersects outside S")
-
-
-def _require_pairwise_exact(fam: CompatibleFamily):
-    for H, K in combinations(fam.members, 2):
-        if H & K != fam.S:
-            raise ValueError("family members must pairwise intersect exactly in S")
-
-
-def absorb_set(fam: CompatibleFamily, Y: Iterable[int]) -> CompatibleFamily:
-    """Absorb a set Y into a pairwise-exactly-S family.
-
-    Two shapes are handled: Y meets some member in two or more vertices
-    (and S in at most one), in which case all such members merge with Y and
-    the value grows by at most val_S(Y); or Y avoids S and meets at least
-    two members in exactly one vertex each, in which case the first two hit
-    members merge with Y at exactly val_S(Y) extra value.  Coverage
-    containment and the value bound are checked (``InvariantError``).
-    """
-    _require_pairwise_exact(fam)
-    ys = frozenset(Y)
-    hits = [len(ys & H) for H in fam.members]
-    if len(ys & fam.S) <= 1 and any(h >= 2 for h in hits):
-        keep = [H for H, h in zip(fam.members, hits) if h <= 1]
-        merged = ys
-        for H, h in zip(fam.members, hits):
-            if h >= 2:
-                merged |= H
-        out = CompatibleFamily(fam.S, tuple(keep + [merged]))
-        _require(val_family(out) <= val_family(fam) + val_set(ys, fam.S),
-                 "absorption raised the family value by more than val_S(Y)")
-    elif not (ys & fam.S) and all(h <= 1 for h in hits) and sum(hits) >= 2:
-        touched = [k for k, h in enumerate(hits) if h == 1]
-        a, b = touched[0], touched[1]
-        merged = fam.members[a] | fam.members[b] | ys
-        rest = [fam.members[k] for k in range(len(fam.members)) if k not in (a, b)]
-        out = CompatibleFamily(fam.S, tuple(rest + [merged]))
-        _require(val_family(out) == val_family(fam) + val_set(ys, fam.S),
-                 "absorption did not raise the family value by exactly val_S(Y)")
-    else:
-        raise ValueError("Y matches neither absorption case")
-    _require(fam.coverage() | coverage([ys]) <= out.coverage(),
-             "absorption lost coverage")
-    return out
-
-
-def combine_families(f1: CompatibleFamily, f2: CompatibleFamily) -> CompatibleFamily:
-    """Combine an S1- and an S2-family into an (S1 u S2)-compatible family.
-
-    Members are linked when they share a vertex outside both base sets;
-    each connected component of that bipartite intersection graph is
-    unioned (together with S1 u S2) into one output member.  Components
-    that do not extend beyond S1 u S2 are absorbed by the rest, since every
-    output member already contains S1 u S2.
-    """
-    s1, s2 = f1.S, f2.S
-    if not (s1 & s2):
-        raise ValueError("the base sets must intersect")
-    su = s1 | s2
-    nodes = [(H, s1) for H in f1.members] + [(H, s2) for H in f2.members]
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    k = len(f1.members)
-    for i in range(k):
-        for j in range(k, len(nodes)):
-            if (nodes[i][0] - s1) & (nodes[j][0] - s2):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    comps: dict[int, frozenset[int]] = {}
-    for idx, (H, _) in enumerate(nodes):
-        r = find(idx)
-        comps[r] = comps.get(r, frozenset()) | H
-    members = [V | su for V in comps.values() if V | su != su]
-    if not members:
-        raise ValueError("every member lies inside S1 u S2; no combined family exists")
-    out = CompatibleFamily(su, tuple(members))
-    _require(f1.coverage() | f2.coverage() <= out.coverage(),
-             "combining lost coverage")
-    return out
 
 
 # -- 1-thin cover minima -----------------------------------------------

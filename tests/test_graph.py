@@ -193,7 +193,5 @@ T_ENTRY_POINTS = {
 def test_every_entry_point_checks_T(entry, bad, message):
     # one check, Graph._check_T, behind every entry point and message
     want = f"^{'S' if entry == 'is_S_sparse' else 'T'} {message}$"
-    if entry == "coincident_rigid_combinatorial" and not bad:
-        want = r"^the characterization applies to \|T\| in \{2, 3\}$"
     with pytest.raises(ValueError, match=want):
         T_ENTRY_POINTS[entry](complete_graph(4), bad)

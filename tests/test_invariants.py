@@ -97,17 +97,18 @@ SCRIPT = textwrap.dedent("""
     import coinrig.linalg, coinrig.matroid, coinrig.pebble, coinrig.sparsity
     from coinrig import InvariantError
     from coinrig.cli import main
-    from coinrig.sparsity import CompatibleFamily, merge_overlapping
+    from coinrig.graph import complete_graph
+    from coinrig.matroid import mt_rank_cover_min
 
-    fam = CompatibleFamily({0}, ({0, 1, 2}, {0, 2, 3}))
-    real = coinrig.sparsity.val_family
-    coinrig.sparsity.val_family = lambda f: 0
+    # a cover minimum whose family's value disagrees with the minimum
+    real_val = coinrig.matroid.val_augmented
+    coinrig.matroid.val_augmented = lambda aug: -1
     try:
-        merge_overlapping(fam)
-        merge = "returned"
+        mt_rank_cover_min(complete_graph(4), {0, 1})
+        cover_value = "returned"
     except InvariantError:
-        merge = "InvariantError"
-    coinrig.sparsity.val_family = real
+        cover_value = "InvariantError"
+    coinrig.matroid.val_augmented = real_val
 
     coinrig.matroid.min_thin_cover = lambda *a, **k: None
     err = io.StringIO()
@@ -156,7 +157,7 @@ SCRIPT = textwrap.dedent("""
     check_err = io.StringIO()
     with contextlib.redirect_stderr(check_err), contextlib.redirect_stdout(io.StringIO()):
         check_code = main(["check", "--graph", sys.argv[1], "--T", "0,1"])
-    print(json.dumps({"optimize": sys.flags.optimize, "merge": merge,
+    print(json.dumps({"optimize": sys.flags.optimize, "cover_value": cover_value,
                       "code": code, "stderr": err.getvalue(),
                       "rank_code": rank_code, "rank_stderr": rank_err.getvalue(),
                       "recount_codes": recount_codes,
@@ -183,7 +184,7 @@ def test_invariants_fire_under_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     out = json.loads(proc.stdout)
     assert out["optimize"] == 1  # assert statements are compiled out
-    assert out["merge"] == "InvariantError"
+    assert out["cover_value"] == "InvariantError"
     # a theorem violation, not the usage error (exit 2) a ValueError gives
     assert out["code"] == 1
     assert out["stderr"].startswith("error: ") and out["stderr"].count("\n") == 1

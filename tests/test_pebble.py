@@ -1,6 +1,8 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
 from coinrig.linalg import pebble_basis_23
@@ -245,3 +247,6 @@ def test_second_insert_of_an_edge():
     assert game.try_insert(0, 1)  # {0, 1, 2} spans 3 = 0 + 2 + 2 - 1
     assert not game.try_insert(1, 2) and not game.try_insert(0, 2)
     assert game.accepted == 3
+    # contracted copies only the default game, whose caps it rebuilds
+    with pytest.raises(ValueError, match="only the default"):
+        game.contracted(frozenset({1, 2}))

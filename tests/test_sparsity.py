@@ -11,12 +11,10 @@ from coinrig.linalg import generic_rank
 from coinrig.matroid import greedy_rank, mt_oracle
 from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
-                              StrongSparsityChecker, _bits, absorb_set,
-                              combine_families, coverage, is_S_sparse,
-                              is_strongly_T_sparse, merge_overlapping,
-                              min_thin_cover, subset_edge_counts,
-                              subsets_of_two_or_more, val_augmented,
-                              val_family, val_set)
+                              StrongSparsityChecker, _bits, is_S_sparse,
+                              is_strongly_T_sparse, min_thin_cover,
+                              subset_edge_counts, subsets_of_two_or_more,
+                              val_augmented, val_family, val_set)
 
 S2 = frozenset({0, 1})
 S3 = frozenset({0, 1, 2})
@@ -507,149 +505,6 @@ def test_tight_set_lattice():
         if found > 200:
             break
     assert found > 50  # the search must actually exercise the property
-
-
-# -- family transformations --------------------------------------------
-
-
-def test_merge_overlapping_known_values():
-    fam = CompatibleFamily(S2, (S2 | {2, 3}, S2 | {2, 4}))
-    assert val_family(fam) == 8
-    merged = merge_overlapping(fam)
-    assert merged.members == (frozenset({0, 1, 2, 3, 4}),)
-    assert val_family(merged) == 7
-
-
-def test_merge_overlapping_requires_overlap():
-    fam = CompatibleFamily(S2, (S2 | {2}, S2 | {3}))
-    with pytest.raises(ValueError, match="no pair"):
-        merge_overlapping(fam)
-
-
-def test_merge_overlapping_random_families():
-    rng = random.Random(47)
-    done = 0
-    while done < 60:
-        n = rng.randint(5, 8)
-        S = frozenset(rng.sample(range(n), 2))
-        others = [v for v in range(n) if v not in S]
-        members = []
-        for _ in range(rng.randint(2, 3)):
-            size = rng.randint(1, max(1, len(others) - 1))
-            members.append(S | frozenset(rng.sample(others, size)))
-        fam = CompatibleFamily(S, tuple(set(members)))
-        if len(fam.members) < 2 or not any(
-                len(h & k) > 2 for h, k in combinations(fam.members, 2)):
-            continue
-        out = merge_overlapping(fam)  # asserts val drop and coverage inside
-        assert val_family(out) <= val_family(fam) - 1
-        done += 1
-
-
-def test_absorb_set_singleton_hits():
-    fam = CompatibleFamily(S2, (S2 | {2}, S2 | {3}))
-    out = absorb_set(fam, {2, 3})
-    assert out.members == (frozenset({0, 1, 2, 3}),)
-    assert val_family(out) == val_family(fam) + val_set({2, 3}, S2)
-
-
-def test_absorb_set_inside_member():
-    fam = CompatibleFamily(S2, (S2 | {2, 3},))
-    out = absorb_set(fam, {2, 3})
-    assert val_family(out) <= val_family(fam) + val_set({2, 3}, S2)
-    assert coverage([frozenset({2, 3})]) <= out.coverage()
-
-
-def test_absorb_set_rejects_bad_Y():
-    fam = CompatibleFamily(S2, (S2 | {2}, S2 | {3}))
-    with pytest.raises(ValueError, match="neither"):
-        absorb_set(fam, {0, 1})  # |Y n S| = 2
-    with pytest.raises(ValueError, match="neither"):
-        absorb_set(fam, {4, 5})  # touches nothing
-
-
-def test_absorb_set_random_instances():
-    rng = random.Random(48)
-    done2 = done3 = 0
-    while done2 < 40 or done3 < 40:
-        n = rng.randint(5, 9)
-        S = frozenset(rng.sample(range(n), 2))
-        others = [v for v in range(n) if v not in S]
-        rng.shuffle(others)
-        blocks, pool = [], others[:]
-        while pool and len(blocks) < 3:
-            k = rng.randint(1, len(pool))
-            blocks.append(pool[:k])
-            pool = pool[k:]
-        if not blocks:
-            continue
-        fam = CompatibleFamily(S, tuple(S | frozenset(b) for b in blocks))
-        y_size = rng.randint(2, n - 1)
-        Y = frozenset(rng.sample(range(n), y_size))
-        hits = [len(Y & H) for H in fam.members]
-        if len(Y & S) <= 1 and any(h >= 2 for h in hits):
-            out = absorb_set(fam, Y)
-            assert val_family(out) <= val_family(fam) + val_set(Y, S)
-            done2 += 1
-        elif not (Y & S) and all(h <= 1 for h in hits) and sum(hits) >= 2:
-            out = absorb_set(fam, Y)
-            assert val_family(out) == val_family(fam) + val_set(Y, S)
-            done3 += 1
-
-
-def test_combine_families_same_S():
-    f1 = CompatibleFamily(S2, (S2 | {2}, S2 | {3}))
-    out = combine_families(f1, f1)
-    assert out.S == S2
-    assert f1.coverage() <= out.coverage()
-
-
-def test_combine_families_disjoint_members():
-    f1 = CompatibleFamily(S2, (S2 | {2},))
-    f2 = CompatibleFamily(frozenset({1, 5}), (frozenset({1, 5, 6}),))
-    out = combine_families(f1, f2)
-    assert out.S == frozenset({0, 1, 5})
-    # no intersection outside the base sets: members lift independently
-    assert len(out.members) == 2
-
-
-def test_combine_families_requires_intersection():
-    f1 = CompatibleFamily(S2, (S2 | {2},))
-    f2 = CompatibleFamily(frozenset({5, 6}), (frozenset({5, 6, 7}),))
-    with pytest.raises(ValueError, match="intersect"):
-        combine_families(f1, f2)
-
-
-def test_combine_families_preserves_tightness():
-    # on strongly (S1 u S2)-sparse graphs, combining tight families stays tight
-    rng = random.Random(49)
-    found = 0
-    for _ in range(4000):
-        g = random_graph(rng, 5, 6)
-        T = frozenset(rng.sample(range(g.n), 3))
-        if is_strongly_T_sparse(g, T) is not None:
-            continue
-        subs = [frozenset(c) for c in combinations(sorted(T), 2)]
-        tight_fams = {}
-        for S in subs:
-            for fam in enumerate_compatible_families(g, S):
-                covered = set()
-                for H in fam.members:
-                    covered.update(e for e in g.edges if e[0] in H and e[1] in H)
-                if len(covered) == val_family(fam):
-                    tight_fams.setdefault(S, fam)
-        for s1, s2 in combinations(tight_fams, 2):
-            if not (s1 & s2):
-                continue
-            out = combine_families(tight_fams[s1], tight_fams[s2])
-            covered = set()
-            for H in out.members:
-                covered.update(e for e in g.edges if e[0] in H and e[1] in H)
-            assert len(covered) == val_family(out), (g.edge_list(), s1, s2)
-            found += 1
-        if found >= 10:
-            break
-    assert found >= 1
 
 
 # -- cover minima --------------------------------------------------------

@@ -18,10 +18,6 @@ SRC = ROOT / "src" / "coinrig"
 ALLOWED = {
     # bench/spans.py wraps it by name, as the strong-sparsity layer's work
     "sparsity.StrongSparsityChecker.accepts_all",
-    # the family-combining steps of the paper's proof, kept for the
-    # step-by-step witness construction still to come (ROADMAP item 5)
-    "sparsity.absorb_set",
-    "sparsity.combine_families",
 }
 
 
