@@ -5,8 +5,12 @@ contraction checks via the pebble game) runs against the algebraic one
 (exact rank of sampled coincident realizations) on bundled fixtures and on
 random instances; disagreements for coincidence sets of size at most three
 are genuine correctness failures and fail the harness.  The combinatorial
-side plays one full game, on G'; each contraction G'/S is decided from that
-game's final orientation, not by a game of its own.
+side reads one full game, on G', ``linalg.pebble_basis_23``; each
+contraction G'/S is decided from that game's final orientation, not by a
+game of its own.  ``check_coincident_rigidity`` plays that game once and
+both sides read it: the algebraic side recounts its cap from the basis and
+the reached sets, and the combinatorial side starts every G'/S from the
+orientation and the rejected edges.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from typing import Iterable
 
 from .constructions import henneberg_random
 from .graph import Graph, complete_bipartite, graph_to_json
-from .linalg import RankReport, Realization, generic_rank, rigidity_target
+from .linalg import (RankReport, Realization, _generic_rank, generic_rank,
+                     pebble_basis_23, rigidity_target)
 from .matroid import greedy_rank, mt_oracle, rt_oracle
 from .pebble import PebbleGame
 from .sparsity import (InvariantError, is_strongly_T_sparse,
@@ -59,23 +65,24 @@ class CoincidenceVerdict:
         return out
 
 
-def _contraction_games(gp: Graph, ts: frozenset[int]):
+def _contraction_games(gp: Graph, ts: frozenset[int], game: PebbleGame,
+                       rejected: Iterable[tuple[int, int]]):
     """(S, game, target) for G' (S empty), then for each G'/S, S inside T.
 
     Every S has |S| >= 2, and target is the rigidity target 2n' - 3 of the
-    graph decided.  The (2,3) game on G' is played on every edge, in
-    ``edge_list`` order, where the game's count rule takes most edges with
-    no pebble search; the edges it rejects are kept, in that order.  Each
-    G'/S game starts from that game's final orientation by
-    ``PebbleGame.contracted``, which keeps the input's ids and the accepted
-    edges that avoid S: S goes into min(S), and S's other vertices keep two
-    pebbles and take no edge.  The game then takes the edges at min(S) and
-    the rejected edges that avoid S, and stops once it holds 2n' - 3 edges,
-    with n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
+    graph decided.  ``game`` is the (2,3) game on G' that
+    ``pebble_basis_23`` played on every edge, in ``edge_list`` order, where
+    the game's count rule takes most edges with no pebble search, and
+    ``rejected`` holds the edges it rejected, in that order; no game on G'
+    is played here.  Each G'/S game starts from that game's final
+    orientation by ``PebbleGame.contracted``, which keeps the input's ids
+    and the accepted edges that avoid S, and leaves ``game`` unchanged: S
+    goes into min(S), and S's other vertices keep two pebbles and take no
+    edge.  The game then takes the edges at min(S) and the rejected edges
+    that avoid S, and stops once it holds 2n' - 3 edges, with
+    n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
     rank is short of 2n' - 3.
     """
-    game = PebbleGame(gp.n)
-    rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
     yield frozenset(), game, rigidity_target(gp.n, 2)
     for s in subsets_of_two_or_more(ts):
         sub = game.contracted(s)
@@ -94,6 +101,16 @@ def _contraction_games(gp: Graph, ts: frozenset[int]):
         yield s, sub, target
 
 
+def _failing_S(gp: Graph, ts: frozenset[int], game: PebbleGame,
+               rejected: Iterable[tuple[int, int]]) -> frozenset[int] | None:
+    """``coincident_rigid_combinatorial`` from G''s game, as
+    ``_contraction_games`` takes it."""
+    for s, sub, target in _contraction_games(gp, ts, game, rejected):
+        if sub.accepted != target:
+            return s
+    return None
+
+
 def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     """Deletion/contraction characterization of coincident rigidity.
 
@@ -102,18 +119,17 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     plane, by the pebble game.  Returns the failing S: None when g is rigid,
     the empty set when G' is flexible, else the first S whose G'/S is.
 
-    One full game is played, on G'; each G'/S is decided from its final
-    orientation (``_contraction_games``), so it costs the edges at the
-    merged vertex and the edges the G' game rejected, not a game on all
-    of G'/S.
+    One full game is played, on G' (``pebble_basis_23``); each G'/S is
+    decided from its final orientation (``_contraction_games``), so it
+    costs the edges at the merged vertex and the edges the G' game
+    rejected, not a game on all of G'/S.
     """
     ts = g._check_T(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
-    for s, game, target in _contraction_games(g.minus_T_edges(ts), ts):
-        if game.accepted != target:
-            return s
-    return None
+    gp = g.minus_T_edges(ts)
+    _, reached, game = pebble_basis_23(gp)
+    return _failing_S(gp, ts, game, reached)
 
 
 def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
@@ -123,12 +139,17 @@ def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
     realizations with the rigidity target 2n - 3.  The combinatorial one,
     the deletion/contraction characterization, is given for 2 <= |T| <= 3
     only, the sizes where it is proved; otherwise it stays None.
+
+    Both read one (2,3) game on G', ``pebble_basis_23``, the game that
+    ``generic_rank`` and ``coincident_rigid_combinatorial`` each play alone.
     """
-    ts = frozenset(T)
-    rep = generic_rank(g, ts, 2, seed=seed)
+    ts = g._check_T(T)
+    gp = g.minus_T_edges(ts)
+    basis, reached, game = pebble_basis_23(gp)
+    rep = _generic_rank(g, ts, 2, seed, (gp, basis, reached))
     combinatorial = failing_S = None
     if 2 <= len(ts) <= 3:
-        failing_S = coincident_rigid_combinatorial(g, ts)
+        failing_S = _failing_S(gp, ts, game, reached)
         combinatorial = failing_S is None
     return CoincidenceVerdict(g, ts, combinatorial=combinatorial, algebraic=rep.rigid,
                               failing_S=failing_S, reports=(rep,))

@@ -15,7 +15,10 @@ mod-p rank falls short of its upper bound on the exact-rational path, which
 the vertex count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
 bound is the generic rank of G', the graph minus its T-internal edges, from
 the (2,3) pebble game: a fact about R_2, not the coincidence theorem, so
-the rank verdict stays independent of the strong-sparsity one.
+the rank verdict stays independent of the strong-sparsity one.  ``check``
+plays that game once and hands its final state to the deletion/contraction
+side too; the rank verdict trusts neither its basis nor its orientation,
+since the cap is recounted and the rank comes from the trials' echelons.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
@@ -307,8 +310,10 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
 
 
 def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
-                                        dict[tuple[int, int], tuple[int, ...]]]:
-    """The (2,3) game's accepted edges, and the set each rejected edge reached.
+                                        dict[tuple[int, int], tuple[int, ...]],
+                                        PebbleGame]:
+    """The (2,3) game's accepted edges, the set each rejected edge reached,
+    and the game itself in its final state.
 
     Edges are played in ``edge_list`` order, so the accepted list, a basis
     of g in R_2, is the same one ``pebble_rank_23`` counts.  Most inserts
@@ -318,7 +323,13 @@ def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
     reachable from a and b along the game's orientation once its gather
     failed: the gather leaves l = 3 pebbles on a and b and none on R's
     other vertices, and every out-edge of R stays in R, so R spans at least
-    2|R| - 3 accepted edges (Lee-Streinu 2008).
+    2|R| - 3 accepted edges (Lee-Streinu 2008).  ``reached``'s keys are
+    the rejected edges in ``edge_list`` order.
+
+    This is the one game on G' that ``check_coincident_rigidity`` plays:
+    its algebraic side takes the basis and the reached sets, and its
+    combinatorial side starts every G'/S game from the final orientation.
+    Neither ``_reach`` nor ``PebbleGame.contracted`` changes the game.
     """
     game = PebbleGame(g.n)
     basis, reached = [], {}
@@ -327,7 +338,7 @@ def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
             basis.append((a, b))
         else:
             reached[(a, b)] = _reach(game.out, a, b)
-    return basis, reached
+    return basis, reached, game
 
 
 def _reach(out: list[list[int]], a: int, b: int) -> tuple[int, ...]:
@@ -411,12 +422,26 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     the cap: one above it raises ``InvariantError`` too.
     """
     ts = _check_sample_args(g, T, d)
+    if d != 2:
+        return _generic_rank(g, ts, d, seed)
+    gp = g.minus_T_edges(ts)
+    basis, reached, _ = pebble_basis_23(gp)
+    return _generic_rank(g, ts, d, seed, (gp, basis, reached))
+
+
+def _generic_rank(g: Graph, ts: frozenset[int], d: int, seed: int,
+                  cap_game: tuple | None = None) -> RankReport:
+    """``generic_rank`` once T and d are checked.  In the plane ``cap_game``
+    is (G', basis, reached), the last two from ``pebble_basis_23(G')``,
+    which ``check_coincident_rigidity`` plays once for both of its sides.
+    The cap is proved here by ``_prove_cap``'s recount, whoever played the
+    game, and the trials' echelons give the lower bound.
+    """
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     order = g.edge_list()
     if d == 2:
-        gp = g.minus_T_edges(ts)
-        basis, reached = pebble_basis_23(gp)
+        gp, basis, reached = cap_game
         _prove_cap(gp, basis, reached)
         cap = len(basis)
         kept = set(basis)

@@ -4,14 +4,15 @@ from types import SimpleNamespace
 
 import pytest
 
+import coinrig.linalg
 from coinrig import checks
 from coinrig.checks import (_contraction_games, check_coincident_rigidity,
                             coincident_rigid_combinatorial, conjecture_search,
                             cross_validate, fixtures, random_instance)
 from coinrig.constructions import henneberg_random
 from coinrig.graph import complete_graph
-from coinrig.linalg import (generic_rank, rank_exact, rigidity_matrix,
-                            rigidity_target, sample_T_coincident)
+from coinrig.linalg import (generic_rank, pebble_basis_23, rank_exact,
+                            rigidity_matrix, rigidity_target, sample_T_coincident)
 from coinrig.matroid import mt_oracle
 from coinrig.pebble import PebbleGame, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
@@ -101,7 +102,8 @@ def _replayed_combinatorial(g, T):
 
 def _assert_contraction_games_match(g, T):
     gp = g.minus_T_edges(T)
-    for s, game, target in _contraction_games(gp, T):
+    _, reached, g_prime_game = pebble_basis_23(gp)
+    for s, game, target in _contraction_games(gp, T, g_prime_game, reached):
         gs = gp.contract(s) if s else gp
         assert game.n == gp.n
         assert target == rigidity_target(gs.n, 2)
@@ -145,9 +147,10 @@ def test_contraction_games_match_replayed_games_above_the_exact_limit():
 
 
 def test_games_play_edge_list_order_then_star_then_rejected(monkeypatch):
-    # the G' game inserts gp.edge_list() in that order; each G'/S game takes
-    # its star at min(S), then the rejected edges that avoid S, in
-    # edge_list order, until it holds its target
+    # the G' game (pebble_basis_23) inserts gp.edge_list() in that order and
+    # lists its rejected edges in that order; _contraction_games plays no G'
+    # game, and each G'/S game takes its star at min(S), then the rejected
+    # edges that avoid S, in edge_list order, until it holds its target
     g = henneberg_plus(60, 4)
     T = frozenset({18, 23, 30})
     gp = g.minus_T_edges(T)
@@ -157,10 +160,12 @@ def test_games_play_edge_list_order_then_star_then_rejected(monkeypatch):
     real = PebbleGame.try_insert
     monkeypatch.setattr(PebbleGame, "try_insert",
                         lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
-    games = _contraction_games(gp, T)
-    next(games)
-    assert inserts == gp.edge_list()
+    _, reached, shared = pebble_basis_23(gp)
+    assert inserts == gp.edge_list() and list(reached) == rejected
     inserts.clear()
+    games = _contraction_games(gp, T, shared, reached)
+    assert next(games)[1] is shared
+    assert inserts == []
     for i, (s, _, _) in enumerate(games):
         k = sum(a == min(s) for a, b in inserts)
         star, rest = inserts[:k], inserts[k:]
@@ -185,6 +190,46 @@ def test_contractions_reuse_the_g_prime_game(monkeypatch):
                         lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
     assert coincident_rigid_combinatorial(g, T) is None
     assert len(inserts) < 2 * len(g.edges)
+    # check plays the G' game once, for both of its sides: one G' game
+    # and the contractions take 282 inserts, two G' games took 519
+    games = []
+
+    def counted(gp):
+        games.append(gp)
+        return pebble_basis_23(gp)
+
+    for module in (coinrig.linalg, checks):
+        monkeypatch.setattr(module, "pebble_basis_23", counted)
+    inserts.clear()
+    both = check_coincident_rigidity(g, T)
+    assert both.combinatorial is both.algebraic is True
+    assert len(games) == 1
+    assert len(inserts) < 1.5 * len(g.edges)
+
+
+def _check_drifts(g, T, seed):
+    """check's verdict next to those of its two sides called alone."""
+    both = check_coincident_rigidity(g, T, seed)
+    failing = coincident_rigid_combinatorial(g, T)
+    assert both.reports == (generic_rank(g, T, 2, seed),), (g.edge_list(), sorted(T))
+    assert (both.combinatorial, both.failing_S) == (failing is None, failing), \
+        (g.edge_list(), sorted(T))
+
+
+def test_check_matches_its_sides_called_alone():
+    # check shares one G' game between its sides; generic_rank and
+    # coincident_rigid_combinatorial each play it themselves, and the shared
+    # path must not drift from them
+    seed = 0
+    for g in _atlas(6):
+        for k in (2, 3):
+            for T in combinations(range(g.n), k):
+                _check_drifts(g, frozenset(T), seed)
+                seed += 1
+    rng = random.Random(29)
+    for _ in range(150):
+        g, T = random_instance(rng, 60, rng.choice([2, 3]))
+        _check_drifts(g, T, rng.getrandbits(16))
 
 
 def test_necessity_direction_standalone():

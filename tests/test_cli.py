@@ -140,8 +140,9 @@ def _laman_as_rt(g, T, seed=0):
 def test_check_exits_1_when_the_sides_disagree(capsys, monkeypatch, k4_file):
     code, doc, err = run_err(capsys, "check", "--graph", k4_file)
     assert code == 0 and err == ""  # consistent: nothing on stderr
-    monkeypatch.setattr(coinrig.checks, "coincident_rigid_combinatorial",
-                        lambda g, T: frozenset())
+    # check's combinatorial side reads the shared G' game through _failing_S
+    monkeypatch.setattr(coinrig.checks, "_failing_S",
+                        lambda gp, ts, game, rejected: frozenset())
     code, doc, err = run_err(capsys, "check", "--graph", k4_file)
     assert code == 1  # a theorem violation, with the JSON still printed
     assert doc["combinatorial"] is False and doc["algebraic"] is True

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import coinrig.checks
 import coinrig.constructions
 import coinrig.linalg
 from coinrig import InvariantError
@@ -48,8 +49,8 @@ FIG4 = graph_to_json(fixtures()["fig4"].graph, fixtures()["fig4"].T)
 def _drop_a_basis_edge(basis_23):
     """A cap game that loses its first accepted edge, listed nowhere."""
     def forged(g):
-        basis, reached = basis_23(g)
-        return basis[1:], reached
+        basis, reached, game = basis_23(g)
+        return basis[1:], reached, game
     return forged
 
 
@@ -57,8 +58,8 @@ def _reject_a_basis_edge(basis_23):
     """A cap game that reports its first accepted edge as rejected, with
     every vertex as the set it reached."""
     def forged(g):
-        basis, reached = basis_23(g)
-        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}
+        basis, reached, game = basis_23(g)
+        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}, game
     return forged
 
 
@@ -79,13 +80,14 @@ def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_pa
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb):
     # on 4 and on 40 vertices alike the basis rows reach the forged cap and
-    # no other row is fed, so only the recount of the rejection can catch it
+    # no other row is fed, so only the recount of the rejection can catch it;
+    # rank plays the game in linalg, check in checks for both of its sides
     graph = tmp_path / "graph.json"
     for text in (K4, H40):
         graph.write_text(text)
         for forge in (_reject_a_basis_edge, _drop_a_basis_edge):
-            monkeypatch.setattr(coinrig.linalg, "pebble_basis_23",
-                                forge(linalg_basis_23))
+            for module in (coinrig.linalg, coinrig.checks):
+                monkeypatch.setattr(module, "pebble_basis_23", forge(linalg_basis_23))
             assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: invariant violated: rejected edge ")
@@ -94,7 +96,8 @@ def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb)
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
-    import coinrig.linalg, coinrig.matroid, coinrig.pebble, coinrig.sparsity
+    import coinrig.checks, coinrig.linalg, coinrig.matroid, coinrig.pebble
+    import coinrig.sparsity
     from coinrig import InvariantError
     from coinrig.cli import main
     from coinrig.graph import complete_graph
@@ -116,26 +119,27 @@ SCRIPT = textwrap.dedent("""
         code = main(["mrank", "--graph", sys.argv[1], "--T", "0,1", "--witness"])
 
     # a cap game that drops an accepted edge and one that reports it as
-    # rejected, on 4 and on 40 vertices: the recount catches each
+    # rejected, on 4 and on 40 vertices: the recount catches each, in rank's
+    # game (linalg) and in the one game check plays for both sides (checks)
     real_basis = coinrig.linalg.pebble_basis_23
 
     def dropped(g):
-        basis, reached = real_basis(g)
-        return basis[1:], reached
+        basis, reached, game = real_basis(g)
+        return basis[1:], reached, game
 
     def rejected(g):
-        basis, reached = real_basis(g)
-        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}
+        basis, reached, game = real_basis(g)
+        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}, game
 
     recount_err = io.StringIO()
     recount_codes = []
     with contextlib.redirect_stderr(recount_err), contextlib.redirect_stdout(io.StringIO()):
         for forged in (dropped, rejected):
-            coinrig.linalg.pebble_basis_23 = forged
+            coinrig.linalg.pebble_basis_23 = coinrig.checks.pebble_basis_23 = forged
             for path in sys.argv[1:3]:
                 recount_codes += [main([verb, "--graph", path, "--T", "0,1,2"])
                                   for verb in ("rank", "check")]
-    coinrig.linalg.pebble_basis_23 = real_basis
+    coinrig.linalg.pebble_basis_23 = coinrig.checks.pebble_basis_23 = real_basis
 
     # an exact kernel that puts fig4's confirmed rank above its cap
     real_exact = coinrig.linalg._exact_rank

@@ -584,7 +584,7 @@ def test_exact_path_trials_stop_at_the_cap(monkeypatch):
     real = ModpEchelon.try_add
     monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
     for T in ({0}, {0, 29}):
-        basis, reached = pebble_basis_23(g.minus_T_edges(T))
+        basis, reached, _ = pebble_basis_23(g.minus_T_edges(T))
         assert len(basis) == 57 and len(reached) == 2
         fed.clear()
         rep = generic_rank(g, T, 2)
@@ -637,9 +637,14 @@ def test_cap_game_rejections_recount():
         n = rng.randint(2, 40)
         pairs = list(combinations(range(n), 2))
         g = Graph(n, rng.sample(pairs, min(len(pairs), rng.randint(n, 3 * n))))
-        basis, reached = pebble_basis_23(g)
-        assert len(basis) == pebble_rank_23(g)
+        basis, reached, game = pebble_basis_23(g)
+        assert len(basis) == pebble_rank_23(g) == game.accepted
+        # the final game holds the basis, oriented
+        assert sorted(tuple(sorted((v, w))) for v, heads in enumerate(game.out)
+                      for w in heads) == sorted(basis)
         assert sorted(basis + list(reached)) == g.edge_list()
+        # the rejected edges, in the order check's G'/S games take them
+        assert list(reached) == [e for e in g.edge_list() if e in reached]
         for (a, b), R in reached.items():
             inside = sum(u in R and v in R for u, v in basis)
             assert a in R and b in R and inside >= 2 * len(R) - 3
@@ -669,7 +674,7 @@ def test_rows_past_the_basis_are_fed_when_a_trial_falls_short(monkeypatch):
     rng = random.Random(3)
     while g.n < 40:
         g = zero_extension(g, *rng.sample(range(g.n), 2))
-    basis, reached = pebble_basis_23(g.minus_T_edges(f.T))
+    basis, reached, _ = pebble_basis_23(g.minus_T_edges(f.T))
     assert len(basis) == 77 and list(reached) == [(8, 9)]
     fed = []
     real = ModpEchelon.try_add

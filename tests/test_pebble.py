@@ -5,7 +5,7 @@ import pytest
 
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
-from coinrig.linalg import pebble_basis_23
+from coinrig.linalg import _reach, pebble_basis_23
 from coinrig.pebble import PebbleGame, pebble_rank_23
 
 
@@ -195,9 +195,17 @@ def _play_both(game, ref, edges, rng):
         assert game.deg == deg and game.accepted == len(accepted)
 
 
+def _state(game):
+    """A copy of everything a game's moves change."""
+    return ([list(heads) for heads in game.out], list(game.pebbles),
+            None if game.deg is None else list(game.deg), game.accepted)
+
+
 def test_count_rule_accepts_what_the_search_accepts():
     # shuffled orders, both endpoint orders, repeated inserts, gathers
-    # before inserts, and contracted states fed the merged images
+    # before inserts, and contracted states fed the merged images; the
+    # reached sets and the contracted copy, played on, leave the source game
+    # as it was, since check reads one G' game for both of its sides
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(2, 12)
@@ -207,6 +215,11 @@ def test_count_rule_accepts_what_the_search_accepts():
         rng.shuffle(edges)
         game, ref = PebbleGame(n), SearchOnlyGame(n)
         _play_both(game, ref, edges, rng)
+        before = _state(game)
+        for a, b in edges[:3]:
+            R = _reach(game.out, a, b)
+            assert a in R and b in R and len(set(R)) == len(R)
+        assert _state(game) == before
         if n < 3:
             continue
         S = frozenset(rng.sample(range(n), rng.randint(2, min(3, n - 1))))
@@ -215,6 +228,7 @@ def test_count_rule_accepts_what_the_search_accepts():
         images = [e for e in images if e[0] != e[1]]
         rng.shuffle(images)
         _play_both(game.contracted(S), ref.contracted(S), images, rng)
+        assert _state(game) == before
 
 
 def test_zero_extension_graphs_need_no_search(monkeypatch):
@@ -228,7 +242,7 @@ def test_zero_extension_graphs_need_no_search(monkeypatch):
     real = PebbleGame._fetch
     monkeypatch.setattr(PebbleGame, "_fetch",
                         lambda game, root, avoid: fetches.append(root) or real(game, root, avoid))
-    basis, reached = pebble_basis_23(g)
+    basis, reached, _ = pebble_basis_23(g)
     assert len(basis) == 2 * g.n - 3 and not reached
     assert fetches == []
 
