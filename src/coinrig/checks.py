@@ -163,9 +163,14 @@ def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph,
 
     Half the draws are Erdos-Renyi style with 2n-3 plus noise edges, half
     are Henneberg graphs with a few extra edges: both concentrate near the
-    rigidity threshold where the characterizations bite.
+    rigidity threshold where the characterizations bite.  The vertex count
+    is drawn from ``max(4, t_size + 1)`` to ``n_max``; a smaller ``n_max``
+    is a ``ValueError``.
     """
-    n = rng.randint(max(t_size + 1, 4), max(n_max, t_size + 1, 4))
+    lo = max(4, t_size + 1)
+    if n_max < lo:
+        raise ValueError(f"n_max must be at least {lo} for |T| = {t_size}, got {n_max}")
+    n = rng.randint(lo, n_max)
     if rng.random() < 0.5:
         pairs = list(combinations(range(n), 2))
         m = max(1, min(len(pairs), 2 * n - 3 + rng.randint(-3, 3)))

@@ -111,7 +111,7 @@ def _cmd_mrank(args) -> int:
         if args.witness:
             with warnings.catch_warnings():  # "conjectural" is in the JSON
                 warnings.simplefilter("ignore")
-                value, dual = mt_rank_cover_min(g, T)
+                value, dual = mt_rank_cover_min(g, T, lower=cert.rank)
             if value == cert.rank:
                 cert.dual = dual
             else:  # greedy/cover disagreement: only conceivable for |T| >= 4
@@ -190,7 +190,11 @@ def _cmd_conjecture(args) -> int:
         raise UsageError(f"--budget must be at least 0, got {args.budget}")
     report = conjecture_search(args.n_max, args.t_size, args.budget, args.seed)
     _emit(report, args.out)
-    return 1 if report["candidates"] else 0
+    if report["candidates"]:
+        print(f"error: conjecture violated: {len(report['candidates'])} "
+              "re-verified candidates", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_fixtures(args) -> int:

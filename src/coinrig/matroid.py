@@ -213,7 +213,8 @@ def greedy_rank(oracle: IndependenceOracle) -> MatroidRankCertificate:
                                   conjectural=oracle.conjectural)
 
 
-def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]:
+def mt_rank_cover_min(g: Graph, T: Iterable[int],
+                      lower: int = 0) -> tuple[int, AugmentedFamily]:
     """Rank of g's edges in the strong-sparsity matroid via the dual cover minimum.
 
     Minimizes val_S over all S inside T with |S| >= 2 and all 1-thin
@@ -254,6 +255,21 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
       partition comes earlier in the order, since a vertex is left out
       before it starts a block, so no first minimum uses B;
     - the leaf with no block under every S: it is the first leaf again.
+
+    ``lower`` is a lower bound on the minimum, such as the size of a
+    strongly T-sparse edge set (weak duality: every cover's value is at
+    least that size).  The search stops once its best total equals
+    ``lower``: the S loop, every subtree and the block sizes still to try
+    end there.  The witness is the one the full search returns, since
+    only a strictly smaller total replaces the incumbent and no total
+    falls below a true bound, so the first leaf to reach ``lower`` is the
+    first minimum.  Only equality stops the search: a total below
+    ``lower`` (a bound that is not one) leaves it running to the true
+    minimum, and a minimum above ``lower`` stops nothing early.  The price
+    is that the result no longer checks the bound: a bound one too high
+    (a greedy base that took one edge too many) goes unnoticed whenever
+    a total of that value comes before every smaller one.  The default 0
+    runs the whole search.
     """
     ts = g._check_T(T)
     _check_cap(g.n)
@@ -271,6 +287,8 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
     best_val, best_at = res[0], (subsets[0], (), res[1])
 
     for s in subsets:
+        if best_val == lower:
+            break
         s_mask = _mask_of(s)
         s_cost = 2 * len(s) - 2  # the family's 2(|S| - 1), paid with its first block
 
@@ -279,7 +297,7 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
             # uncovered edges with an endpoint in ``out`` (outside S and
             # elems) stay uncovered by every block below: a leaf pays for them
             stuck_lb = _COVER_LB[len([e for e in uncovered if e & out])]
-            if base + stuck_lb >= best_val:
+            if base + stuck_lb >= best_val or best_val == lower:
                 return
             if not elems:
                 if not blocks:
@@ -296,7 +314,7 @@ def mt_rank_cover_min(g: Graph, T: Iterable[int]) -> tuple[int, AugmentedFamily]
             for r in range(len(rest) + 1):
                 # a block covers no stuck edge, so its child keeps them all
                 block_base = first_base + 2 * r
-                if block_base + stuck_lb >= best_val:
+                if block_base + stuck_lb >= best_val or best_val == lower:
                     break
                 for extra in combinations(rest, r):
                     block = 1 << first | _mask_of(extra)

@@ -283,7 +283,7 @@ def test_cross_validate_small():
     # enumeration cap, since it plays a pebble game per subset of T
     assert cross_validate(30, [2, 3], 4, seed=8)["mismatches"] == 0
     with pytest.raises(ValueError, match="T has 13 vertices, enumeration cap is 12"):
-        cross_validate(6, [2, 13], 2, seed=0)
+        cross_validate(14, [2, 13], 2, seed=0)
 
 
 def test_conjecture_search():
@@ -353,5 +353,12 @@ def test_random_instance_shapes():
     for _ in range(40):
         t = rng.randint(1, 4)
         g, T = random_instance(rng, 7, t)
-        assert g.n <= 7 and len(T) == t
+        assert max(4, t + 1) <= g.n <= 7 and len(T) == t
         assert all(0 <= v < g.n for v in T)
+    # n_max below the least vertex count max(4, |T| + 1) is refused, not
+    # raised to that count
+    assert random_instance(rng, 4, 3)[0].n == 4
+    for n_max, t in ((3, 1), (-5, 1), (4, 4), (12, 12)):
+        with pytest.raises(ValueError, match=f"n_max must be at least "
+                           f"{max(4, t + 1)} for \\|T\\| = {t}, got {n_max}"):
+            random_instance(rng, n_max, t)

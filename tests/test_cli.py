@@ -166,12 +166,16 @@ def test_mrank_both_exits_1_when_the_ranks_differ(capsys, monkeypatch, tmp_path)
 
 def test_mrank_exits_1_when_greedy_and_cover_differ(capsys, monkeypatch, tmp_path,
                                                     k4_file):
-    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min", lambda g, T: (4, None))
+    bounds = []
+    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min",
+                        lambda g, T, lower: bounds.append(lower) or (4, None))
     code, doc, err = run_err(capsys, "mrank", "--witness", "--graph", k4_file)
     assert code == 1 and doc["cover_min"] == 4 and doc["mt"]["rank"] == 5
+    assert bounds == [5]  # the greedy rank bounds the cover search
     assert err == "error: theorem violated: greedy mt rank 5, cover minimum 4\n"
     # both disagreements at once share the one line
-    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min", lambda g, T: (1, None))
+    monkeypatch.setattr(coinrig.cli, "mt_rank_cover_min",
+                        lambda g, T, lower: (1, None))
     monkeypatch.setattr(coinrig.cli, "rt_oracle", _laman_as_rt)
     path = tmp_path / "k3.json"
     path.write_text('{"n":3,"edges":[[0,1],[0,2],[1,2]],"T":[0,1]}')
@@ -198,10 +202,18 @@ def test_xval_exits_1_only_on_a_proven_mismatch(capsys, monkeypatch):
     assert all(m["conjectural"] for m in doc["mismatch_details"])
 
 
-def test_conjecture_command(capsys):
-    code, doc = run(capsys, "conjecture", "--n-max", "5", "--t-size", "4",
-                    "--budget", "5", "--seed", "3")
-    assert code == 0 and doc["candidates"] == []
+def test_conjecture_command(capsys, monkeypatch):
+    code, doc, err = run_err(capsys, "conjecture", "--n-max", "5", "--t-size", "4",
+                             "--budget", "5", "--seed", "3")
+    assert code == 0 and doc["candidates"] == [] and err == ""
+    # a re-verified candidate exits 1 and says so in one stderr line
+    monkeypatch.setattr(coinrig.cli, "conjecture_search",
+                        lambda n_max, t_size, budget, seed: {
+                            "t_size": t_size, "budget": budget,
+                            "candidates": [{"T": [0, 1, 2, 3]}] * 2})
+    code, doc, err = run_err(capsys, "conjecture", "--budget", "5")
+    assert code == 1 and len(doc["candidates"]) == 2
+    assert err == "error: conjecture violated: 2 re-verified candidates\n"
 
 
 def test_fixtures_command(capsys):
@@ -451,7 +463,7 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     all13 = ",".join(map(str, range(13)))
     for argv in (["mrank", *graph, "--T", all13],
                  ["sparse", "--strong", *graph, "--T", all13],
-                 ["xval", "--t-sizes", "13", "--samples", "2"],
+                 ["xval", "--n-max", "14", "--t-sizes", "13", "--samples", "2"],
                  ["conjecture", "--n-max", "14", "--t-size", "13", "--budget", "2"]):
         assert error_line(capsys, *argv) == msg, argv
 
@@ -463,8 +475,13 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     (["xval", "--t-sizes", "0"], "--t-sizes must list integers >= 1, got '0'"),
     (["xval", "--samples", "-3"], "--samples must be at least 0, got -3"),
     (["conjecture", "--budget", "-3"], "--budget must be at least 0, got -3"),
+    (["xval", "--n-max", "-5"], "n_max must be at least 4 for |T| = 1, got -5"),
+    (["xval", "--n-max", "4", "--t-sizes", "2,4"],
+     "n_max must be at least 5 for |T| = 4, got 4"),
+    (["conjecture", "--n-max", "4"], "n_max must be at least 5 for |T| = 4, got 4"),
 ], ids=["xval-t-negative", "xval-t-empty-entry", "xval-t-zero", "xval-samples",
-        "conjecture-budget"])
+        "conjecture-budget", "xval-n-max-negative", "xval-n-max-below-T",
+        "conjecture-n-max-below-T"])
 def test_bad_counts_are_usage_errors(capsys, argv, msg):
     assert error_line(capsys, *argv) == f"error: {msg}\n"
 

@@ -192,25 +192,42 @@ def _dual(aug):
 
 @pytest.mark.parametrize("t_size,count", [(2, 120), (3, 120), (4, 60)])
 def test_cover_min_witness_matches_partition_reference(t_size, count):
-    # the pruned search returns the reference's value and its exact witness;
-    # an edge subset is ranked as the subgraph it spans
+    # the pruned search returns the reference's value and its exact witness,
+    # with no bound and with the greedy rank as its bound (the search then
+    # stops at the first leaf of that value); an edge subset is ranked as
+    # the subgraph it spans
     rng = random.Random(100 + t_size)
     for _ in range(count):
         g, T = random_instance(rng, 8, t_size)
         eprime = [e for e in g.edge_list() if rng.random() < 0.7]
         for ep in (None, eprime):
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "cover minimum with")
-                value, witness = mt_rank_cover_min(
-                    g if ep is None else Graph(g.n, ep), T)
+            h = g if ep is None else Graph(g.n, ep)
             ref_value, ref_witness = reference_cover_min(g, ep, T)
-            assert value == ref_value, (g.edge_list(), sorted(T), ep)
-            assert _dual(witness) == _dual(ref_witness), (g.edge_list(), sorted(T), ep)
+            for lower in (0, greedy_rank(mt_oracle(h, T)).rank):
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "cover minimum with")
+                    value, witness = mt_rank_cover_min(h, T, lower)
+                assert value == ref_value, (g.edge_list(), sorted(T), ep, lower)
+                assert _dual(witness) == _dual(ref_witness), (
+                    g.edge_list(), sorted(T), ep, lower)
     # every edge inside T: the empty family of value 0 under the first S
     g, inside = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)]), [(0, 1), (1, 2)]
     value, witness = mt_rank_cover_min(Graph(5, inside), {0, 1, 2})
     assert (value, _dual(witness)) == (0, {"S": [0, 1], "family": [], "xsets": []})
     assert reference_cover_min(g, inside, {0, 1, 2})[0] == 0
+
+
+def _count_cover_calls(monkeypatch):
+    """Count ``min_thin_cover`` calls from the cover minimum (one per leaf)."""
+    calls = []
+    real = coinrig.matroid.min_thin_cover
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coinrig.matroid, "min_thin_cover", counting)
+    return calls
 
 
 def test_cover_min_calls_min_thin_cover_rarely(monkeypatch):
@@ -222,18 +239,55 @@ def test_cover_min_calls_min_thin_cover_rarely(monkeypatch):
     leaves = sum(sum(1 for _ in partial_partitions(
         tuple(v for v in range(9) if v not in s)))
         for s in subsets_of_two_or_more(T))
-    calls = []
-    real = coinrig.matroid.min_thin_cover
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(coinrig.matroid, "min_thin_cover", counting)
+    calls = _count_cover_calls(monkeypatch)
+    rank = greedy_rank(mt_oracle(g, T)).rank
     value, _ = mt_rank_cover_min(g, T)
-    assert value == greedy_rank(mt_oracle(g, T)).rank
+    assert value == rank
     assert leaves > 13000
-    assert len(calls) < leaves // 10, (len(calls), leaves)
+    assert len(calls) == 6, (len(calls), leaves)
+    # with the greedy rank as its bound the search stops at the first leaf,
+    # which covers the 15 edges by sets alone at the rank 13
+    calls.clear()
+    assert mt_rank_cover_min(g, T, rank)[0] == rank
+    assert len(calls) == 1
+
+
+def test_cover_min_stops_at_the_bound_on_the_fixtures(monkeypatch):
+    # every fig3 base graph reaches its rank 15 at the first leaf, which the
+    # full search needs 11-19 leaves to prove a minimum
+    calls = _count_cover_calls(monkeypatch)
+    counts = {}
+    for name, f in fixtures().items():
+        if not name.startswith("fig3"):
+            continue
+        rank = greedy_rank(mt_oracle(f.graph, f.T)).rank
+        calls.clear()
+        full = mt_rank_cover_min(f.graph, f.T)
+        unbounded = len(calls)
+        calls.clear()
+        bounded = mt_rank_cover_min(f.graph, f.T, rank)
+        counts[name] = (unbounded, len(calls))
+        assert rank == full[0] == bounded[0] == 15
+        assert _dual(full[1]) == _dual(bounded[1]), name
+    assert counts == {"fig3-1": (17, 1), "fig3-2": (15, 1), "fig3-3": (11, 1),
+                      "fig3-4": (19, 1), "fig3-5": (16, 1), "fig3-6": (14, 1),
+                      "fig3-7": (19, 1)}
+
+
+def test_cover_min_bound_stops_only_on_equality():
+    # a bound the minimum never equals changes nothing: 0 below it (unless
+    # the minimum is 0) and one more than the edge count above every total
+    # (the first leaf covers by sets alone, at most one per edge by pairs)
+    cases = [(f.graph, f.T) for f in fixtures().values()]
+    rng = random.Random(11)
+    for _ in range(40):
+        cases.append(random_instance(rng, 8, rng.choice([2, 3])))
+    for g, T in cases:
+        value, witness = mt_rank_cover_min(g, T)
+        for lower in (0, len(g.edges) + 1):
+            got, got_witness = mt_rank_cover_min(g, T, lower)
+            assert (got, _dual(got_witness)) == (value, _dual(witness)), (
+                g.edge_list(), sorted(T), lower)
 
 
 def test_mt_rt_agree_during_greedy():
