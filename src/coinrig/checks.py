@@ -8,9 +8,10 @@ are genuine correctness failures and fail the harness.  The combinatorial
 side reads one full game, on G', ``linalg.pebble_basis_23``; each
 contraction G'/S is decided from that game's final orientation, not by a
 game of its own.  ``check_coincident_rigidity`` plays that game once and
-both sides read it: the algebraic side recounts its cap from the basis and
-the reached sets, and the combinatorial side starts every G'/S from the
-orientation and the rejected edges.
+both sides read it: the algebraic side caps its rank at the basis, which
+the game proved by recounting each rejection as it made it, and the
+combinatorial side starts every G'/S from the orientation and the rejected
+edges.
 """
 
 from __future__ import annotations
@@ -65,14 +66,15 @@ class CoincidenceVerdict:
         return out
 
 
-def _contraction_games(gp: Graph, ts: frozenset[int], game: PebbleGame,
+def _contraction_games(g: Graph, ts: frozenset[int], game: PebbleGame,
                        rejected: Iterable[tuple[int, int]]):
     """(S, game, target) for G' (S empty), then for each G'/S, S inside T.
 
     Every S has |S| >= 2, and target is the rigidity target 2n' - 3 of the
-    graph decided.  ``game`` is the (2,3) game on G' that
-    ``pebble_basis_23`` played on every edge, in ``edge_list`` order, where
-    the game's count rule takes most edges with no pebble search, and
+    graph decided.  ``game`` is the (2,3) game on G', g less its edges
+    inside T, that ``pebble_basis_23(g, ts)`` played on every edge, in
+    ``edge_list`` order, where the game's count rule takes most edges with
+    no pebble search, and
     ``rejected`` holds the edges it rejected, in that order; no game on G'
     is played here.  Each G'/S game starts from that game's final
     orientation by ``PebbleGame.contracted``, which keeps the input's ids
@@ -83,16 +85,16 @@ def _contraction_games(gp: Graph, ts: frozenset[int], game: PebbleGame,
     n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
     rank is short of 2n' - 3.
     """
-    yield frozenset(), game, rigidity_target(gp.n, 2)
+    yield frozenset(), game, rigidity_target(g.n, 2)
     for s in subsets_of_two_or_more(ts):
         sub = game.contracted(s)
-        target = rigidity_target(gp.n - len(s) + 1, 2)
+        target = rigidity_target(g.n - len(s) + 1, 2)
         if sub.accepted > target:  # a (2,3)-sparse set holds at most 2n' - 3
             raise InvariantError(f"the copied state of G'/{sorted(s)} holds "
                                  f"{sub.accepted} edges, above {target}")
         m = min(s)
-        # G' has no edge inside T, so every neighbour of S lies outside it
-        star = sorted({w for t in s for w in gp.neighbors(t)})
+        # G' has no edge inside T: S's neighbours in G' are those in g off T
+        star = sorted({w for t in s for w in g.neighbors(t)} - ts)
         rest = ((a, b) for a, b in rejected if a not in s and b not in s)
         for a, b in chain(((m, w) for w in star), rest):
             if sub.accepted == target:
@@ -101,11 +103,11 @@ def _contraction_games(gp: Graph, ts: frozenset[int], game: PebbleGame,
         yield s, sub, target
 
 
-def _failing_S(gp: Graph, ts: frozenset[int], game: PebbleGame,
+def _failing_S(g: Graph, ts: frozenset[int], game: PebbleGame,
                rejected: Iterable[tuple[int, int]]) -> frozenset[int] | None:
     """``coincident_rigid_combinatorial`` from G''s game, as
     ``_contraction_games`` takes it."""
-    for s, sub, target in _contraction_games(gp, ts, game, rejected):
+    for s, sub, target in _contraction_games(g, ts, game, rejected):
         if sub.accepted != target:
             return s
     return None
@@ -127,9 +129,8 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     ts = g._check_T(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
-    gp = g.minus_T_edges(ts)
-    _, reached, game = pebble_basis_23(gp)
-    return _failing_S(gp, ts, game, reached)
+    _, rejected, game = pebble_basis_23(g, ts)
+    return _failing_S(g, ts, game, rejected)
 
 
 def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
@@ -140,22 +141,31 @@ def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
     the deletion/contraction characterization, is given for 2 <= |T| <= 3
     only, the sizes where it is proved; otherwise it stays None.
 
-    Both read one (2,3) game on G', ``pebble_basis_23``, the game that
-    ``generic_rank`` and ``coincident_rigid_combinatorial`` each play alone.
+    Both read one (2,3) game on G', ``pebble_basis_23``, which recounts
+    each edge it rejects as it rejects it: the game that ``generic_rank``
+    and ``coincident_rigid_combinatorial`` each play alone.
     """
     ts = g._check_T(T)
-    gp = g.minus_T_edges(ts)
-    basis, reached, game = pebble_basis_23(gp)
-    rep = _generic_rank(g, ts, 2, seed, (gp, basis, reached))
+    basis, rejected, game = pebble_basis_23(g, ts)
+    rep = _generic_rank(g, ts, 2, seed, basis)
     combinatorial = failing_S = None
     if 2 <= len(ts) <= 3:
-        failing_S = _failing_S(gp, ts, game, reached)
+        failing_S = _failing_S(g, ts, game, rejected)
         combinatorial = failing_S is None
     return CoincidenceVerdict(g, ts, combinatorial=combinatorial, algebraic=rep.rigid,
                               failing_S=failing_S, reports=(rep,))
 
 
 # -- random instances ----------------------------------------------------
+
+
+def _least_n(n_max: int, t_size: int) -> int:
+    """The fewest vertices ``random_instance`` draws for |T| = t_size,
+    checked against n_max: a smaller n_max is a ``ValueError``."""
+    lo = max(4, t_size + 1)
+    if n_max < lo:
+        raise ValueError(f"n_max must be at least {lo} for |T| = {t_size}, got {n_max}")
+    return lo
 
 
 def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph, frozenset[int]]:
@@ -167,10 +177,7 @@ def random_instance(rng: random.Random, n_max: int, t_size: int) -> tuple[Graph,
     is drawn from ``max(4, t_size + 1)`` to ``n_max``; a smaller ``n_max``
     is a ``ValueError``.
     """
-    lo = max(4, t_size + 1)
-    if n_max < lo:
-        raise ValueError(f"n_max must be at least {lo} for |T| = {t_size}, got {n_max}")
-    n = rng.randint(lo, n_max)
+    n = rng.randint(_least_n(n_max, t_size), n_max)
     if rng.random() < 0.5:
         pairs = list(combinations(range(n), 2))
         m = max(1, min(len(pairs), 2 * n - 3 + rng.randint(-3, 3)))
@@ -192,8 +199,11 @@ def cross_validate(n_max: int, t_sizes: list[int], samples: int,
     match the exact-rank verdict, and the greedy ranks of both matroids must
     agree.  Mismatches are collected (and are theorem violations for |T| at
     most three).  Graphs of any size run; the greedy ``mt`` checker refuses
-    a T over the enumeration cap.
+    a T over the enumeration cap.  An n_max too small for some listed |T|
+    is a ``ValueError`` before any draw, whether or not that size is drawn.
     """
+    for t_size in t_sizes:
+        _least_n(n_max, t_size)
     rng = random.Random(seed)
     t0 = time.perf_counter()
     by_t: dict[int, int] = {}
@@ -238,6 +248,7 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     """
     if t_size < 4:
         raise ValueError("sizes up to three are settled; search needs |T| >= 4")
+    _least_n(n_max, t_size)  # even with no draw
     rng = random.Random(seed)
     t0 = time.perf_counter()
     candidates = []

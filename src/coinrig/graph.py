@@ -162,12 +162,6 @@ class Graph:
         drop = {_canon_edge(a, b) for a, b in F}
         return Graph(self.n, self.edges - drop, self.labels)
 
-    def minus_T_edges(self, T: Iterable[int]) -> "Graph":
-        """Remove every edge with both endpoints in T."""
-        ts = self._check_subset(T, "T")
-        kept = {e for e in self.edges if not (e[0] in ts and e[1] in ts)}
-        return Graph(self.n, kept, self.labels)
-
     def add_edges(self, F: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(self.n, set(self.edges) | {_canon_edge(a, b) for a, b in F},
                      self.labels)

@@ -14,11 +14,12 @@ realization's matrix (``rank_exact``), and of a sample's rows when their
 mod-p rank falls short of its upper bound on the exact-rational path, which
 the vertex count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
 bound is the generic rank of G', the graph minus its T-internal edges, from
-the (2,3) pebble game: a fact about R_2, not the coincidence theorem, so
-the rank verdict stays independent of the strong-sparsity one.  ``check``
-plays that game once and hands its final state to the deletion/contraction
-side too; the rank verdict trusts neither its basis nor its orientation,
-since the cap is recounted and the rank comes from the trials' echelons.
+the (2,3) pebble game on g's edges less those inside T: a fact about R_2,
+not the coincidence theorem, so the rank verdict stays independent of the
+strong-sparsity one.  ``check`` plays that game once and hands its final
+state to the deletion/contraction side too; the rank verdict trusts neither
+its basis nor its orientation, since the game recounts each rejection as it
+makes it and the rank comes from the trials' echelons.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
@@ -27,10 +28,10 @@ In the plane a trial feeds the rows of the bound's basis first: the edges
 the (2,3) game accepts (``pebble_basis_23``), played in ``edge_list`` order
 because its accepted set is the row set fed first; the game's count rule
 takes most of those edges with no pebble search.  At every size the other
-rows are fed only while the rank is short of the bound, and each rejected
-edge is recounted instead: the vertex set its failed gather reached spans
-at least 2|R| - 3 accepted edges, so the edge lies in the R_2 closure of
-the basis and no trial can rank above it.
+rows are fed only while the rank is short of the bound.  The game recounts
+each edge it rejects when it rejects it: the vertex set its failed gather
+reached spans at least 2|R| - 3 edges of the accepted list, so the edge
+lies in the R_2 closure of the basis and no trial can rank above it.
 """
 
 from __future__ import annotations
@@ -309,41 +310,58 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
 # -- the planar cap ----------------------------------------------------
 
 
-def pebble_basis_23(g: Graph) -> tuple[list[tuple[int, int]],
-                                        dict[tuple[int, int], tuple[int, ...]],
-                                        PebbleGame]:
-    """The (2,3) game's accepted edges, the set each rejected edge reached,
-    and the game itself in its final state.
+def pebble_basis_23(g: Graph, T: frozenset[int]) -> tuple[
+        list[tuple[int, int]], list[tuple[int, int]], PebbleGame]:
+    """The (2,3) game on G', g less its edges inside T: its accepted edges,
+    its rejected edges, and the game itself in its final state.
 
-    Edges are played in ``edge_list`` order, so the accepted list, a basis
-    of g in R_2, is the same one ``pebble_rank_23`` counts.  Most inserts
-    need no pebble search: the game's count rule accepts an edge at a
-    vertex of accepted degree at most one outright, and a rejection is
-    always a failed search.  A rejected ab is mapped to R, the vertices
-    reachable from a and b along the game's orientation once its gather
-    failed: the gather leaves l = 3 pebbles on a and b and none on R's
-    other vertices, and every out-edge of R stays in R, so R spans at least
-    2|R| - 3 accepted edges (Lee-Streinu 2008).  ``reached``'s keys are
-    the rejected edges in ``edge_list`` order.
+    g's edges are played in ``edge_list`` order, those inside T skipped, so
+    the accepted list, a basis of G' in R_2, is the one ``pebble_rank_23``
+    counts on G', and both lists keep that order.  Most inserts need no
+    pebble search: the game's count rule accepts an edge at a vertex of
+    accepted degree at most one outright, and a rejection is always a
+    failed search.
+
+    Each rejection is proved as it is made, recounted from the accepted
+    list, not from the orientation.  A rejected ab needs a set R that holds
+    a and b and spans at least 2|R| - 3 accepted edges: R is the set of
+    vertices reachable from a and b once the gather failed, which leaves
+    l = 3 pebbles on a and b and none on R's other vertices, with every
+    out-edge of R inside R (Lee-Streinu 2008).  The accepted edges are
+    independent (the game accepts only edges that keep its set sparse), and
+    no planar realization ranks the rows of R's edges above 2|R| - 3,
+    coincident points included, so ab's row is in their span generically.
+    The generic rank of G' is then the basis size, and no sampled trial
+    ranks above it.  A rejection that fails its recount raises
+    ``InvariantError``.
 
     This is the one game on G' that ``check_coincident_rigidity`` plays:
-    its algebraic side takes the basis and the reached sets, and its
-    combinatorial side starts every G'/S game from the final orientation.
+    its algebraic side takes the basis, and its combinatorial side starts
+    every G'/S game from the final orientation and the rejected edges.
     Neither ``_reach`` nor ``PebbleGame.contracted`` changes the game.
     """
     game = PebbleGame(g.n)
-    basis, reached = [], {}
+    basis, rejected = [], []
+    up: list[list[int]] = [[] for _ in range(g.n)]
     for a, b in g.edge_list():
+        if a in T and b in T:
+            continue
         if game.try_insert(a, b):
             basis.append((a, b))
-        else:
-            reached[(a, b)] = _reach(game.out, a, b)
-    return basis, reached, game
+            up[a].append(b)
+            continue
+        R = _reach(game.out, a, b)
+        spanned = sum(len(R.intersection(up[v])) for v in R)
+        if spanned < 2 * len(R) - 3:
+            raise InvariantError(
+                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
+                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
+        rejected.append((a, b))
+    return basis, rejected, game
 
 
-def _reach(out: list[list[int]], a: int, b: int) -> tuple[int, ...]:
-    """Vertices reachable from a or b along ``out``, a and b included, as a
-    tuple: it is kept until the recount, and takes less memory than a set."""
+def _reach(out: list[list[int]], a: int, b: int) -> set[int]:
+    """Vertices reachable from a or b along ``out``, a and b included."""
     seen = {a, b}
     stack = [a, b]
     while stack:
@@ -351,37 +369,7 @@ def _reach(out: list[list[int]], a: int, b: int) -> tuple[int, ...]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return tuple(seen)
-
-
-def _prove_cap(g: Graph, basis: list[tuple[int, int]],
-               reached: dict[tuple[int, int], tuple[int, ...]]) -> None:
-    """Raise InvariantError unless every edge of g off ``basis`` is in its R_2
-    closure, recounted from the accepted list, not from the orientation.
-
-    Each such ab needs a set R that holds a and b and spans at least
-    2|R| - 3 basis edges.  Those edges are independent (the game accepts
-    only edges that keep its set sparse), and no planar realization ranks
-    the rows of R's edges above 2|R| - 3, coincident points included, so
-    ab's row is in their span generically.  The generic rank of g is then
-    |basis|, and no sampled trial ranks above it.
-    """
-    missing = g.edges.difference(basis, reached)
-    if missing:
-        raise InvariantError(f"rejected edge {min(missing)} is not in the R_2 "
-                             f"closure of the accepted edges: it has no set")
-    if not reached:
-        return
-    up: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in basis:
-        up[a].append(b)
-    for (a, b), R in reached.items():
-        R = set(R)
-        spanned = sum(len(R.intersection(up[v])) for v in R)
-        if a not in R or b not in R or spanned < 2 * len(R) - 3:
-            raise InvariantError(
-                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
-                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
+    return seen
 
 
 def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankReport:
@@ -415,34 +403,30 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     feeds the basis rows first, then the rest in ``edge_list`` order.  At
     every size a trial stops at the row that brings its rank to the cap,
     most often the last basis row, so the rows of dependent edges, each
-    reduced all the way to zero, are rarely fed; the cap is proved instead
-    (``_prove_cap``), and a rejection that fails its recount raises
-    ``InvariantError``.  A trial that falls short has been fed every row,
-    and on the exact-rational path its confirmed rank is checked against
-    the cap: one above it raises ``InvariantError`` too.
+    reduced all the way to zero, are rarely fed; the cap is proved instead,
+    by the game's recount of each rejection as it makes it, and a rejection
+    that fails its recount raises ``InvariantError``.  A trial that falls
+    short has been fed every row, and on the exact-rational path its
+    confirmed rank is checked against the cap: one above it raises
+    ``InvariantError`` too.
     """
     ts = _check_sample_args(g, T, d)
-    if d != 2:
-        return _generic_rank(g, ts, d, seed)
-    gp = g.minus_T_edges(ts)
-    basis, reached, _ = pebble_basis_23(gp)
-    return _generic_rank(g, ts, d, seed, (gp, basis, reached))
+    basis = pebble_basis_23(g, ts)[0] if d == 2 else None
+    return _generic_rank(g, ts, d, seed, basis)
 
 
 def _generic_rank(g: Graph, ts: frozenset[int], d: int, seed: int,
-                  cap_game: tuple | None = None) -> RankReport:
-    """``generic_rank`` once T and d are checked.  In the plane ``cap_game``
-    is (G', basis, reached), the last two from ``pebble_basis_23(G')``,
-    which ``check_coincident_rigidity`` plays once for both of its sides.
-    The cap is proved here by ``_prove_cap``'s recount, whoever played the
-    game, and the trials' echelons give the lower bound.
+                  basis: list[tuple[int, int]] | None) -> RankReport:
+    """``generic_rank`` once T and d are checked.  In the plane ``basis`` is
+    the accepted list of ``pebble_basis_23(g, ts)``, the game that
+    ``check_coincident_rigidity`` plays once for both of its sides and
+    that proved the cap as it played; otherwise it is None.  The trials'
+    echelons give the lower bound.
     """
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     order = g.edge_list()
     if d == 2:
-        gp, basis, reached = cap_game
-        _prove_cap(gp, basis, reached)
         cap = len(basis)
         kept = set(basis)
         order = basis + [e for e in order if e not in kept]

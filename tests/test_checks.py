@@ -29,7 +29,7 @@ def test_fixture_shapes():
         f = fx[f"fig3-{i}"]
         assert (f.graph.n, len(f.graph.edges)) == (9, 15)
         assert f.T == frozenset({0, 1, 2})
-        assert f.graph.minus_T_edges(f.T) == f.graph  # no T-internal edges
+        assert f.graph.delete_edges(combinations(f.T, 2)) == f.graph  # no T-internal edges
     assert (fx["fig4"].graph.n, len(fx["fig4"].graph.edges)) == (8, 13)
     assert (fx["k55"].graph.n, len(fx["k55"].graph.edges)) == (10, 25)
     # the coincident pair sits on opposite sides of the bipartition
@@ -90,7 +90,7 @@ def test_characterization_equivalence_random_corpus():
 
 def _replayed_combinatorial(g, T):
     """The verdict with every G'/S played from scratch on its own edges."""
-    gp = g.minus_T_edges(T)
+    gp = g.delete_edges(combinations(T, 2))
     if pebble_rank_23(gp) != rigidity_target(gp.n, 2):
         return frozenset()
     for s in subsets_of_two_or_more(T):
@@ -101,9 +101,9 @@ def _replayed_combinatorial(g, T):
 
 
 def _assert_contraction_games_match(g, T):
-    gp = g.minus_T_edges(T)
-    _, reached, g_prime_game = pebble_basis_23(gp)
-    for s, game, target in _contraction_games(gp, T, g_prime_game, reached):
+    gp = g.delete_edges(combinations(T, 2))
+    _, rejected, g_prime_game = pebble_basis_23(g, T)
+    for s, game, target in _contraction_games(g, T, g_prime_game, rejected):
         gs = gp.contract(s) if s else gp
         assert game.n == gp.n
         assert target == rigidity_target(gs.n, 2)
@@ -147,23 +147,24 @@ def test_contraction_games_match_replayed_games_above_the_exact_limit():
 
 
 def test_games_play_edge_list_order_then_star_then_rejected(monkeypatch):
-    # the G' game (pebble_basis_23) inserts gp.edge_list() in that order and
-    # lists its rejected edges in that order; _contraction_games plays no G'
-    # game, and each G'/S game takes its star at min(S), then the rejected
-    # edges that avoid S, in edge_list order, until it holds its target
+    # the G' game (pebble_basis_23) inserts the edges of g not inside T in
+    # edge_list order and lists its rejected edges in that order;
+    # _contraction_games plays no G' game, and each G'/S game takes its star
+    # at min(S), then the rejected edges that avoid S, in edge_list order,
+    # until it holds its target
     g = henneberg_plus(60, 4)
     T = frozenset({18, 23, 30})
-    gp = g.minus_T_edges(T)
+    gp = g.delete_edges(combinations(T, 2))
     game = PebbleGame(gp.n)
     rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
     inserts = []
     real = PebbleGame.try_insert
     monkeypatch.setattr(PebbleGame, "try_insert",
                         lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
-    _, reached, shared = pebble_basis_23(gp)
-    assert inserts == gp.edge_list() and list(reached) == rejected
+    _, played_rejected, shared = pebble_basis_23(g, T)
+    assert inserts == gp.edge_list() and played_rejected == rejected
     inserts.clear()
-    games = _contraction_games(gp, T, shared, reached)
+    games = _contraction_games(g, T, shared, rejected)
     assert next(games)[1] is shared
     assert inserts == []
     for i, (s, _, _) in enumerate(games):
@@ -194,9 +195,9 @@ def test_contractions_reuse_the_g_prime_game(monkeypatch):
     # and the contractions take 282 inserts, two G' games took 519
     games = []
 
-    def counted(gp):
-        games.append(gp)
-        return pebble_basis_23(gp)
+    def counted(g, T):
+        games.append(g)
+        return pebble_basis_23(g, T)
 
     for module in (coinrig.linalg, checks):
         monkeypatch.setattr(module, "pebble_basis_23", counted)
@@ -241,7 +242,7 @@ def test_necessity_direction_standalone():
         if not generic_rank(g, T, 2, seed=rng.getrandbits(16)).rigid:
             continue
         hits += 1
-        gp = g.minus_T_edges(T)
+        gp = g.delete_edges(combinations(T, 2))
         for s in subsets_of_two_or_more(T):
             gc = gp.contract(s)
             assert pebble_rank_23(gc) == rigidity_target(gc.n, 2)

@@ -479,9 +479,17 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
     (["xval", "--n-max", "4", "--t-sizes", "2,4"],
      "n_max must be at least 5 for |T| = 4, got 4"),
     (["conjecture", "--n-max", "4"], "n_max must be at least 5 for |T| = 4, got 4"),
+    # n_max is checked against every listed |T| before the first draw
+    (["xval", "--n-max", "-5", "--samples", "0"],
+     "n_max must be at least 4 for |T| = 1, got -5"),
+    (["conjecture", "--n-max", "1", "--budget", "0"],
+     "n_max must be at least 5 for |T| = 4, got 1"),
+    (["xval", "--n-max", "4", "--t-sizes", "1,4", "--samples", "1"],
+     "n_max must be at least 5 for |T| = 4, got 4"),
 ], ids=["xval-t-negative", "xval-t-empty-entry", "xval-t-zero", "xval-samples",
         "conjecture-budget", "xval-n-max-negative", "xval-n-max-below-T",
-        "conjecture-n-max-below-T"])
+        "conjecture-n-max-below-T", "xval-n-max-no-draw", "conjecture-n-max-no-draw",
+        "xval-n-max-undrawn-T"])
 def test_bad_counts_are_usage_errors(capsys, argv, msg):
     assert error_line(capsys, *argv) == f"error: {msg}\n"
 

@@ -173,7 +173,7 @@ def test_reduce_low_degree_past_the_enumeration_cap():
     # the input and candidate checks ask the mt oracle, which plays pebble
     # games at any size
     T = frozenset({0, 1, 2})
-    g = henneberg_random(40, 3).minus_T_edges(T)
+    g = henneberg_random(40, 3).delete_edges(combinations(T, 2))
     base = Graph(40, greedy_rank(mt_oracle(g, T)).base)
     assert reduce_low_degree(zero_extension(base, 0, 3), T, 40) == base
     u, v = next(e for e in base.edge_list() if not set(e) & T)

@@ -153,15 +153,6 @@ def test_delete_edges():
     assert g.delete_edges([(0, 1), (0, 2), (1, 2)]).edges == frozenset()
 
 
-def test_minus_T_edges():
-    K4 = complete_graph(4)
-    assert len(K4.minus_T_edges({0, 1, 2}).edges) == 3
-    g = fig4()
-    assert g.minus_T_edges({0, 1, 2}) == g  # no T-internal edges in the fixture
-    K3 = complete_graph(3)
-    assert K3.minus_T_edges({0, 1, 2}).edges == frozenset()
-
-
 def test_add_and_remove_vertex():
     g = Graph(2, [(0, 1)]).add_vertex([0, 1])
     assert g == complete_graph(3)

@@ -10,7 +10,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import coinrig.checks
 import coinrig.constructions
 import coinrig.linalg
 from coinrig import InvariantError
@@ -18,7 +17,7 @@ from coinrig.checks import fixtures
 from coinrig.cli import main
 from coinrig.constructions import henneberg_random, reduce_low_degree
 from coinrig.graph import Graph, graph_to_json
-from coinrig.linalg import pebble_basis_23 as linalg_basis_23
+from coinrig.pebble import PebbleGame
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,21 +45,17 @@ H40 = graph_to_json(henneberg_random(40, 1))
 FIG4 = graph_to_json(fixtures()["fig4"].graph, fixtures()["fig4"].T)
 
 
-def _drop_a_basis_edge(basis_23):
-    """A cap game that loses its first accepted edge, listed nowhere."""
-    def forged(g):
-        basis, reached, game = basis_23(g)
-        return basis[1:], reached, game
-    return forged
+def _refuse_the_first_insert(monkeypatch):
+    """A (2,3) game that rejects the first edge it is offered, which the
+    real game, still empty, accepts."""
+    real = PebbleGame.try_insert
+    offered = []
 
+    def forged(game, a, b):
+        offered.append((a, b))
+        return len(offered) > 1 and real(game, a, b)
 
-def _reject_a_basis_edge(basis_23):
-    """A cap game that reports its first accepted edge as rejected, with
-    every vertex as the set it reached."""
-    def forged(g):
-        basis, reached, game = basis_23(g)
-        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}, game
-    return forged
+    monkeypatch.setattr(PebbleGame, "try_insert", forged)
 
 
 @pytest.mark.parametrize("verb", ["rank", "check"])
@@ -79,24 +74,23 @@ def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_pa
 
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb):
-    # on 4 and on 40 vertices alike the basis rows reach the forged cap and
-    # no other row is fed, so only the recount of the rejection can catch it;
-    # rank plays the game in linalg, check in checks for both of its sides
+    # on 4 and on 40 vertices alike the basis rows would reach the forged
+    # cap and no other row would be fed, so only the recount of the
+    # rejection, made as the game makes it, can catch it; rank and check
+    # both play the game through pebble_basis_23
     graph = tmp_path / "graph.json"
     for text in (K4, H40):
         graph.write_text(text)
-        for forge in (_reject_a_basis_edge, _drop_a_basis_edge):
-            for module in (coinrig.linalg, coinrig.checks):
-                monkeypatch.setattr(module, "pebble_basis_23", forge(linalg_basis_23))
-            assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: invariant violated: rejected edge ")
-            assert err.count("\n") == 1
+        _refuse_the_first_insert(monkeypatch)
+        assert main([verb, "--graph", str(graph), "--T", "0,1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invariant violated: rejected edge ")
+        assert err.count("\n") == 1
 
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, json, sys
-    import coinrig.checks, coinrig.linalg, coinrig.matroid, coinrig.pebble
+    import coinrig.linalg, coinrig.matroid, coinrig.pebble
     import coinrig.sparsity
     from coinrig import InvariantError
     from coinrig.cli import main
@@ -118,28 +112,24 @@ SCRIPT = textwrap.dedent("""
     with contextlib.redirect_stderr(err):
         code = main(["mrank", "--graph", sys.argv[1], "--T", "0,1", "--witness"])
 
-    # a cap game that drops an accepted edge and one that reports it as
-    # rejected, on 4 and on 40 vertices: the recount catches each, in rank's
-    # game (linalg) and in the one game check plays for both sides (checks)
-    real_basis = coinrig.linalg.pebble_basis_23
+    # a cap game that rejects the first edge it is offered, on 4 and on 40
+    # vertices: its recount catches it, in rank and in check
+    real_insert = coinrig.pebble.PebbleGame.try_insert
 
-    def dropped(g):
-        basis, reached, game = real_basis(g)
-        return basis[1:], reached, game
-
-    def rejected(g):
-        basis, reached, game = real_basis(g)
-        return basis[1:], {**reached, basis[0]: tuple(range(g.n))}, game
+    def refuse_first(offered):
+        def forged(game, a, b):
+            offered.append((a, b))
+            return len(offered) > 1 and real_insert(game, a, b)
+        return forged
 
     recount_err = io.StringIO()
     recount_codes = []
     with contextlib.redirect_stderr(recount_err), contextlib.redirect_stdout(io.StringIO()):
-        for forged in (dropped, rejected):
-            coinrig.linalg.pebble_basis_23 = coinrig.checks.pebble_basis_23 = forged
-            for path in sys.argv[1:3]:
-                recount_codes += [main([verb, "--graph", path, "--T", "0,1,2"])
-                                  for verb in ("rank", "check")]
-    coinrig.linalg.pebble_basis_23 = coinrig.checks.pebble_basis_23 = real_basis
+        for path in sys.argv[1:3]:
+            for verb in ("rank", "check"):
+                coinrig.pebble.PebbleGame.try_insert = refuse_first([])
+                recount_codes.append(main([verb, "--graph", path, "--T", "0,1"]))
+    coinrig.pebble.PebbleGame.try_insert = real_insert
 
     # an exact kernel that puts fig4's confirmed rank above its cap
     real_exact = coinrig.linalg._exact_rank
@@ -195,9 +185,9 @@ def test_invariants_fire_under_optimize(tmp_path):
     assert out["rank_code"] == 1
     assert out["rank_stderr"] == ("error: invariant violated: trial 0 has rank 14, "
                                   "above its bound 13\n")
-    assert out["recount_codes"] == [1] * 8
+    assert out["recount_codes"] == [1] * 4
     lines = out["recount_stderr"].splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 4
     assert all(ln.startswith("error: invariant violated: rejected edge ") for ln in lines)
     assert out["check_code"] == 1
     assert out["check_stderr"].startswith("error: invariant violated: the copied state")

@@ -480,7 +480,7 @@ def _hinged_henneberg(rng, n, t_size, extra):
     """A Henneberg graph less its edges inside T, plus ``extra`` edges from
     T to other vertices: common T-neighbours make family conditions bite."""
     T = frozenset(rng.sample(range(n), t_size))
-    g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T)
+    g = henneberg_random(n, rng.getrandbits(32)).delete_edges(combinations(T, 2))
     others = [v for v in range(n) if v not in T]
     hinges = [(t, x) for x in rng.sample(others, extra)
               for t in rng.sample(sorted(T), rng.randint(2, t_size))]

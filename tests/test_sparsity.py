@@ -297,7 +297,7 @@ def _hinged_graph(rng):
     violations."""
     n = rng.randint(4, 8)
     T = frozenset(rng.sample(range(n), rng.randint(2, min(4, n - 1))))
-    g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T)
+    g = henneberg_random(n, rng.getrandbits(32)).delete_edges(combinations(T, 2))
     extra = [(t, x) for x in range(n) if x not in T and rng.random() < 0.35
              for t in rng.sample(sorted(T), rng.randint(2, len(T)))]
     return g.add_edges(extra), T
@@ -425,7 +425,7 @@ def test_decisions_answer_past_the_enumeration_cap(n):
         T = frozenset(rng.sample(range(n), t_size))
         others = [v for v in range(n) if v not in T]
         hinges = [(t, x) for x in rng.sample(others, 4) for t in T]
-        g = henneberg_random(n, rng.getrandbits(32)).minus_T_edges(T).add_edges(hinges)
+        g = henneberg_random(n, rng.getrandbits(32)).delete_edges(combinations(T, 2)).add_edges(hinges)
         base = Graph(n, greedy_rank(mt_oracle(g, T)).base)
         assert mt_oracle(base, T).test(base.edges)
         assert is_strongly_T_sparse(base, T) is None
