@@ -70,7 +70,7 @@ def replace_rigid_subgraph(g: Graph, Y: Iterable[int],
     The m >= 3 class representatives end up pairwise adjacent; everything
     outside Y is untouched.
     """
-    ys = frozenset(Y)
+    ys = g._check_subset(Y, "Y")
     parts = [frozenset(p) for p in partition]
     if len(parts) < 3:
         raise ValueError("the partition must have at least three classes")

@@ -244,6 +244,8 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
             try:
                 i = int(k)
             except ValueError:
+                i = None
+            if i is None or k != str(i):  # only the spelling graph_to_json writes
                 raise GraphParseError(f"label key {k!r} is not a vertex id")
             if not 0 <= i < n:
                 raise GraphParseError(f"label key {k!r} outside 0..{n - 1}")

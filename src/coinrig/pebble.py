@@ -1,22 +1,23 @@
-"""Pebble games: rank computation in count matroids, chiefly R_2.
+"""Pebble games: rank computation in R_2, the (2,3) count matroid.
 
-Each vertex v starts with cap[v] pebbles (two by default).  An edge is
-accepted when l + 1 pebbles (four by default) can be gathered on its
-endpoints; accepted edges form a maximal sparse subset of the input, whose
-size is the rank of the edge set.  Pebbles are fetched by depth-first
-search along accepted-edge orientations, reversing the path walked.  A
-game's orientation also starts the game of a contraction of its graph
+Each vertex starts with two pebbles.  An edge is accepted when four
+pebbles can be gathered on its endpoints; accepted edges form a maximal
+(2,3)-sparse subset of the input, whose size is the rank of the edge set.
+Pebbles are fetched by depth-first search along accepted-edge
+orientations, reversing the path walked.  The game takes parallel edges,
+so it also ranks a multigraph such as a contraction G/S.  A game's
+orientation also starts the game of a contraction of its graph
 (``PebbleGame.contracted``), which then needs only the edges it lacks.
 That game keeps the input's vertex ids: the contracted set is merged into
 its smallest vertex, and its other vertices are left isolated.
 
-A (2,3) game with the default caps also takes most edges without a search,
-by a count rule: an edge ab that is not yet accepted, at a vertex v with at
-most one accepted edge, keeps the accepted set F sparse.  For a vertex set
-X holding a and b with |X| >= 3, i_F(X) <= i_F(X - v) + 1 <= 2|X| - 4,
-and {a, b} spans no edge of F, so F + ab is (2,3)-sparse.  The rule
-changes no accepted set, since whether an edge is accepted depends only on
-the accepted edges before it; it changes only the orientation.
+The game also takes most edges without a search, by a count rule: an edge
+ab that is not yet accepted, at a vertex v with at most one accepted edge,
+keeps the accepted set F sparse.  For a vertex set X holding a and b with
+|X| >= 3, i_F(X) <= i_F(X - v) + 1 <= 2|X| - 4, and {a, b} spans no edge
+of F, so F + ab is (2,3)-sparse.  The rule changes no accepted set, since
+whether an edge is accepted depends only on the accepted edges before it;
+it changes only the orientation.
 """
 
 from __future__ import annotations
@@ -25,30 +26,26 @@ from .graph import Graph
 
 
 class PebbleGame:
-    """Incremental pebble game on n vertices, (2,3) unless ``cap``/``l`` say.
+    """Incremental (2,3) pebble game on n vertices.
 
-    Out-degree plus pebbles is cap[v] at every vertex, so each out-edge list
-    holds at most cap[v] heads.  The searches share one visited array,
-    marked with a fresh stamp per search, and one parent array.
+    Out-degree plus pebbles is two at every vertex, so each out-edge list
+    holds at most two heads.  The searches share one visited array, marked
+    with a fresh stamp per search, and one parent array.
 
-    With the default caps and l = 3, ``deg[v]`` counts the accepted edges
-    at v, and an edge that the count rule accepts (see the module
-    docstring) is taken with no search, out of its end v of degree at most
-    one: v has a pebble, as out-degree(v) <= deg[v] <= 1, so out-degree
-    plus pebbles stays two everywhere and the accepted set stays sparse,
-    which makes the orientation a state of the game (Lee-Streinu 2008), as
-    in ``contracted``.  Other games (custom caps, other l) keep ``deg``
-    None and always search.
+    ``deg[v]`` counts the accepted edges at v, and an edge that the count
+    rule accepts (see the module docstring) is taken with no search, out of
+    its end v of degree at most one: v has a pebble, as out-degree(v) <=
+    deg[v] <= 1, so out-degree plus pebbles stays two everywhere and the
+    accepted set stays sparse, which makes the orientation a state of the
+    game (Lee-Streinu 2008), as in ``contracted``.
     """
 
-    def __init__(self, n: int, cap: list[int] | None = None, l: int = 3):
+    def __init__(self, n: int):
         self.n = n
-        self.cap = [2] * n if cap is None else cap
-        self.need = l + 1
-        self.pebbles = list(self.cap)
+        self.pebbles = [2] * n
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted = 0
-        self.deg = [0] * n if cap is None and l == 3 else None
+        self.deg = [0] * n
         self._seen = [0] * n
         self._stamp = 0
         self._parent = [0] * n
@@ -61,8 +58,6 @@ class PebbleGame:
         each out-edge list holds at most two heads.
         """
         deg = self.deg
-        if deg is None:
-            return -1
         v = a if deg[a] <= deg[b] else b
         if deg[v] > 1 or b in self.out[a] or a in self.out[b]:
             return -1
@@ -100,18 +95,18 @@ class PebbleGame:
         return True
 
     def _search(self, a: int, b: int) -> bool:
-        """Gather l + 1 pebbles on a and b by fetches; whether that worked."""
-        p, cap, need = self.pebbles, self.cap, self.need
-        while p[a] < cap[a] and p[a] + p[b] < need and self._fetch(a, b):
+        """Gather four pebbles on a and b by fetches; whether that worked."""
+        p = self.pebbles
+        while p[a] < 2 and self._fetch(a, b):
             pass
-        while p[b] < cap[b] and p[a] + p[b] < need and self._fetch(b, a):
+        while p[b] < 2 and self._fetch(b, a):
             pass
-        return p[a] + p[b] >= need
+        return p[a] + p[b] == 4
 
     def gather(self, a: int, b: int) -> bool:
         """Whether ab keeps the accepted set sparse; accepts nothing.
 
-        That needs l + 1 pebbles gathered on the endpoints: l would only
+        That needs four pebbles gathered on the endpoints: three would only
         witness sparsity before the insertion.  Pebbles may move, but the
         accepted edges stay the same.  An edge the count rule accepts is
         answered with no search, and no pebble moves.
@@ -137,9 +132,8 @@ class PebbleGame:
         self.accepted += 1
         self.pebbles[v] -= 1
         self.out[v].append(w)
-        if self.deg is not None:
-            self.deg[v] += 1
-            self.deg[w] += 1
+        self.deg[v] += 1
+        self.deg[w] += 1
         return True
 
     def contracted(self, S: frozenset[int]) -> PebbleGame:
@@ -151,13 +145,11 @@ class PebbleGame:
         The accepted edges left avoid S, so they stay sparse on the
         contracted graph, and out-degree plus pebbles is two everywhere: any
         such orientation is a state of the game (Lee-Streinu 2008), so
-        further ``try_insert`` calls extend the accepted set to a maximal
-        sparse one.  The copy counts the degrees of the edges it keeps.
-        Only the default (2,3) game can be copied: any other raises
-        ``ValueError``.
+        further ``try_insert`` calls, fed edge images with S merged into
+        min(S) and parallel images kept, extend the accepted set to a
+        maximal sparse one of the contracted graph.  The copy counts the
+        degrees of the edges it keeps.
         """
-        if self.deg is None:
-            raise ValueError("only the default (2,3) game can be contracted")
         game = PebbleGame(self.n)
         deg = game.deg
         for v, heads in enumerate(self.out):

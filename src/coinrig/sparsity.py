@@ -11,14 +11,14 @@ strictly lowers the family value, so any violating family reduces to one of
 this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
-``is_S_sparse`` and ``is_strongly_T_sparse`` decide by pebble games, the
-proof of which is in the ``StrongSparsityChecker`` docstring: one (2,3)
-game for the set capacities, a count of the edges inside S, and per S one
-game of a count matroid M_S whose nullity is the heaviest family weight.
-A verdict costs O(2^|T|) games.  Only a violation runs the bitmask
-engine, to name its canonical witness, by one call per kind:
-``_set_violation`` walks the vertex sets in witness order, counting
-induced edges as it goes, until one breaks its capacity, and
+``is_S_sparse`` and ``is_strongly_T_sparse`` decide by (2,3) pebble games,
+the proof of which is in the ``StrongSparsityChecker`` docstring: one on G
+for the set capacities, a count of the edges inside S, and per S one on
+G/S, with S merged into min S and parallel edges kept, whose nullity is
+the heaviest family weight.  A verdict costs O(2^|T|) games.  Only a
+violation runs the bitmask engine, to name its canonical witness, by one
+call per kind: ``_set_violation`` walks the vertex sets in witness order,
+counting induced edges as it goes, until one breaks its capacity, and
 ``_family_violation`` builds a table of induced edge counts over all
 vertex subsets and searches the weighted candidate blocks of the failing
 S.
@@ -306,7 +306,7 @@ def _family_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
             cands.append((b, w))
         b = (b - 1) & free
     blocks = _family_witness(cands, 2 * len(S) - 2)
-    _require(blocks is not None, "the family game's nullity exceeds 2|S| - 2, "
+    _require(blocks is not None, "the nullity of G/S exceeds 2|S| - 2, "
              "but no family of blocks is that heavy")
     fam = CompatibleFamily(S, tuple(S | frozenset(_bits(b)) for b in blocks))
     lhs = sum(i_cnt[s_mask | b] for b in blocks)
@@ -322,18 +322,11 @@ def _check_cap(n: int, what: str = "graph"):
         raise ValueError(f"{what} has {n} vertices, enumeration cap is {DEFAULT_CAP}")
 
 
-def _family_game(n: int, S: frozenset[int]) -> PebbleGame:
-    """The pebble game of M_S on n vertices: S contracted to min(S), which
-    holds no pebble, two pebbles elsewhere, and l = 1."""
-    cap = [2] * n
-    cap[min(S)] = 0
-    return PebbleGame(n, cap, l=1)
-
-
 def _family_breaks(g: Graph, ss: frozenset[int]) -> bool:
-    """Whether g's nullity in M_S exceeds 2|S| - 2: with g (2,3)-sparse and
-    no edge inside S, whether some S-family breaks its capacity."""
-    s, game = min(ss), _family_game(g.n, ss)
+    """Whether the nullity of G/S in the (2,3) count exceeds 2|S| - 2: with
+    g (2,3)-sparse and no edge inside S, whether some S-family breaks its
+    capacity.  G/S merges S into s = min S and keeps parallel edges."""
+    s, game = min(ss), PebbleGame(g.n)
     slack = 2 * len(ss) - 2
     for a, b in g.edge_list():
         if not game.try_insert(s if a in ss else a, s if b in ss else b):
@@ -350,10 +343,11 @@ def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     family, in witness order (module docstring) is returned as the witness.
     Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
     its capacity iff an edge lies inside S or the (2,3) game rejects an
-    edge; failing that, some family does iff the nullity in M_S exceeds
-    2|S| - 2.  Only naming a violation enumerates vertex sets (the 2^n
-    subset table only for a family), so a sparse graph of any size gets
-    None, and a violation on more than ``DEFAULT_CAP`` vertices is refused.
+    edge; failing that, some family does iff the nullity of G/S in the
+    (2,3) count exceeds 2|S| - 2.  Only naming a violation enumerates
+    vertex sets (the 2^n subset table only for a family), so a sparse graph
+    of any size gets None, and a violation on more than ``DEFAULT_CAP``
+    vertices is refused.
     """
     ss = g._check_T(S, "S")
     if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
@@ -382,10 +376,10 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None
     (2,3)-count), so one (2,3) pebble game stands for them, and a
     violation is reported under S = {min T}.  Once it passes, the only set
     that can break a larger S's capacity is a pair S with an edge, and
-    pairs come before larger sets.  Each S then plays its M_S game (see
-    ``StrongSparsityChecker``): O(2^|T|) games per verdict at any size, and
-    a search over vertex sets only to name a violating set or family
-    (a subset table only for a family), which refuses more than
+    pairs come before larger sets.  Each S then plays the (2,3) game on G/S
+    (see ``StrongSparsityChecker``): O(2^|T|) games per verdict at any
+    size, and a search over vertex sets only to name a violating set or
+    family (a subset table only for a family), which refuses more than
     ``DEFAULT_CAP`` vertices.  So does a T over the cap.
     """
     ts = g._check_T(T)
@@ -414,51 +408,50 @@ class StrongSparsityChecker:
     of the module docstring).
 
     The family condition bounds a nullity.  Contract S to s = min S,
-    keeping parallel edges, with capacity c(s) = 0 and c(v) = 2 elsewhere.
-    M_S is the count matroid on G/S in which a nonempty edge set E' has at
-    most f(E') = c(V(E')) - 1 edges; f is nondecreasing and intersecting
-    submodular (for E1, E2 sharing an edge, f(E1) + f(E2) =
-    c(V1 | V2) + c(V1 & V2) - 2 >= f(E1 | E2) + f(E1 & E2)).  By Edmonds'
-    rank formula, the nullity of F in M_S is the largest total excess
-    |F_i| - f(F_i) of disjoint nonempty parts F_i of F.  Only parts of
-    positive excess count, and each spans s, or it would have 2|V(F_i)|
-    edges of G against (2,3)-sparsity.  Two that share a vertex besides s
-    merge into one whose excess beats their sum by c(V_i & V_j) - 1 >= 1.
-    So an optimum takes parts s|B_i with disjoint B_i and every edge they
-    span: the i(S|B_i) edges of S|B_i (none lies inside S), of excess
-    w(B_i).  The nullity is therefore the heaviest family weight, and S's
-    condition says that F's nullity in M_S is at most 2|S| - 2.
+    keeping parallel edges; no edge of F lies inside S, so none becomes a
+    loop.  In the (2,3) count matroid of G/S a nonempty edge set E' has at
+    most f(E') = 2|V(E')| - 3 edges; f is nondecreasing and intersecting
+    submodular (for E1, E2 sharing an edge, |V1 & V2| >= 2 and f(E1) +
+    f(E2) = f(E1 | E2) + 2|V1 & V2| - 3 >= f(E1 | E2) + f(E1 & E2)).  By
+    Edmonds' rank formula, the nullity of F in it is the largest total
+    excess |F_i| - f(F_i) of disjoint nonempty parts F_i of F.  Only parts
+    of positive excess count, and each spans s: one that avoids s is a set
+    of edges of G, which F's (2,3)-sparsity holds to f.  Two that share a
+    vertex besides s merge into one whose excess beats their sum by
+    2|V_i & V_j| - 3 >= 1.  So an optimum takes parts s|B_i with disjoint
+    B_i and every edge they span: the i(S|B_i) edges of S|B_i (none lies
+    inside S) against f = 2|B_i| - 1, an excess of w(B_i).  The nullity is
+    therefore the heaviest family weight, and S's condition says that F's
+    nullity on G/S is at most 2|S| - 2.
 
-    The checker holds a (2,3) ``PebbleGame`` and, per S, a game of M_S
-    (l = 1) with the slack 2|S| - 2 minus the accepted edges' nullity.  ab
-    is accepted iff it is not inside T, four pebbles gather on it in the
-    (2,3) game, and for every S two pebbles gather on its image or the
-    slack is positive: O(2^|T|) pebble searches per edge.
+    The checker holds, per S, a (2,3) ``PebbleGame`` on G/S and the slack
+    2|S| - 2 minus the accepted edges' nullity there.  Its first S is
+    {min T}, whose G/S is G itself: slack 0 there says F is (2,3)-sparse,
+    and is checked before the games that assume it.  ab is accepted iff it
+    is not inside T and, for every S, four pebbles gather on its image or
+    the slack is positive: O(2^|T|) pebble searches per edge.
     """
 
     def __init__(self, n: int, T: Iterable[int]):
         self.T = frozenset(T)
-        self.game = PebbleGame(n)
-        self.family_games = []  # (S, s, M_S game)
-        for S in subsets_of_two_or_more(self.T):
-            self.family_games.append((S, min(S), _family_game(n, S)))
-        self.slack = [2 * len(S) - 2 for S, _, _ in self.family_games]
+        subsets = [frozenset({min(self.T)})] + subsets_of_two_or_more(self.T)
+        self.games = [(S, min(S), PebbleGame(n)) for S in subsets]
+        self.slack = [2 * len(S) - 2 for S in subsets]
 
     def try_add(self, a: int, b: int) -> bool:
         if a == b:
             raise ValueError("loop edge")
-        if a in self.T and b in self.T or not self.game.gather(a, b):
+        if a in self.T and b in self.T:
             return False
         images = []  # ab's image in each game that takes it, else None
-        for (S, s, game), slack in zip(self.family_games, self.slack):
+        for (S, s, game), slack in zip(self.games, self.slack):
             image = (s if a in S else a, s if b in S else b)
             images.append(image if game.gather(*image) else None)
             if not (images[-1] or slack):
                 return False
-        self.game.try_insert(a, b)
         for i, image in enumerate(images):
             if image:
-                self.family_games[i][2].try_insert(*image)
+                self.games[i][2].try_insert(*image)
             else:
                 self.slack[i] -= 1
         return True

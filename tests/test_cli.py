@@ -327,6 +327,13 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, doc):
     ('{"edges": []}', 'graph JSON needs "n" and "edges"'),
     ('{"n": 2, "edges": [], "labels": {"x": "a"}}', "label key 'x' is not a vertex id"),
     ('{"n": 2, "edges": [], "labels": {"2": "a"}}', "label key '2' outside 0..1"),
+    # a label key is a vertex id as graph_to_json writes it, and no other
+    # spelling of one
+    ('{"n": 12, "edges": [[0, 1]], "labels": {"1": "a", "01": "b", "1_0": "x"}}',
+     "label key '01' is not a vertex id"),
+    ('{"n": 12, "edges": [], "labels": {"1_0": "x"}}', "label key '1_0' is not a vertex id"),
+    ('{"n": 2, "edges": [], "labels": {" 1": "a"}}', "label key ' 1' is not a vertex id"),
+    ('{"n": 2, "edges": [], "labels": {"+1": "a"}}', "label key '+1' is not a vertex id"),
     (" \n\n", "empty edge-list document"),
     ("3\n", 'first line must be "n m", got \'3\''),
     ("3 x\n", 'first line must be "n m", got \'3 x\''),
@@ -336,6 +343,8 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, doc):
     ("3 1\n0 3\n", "edge line '0 3' has an endpoint outside 0..2"),
     ("3 2\n0 1\n1 0\n", "duplicate edge in edge-list document"),
 ], ids=["json-invalid", "json-no-n", "json-label-key", "json-label-range",
+        "json-label-zero-pad", "json-label-underscore", "json-label-space",
+        "json-label-plus",
         "list-empty", "list-head-short", "list-head-int", "list-edge-short",
         "list-edge-int", "list-loop", "list-range", "list-duplicate"])
 def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message):

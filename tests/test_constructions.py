@@ -130,6 +130,10 @@ def test_replace_rigid_subgraph_counts():
         replace_rigid_subgraph(g, range(6), [[0, 1, 2], [3, 4, 5]])
     with pytest.raises(ValueError, match="partition Y"):
         replace_rigid_subgraph(g, range(6), [[0], [1], [2]])
+    # a vertex of Y outside the graph is a ValueError, as elsewhere
+    for bad in (99, -1):
+        with pytest.raises(ValueError, match=f"Y contains invalid vertex {bad}"):
+            replace_rigid_subgraph(complete_graph(5), [0, 1, bad], [[0], [1], [bad]])
 
 
 def test_replace_recovers_inner_triangle_fixture():

@@ -1,8 +1,6 @@
 import random
 from itertools import combinations
 
-import pytest
-
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
 from coinrig.linalg import _reach, pebble_basis_23
@@ -98,16 +96,6 @@ def test_decisions_are_subset_counts_and_pebbles_balance():
         assert game.accepted == len(accepted)
 
 
-def test_capacity_zero_vertex_with_l_one():
-    # s = 0 holds no pebble; an edge needs two pebbles gathered on its ends
-    game = PebbleGame(3, cap=[0, 2, 2], l=1)
-    assert game.try_insert(0, 1)
-    assert game.out[1] == [0] and game.out[0] == []  # it leaves the pebbled end
-    assert not game.try_insert(1, 0)  # s-a twice spans {s, a}: 2 > c - 1 = 1
-    assert game.try_insert(1, 2)
-    assert game.accepted == 2
-
-
 def _fits_count(cap, l, edges):
     """Every vertex set X spanning an edge spans at most cap(X) - l of them."""
     n = len(cap)
@@ -120,24 +108,39 @@ def _fits_count(cap, l, edges):
     return True
 
 
-def test_capacities_balance_and_decide_the_count():
-    # a vertex of capacity 0 (a contracted set) and l = 1, with parallel
-    # edges: decisions are the count, and pebbles + out-degree = capacity
+def test_contracted_images_are_the_family_count():
+    # on a (2,3)-sparse graph with no edge inside S, the (2,3) game on G/S
+    # (S merged into s = min S, parallel images kept) accepts an image
+    # exactly when the count with capacity 0 at s and l = 1 does
     rng = random.Random(7)
-    for _ in range(150):
-        n = rng.randint(2, 7)
+    parallel = 0
+    for _ in range(120):
+        n = rng.randint(3, 8)
+        S = frozenset(rng.sample(range(n), rng.randint(2, min(4, n - 1))))
+        pairs = [e for e in combinations(range(n), 2) if not set(e) <= S]
+        rng.shuffle(pairs)
+        edges = []
+        for e in pairs[:rng.randint(0, len(pairs))]:
+            if _is_23_sparse(n, edges + [e]):
+                edges.append(e)
+        s = min(S)
         cap = [2] * n
-        cap[rng.randrange(n)] = 0
-        game = PebbleGame(n, cap=cap, l=1)
+        cap[s] = 0
+        images = [(s if a in S else a, s if b in S else b) for a, b in edges]
+        parallel += len(images) - len({frozenset(e) for e in images})
+        rng.shuffle(images)
+        game = PebbleGame(n)
         accepted = []
-        for _ in range(rng.randint(0, 3 * n)):
-            a, b = rng.sample(range(n), 2)
+        for a, b in images:
+            if rng.random() < 0.5:
+                a, b = b, a
             want = _fits_count(cap, 1, accepted + [(a, b)])
-            assert game.try_insert(a, b) == want, (cap, accepted, (a, b))
+            assert game.try_insert(a, b) == want, (sorted(S), accepted, (a, b))
             if want:
                 accepted.append((a, b))
-            assert all(len(game.out[v]) + game.pebbles[v] == cap[v] for v in range(n))
+            assert all(len(game.out[v]) + game.pebbles[v] == 2 for v in range(n))
         assert game.accepted == len(accepted)
+    assert parallel > 100
 
 
 class SearchOnlyGame(PebbleGame):
@@ -146,12 +149,12 @@ class SearchOnlyGame(PebbleGame):
     def gather(self, a, b):
         if a == b:
             raise ValueError("loop edge")
-        p, cap, need = self.pebbles, self.cap, self.need
-        while p[a] < cap[a] and p[a] + p[b] < need and self._fetch(a, b):
+        p = self.pebbles
+        while p[a] < 2 and p[a] + p[b] < 4 and self._fetch(a, b):
             pass
-        while p[b] < cap[b] and p[a] + p[b] < need and self._fetch(b, a):
+        while p[b] < 2 and p[a] + p[b] < 4 and self._fetch(b, a):
             pass
-        return p[a] + p[b] >= need
+        return p[a] + p[b] >= 4
 
     def try_insert(self, a, b):
         if not self.gather(a, b):
@@ -198,7 +201,7 @@ def _play_both(game, ref, edges, rng):
 def _state(game):
     """A copy of everything a game's moves change."""
     return ([list(heads) for heads in game.out], list(game.pebbles),
-            None if game.deg is None else list(game.deg), game.accepted)
+            list(game.deg), game.accepted)
 
 
 def test_count_rule_accepts_what_the_search_accepts():
@@ -248,19 +251,8 @@ def test_zero_extension_graphs_need_no_search(monkeypatch):
 
 
 def test_second_insert_of_an_edge():
-    # the default (2,3) game rejects ab twice, though both ends have degree 1
+    # the game rejects ab twice, though both ends have degree 1
     game = PebbleGame(3)
     assert game.try_insert(0, 1)
     assert not game.gather(1, 0) and not game.try_insert(1, 0)
     assert game.deg == [1, 1, 0] and game.accepted == 1
-    # the capacity-0, l = 1 game keeps no degrees and decides by searches:
-    # it takes a parallel image 1-2 twice, as {1, 2} spans 3 = 2 + 2 - 1
-    game = PebbleGame(3, cap=[0, 2, 2], l=1)
-    assert game.deg is None
-    assert game.try_insert(1, 2) and game.try_insert(2, 1)
-    assert game.try_insert(0, 1)  # {0, 1, 2} spans 3 = 0 + 2 + 2 - 1
-    assert not game.try_insert(1, 2) and not game.try_insert(0, 2)
-    assert game.accepted == 3
-    # contracted copies only the default game, whose caps it rebuilds
-    with pytest.raises(ValueError, match="only the default"):
-        game.contracted(frozenset({1, 2}))
