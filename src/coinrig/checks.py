@@ -10,8 +10,10 @@ contraction G'/S is decided from that game's final orientation, not by a
 game of its own.  ``check_coincident_rigidity`` plays that game once and
 both sides read it: the algebraic side caps its rank at the basis, which
 the game proved by recounting each rejection as it made it, and the
-combinatorial side starts every G'/S from the orientation and the rejected
-edges.
+combinatorial side builds every G'/S game as ``sparsity`` builds each
+G/S game, by ``PebbleGame.contracted``: a copy of the G' game with S
+merged into min S, fed only the edges at S and the rejected edges that
+avoid S, up to the rigidity target.
 """
 
 from __future__ import annotations
@@ -76,30 +78,26 @@ def _contraction_games(g: Graph, ts: frozenset[int], game: PebbleGame,
     ``edge_list`` order, where the game's count rule takes most edges with
     no pebble search, and
     ``rejected`` holds the edges it rejected, in that order; no game on G'
-    is played here.  Each G'/S game starts from that game's final
-    orientation by ``PebbleGame.contracted``, which keeps the input's ids
-    and the accepted edges that avoid S, and leaves ``game`` unchanged: S
-    goes into min(S), and S's other vertices keep two pebbles and take no
-    edge.  The game then takes the edges at min(S) and the rejected edges
-    that avoid S, and stops once it holds 2n' - 3 edges, with
+    is played here.  Each G'/S game is built by the one call that builds
+    every contraction game, ``PebbleGame.contracted``: it copies that
+    game's final orientation, keeping the input's ids and the accepted
+    edges that avoid S, and leaves ``game`` unchanged; S goes into min(S),
+    and S's other vertices keep two pebbles and take no edge.  The copy
+    then tries the edges (min(S), w) for the neighbours w of S in G', and
+    the rejected edges that avoid S, up to 2n' - 3 edges, with
     n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
     rank is short of 2n' - 3.
     """
     yield frozenset(), game, rigidity_target(g.n, 2)
     for s in subsets_of_two_or_more(ts):
-        sub = game.contracted(s)
         target = rigidity_target(g.n - len(s) + 1, 2)
+        # G' has no edge inside T: S's neighbours in G' are those in g off T
+        star = sorted({(min(s), w) for t in s for w in g.neighbors(t) if w not in ts})
+        rest = ((a, b) for a, b in rejected if a not in s and b not in s)
+        sub = game.contracted(s, chain(star, rest), target)
         if sub.accepted > target:  # a (2,3)-sparse set holds at most 2n' - 3
             raise InvariantError(f"the copied state of G'/{sorted(s)} holds "
                                  f"{sub.accepted} edges, above {target}")
-        m = min(s)
-        # G' has no edge inside T: S's neighbours in G' are those in g off T
-        star = sorted({w for t in s for w in g.neighbors(t)} - ts)
-        rest = ((a, b) for a, b in rejected if a not in s and b not in s)
-        for a, b in chain(((m, w) for w in star), rest):
-            if sub.accepted == target:
-                break
-            sub.try_insert(a, b)
         yield s, sub, target
 
 

@@ -5,11 +5,13 @@ pebbles can be gathered on its endpoints; accepted edges form a maximal
 (2,3)-sparse subset of the input, whose size is the rank of the edge set.
 Pebbles are fetched by depth-first search along accepted-edge
 orientations, reversing the path walked.  The game takes parallel edges,
-so it also ranks a multigraph such as a contraction G/S.  A game's
-orientation also starts the game of a contraction of its graph
-(``PebbleGame.contracted``), which then needs only the edges it lacks.
-That game keeps the input's vertex ids: the contracted set is merged into
-its smallest vertex, and its other vertices are left isolated.
+so it also ranks a multigraph such as a contraction G/S.  A game on G/S
+whose graph G has been played starts from G's final game
+(``PebbleGame.contracted``): the copy keeps the accepted edges that avoid
+S and plays on only the edges it is given, up to a given count.  That game
+keeps the input's vertex ids: S is merged into its smallest vertex, and
+its other vertices are left isolated.  Only the incremental strong
+sparsity checker, whose G/S games grow with G, plays them from empty.
 
 The game also takes most edges without a search, by a count rule: an edge
 ab that is not yet accepted, at a vertex v with at most one accepted edge,
@@ -21,6 +23,8 @@ it changes only the orientation.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .graph import Graph
 
@@ -136,19 +140,24 @@ class PebbleGame:
         self.deg[w] += 1
         return True
 
-    def contracted(self, S: frozenset[int]) -> PebbleGame:
-        """This game's state with S merged into min(S), on the same ids.
+    def contracted(self, S: frozenset[int], edges: Iterable[tuple[int, int]],
+                   bound: int) -> PebbleGame:
+        """This game's state with S merged into min(S), played on with
+        ``edges`` until it holds ``bound`` edges; the ids stay the same.
 
         Every out-edge that touches S is dropped and its tail gets the pebble
         back, so each vertex of S has two pebbles and no out-edges; only
         min(S) takes new edges, and the other vertices of S stay isolated.
         The accepted edges left avoid S, so they stay sparse on the
         contracted graph, and out-degree plus pebbles is two everywhere: any
-        such orientation is a state of the game (Lee-Streinu 2008), so
-        further ``try_insert`` calls, fed edge images with S merged into
-        min(S) and parallel images kept, extend the accepted set to a
-        maximal sparse one of the contracted graph.  The copy counts the
-        degrees of the edges it keeps.
+        such orientation is a state of the game (Lee-Streinu 2008).  The copy
+        counts the degrees of the edges it keeps, then tries the images of
+        ``edges`` in turn, S merged into min(S) and parallel images kept, as
+        long as it holds fewer than ``bound`` edges.  So it holds the accepted
+        edges that avoid S, extended to a maximal sparse set of the
+        contracted graph, or ``bound`` edges if that comes first; a copy
+        already at or over ``bound`` takes no edge.  This game is left
+        unchanged.
         """
         game = PebbleGame(self.n)
         deg = game.deg
@@ -161,12 +170,22 @@ class PebbleGame:
                 deg[v] += len(kept)
                 for w in kept:
                     deg[w] += 1
+        s = min(S)
+        for a, b in edges:
+            if game.accepted < bound:
+                game.try_insert(s if a in S else a, s if b in S else b)
         return game
+
+
+def pebble_game_23(g: Graph) -> PebbleGame:
+    """The (2,3) game played on g's edges in ``edge_list`` order, in its
+    final state: its accepted edges are a basis of g in R_2."""
+    game = PebbleGame(g.n)
+    for a, b in g.edge_list():
+        game.try_insert(a, b)
+    return game
 
 
 def pebble_rank_23(g: Graph) -> int:
     """Rank of g's edges in the 2-dimensional rigidity matroid R_2."""
-    game = PebbleGame(g.n)
-    for a, b in g.edge_list():
-        game.try_insert(a, b)
-    return game.accepted
+    return pebble_game_23(g).accepted

@@ -12,11 +12,13 @@ this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
 ``is_S_sparse`` and ``is_strongly_T_sparse`` decide by (2,3) pebble games,
-the proof of which is in the ``StrongSparsityChecker`` docstring: one on G
-for the set capacities, a count of the edges inside S, and per S one on
-G/S, with S merged into min S and parallel edges kept, whose nullity is
-the heaviest family weight.  A verdict costs O(2^|T|) games.  Only a
-violation runs the bitmask engine, to name its canonical witness, by one
+the proof of which is in the ``StrongSparsityChecker`` docstring: one game
+on G for the set capacities, a count of the edges inside S, and per S a
+copy of G's final game on G/S (``PebbleGame.contracted``), with S merged
+into min S and parallel edges kept, whose nullity is the heaviest family
+weight.  The copy already holds every edge that avoids S, so it plays
+only the edges at S.  A verdict costs one game and O(2^|T|) copies.  Only
+a violation runs the bitmask engine, to name its canonical witness, by one
 call per kind: ``_set_violation`` walks the vertex sets in witness order,
 counting induced edges as it goes, until one breaks its capacity, and
 ``_family_violation`` builds a table of induced edge counts over all
@@ -43,7 +45,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .pebble import PebbleGame, pebble_rank_23
+from .pebble import PebbleGame, pebble_game_23
 
 DEFAULT_CAP = 12
 
@@ -322,18 +324,15 @@ def _check_cap(n: int, what: str = "graph"):
         raise ValueError(f"{what} has {n} vertices, enumeration cap is {DEFAULT_CAP}")
 
 
-def _family_breaks(g: Graph, ss: frozenset[int]) -> bool:
+def _family_breaks(g: Graph, game: PebbleGame, ss: frozenset[int]) -> bool:
     """Whether the nullity of G/S in the (2,3) count exceeds 2|S| - 2: with
-    g (2,3)-sparse and no edge inside S, whether some S-family breaks its
-    capacity.  G/S merges S into s = min S and keeps parallel edges."""
-    s, game = min(ss), PebbleGame(g.n)
-    slack = 2 * len(ss) - 2
-    for a, b in g.edge_list():
-        if not game.try_insert(s if a in ss else a, s if b in ss else b):
-            slack -= 1
-            if slack < 0:
-                return True
-    return False
+    g (2,3)-sparse, ``game`` its final (2,3) game and no edge inside S,
+    whether some S-family breaks its capacity.  G/S merges S into min S and
+    keeps parallel edges; its game is ``game``'s copy, fed the edges at S
+    (see ``StrongSparsityChecker`` for why that is exact)."""
+    at = ((t, w) for t in ss for w in g.neighbors(t))
+    bound = len(g.edges) - 2 * len(ss) + 2
+    return game.contracted(ss, at, bound).accepted < bound
 
 
 def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
@@ -342,17 +341,18 @@ def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     Otherwise the first violating set, or failing that the first violating
     family, in witness order (module docstring) is returned as the witness.
     Decided by pebble games (see ``StrongSparsityChecker``): some set breaks
-    its capacity iff an edge lies inside S or the (2,3) game rejects an
-    edge; failing that, some family does iff the nullity of G/S in the
-    (2,3) count exceeds 2|S| - 2.  Only naming a violation enumerates
-    vertex sets (the 2^n subset table only for a family), so a sparse graph
-    of any size gets None, and a violation on more than ``DEFAULT_CAP``
-    vertices is refused.
+    its capacity iff an edge lies inside S or the (2,3) game on G rejects
+    an edge (with an edge inside S, no game is played); failing that, some
+    family does iff the nullity of G/S in the (2,3) count exceeds
+    2|S| - 2, which a copy of G's final game decides, playing only the
+    edges at S.  Only naming a violation enumerates vertex sets (the 2^n
+    subset table only for a family), so a sparse graph of any size gets
+    None, and a violation on more than ``DEFAULT_CAP`` vertices is refused.
     """
     ss = g._check_T(S, "S")
-    if g.induced_edge_count(ss) or pebble_rank_23(g) < len(g.edges):
+    if g.induced_edge_count(ss) or (game := pebble_game_23(g)).accepted < len(g.edges):
         return _set_violation(g, ss)
-    if _family_breaks(g, ss):
+    if _family_breaks(g, game, ss):
         return _family_violation(g, ss)
     return None
 
@@ -376,20 +376,22 @@ def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None
     (2,3)-count), so one (2,3) pebble game stands for them, and a
     violation is reported under S = {min T}.  Once it passes, the only set
     that can break a larger S's capacity is a pair S with an edge, and
-    pairs come before larger sets.  Each S then plays the (2,3) game on G/S
-    (see ``StrongSparsityChecker``): O(2^|T|) games per verdict at any
-    size, and a search over vertex sets only to name a violating set or
+    pairs come before larger sets.  Each S then decides G/S by a copy of
+    G's final game that plays only the edges at S (see
+    ``StrongSparsityChecker``): one game and O(2^|T|) copies per verdict at
+    any size, and a search over vertex sets only to name a violating set or
     family (a subset table only for a family), which refuses more than
     ``DEFAULT_CAP`` vertices.  So does a T over the cap.
     """
     ts = g._check_T(T)
-    if pebble_rank_23(g) < len(g.edges):
+    game = pebble_game_23(g)
+    if game.accepted < len(g.edges):
         return _set_violation(g, frozenset({min(ts)}))
     for s in subsets_of_two_or_more(ts):
         inside = g.induced_edge_count(s)
         if inside:
             return SparsityViolation("set", s, s, inside, 0)
-        if _family_breaks(g, s):
+        if _family_breaks(g, game, s):
             return _family_violation(g, s)
     return None
 
@@ -430,6 +432,19 @@ class StrongSparsityChecker:
     and is checked before the games that assume it.  ab is accepted iff it
     is not inside T and, for every S, four pebbles gather on its image or
     the slack is positive: O(2^|T|) pebble searches per edge.
+
+    ``is_S_sparse`` and ``is_strongly_T_sparse`` decide the whole of G at
+    once, so each of their G/S games starts from G's final game instead:
+    ``PebbleGame.contracted`` copies it with S merged into s, then feeds the
+    images of the edges at S until the copy holds bound = |E| - 2|S| + 2
+    edges.  This is exact.  They ask only once G has passed the (2,3)
+    check, so G's game has accepted every edge, and the copy holds every
+    edge that avoids S.  Those edges are independent in G/S, and the rank
+    of an edge set does not depend on the order of play, so a copy that
+    stops short of bound has played every edge at S and holds rank(G/S)
+    edges; one that reaches bound shows rank(G/S) >= bound.  The nullity
+    |E| - rank(G/S) exceeds 2|S| - 2 exactly when rank(G/S) is below bound.
+    The checker's games grow one edge at a time, so it keeps its own.
     """
 
     def __init__(self, n: int, T: Iterable[int]):

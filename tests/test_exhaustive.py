@@ -12,9 +12,10 @@ import pytest
 from coinrig.checks import check_coincident_rigidity
 from coinrig.graph import Graph, complete_graph
 from coinrig.matroid import greedy_rank, mt_oracle, rt_oracle
+from coinrig.pebble import pebble_rank_23
 from coinrig.sparsity import is_strongly_T_sparse
 
-from test_sparsity import _reference_strong
+from test_sparsity import _reference_strong, _warm_and_cold_agree
 
 
 def test_exhaustive_k5_pairs():
@@ -137,3 +138,12 @@ def test_mt_rank_equals_rt_rank_over_the_graph_atlas_beyond_the_theorem():
                 pairs += 1
     assert mismatches == []
     assert pairs == 3491
+
+
+def test_warm_family_games_match_cold_replays_over_the_graph_atlas():
+    verdicts = []
+    for g in _atlas(6):
+        if pebble_rank_23(g) == len(g.edges):
+            sets = [frozenset(S) for k in (2, 3) for S in combinations(range(g.n), k)]
+            verdicts += _warm_and_cold_agree(g, sets)
+    assert (len(verdicts), verdicts.count(True)) == (1630, 32)

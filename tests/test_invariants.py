@@ -142,8 +142,8 @@ SCRIPT = textwrap.dedent("""
     # a copied G'/S state holding more than 2n' - 3 edges
     real_contracted = coinrig.pebble.PebbleGame.contracted
 
-    def overfull(game, S):
-        sub = real_contracted(game, S)
+    def overfull(game, S, edges, bound):
+        sub = real_contracted(game, S, edges, bound)
         sub.accepted += 2 * sub.n
         return sub
 

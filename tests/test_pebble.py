@@ -166,7 +166,7 @@ class SearchOnlyGame(PebbleGame):
         self.out[a].append(b)
         return True
 
-    def contracted(self, S):
+    def contracted(self, S, edges, bound):
         game = SearchOnlyGame(self.n)
         for v, heads in enumerate(self.out):
             if v not in S:
@@ -174,6 +174,11 @@ class SearchOnlyGame(PebbleGame):
                 game.out[v] = kept
                 game.pebbles[v] -= len(kept)
                 game.accepted += len(kept)
+        m = min(S)
+        for a, b in edges:
+            if game.accepted >= bound:
+                break
+            game.try_insert(m if a in S else a, m if b in S else b)
         return game
 
 
@@ -206,9 +211,10 @@ def _state(game):
 
 def test_count_rule_accepts_what_the_search_accepts():
     # shuffled orders, both endpoint orders, repeated inserts, gathers
-    # before inserts, and contracted states fed the merged images; the
-    # reach sets and the contracted copy, played on, leave the source game
-    # as it was, since check reads one G' game for both of its sides
+    # before inserts, and contracted states fed edges up to a bound, then
+    # the merged images; the reach sets and the contracted copy, played
+    # on, leave the source game as it was, since check reads one G' game
+    # for both of its sides
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(2, 12)
@@ -227,10 +233,17 @@ def test_count_rule_accepts_what_the_search_accepts():
             continue
         S = frozenset(rng.sample(range(n), rng.randint(2, min(3, n - 1))))
         m = min(S)
-        images = [(m if a in S else a, m if b in S else b) for a, b in edges]
-        images = [e for e in images if e[0] != e[1]]
-        rng.shuffle(images)
-        _play_both(game.contracted(S), ref.contracted(S), images, rng)
+        edges = [(a, b) for a, b in edges if a not in S or b not in S]
+        rng.shuffle(edges)
+        k, bound = rng.randint(0, len(edges)), rng.randint(0, 2 * n)
+        sub = game.contracted(S, edges[:k], bound)
+        ref_sub = ref.contracted(S, edges[:k], bound)
+        # the copy takes edges until it holds bound, and none once it does
+        kept = game.contracted(S, [], 0).accepted
+        full = game.contracted(S, edges[:k], len(edges) + kept).accepted
+        assert sub.accepted == ref_sub.accepted == max(kept, min(bound, full))
+        images = [(m if a in S else a, m if b in S else b) for a, b in edges[k:]]
+        _play_both(sub, ref_sub, images, rng)
         assert _state(game) == before
 
 

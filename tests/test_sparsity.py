@@ -5,16 +5,19 @@ from math import comb
 import pytest
 
 from coinrig import sparsity
+from coinrig.checks import random_instance
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import generic_rank
+from coinrig.linalg import generic_rank, pebble_basis_23
 from coinrig.matroid import greedy_rank, mt_oracle
-from coinrig.pebble import pebble_rank_23
+from coinrig.pebble import PebbleGame, pebble_game_23, pebble_rank_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, is_S_sparse,
                               is_strongly_T_sparse, min_thin_cover,
                               subset_edge_counts, subsets_of_two_or_more,
                               val_augmented, val_family, val_set)
+
+from test_linalg import henneberg_plus
 
 S2 = frozenset({0, 1})
 S3 = frozenset({0, 1, 2})
@@ -357,24 +360,24 @@ def test_checker_decides_each_edge_like_the_public_decision():
 
 
 def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
-    tables, ranks = [], []
+    tables, games = [], []
 
     def counting_table(g):
         tables.append(g)
         return subset_edge_counts(g)
 
-    def counting_rank(g):
-        ranks.append(g)
-        return pebble_rank_23(g)
+    def counting_game(g):
+        games.append(g)
+        return pebble_game_23(g)
 
     monkeypatch.setattr(sparsity, "subset_edge_counts", counting_table)
-    monkeypatch.setattr(sparsity, "pebble_rank_23", counting_rank)
+    monkeypatch.setattr(sparsity, "pebble_game_23", counting_game)
 
     def counts(decide, g, T):
         tables.clear()
-        ranks.clear()
+        games.clear()
         v = decide(g, T)
-        return v and v.kind, len(tables), len(ranks)
+        return v and v.kind, len(tables), len(games)
 
     T = {0, 2, 4, 6}
     path = Graph(8, [(v, v + 1) for v in range(7)])
@@ -391,6 +394,68 @@ def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
     # only a family witness builds the table
     assert counts(is_strongly_T_sparse, fig4(), {0, 1, 2}) == ("family", 1, 1)
     assert counts(is_S_sparse, fig4(), {0, 1}) == ("family", 1, 1)
+
+
+def test_decisions_copy_each_g_s_game_from_the_g_game(monkeypatch):
+    # each of the eleven G/S games is a copy of G's final game that plays
+    # only the edges at S (338 inserts in all); replaying every edge into
+    # each would take 2,844
+    g = henneberg_random(120, 1)
+    inserts = []
+    real = PebbleGame.try_insert
+    monkeypatch.setattr(PebbleGame, "try_insert",
+                        lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
+    assert is_strongly_T_sparse(g, {10, 50, 100, 110}) is None
+    assert len(inserts) < 2 * len(g.edges)
+
+
+def _cold_family_breaks(g, S):
+    """The family condition with the G/S game played from scratch on the
+    image of every edge, S merged into min S and parallel images kept."""
+    s, game = min(S), PebbleGame(g.n)
+    for a, b in g.edge_list():
+        game.try_insert(s if a in S else a, s if b in S else b)
+    return len(g.edges) - game.accepted > 2 * len(S) - 2
+
+
+def _warm_and_cold_agree(g, sets) -> list[bool]:
+    """The verdicts of _family_breaks on the (2,3)-sparse g for each S of
+    sets with no edge inside, checked against the cold replay; the shared
+    G game is left as it was."""
+    game = pebble_game_23(g)
+    assert game.accepted == len(g.edges)
+    before = ([list(heads) for heads in game.out], list(game.pebbles),
+              list(game.deg), game.accepted)
+    verdicts = []
+    for S in sets:
+        if not g.induced_edge_count(S):
+            warm = sparsity._family_breaks(g, game, S)
+            assert warm == _cold_family_breaks(g, S), (g.edge_list(), sorted(S))
+            verdicts.append(warm)
+    assert ([list(heads) for heads in game.out], list(game.pebbles),
+            list(game.deg), game.accepted) == before
+    return verdicts
+
+
+def test_warm_family_games_match_cold_replays_on_random_sparse_graphs():
+    # the bases of graphs near the rigidity threshold, up to 200 vertices;
+    # S is a vertex and one or two vertices two steps from it, since sets
+    # whose vertices share neighbours are the ones that break
+    rng = random.Random(31)
+    verdicts = []
+    graphs = [henneberg_plus(n, seed) for n in (30, 60, 120, 200) for seed in range(3)]
+    graphs += [random_instance(rng, 60, 3)[0] for _ in range(60)]
+    for g in graphs:
+        sparse = Graph(g.n, pebble_basis_23(g, frozenset())[0])
+        sets = []
+        for v in rng.sample(range(g.n), min(g.n, 20)):
+            ring = {x for w in sparse.neighbors(v) for x in sparse.neighbors(w)}
+            ring = sorted(ring - {v, *sparse.neighbors(v)})
+            if ring:
+                k = min(len(ring), rng.choice((1, 2)))
+                sets.append(frozenset({v, *rng.sample(ring, k)}))
+        verdicts += _warm_and_cold_agree(sparse, sets)
+    assert len(verdicts) > 1000 and verdicts.count(True) > 150
 
 
 def test_set_witness_is_first_in_witness_order_not_minimal():
