@@ -4,9 +4,9 @@ Exact linear-algebraic rank computation and combinatorial strong-sparsity
 certificates for planar frameworks in which a prescribed set of vertices is
 pinned to one point, with cross-validation harnesses between the two
 characterizations.  Strong-sparsity verdicts play pebble games on graphs
-of any size.  Every enumeration (the subset table that names a violation's
-witness, the cover searches, the subsets of T) refuses more than 12
-vertices (``sparsity.DEFAULT_CAP``).
+of any size.  Every enumeration (the walk over vertex sets that names a
+violation's witness, the cover searches, the subsets of T) refuses more
+than 12 vertices (``sparsity.DEFAULT_CAP``).
 """
 
 from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,

@@ -31,7 +31,7 @@ from .linalg import (RankReport, Realization, _generic_rank, generic_rank,
                      pebble_basis_23, rigidity_target)
 from .matroid import greedy_rank, mt_oracle, rt_oracle
 from .pebble import PebbleGame
-from .sparsity import (InvariantError, is_strongly_T_sparse,
+from .sparsity import (InvariantError, _broken_S, is_strongly_T_sparse,
                        subsets_of_two_or_more)
 
 
@@ -237,12 +237,16 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     """Random search for a strong-sparsity/exact-rank disagreement, |T| >= 4.
 
     Any hit is re-verified by ten fresh ``generic_rank`` calls, each with
-    its own seed and up to ``TRIALS`` samples, before it is reported: it
-    stands only if the best of their ranks still disagrees.  An empty
-    candidate list means no counterexample was found within the budget.
-    The strong-sparsity side is the ``mt`` oracle, so graphs of any size
-    run; only a hit that it rejects on more than ``DEFAULT_CAP`` vertices
-    is refused, since naming its violation builds the subset table.
+    its own seed and up to ``TRIALS`` samples, before it is reported.  Every
+    sampled rank is a certified lower bound, so the verified rank is the
+    best of the screening rank and the fresh ones, and the hit stands only
+    if that rank still disagrees: a rank of |E| proves the draw independent
+    whatever the other samples say.  An empty candidate list means no
+    counterexample was found within the budget.  Strong sparsity is decided
+    by ``sparsity._broken_S``, the pebble games of ``is_strongly_T_sparse``,
+    so graphs of any size run, and a T over ``DEFAULT_CAP`` vertices is
+    refused; only a hit whose violation spans more than ``DEFAULT_CAP``
+    vertices is refused besides, since naming it walks the vertex sets.
     """
     if t_size < 4:
         raise ValueError("sizes up to three are settled; search needs |T| >= 4")
@@ -252,24 +256,21 @@ def conjecture_search(n_max: int, t_size: int, budget: int, seed: int) -> dict:
     candidates = []
     for _ in range(budget):
         g, T = random_instance(rng, n_max, t_size)
-        mt_ind = mt_oracle(g, T).test(g.edges)
+        mt_ind = _broken_S(g, T) is None
         rep = generic_rank(g, T, 2, seed=rng.getrandbits(31))
-        rt_ind = rep.independent
-        if mt_ind == rt_ind:
+        if mt_ind == rep.independent:
             continue
         # quarantine: only exact re-verified disagreements are reported
-        fresh = [generic_rank(g, T, 2, seed=rng.getrandbits(31))
-                 for _ in range(10)]
-        best = max(r.rank for r in fresh)
-        rt_ind_verified = best == len(g.edges)
-        if mt_ind == rt_ind_verified:
+        fresh = (generic_rank(g, T, 2, seed=rng.getrandbits(31)) for _ in range(10))
+        verified_rank = max(rep.rank, *(r.rank for r in fresh))
+        if mt_ind == (verified_rank == len(g.edges)):
             continue
         candidates.append({
             "graph": graph_to_json(g, T),
             "T": sorted(T),
             "strongly_T_sparse": mt_ind,
             "violation": None if mt_ind else is_strongly_T_sparse(g, T).to_dict(),
-            "verified_rank": max(best, rep.rank),
+            "verified_rank": verified_rank,
             "edge_count": len(g.edges),
         })
     return {

@@ -15,8 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .matroid import mt_oracle
-from .sparsity import InvariantError
+from .sparsity import InvariantError, _broken_S
 
 
 def zero_extension(g: Graph, a: int, b: int) -> Graph:
@@ -101,12 +100,13 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int) -> Graph:
     neighbour pair (canonical order) that keeps the graph strongly T-sparse;
     such a pair always exists when the input is strongly T-sparse and z has
     at most one neighbour in T.  Ids above z shift down by one.  Strong
-    sparsity is decided by the ``mt`` oracle's pebble games, at any size.
+    sparsity is decided by ``sparsity._broken_S``, the pebble games of
+    ``is_strongly_T_sparse``, at any size.
     """
     ts = frozenset(T)
     if z in ts:
         raise ValueError("z must lie outside T")
-    if not mt_oracle(g, ts).test(g.edges):
+    if _broken_S(g, g._check_T(ts)) is not None:
         raise ValueError("the input graph is not strongly T-sparse")
     nbrs = g.neighbors(z)
     if len(nbrs & ts) > 1:
@@ -122,7 +122,7 @@ def reduce_low_degree(g: Graph, T: Iterable[int], z: int) -> Graph:
         if g.has_edge(x, y):
             continue
         candidate = removed.add_edges([(shift(x), shift(y))])
-        if mt_oracle(candidate, new_T).test(candidate.edges):
+        if _broken_S(candidate, new_T) is None:
             return candidate
     raise InvariantError(
         "no admissible neighbour pair found; this contradicts the reduction "

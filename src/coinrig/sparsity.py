@@ -11,19 +11,20 @@ strictly lowers the family value, so any violating family reduces to one of
 this shape.  Such families are exactly the collections of disjoint nonempty
 "blocks" of V minus S, with member H_i = S union B_i.
 
-``is_S_sparse`` and ``is_strongly_T_sparse`` decide by (2,3) pebble games,
-the proof of which is in the ``StrongSparsityChecker`` docstring: one game
-on G for the set capacities, a count of the edges inside S, and per S a
-copy of G's final game on G/S (``PebbleGame.contracted``), with S merged
-into min S and parallel edges kept, whose nullity is the heaviest family
+``is_S_sparse`` and ``_broken_S``, the one decision behind every
+whole-graph strong-sparsity verdict, decide by (2,3) pebble games, the
+proof of which is in the ``StrongSparsityChecker`` docstring: one game on
+G for the set capacities, a count of the edges inside S, and per S a copy
+of G's final game on G/S (``PebbleGame.contracted``), with S merged into
+min S and parallel edges kept, whose nullity is the heaviest family
 weight.  The copy already holds every edge that avoids S, so it plays
 only the edges at S.  A verdict costs one game and O(2^|T|) copies.  Only
-a violation runs the bitmask engine, to name its canonical witness, by one
-call per kind: ``_set_violation`` walks the vertex sets in witness order,
-counting induced edges as it goes, until one breaks its capacity, and
-``_family_violation`` builds a table of induced edge counts over all
-vertex subsets and searches the weighted candidate blocks of the failing
-S.
+a violation runs the bitmask engine, to name its canonical witness, and
+one walk, ``_walk``, serves both kinds: it visits vertex sets in witness
+order, counting induced edges as it goes.  ``_set_violation`` stops it at
+the first set over its capacity; ``_family_violation`` walks the blocks of
+V minus S, keeps those of positive weight, and searches them for the
+first family over its capacity.
 
 Witness order: vertex sets compare by their sorted vertex tuples
 (``_bits``), lexicographically, and family members are listed in that
@@ -31,18 +32,18 @@ order.  The canonical set witness is the first violating set in it; the
 canonical family is the first hit of the block search, which tries blocks
 in it.
 
-Every enumeration (the set search, the subset table and the 1-thin cover
-search here, the cover minimum in ``matroid``, the 2^|T| subsets of T) is
-bounded by one cap, ``DEFAULT_CAP``, checked by ``_check_cap`` where it
-runs.  So the decisions answer at any size, and only a violation above
-the cap is refused, for want of the search that names its witness.
+Every enumeration (the witness walks and the 1-thin cover search here,
+the cover minimum in ``matroid``, the 2^|T| subsets of T) is bounded by
+one cap, ``DEFAULT_CAP``, checked by ``_check_cap`` where it runs.  So the
+decisions answer at any size, and only a violation above the cap is
+refused, for want of the walk that names its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Graph
 from .pebble import PebbleGame, pebble_game_23
@@ -199,20 +200,6 @@ class SparsityViolation:
 # -- bitmask engine ----------------------------------------------------
 
 
-def subset_edge_counts(g: Graph) -> list[int]:
-    """i_G(X) for every vertex subset X, indexed by bitmask; more than
-    ``DEFAULT_CAP`` vertices are refused."""
-    _check_cap(g.n)
-    adj = g.adjacency_masks()
-    size = 1 << g.n
-    cnt = [0] * size
-    for x in range(1, size):
-        low = (x & -x).bit_length() - 1
-        rest = x & (x - 1)
-        cnt[x] = cnt[rest] + (adj[low] & rest).bit_count()
-    return cnt
-
-
 def _mask_of(vs: Iterable[int]) -> int:
     m = 0
     for v in vs:
@@ -229,60 +216,74 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _set_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
-    """The canonical set violation of S: the first set X, in witness order,
-    with i(X) > val_S(X).
+def _walk(g: Graph, base: int, free: Sequence[int], c: int, s_mask: int, found):
+    """The first set X = base | B over its capacity that ``found`` accepts,
+    as (X, i(X)), where B is a nonempty set of the vertices ``free``
+    (ascending, none in base); None if found accepts none.
 
-    Sets are walked depth first, each extended only by vertices above its
-    largest, so the preorder is witness order and the first hit is the
-    canonical witness.  The walk carries i(X): adding v adds the edges from
-    v into X.  It visits each set at most once and builds no table.
-    Callers search only once a pebble game or an edge inside S shows that
-    some set breaks its capacity.
+    X's capacity is 2|B| - c, or 0 for X inside s_mask; a set with no edge
+    is never over it.  So with base empty and c = 3 it is val_S, and with
+    base = S and c = 1 it is the share 2|B| - 1 that a member S|B adds to
+    an S-family's capacity, which S|B exceeds iff B weighs w(B) >= 1.  B
+    runs through witness order: depth first, each B extended only by
+    vertices of free above its largest, so the preorder is the order of
+    B's sorted vertex tuples.  i(base) = 0, and the walk carries i(X):
+    adding v adds the edges from v into X.  It visits each set at most once
+    and builds no table.
     """
-    n = g.n
-    _check_cap(n)
-    adj, s_mask = g.adjacency_masks(), _mask_of(S)
+    adj, last = g.adjacency_masks(), len(free)
 
-    def first(x: int, k: int, i: int) -> tuple[int, int] | None:
-        # the first hit among the sets that extend x (k vertices, i edges)
-        for v in range(x.bit_length(), n):
+    def step(x: int, lo: int, cap: int, i: int) -> tuple[int, int] | None:
+        # the first hit among the sets that extend x by free[lo:]
+        for idx in range(lo, last):
+            v = free[idx]
             y, j = x | 1 << v, i + (adj[v] & x).bit_count()
-            if k and j > (2 * k - 1 if y & ~s_mask else 0):
+            if j and j > (cap if y & ~s_mask else 0) and found(y, j):
                 return y, j
-            if v + 1 < n:  # a set holding n - 1 has no extension
-                hit = first(y, k + 1, j)
+            if idx + 1 < last:
+                hit = step(y, idx + 1, cap + 2, j)
                 if hit:
                     return hit
         return None
 
-    hit = first(0, 0, 0)
+    return step(base, 0, 2 - c, 0)
+
+
+def _set_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
+    """The canonical set violation of S: the first set X, in witness order,
+    with i(X) > val_S(X), where ``_walk`` stops.
+
+    Callers search only once a pebble game or an edge inside S shows that
+    some set breaks its capacity.
+    """
+    _check_cap(g.n)
+    hit = _walk(g, 0, range(g.n), 3, _mask_of(S), lambda x, i: True)
     _require(hit is not None, "a set was shown to break its capacity, but none does")
     X = _bits(hit[0])
     return SparsityViolation("set", S, frozenset(X), hit[1], val_set(X, S))
 
 
-def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | None:
-    """First disjoint collection of blocks, in witness order, weighing over
-    thresh; None if there is none.
+def _family_witness(blocks: list[tuple[int, int]],
+                    thresh: int) -> list[tuple[int, int]] | None:
+    """First disjoint collection of blocks (B, w(B)), given in witness
+    order, weighing over thresh; None if there is none.
 
     Blocks are tried in witness order, so the first hit is the canonical
     witness.  Each level keeps only the later blocks disjoint from those
     chosen, and stops once its remaining weight cannot exceed thresh; both
     prunes cut only subtrees without a hit.
     """
-    blocks = [(b, w) for _, b, w in sorted((_bits(b), b, w) for b, w in cands)]
 
-    def dfs(avail: list[tuple[int, int]], acc: int) -> list[int] | None:
+    def dfs(avail: list[tuple[int, int]], acc: int) -> list[tuple[int, int]] | None:
         reach = acc + sum(w for _, w in avail)  # most weight this level can reach
         for idx, (b, w) in enumerate(avail):
             if reach <= thresh:
                 return None
             if acc + w > thresh:
-                return [b]
+                return [(b, w)]
             hit = dfs([bw for bw in avail[idx + 1:] if not bw[0] & b], acc + w)
             if hit is not None:
-                return [b] + hit
+                return [(b, w)] + hit
             reach -= w
         return None
 
@@ -292,26 +293,28 @@ def _family_witness(cands: list[tuple[int, int]], thresh: int) -> list[int] | No
 def _family_violation(g: Graph, S: frozenset[int]) -> SparsityViolation:
     """The canonical violating S-family, given i(S) = 0 and that one exists:
     the first family of candidate blocks, in witness order, to break its
-    capacity.
+    capacity; more than ``DEFAULT_CAP`` vertices are refused.
 
     A family {S|B_1, ..., S|B_k} of disjoint blocks violates its capacity
     iff the sum of w(B_i) exceeds 2|S| - 2, where w(B) = i(S|B) - 2|B| + 1.
     Blocks with w <= 0 never help, so the candidates are the nonempty
-    blocks with w >= 1, as (B, w(B)).
+    blocks with w >= 1: the sets S|B that ``_walk`` finds over their share,
+    in witness order.
     """
-    i_cnt, s_mask = subset_edge_counts(g), _mask_of(S)
-    free = b = ((1 << g.n) - 1) & ~s_mask
-    cands = []
-    while b:
-        w = i_cnt[s_mask | b] - 2 * b.bit_count() + 1
-        if w >= 1:
-            cands.append((b, w))
-        b = (b - 1) & free
-    blocks = _family_witness(cands, 2 * len(S) - 2)
-    _require(blocks is not None, "the nullity of G/S exceeds 2|S| - 2, "
+    _check_cap(g.n)
+    s_mask = _mask_of(S)
+    blocks = []
+
+    def keep(x: int, i: int) -> None:
+        b = x ^ s_mask
+        blocks.append((b, i - 2 * b.bit_count() + 1))
+
+    _walk(g, s_mask, [v for v in range(g.n) if v not in S], 1, s_mask, keep)
+    chosen = _family_witness(blocks, 2 * len(S) - 2)
+    _require(chosen is not None, "the nullity of G/S exceeds 2|S| - 2, "
              "but no family of blocks is that heavy")
-    fam = CompatibleFamily(S, tuple(S | frozenset(_bits(b)) for b in blocks))
-    lhs = sum(i_cnt[s_mask | b] for b in blocks)
+    fam = CompatibleFamily(S, tuple(S | frozenset(_bits(b)) for b, _ in chosen))
+    lhs = sum(w + 2 * b.bit_count() - 1 for b, w in chosen)
     return SparsityViolation("family", S, fam, lhs, val_family(fam))
 
 
@@ -345,9 +348,9 @@ def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     an edge (with an edge inside S, no game is played); failing that, some
     family does iff the nullity of G/S in the (2,3) count exceeds
     2|S| - 2, which a copy of G's final game decides, playing only the
-    edges at S.  Only naming a violation enumerates vertex sets (the 2^n
-    subset table only for a family), so a sparse graph of any size gets
-    None, and a violation on more than ``DEFAULT_CAP`` vertices is refused.
+    edges at S.  Only naming a violation walks the vertex sets, so a sparse
+    graph of any size gets None, and a violation on more than
+    ``DEFAULT_CAP`` vertices is refused.
     """
     ss = g._check_T(S, "S")
     if g.induced_edge_count(ss) or (game := pebble_game_23(g)).accepted < len(g.edges):
@@ -366,34 +369,48 @@ def subsets_of_two_or_more(T: Iterable[int]) -> list[frozenset[int]]:
             for sub in combinations(ts, k)]
 
 
+def _broken_S(g: Graph, ts: frozenset[int]) -> frozenset[int] | None:
+    """The S of the first violation of strong T-sparsity, for a checked T,
+    or None if g is strongly T-sparse; the one decision behind every
+    whole-graph verdict.
+
+    A T over ``DEFAULT_CAP`` vertices is refused before any game.  All
+    singletons share the (2,3)-count capacities and have no family
+    condition (with threshold 0 a block counts iff S|B breaks the
+    (2,3)-count), so one (2,3) pebble game stands for them, and its
+    violation is reported under S = {min T}.  Once it passes, the only set
+    that can break a larger S's capacity is a pair S with an edge, and
+    pairs come before larger sets.  Each S with |S| >= 2, smallest first,
+    then lexicographic, decides G/S by a copy of G's final game that plays
+    only the edges at S (see ``StrongSparsityChecker``): one game and
+    O(2^|T|) copies, at any size, since nothing is named.
+    """
+    subsets = subsets_of_two_or_more(ts)
+    game = pebble_game_23(g)
+    if game.accepted < len(g.edges):
+        return frozenset({min(ts)})
+    return next((s for s in subsets
+                 if g.induced_edge_count(s) or _family_breaks(g, game, s)), None)
+
+
 def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None:
     """None iff g is S-sparse for every nonempty S inside T.
 
-    Subsets are checked smallest first (then lexicographically); the first
-    violation found is returned, as ``is_S_sparse`` would report it.  All
-    singletons share the (2,3)-count capacities and have no family
-    condition (with threshold 0 a block counts iff S|B breaks the
-    (2,3)-count), so one (2,3) pebble game stands for them, and a
-    violation is reported under S = {min T}.  Once it passes, the only set
-    that can break a larger S's capacity is a pair S with an edge, and
-    pairs come before larger sets.  Each S then decides G/S by a copy of
-    G's final game that plays only the edges at S (see
-    ``StrongSparsityChecker``): one game and O(2^|T|) copies per verdict at
-    any size, and a search over vertex sets only to name a violating set or
-    family (a subset table only for a family), which refuses more than
-    ``DEFAULT_CAP`` vertices.  So does a T over the cap.
+    ``_broken_S`` decides, and the violation of the S it returns is named
+    as ``is_S_sparse`` would report it: the first set in witness order for
+    S = {min T}, a pair's own edge, or the first violating family.  Only
+    naming a set or a family walks the vertex sets, which refuses more
+    than ``DEFAULT_CAP`` vertices; so does a T over the cap.
     """
-    ts = g._check_T(T)
-    game = pebble_game_23(g)
-    if game.accepted < len(g.edges):
-        return _set_violation(g, frozenset({min(ts)}))
-    for s in subsets_of_two_or_more(ts):
-        inside = g.induced_edge_count(s)
-        if inside:
-            return SparsityViolation("set", s, s, inside, 0)
-        if _family_breaks(g, game, s):
-            return _family_violation(g, s)
-    return None
+    s = _broken_S(g, g._check_T(T))
+    if s is None:
+        return None
+    if len(s) == 1:
+        return _set_violation(g, s)
+    inside = g.induced_edge_count(s)
+    if inside:
+        return SparsityViolation("set", s, s, inside, 0)
+    return _family_violation(g, s)
 
 
 class StrongSparsityChecker:
@@ -433,8 +450,8 @@ class StrongSparsityChecker:
     is not inside T and, for every S, four pebbles gather on its image or
     the slack is positive: O(2^|T|) pebble searches per edge.
 
-    ``is_S_sparse`` and ``is_strongly_T_sparse`` decide the whole of G at
-    once, so each of their G/S games starts from G's final game instead:
+    ``is_S_sparse`` and ``_broken_S`` decide the whole of G at once, so
+    each of their G/S games starts from G's final game instead:
     ``PebbleGame.contracted`` copies it with S merged into s, then feeds the
     images of the edges at S until the copy holds bound = |E| - 2|S| + 2
     edges.  This is exact.  They ask only once G has passed the (2,3)

@@ -301,11 +301,11 @@ def test_conjecture_search():
     assert report["candidates"] == []  # the conjecture is expected to hold
 
 
-def _fake_search(monkeypatch, fresh_rank):
+def _fake_search(monkeypatch, screen_rank, fresh_rank):
     """Run ``conjecture_search`` with a fake ``generic_rank``.  The first
-    call after each draw (the screening call) ranks |E| - 1, so a strongly
-    T-sparse draw is a disagreement; later calls rank ``fresh_rank(|E|)``.
-    Returns the report and, per draw, (g, T, the (d, seed) of each call)."""
+    call after each draw (the screening call) ranks ``screen_rank(|E|)``;
+    later calls rank ``fresh_rank(|E|)``.  Returns the report and, per
+    draw, (g, T, the (d, seed) of each call)."""
     draws = []
 
     def instance(*args):
@@ -315,7 +315,7 @@ def _fake_search(monkeypatch, fresh_rank):
 
     def fake(g, T, d, seed=0, **kwargs):
         calls, m = draws[-1][2], len(g.edges)
-        r = fresh_rank(m) if calls else m - 1
+        r = fresh_rank(m) if calls else screen_rank(m)
         calls.append((d, seed))
         return SimpleNamespace(rank=r, independent=r == m)
 
@@ -332,7 +332,8 @@ def test_conjecture_quarantine_reverifies_each_disagreement(monkeypatch, confirm
     # |E| - 1 calls dependent: ten fresh calls, each with its own seed,
     # re-rank it.  Fresh ranks of |E| overrule the screening; fresh ranks of
     # |E| - 1 confirm it, and the draw is reported
-    report, draws = _fake_search(monkeypatch, lambda m: m - 1 if confirm else m)
+    report, draws = _fake_search(monkeypatch, lambda m: m - 1,
+                                 lambda m: m - 1 if confirm else m)
     hits = []
     for g, T, calls in draws:
         hit = mt_oracle(g, T).test(g.edges)
@@ -347,6 +348,26 @@ def test_conjecture_quarantine_reverifies_each_disagreement(monkeypatch, confirm
     for c in cands:
         assert c["strongly_T_sparse"] and c["violation"] is None
         assert c["verified_rank"] == c["edge_count"] - 1
+
+
+def test_conjecture_quarantine_decides_on_the_rank_it_reports(monkeypatch):
+    # every sampled rank is a certified lower bound, so a screening rank of
+    # |E| proves a draw independent, and fresh ranks of |E| - 1 cannot
+    # overrule it: each draw that is not strongly T-sparse is reported,
+    # with the verified rank |E|
+    report, draws = _fake_search(monkeypatch, lambda m: m, lambda m: m - 1)
+    broken = []
+    for g, T, calls in draws:
+        sparse = mt_oracle(g, T).test(g.edges)
+        assert len(calls) == (1 if sparse else 11)
+        if not sparse:
+            broken.append(len(g.edges))
+    assert broken
+    cands = report["candidates"]
+    assert [c["edge_count"] for c in cands] == broken
+    for c in cands:
+        assert not c["strongly_T_sparse"] and c["violation"] is not None
+        assert c["verified_rank"] == c["edge_count"]
 
 
 def test_random_instance_shapes():

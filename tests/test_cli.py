@@ -453,8 +453,8 @@ def test_one_enumeration_cap_for_every_verb(capsys, tmp_path):
                  ["mrank", "--oracle", "both", "--witness", *graph]):
         assert error_line(capsys, *argv) == msg, argv
     # verdicts play a pebble game per subset of T: graphs of any size run,
-    # and only a violation, whose witness needs the subset table, or a T
-    # over the cap is refused
+    # and only a violation, whose witness needs a walk over the vertex
+    # sets, or a T over the cap is refused
     for strong in ([], ["--strong"]):
         code, doc = run(capsys, "sparse", *strong, *graph)
         assert code == 0 and doc["sparse"] and doc["violation"] is None

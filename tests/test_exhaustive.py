@@ -2,20 +2,24 @@
 
 Random harnesses can miss corner cases; on five vertices the whole space is
 small enough to sweep completely, and on six the Graph Atlas (every graph
-up to isomorphism, with every T) is.
+up to isomorphism, with every T) is.  Sweeps whose check stays cheap on
+large graphs add random graphs past the enumeration cap.
 """
 
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from coinrig.checks import check_coincident_rigidity
+from coinrig.checks import check_coincident_rigidity, random_instance
 from coinrig.graph import Graph, complete_graph
+from coinrig.linalg import generic_rank
 from coinrig.matroid import greedy_rank, mt_oracle, rt_oracle
 from coinrig.pebble import pebble_rank_23
-from coinrig.sparsity import is_strongly_T_sparse
+from coinrig.sparsity import _broken_S, is_strongly_T_sparse
 
-from test_sparsity import _reference_strong, _warm_and_cold_agree
+from test_sparsity import _hinged_graph, _reference_strong, _warm_and_cold_agree
 
 
 def test_exhaustive_k5_pairs():
@@ -147,3 +151,54 @@ def test_warm_family_games_match_cold_replays_over_the_graph_atlas():
             sets = [frozenset(S) for k in (2, 3) for S in combinations(range(g.n), k)]
             verdicts += _warm_and_cold_agree(g, sets)
     assert (len(verdicts), verdicts.count(True)) == (1630, 32)
+
+
+def test_the_whole_graph_decision_matches_the_mt_oracle():
+    # _broken_S copies G's final game onto each G/S; the mt oracle feeds
+    # every edge to a fresh checker, one game per S.  Every graph on at
+    # most 6 vertices with every T of 1-5 vertices, random_instance draws
+    # up to 60 vertices with |T| = 2-5, hinged graphs (family violations),
+    # and a T over the cap, which both refuse
+    def agree(g, T):
+        s = _broken_S(g, T)
+        assert (s is None) == mt_oracle(g, T).test(g.edges), (g.edge_list(), sorted(T))
+        if s is None:
+            return "sparse"
+        return len(s), ("count" if len(s) == 1 else
+                        "edge" if g.induced_edge_count(s) else "family")
+
+    atlas = Counter(agree(g, frozenset(T)) for g in _atlas(6)
+                    for k in range(1, min(5, g.n) + 1) for T in combinations(range(g.n), k))
+    assert atlas == {"sparse": 2546, (1, "count"): 3239, (2, "edge"): 5020, (2, "family"): 121}
+    rng = random.Random(60)
+    drawn = Counter(agree(*random_instance(rng, 60, 2 + i % 4)) for i in range(120))
+    drawn.update(agree(*_hinged_graph(rng)) for _ in range(200))
+    assert drawn.keys() == atlas.keys() and min(drawn.values()) >= 10, drawn
+    g, T = random_instance(rng, 20, 13)
+    for decide in (lambda: _broken_S(g, T), lambda: mt_oracle(g, T).test(g.edges)):
+        with pytest.raises(ValueError, match="T has 13 vertices, enumeration cap is 12"):
+            decide()
+
+
+def test_verdicts_and_ranks_are_invariant_under_relabeling():
+    # a random vertex permutation changes no verdict and no rank: one T per
+    # graph on 2-6 vertices, and random graphs up to 30 vertices
+    def verdicts(g, T):
+        rep = generic_rank(g, T, 2, seed=5)
+        v = check_coincident_rigidity(g, T, seed=5)
+        try:
+            sparse = is_strongly_T_sparse(g, T) is None
+        except ValueError:  # a violation past the cap is refused for want of its witness
+            sparse = False
+        return (rep.rank, rep.rigid, rep.independent, v.combinatorial, v.algebraic,
+                sparse, greedy_rank(mt_oracle(g, T)).rank)
+
+    rng = random.Random(30)
+    cases = [(g, frozenset(rng.sample(range(g.n), rng.randint(1, min(4, g.n)))))
+             for g in _atlas(6) if g.n >= 2]
+    cases += [random_instance(rng, 30, rng.randint(1, 4)) for _ in range(40)]
+    for g, T in cases:
+        perm = rng.sample(range(g.n), g.n)
+        h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+        assert verdicts(g, T) == verdicts(h, frozenset(perm[t] for t in T)), \
+            (g.edge_list(), sorted(T), perm)

@@ -4,6 +4,7 @@ import pytest
 
 from coinrig.checks import (check_coincident_rigidity,
                             coincident_rigid_combinatorial)
+from coinrig.constructions import reduce_low_degree
 from coinrig.graph import (Graph, GraphParseError, complete_graph,
                            graph_to_json, parse_graph_with_T)
 from coinrig.linalg import generic_rank, sample_T_coincident
@@ -172,6 +173,8 @@ T_ENTRY_POINTS = {
     "is_strongly_T_sparse": is_strongly_T_sparse,
     "coincident_rigid_combinatorial": coincident_rigid_combinatorial,
     "check_coincident_rigidity": check_coincident_rigidity,
+    # z = 3 lies outside each bad T, so the T check is reached
+    "reduce_low_degree": lambda g, T: reduce_low_degree(g, T, 3),
 }
 
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,9 +28,9 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
 
     def fake(graph, T):
         calls.append(graph)
-        return SimpleNamespace(test=lambda edges: len(calls) == 1)
+        return None if len(calls) == 1 else frozenset(T)
 
-    monkeypatch.setattr(coinrig.constructions, "mt_oracle", fake)
+    monkeypatch.setattr(coinrig.constructions, "_broken_S", fake)
     with pytest.raises(InvariantError, match="admissible"):
         reduce_low_degree(g, {4}, 3)
     assert len(calls) == 4

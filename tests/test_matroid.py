@@ -506,7 +506,7 @@ def test_greedy_base_size_permutation_invariant():
 
 @pytest.mark.parametrize("n", [30, 60, 100, 200])
 def test_mt_rt_agree_past_the_enumeration_cap(n):
-    # the theorem for |T| <= 3 on graphs no subset table could hold
+    # the theorem for |T| <= 3 on graphs past the enumeration cap
     rng = random.Random(n)
     for t_size in (2, 3):
         g, T = _hinged_henneberg(rng, n, t_size, n // 5)

@@ -14,7 +14,7 @@ from coinrig.pebble import PebbleGame, pebble_game_23, pebble_rank_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, is_S_sparse,
                               is_strongly_T_sparse, min_thin_cover,
-                              subset_edge_counts, subsets_of_two_or_more,
+                              subsets_of_two_or_more,
                               val_augmented, val_family, val_set)
 
 from test_linalg import henneberg_plus
@@ -145,7 +145,7 @@ def test_is_S_sparse_laman_cases():
 def test_is_S_sparse_errors():
     with pytest.raises(ValueError, match="nonempty"):
         is_S_sparse(complete_graph(3), set())
-    # a verdict needs no subset table; naming a violation's witness does
+    # a verdict walks no vertex sets; naming a violation's witness does
     assert is_S_sparse(Graph(13, [(0, 1)]), {0}) is None
     with pytest.raises(ValueError, match="graph has 13 vertices, enumeration cap is 12"):
         is_S_sparse(Graph(13, complete_graph(4).edges), {0})
@@ -227,18 +227,18 @@ def test_checker_agrees_with_public_decision():
         assert StrongSparsityChecker(g.n, T).accepts_all(g.edge_list()) == (hit is None)
 
 
-def _reference_family(i_cnt, n, S):
+def _reference_family(g, S):
     """Unpruned lexicographic block search: the first disjoint collection of
     blocks B, tried in order of their vertex tuples, whose weights
-    w(B) = (2|S|-2) - (2|S|B|-3 - i(S|B)) sum past 2|S|-2."""
-    s_mask = sum(1 << v for v in S)
+    w(B) = (2|S|-2) - (2|S|B|-3 - i(S|B)) sum past 2|S|-2; each i(S|B)
+    counted from the edge set."""
     thresh = 2 * len(S) - 2
-    others = [v for v in range(n) if v not in S]
+    others = [v for v in range(g.n) if v not in S]
     blocks = []
     for k in range(1, len(others) + 1):
         for B in combinations(others, k):
             b = sum(1 << v for v in B)
-            w = thresh - (2 * (len(S) + k) - 3 - i_cnt[s_mask | b])
+            w = thresh - (2 * (len(S) + k) - 3 - g.induced_edge_count(S | set(B)))
             if w >= 1:
                 blocks.append((B, b, w))
     blocks.sort()
@@ -260,18 +260,17 @@ def _reference_family(i_cnt, n, S):
 
 def _reference_S_sparse(g, S):
     """is_S_sparse(g, S).to_dict() from a literal set scan and the unpruned search."""
-    i_cnt = subset_edge_counts(g)
     sets = [X for k in range(2, g.n + 1) for X in combinations(range(g.n), k)
-            if i_cnt[sum(1 << v for v in X)] > (0 if set(X) <= S else 2 * k - 3)]
+            if g.induced_edge_count(X) > (0 if set(X) <= S else 2 * k - 3)]
     if sets:
         X = min(sets)
         return {"kind": "set", "S": sorted(S), "witness": list(X),
                 "lhs": g.induced_edge_count(X), "rhs": val_set(X, S)}
-    blocks = _reference_family(i_cnt, g.n, S)
+    blocks = _reference_family(g, S)
     if blocks is None:
         return None
     fam = CompatibleFamily(S, tuple(S | frozenset(B) for B in blocks))
-    lhs = sum(i_cnt[sum(1 << v for v in S | frozenset(B))] for B in blocks)
+    lhs = sum(g.induced_edge_count(H) for H in fam.members)
     return {"kind": "family", "S": sorted(S), "witness": [sorted(H) for H in fam.members],
             "lhs": lhs, "rhs": val_family(fam)}
 
@@ -283,13 +282,13 @@ def _reference_strong(g, T):
     stands for all.  Once those hold, a set breaks a larger S's capacity
     only by lying inside S with an edge, and then so does a pair inside S,
     which comes first.  _reference_S_sparse(g, S) names the violation."""
-    i_cnt = subset_edge_counts(g)
-    if any(i_cnt[x] > 2 * x.bit_count() - 3 for x in range(1 << g.n) if x.bit_count() > 1):
+    if any(g.induced_edge_count(X) > 2 * k - 3
+           for k in range(2, g.n + 1) for X in combinations(range(g.n), k)):
         return frozenset({min(T)}), "set"
     for S in subsets_of_two_or_more(T):
-        if i_cnt[sum(1 << v for v in S)]:
+        if g.induced_edge_count(S):
             return S, "set"
-        if _reference_family(i_cnt, g.n, S):
+        if _reference_family(g, S):
             return S, "family"
     return None
 
@@ -359,39 +358,43 @@ def test_checker_decides_each_edge_like_the_public_decision():
     assert kinds.count("set") > 100 and kinds.count("family") > 20
 
 
-def test_decisions_build_a_subset_table_only_to_name_a_violation(monkeypatch):
-    tables, games = [], []
+def test_decisions_walk_vertex_sets_only_to_name_a_violation(monkeypatch):
+    # counts (kind, witness walks, full G games) per decision; a set walk
+    # walks once per least vertex it tries, and each one below finds its
+    # witness among the sets holding vertex 0
+    walks, games = [], []
+    walk = sparsity._walk
 
-    def counting_table(g):
-        tables.append(g)
-        return subset_edge_counts(g)
+    def counting_walk(g, *args):
+        walks.append(g)
+        return walk(g, *args)
 
     def counting_game(g):
         games.append(g)
         return pebble_game_23(g)
 
-    monkeypatch.setattr(sparsity, "subset_edge_counts", counting_table)
+    monkeypatch.setattr(sparsity, "_walk", counting_walk)
     monkeypatch.setattr(sparsity, "pebble_game_23", counting_game)
 
     def counts(decide, g, T):
-        tables.clear()
+        walks.clear()
         games.clear()
         v = decide(g, T)
-        return v and v.kind, len(tables), len(games)
+        return v and v.kind, len(walks), len(games)
 
     T = {0, 2, 4, 6}
     path = Graph(8, [(v, v + 1) for v in range(7)])
     assert counts(is_strongly_T_sparse, path, T) == (None, 0, 1)
     assert counts(is_S_sparse, path, T) == (None, 0, 1)
     # an edge inside a pair S is its own witness; is_S_sparse must still
-    # search for the lexicographically first set, which needs no table
+    # walk to the lexicographically first set, and plays no game
     chord = path.add_edges([(0, 2)])
     assert counts(is_strongly_T_sparse, chord, T) == ("set", 0, 1)
-    assert counts(is_S_sparse, chord, T) == ("set", 0, 0)
+    assert counts(is_S_sparse, chord, T) == ("set", 1, 0)
     # a set violation plays the (2,3) game once and does not replay it
-    assert counts(is_strongly_T_sparse, complete_graph(4), {0, 1}) == ("set", 0, 1)
-    assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 0, 1)
-    # only a family witness builds the table
+    assert counts(is_strongly_T_sparse, complete_graph(4), {0, 1}) == ("set", 1, 1)
+    assert counts(is_S_sparse, complete_graph(4), {0}) == ("set", 1, 1)
+    # a family witness takes one walk, over the blocks of V minus S
     assert counts(is_strongly_T_sparse, fig4(), {0, 1, 2}) == ("family", 1, 1)
     assert counts(is_S_sparse, fig4(), {0, 1}) == ("family", 1, 1)
 
@@ -482,7 +485,7 @@ def test_set_witness_late_in_witness_order_at_the_cap():
 
 @pytest.mark.parametrize("n", [13, 40, 200])
 def test_decisions_answer_past_the_enumeration_cap(n):
-    # no subset table could hold these graphs: on a greedy mt base the
+    # no witness walk could cover these graphs: on a greedy mt base the
     # decisions and the mt oracle say sparse, and one rejected edge more is
     # a violation that both see, refused for want of its witness
     rng = random.Random(n)
