@@ -14,8 +14,8 @@ from .graph import (Graph, GraphParseError, complete_bipartite, complete_graph,
 from .linalg import (RankReport, Realization, RigidityMatrix, generic_rank,
                      rank_exact, rigidity_matrix, rigidity_target,
                      sample_T_coincident)
-from .pebble import PebbleGame, pebble_rank_23
-from .sparsity import (AugmentedFamily, CompatibleFamily, InvariantError,
+from .pebble import InvariantError, PebbleGame, pebble_rank_23
+from .sparsity import (AugmentedFamily, CompatibleFamily,
                        SparsityViolation, coverage, is_S_sparse,
                        is_strongly_T_sparse, val_augmented, val_family,
                        val_set)

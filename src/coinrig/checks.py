@@ -5,15 +5,15 @@ contraction checks via the pebble game) runs against the algebraic one
 (exact rank of sampled coincident realizations) on bundled fixtures and on
 random instances; disagreements for coincidence sets of size at most three
 are genuine correctness failures and fail the harness.  The combinatorial
-side reads one full game, on G', ``linalg.pebble_basis_23``; each
+side reads one full game, on G', ``pebble.pebble_basis_23``; each
 contraction G'/S is decided from that game's final orientation, not by a
 game of its own.  ``check_coincident_rigidity`` plays that game once and
 both sides read it: the algebraic side caps its rank at the basis, which
 the game proved by recounting each rejection as it made it, and the
 combinatorial side builds every G'/S game as ``sparsity`` builds each
-G/S game, by ``PebbleGame.contracted``: a copy of the G' game with S
-merged into min S, fed only the edges at S and the rejected edges that
-avoid S, up to the rigidity target.
+G/S game, by ``PebbleGame.contracted(S, target)``: a copy of the G' game
+with S merged into min S, fed only the accepted edges at S and the
+rejected edges, up to the rigidity target.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Iterable
+from itertools import combinations
 
 from .constructions import henneberg_random
 from .graph import Graph, complete_bipartite, graph_to_json
 from .linalg import (RankReport, Realization, _generic_rank, generic_rank,
-                     pebble_basis_23, rigidity_target)
+                     rigidity_target)
 from .matroid import greedy_rank, mt_oracle, rt_oracle
-from .pebble import PebbleGame
-from .sparsity import (InvariantError, _broken_S, is_strongly_T_sparse,
-                       subsets_of_two_or_more)
+from .pebble import InvariantError, PebbleGame, pebble_basis_23
+from .sparsity import _broken_S, is_strongly_T_sparse, subsets_of_two_or_more
 
 
 @dataclass
@@ -68,44 +66,27 @@ class CoincidenceVerdict:
         return out
 
 
-def _contraction_games(g: Graph, ts: frozenset[int], game: PebbleGame,
-                       rejected: Iterable[tuple[int, int]]):
-    """(S, game, target) for G' (S empty), then for each G'/S, S inside T.
+def _failing_S(ts: frozenset[int], game: PebbleGame) -> frozenset[int] | None:
+    """``coincident_rigid_combinatorial`` from ``game``, the final (2,3)
+    game on G', g less its edges inside T, that ``pebble_basis_23(g, ts)``
+    played; no game on G' is played here.
 
-    Every S has |S| >= 2, and target is the rigidity target 2n' - 3 of the
-    graph decided.  ``game`` is the (2,3) game on G', g less its edges
-    inside T, that ``pebble_basis_23(g, ts)`` played on every edge, in
-    ``edge_list`` order, where the game's count rule takes most edges with
-    no pebble search, and
-    ``rejected`` holds the edges it rejected, in that order; no game on G'
-    is played here.  Each G'/S game is built by the one call that builds
-    every contraction game, ``PebbleGame.contracted``: it copies that
-    game's final orientation, keeping the input's ids and the accepted
-    edges that avoid S, and leaves ``game`` unchanged; S goes into min(S),
-    and S's other vertices keep two pebbles and take no edge.  The copy
-    then tries the edges (min(S), w) for the neighbours w of S in G', and
-    the rejected edges that avoid S, up to 2n' - 3 edges, with
-    n' = n - |S| + 1.  Its count is the R_2 rank of G'/S whenever that
-    rank is short of 2n' - 3.
+    G' is decided by its game's count against the rigidity target 2n - 3.
+    Each G'/S, S inside T with |S| >= 2, is decided by the one call that
+    builds every contraction game, ``PebbleGame.contracted(S, target)``,
+    with target 2n' - 3 and n' = n - |S| + 1: a copy of ``game`` with S
+    merged into min(S), on the input's ids, that plays only the accepted
+    edges at S and the rejected edges, and leaves ``game`` unchanged.  Its
+    count is the R_2 rank of G'/S whenever that rank is short of 2n' - 3.
     """
-    yield frozenset(), game, rigidity_target(g.n, 2)
+    if game.accepted != rigidity_target(game.n, 2):
+        return frozenset()
     for s in subsets_of_two_or_more(ts):
-        target = rigidity_target(g.n - len(s) + 1, 2)
-        # G' has no edge inside T: S's neighbours in G' are those in g off T
-        star = sorted({(min(s), w) for t in s for w in g.neighbors(t) if w not in ts})
-        rest = ((a, b) for a, b in rejected if a not in s and b not in s)
-        sub = game.contracted(s, chain(star, rest), target)
+        target = rigidity_target(game.n - len(s) + 1, 2)
+        sub = game.contracted(s, target)
         if sub.accepted > target:  # a (2,3)-sparse set holds at most 2n' - 3
             raise InvariantError(f"the copied state of G'/{sorted(s)} holds "
                                  f"{sub.accepted} edges, above {target}")
-        yield s, sub, target
-
-
-def _failing_S(g: Graph, ts: frozenset[int], game: PebbleGame,
-               rejected: Iterable[tuple[int, int]]) -> frozenset[int] | None:
-    """``coincident_rigid_combinatorial`` from G''s game, as
-    ``_contraction_games`` takes it."""
-    for s, sub, target in _contraction_games(g, ts, game, rejected):
         if sub.accepted != target:
             return s
     return None
@@ -120,15 +101,14 @@ def coincident_rigid_combinatorial(g: Graph, T) -> frozenset[int] | None:
     the empty set when G' is flexible, else the first S whose G'/S is.
 
     One full game is played, on G' (``pebble_basis_23``); each G'/S is
-    decided from its final orientation (``_contraction_games``), so it
-    costs the edges at the merged vertex and the edges the G' game
+    decided from its final orientation (``_failing_S``), so it costs the
+    accepted edges at the merged vertex and the edges the G' game
     rejected, not a game on all of G'/S.
     """
     ts = g._check_T(T)
     if not 2 <= len(ts) <= 3:
         raise ValueError("the characterization applies to |T| in {2, 3}")
-    _, rejected, game = pebble_basis_23(g, ts)
-    return _failing_S(g, ts, game, rejected)
+    return _failing_S(ts, pebble_basis_23(g, ts)[1])
 
 
 def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
@@ -144,11 +124,11 @@ def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
     and ``coincident_rigid_combinatorial`` each play alone.
     """
     ts = g._check_T(T)
-    basis, rejected, game = pebble_basis_23(g, ts)
+    basis, game = pebble_basis_23(g, ts)
     rep = _generic_rank(g, ts, 2, seed, basis)
     combinatorial = failing_S = None
     if 2 <= len(ts) <= 3:
-        failing_S = _failing_S(g, ts, game, rejected)
+        failing_S = _failing_S(ts, game)
         combinatorial = failing_S is None
     return CoincidenceVerdict(g, ts, combinatorial=combinatorial, algebraic=rep.rigid,
                               failing_S=failing_S, reports=(rep,))

@@ -21,7 +21,8 @@ from .constructions import SplitSpec, henneberg_random, one_extension, \
 from .graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
 from .linalg import generic_rank
 from .matroid import greedy_rank, mt_oracle, mt_rank_cover_min, rt_oracle
-from .sparsity import InvariantError, is_S_sparse, is_strongly_T_sparse
+from .pebble import InvariantError
+from .sparsity import is_S_sparse, is_strongly_T_sparse
 
 
 class UsageError(Exception):

@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph
-from .sparsity import InvariantError, _broken_S
+from .pebble import InvariantError
+from .sparsity import _broken_S
 
 
 def zero_extension(g: Graph, a: int, b: int) -> Graph:

@@ -273,6 +273,8 @@ def _parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphParseError(f'first line must be "n m", got {lines[0]!r}')
+    if n < 0 or m < 0:
+        raise GraphParseError(f'first line "n m" must hold nonnegative counts, got {lines[0]!r}')
     if len(lines) - 1 != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

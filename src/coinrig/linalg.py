@@ -14,12 +14,14 @@ realization's matrix (``rank_exact``), and of a sample's rows when their
 mod-p rank falls short of its upper bound on the exact-rational path, which
 the vertex count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
 bound is the generic rank of G', the graph minus its T-internal edges, from
-the (2,3) pebble game on g's edges less those inside T: a fact about R_2,
-not the coincidence theorem, so the rank verdict stays independent of the
-strong-sparsity one.  ``check`` plays that game once and hands its final
-state to the deletion/contraction side too; the rank verdict trusts neither
-its basis nor its orientation, since the game recounts each rejection as it
-makes it and the rank comes from the trials' echelons.
+the (2,3) pebble game on g's edges less those inside T
+(``pebble.pebble_basis_23``; this module plays no game of its own): a fact
+about R_2, not the coincidence theorem, so the rank verdict stays
+independent of the strong-sparsity one.  ``check`` plays that game once and
+hands its final state to the deletion/contraction side too; the rank
+verdict trusts neither its basis nor its orientation, since the game
+recounts each rejection as it makes it and the rank comes from the trials'
+echelons.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
@@ -44,8 +46,7 @@ from math import comb, gcd, lcm
 from typing import Iterable
 
 from .graph import Graph
-from .pebble import PebbleGame
-from .sparsity import InvariantError
+from .pebble import InvariantError, pebble_basis_23
 
 COORD_BOUND = 1 << 20
 PRIME = (1 << 61) - 1
@@ -307,69 +308,7 @@ def _trial_rows(g: Graph, T: frozenset[int], d: int, seed: int,
     return _sparse_rows(g, _sample_points(g, T, d, _trial_seed(seed, t)), d)
 
 
-# -- the planar cap ----------------------------------------------------
-
-
-def pebble_basis_23(g: Graph, T: frozenset[int]) -> tuple[
-        list[tuple[int, int]], list[tuple[int, int]], PebbleGame]:
-    """The (2,3) game on G', g less its edges inside T: its accepted edges,
-    its rejected edges, and the game itself in its final state.
-
-    g's edges are played in ``edge_list`` order, those inside T skipped, so
-    the accepted list, a basis of G' in R_2, is the one ``pebble_rank_23``
-    counts on G', and both lists keep that order.  Most inserts need no
-    pebble search: the game's count rule accepts an edge at a vertex of
-    accepted degree at most one outright, and a rejection is always a
-    failed search.
-
-    Each rejection is proved as it is made, recounted from the accepted
-    list, not from the orientation.  A rejected ab needs a set R that holds
-    a and b and spans at least 2|R| - 3 accepted edges: R is the set of
-    vertices reachable from a and b once the gather failed, which leaves
-    l = 3 pebbles on a and b and none on R's other vertices, with every
-    out-edge of R inside R (Lee-Streinu 2008).  The accepted edges are
-    independent (the game accepts only edges that keep its set sparse), and
-    no planar realization ranks the rows of R's edges above 2|R| - 3,
-    coincident points included, so ab's row is in their span generically.
-    The generic rank of G' is then the basis size, and no sampled trial
-    ranks above it.  A rejection that fails its recount raises
-    ``InvariantError``.
-
-    This is the one game on G' that ``check_coincident_rigidity`` plays:
-    its algebraic side takes the basis, and its combinatorial side starts
-    every G'/S game from the final orientation and the rejected edges.
-    Neither ``_reach`` nor ``PebbleGame.contracted`` changes the game.
-    """
-    game = PebbleGame(g.n)
-    basis, rejected = [], []
-    up: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edge_list():
-        if a in T and b in T:
-            continue
-        if game.try_insert(a, b):
-            basis.append((a, b))
-            up[a].append(b)
-            continue
-        R = _reach(game.out, a, b)
-        spanned = sum(len(R.intersection(up[v])) for v in R)
-        if spanned < 2 * len(R) - 3:
-            raise InvariantError(
-                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
-                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
-        rejected.append((a, b))
-    return basis, rejected, game
-
-
-def _reach(out: list[list[int]], a: int, b: int) -> set[int]:
-    """Vertices reachable from a or b along ``out``, a and b included."""
-    seen = {a, b}
-    stack = [a, b]
-    while stack:
-        for w in out[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+# -- sampled rank ------------------------------------------------------
 
 
 def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankReport:

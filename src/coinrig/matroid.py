@@ -19,11 +19,11 @@ from typing import Callable, Iterable
 
 from .graph import Graph, _canon_edge
 from .linalg import TRIALS, ModpEchelon, _trial_rows
-from .pebble import PebbleGame
+from .pebble import InvariantError, PebbleGame
 from .sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
-                       InvariantError, StrongSparsityChecker, _bits,
-                       _check_cap, _mask_of, _require, min_thin_cover,
-                       subsets_of_two_or_more, val_augmented)
+                       StrongSparsityChecker, _bits, _check_cap, _mask_of,
+                       _require, min_thin_cover, subsets_of_two_or_more,
+                       val_augmented)
 
 CIRCUIT_SCAN_CAP = 2_000_000
 

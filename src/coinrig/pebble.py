@@ -4,14 +4,20 @@ Each vertex starts with two pebbles.  An edge is accepted when four
 pebbles can be gathered on its endpoints; accepted edges form a maximal
 (2,3)-sparse subset of the input, whose size is the rank of the edge set.
 Pebbles are fetched by depth-first search along accepted-edge
-orientations, reversing the path walked.  The game takes parallel edges,
-so it also ranks a multigraph such as a contraction G/S.  A game on G/S
-whose graph G has been played starts from G's final game
-(``PebbleGame.contracted``): the copy keeps the accepted edges that avoid
-S and plays on only the edges it is given, up to a given count.  That game
-keeps the input's vertex ids: S is merged into its smallest vertex, and
-its other vertices are left isolated.  Only the incremental strong
-sparsity checker, whose G/S games grow with G, plays them from empty.
+orientations, reversing the path walked.  The game keeps the edges it
+rejects, in play order.  It takes parallel edges, so it also ranks a
+multigraph such as a contraction G/S.
+
+Every whole-graph game is ``pebble_basis_23``: the game on G', g less its
+edges inside T, played in ``edge_list`` order, which proves each rejection
+as it makes it.  ``check`` reads it for both of its sides, and the sparse
+decisions read it with T empty.  A game on G/S then starts from that
+game's final state (``PebbleGame.contracted(S, bound)``): the copy keeps
+the accepted edges that avoid S and plays on only the accepted edges at S
+and the rejected edges, up to a given count.  It keeps the input's vertex
+ids: S is merged into its smallest vertex, and its other vertices are left
+isolated.  Only the incremental strong sparsity checker, whose G/S games
+grow with G, plays them from empty.
 
 The game also takes most edges without a search, by a count rule: an edge
 ab that is not yet accepted, at a vertex v with at most one accepted edge,
@@ -24,9 +30,27 @@ it changes only the orientation.
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
 
 from .graph import Graph
+
+
+class InvariantError(RuntimeError):
+    """A proven bound failed: a bug or a false theorem.
+
+    The bounds are the proven facts the code relies on: each rejection of
+    ``pebble_basis_23`` recounts to a set that spans its edge; a violation
+    that a pebble game shows has a witness for the searches of
+    ``sparsity`` to name; the cover minimum's family (``matroid``) is
+    1-thin, covers the edges and has the minimum as its value; the edges
+    the rt oracle accepts, and those a contracted game keeps, stay
+    (2,3)-sparse; ``constructions.reduce_low_degree`` finds an admissible
+    pair; and in ``linalg.generic_rank`` the R_2 rank of G' caps every
+    sampled rank in the plane.
+
+    Raised by explicit checks that stay active under ``python -O``; the CLI
+    reports it as a theorem violation (exit code 1).
+    """
 
 
 class PebbleGame:
@@ -49,6 +73,7 @@ class PebbleGame:
         self.pebbles = [2] * n
         self.out: list[list[int]] = [[] for _ in range(n)]
         self.accepted = 0
+        self.rejected: list[tuple[int, int]] = []
         self.deg = [0] * n
         self._seen = [0] * n
         self._stamp = 0
@@ -112,8 +137,9 @@ class PebbleGame:
 
         That needs four pebbles gathered on the endpoints: three would only
         witness sparsity before the insertion.  Pebbles may move, but the
-        accepted edges stay the same.  An edge the count rule accepts is
-        answered with no search, and no pebble moves.
+        accepted edges stay the same, and ``rejected`` records nothing.  An
+        edge the count rule accepts is answered with no search, and no
+        pebble moves.
         """
         if a == b:
             raise ValueError("loop edge")
@@ -123,13 +149,15 @@ class PebbleGame:
         """Accept ab iff the accepted set stays sparse; ab leaves a pebbled end.
 
         An edge the count rule accepts is taken with no search, out of its
-        end of accepted degree at most one.
+        end of accepted degree at most one.  A refused edge is appended to
+        ``rejected``.
         """
         if a == b:
             raise ValueError("loop edge")
         v = self._free_end(a, b)
         if v < 0:
             if not self._search(a, b):
+                self.rejected.append((a, b))
                 return False
             v = a if self.pebbles[a] else b
         w = b if v == a else a
@@ -140,10 +168,10 @@ class PebbleGame:
         self.deg[w] += 1
         return True
 
-    def contracted(self, S: frozenset[int], edges: Iterable[tuple[int, int]],
-                   bound: int) -> PebbleGame:
-        """This game's state with S merged into min(S), played on with
-        ``edges`` until it holds ``bound`` edges; the ids stay the same.
+    def contracted(self, S: frozenset[int], bound: int) -> PebbleGame:
+        """This game's state with S merged into min(S), played on with the
+        edges it has not kept until it holds ``bound`` edges; the ids stay
+        the same.
 
         Every out-edge that touches S is dropped and its tail gets the pebble
         back, so each vertex of S has two pebbles and no out-edges; only
@@ -151,41 +179,106 @@ class PebbleGame:
         The accepted edges left avoid S, so they stay sparse on the
         contracted graph, and out-degree plus pebbles is two everywhere: any
         such orientation is a state of the game (Lee-Streinu 2008).  The copy
-        counts the degrees of the edges it keeps, then tries the images of
-        ``edges`` in turn, S merged into min(S) and parallel images kept, as
-        long as it holds fewer than ``bound`` edges.  So it holds the accepted
-        edges that avoid S, extended to a maximal sparse set of the
+        counts the degrees of the edges it keeps, and collects the accepted
+        edges at S in the same walk.  It then tries the images of those
+        edges, and after them the images of ``rejected``, S merged into
+        min(S) and parallel images kept, as long as it holds fewer than
+        ``bound`` edges; an image inside S is a loop of the contracted graph
+        and is dropped, as ``Graph.contract`` drops it.  Those are the
+        images of every played edge the copy does not keep, so it holds the
+        accepted edges that avoid S, extended to a maximal sparse set of the
         contracted graph, or ``bound`` edges if that comes first; a copy
-        already at or over ``bound`` takes no edge.  This game is left
-        unchanged.
+        already at or over ``bound`` takes no edge.  The order changes no
+        count, only the work.  This game is left unchanged.
         """
         game = PebbleGame(self.n)
         deg = game.deg
+        at = []  # the accepted edges at S
         for v, heads in enumerate(self.out):
-            if v not in S:
-                kept = [w for w in heads if w not in S]
-                game.out[v] = kept
-                game.pebbles[v] -= len(kept)
-                game.accepted += len(kept)
-                deg[v] += len(kept)
-                for w in kept:
-                    deg[w] += 1
+            if v in S:
+                at += [(v, w) for w in heads]
+                continue
+            kept = [w for w in heads if w not in S]
+            if len(kept) < len(heads):
+                at += [(v, w) for w in heads if w in S]
+            game.out[v] = kept
+            game.pebbles[v] -= len(kept)
+            game.accepted += len(kept)
+            deg[v] += len(kept)
+            for w in kept:
+                deg[w] += 1
         s = min(S)
-        for a, b in edges:
-            if game.accepted < bound:
-                game.try_insert(s if a in S else a, s if b in S else b)
+        for a, b in chain(at, self.rejected):
+            if game.accepted >= bound:
+                break
+            a, b = s if a in S else a, s if b in S else b
+            if a != b:
+                game.try_insert(a, b)
         return game
 
 
-def pebble_game_23(g: Graph) -> PebbleGame:
-    """The (2,3) game played on g's edges in ``edge_list`` order, in its
-    final state: its accepted edges are a basis of g in R_2."""
+def pebble_basis_23(g: Graph, T: frozenset[int]) -> tuple[
+        list[tuple[int, int]], PebbleGame]:
+    """The (2,3) game on G', g less its edges inside T: its accepted edges
+    and the game itself in its final state, its rejected edges in
+    ``rejected``.
+
+    g's edges are played in ``edge_list`` order, those inside T skipped, so
+    the accepted list is a basis of G' in R_2, and both lists keep that
+    order.  Most inserts need no pebble search: the game's count rule
+    accepts an edge at a vertex of accepted degree at most one outright,
+    and a rejection is always a failed search.
+
+    Each rejection is proved as it is made, recounted from the accepted
+    list, not from the orientation.  A rejected ab needs a set R that holds
+    a and b and spans at least 2|R| - 3 accepted edges: R is the set of
+    vertices reachable from a and b once the gather failed, which leaves
+    l = 3 pebbles on a and b and none on R's other vertices, with every
+    out-edge of R inside R (Lee-Streinu 2008).  The accepted edges are
+    independent (the game accepts only edges that keep its set sparse), and
+    no planar realization ranks the rows of R's edges above 2|R| - 3,
+    coincident points included, so ab's row is in their span generically.
+    The generic rank of G' is then the basis size, and no sampled trial
+    ranks above it.  A rejection that fails its recount raises
+    ``InvariantError``.
+
+    This is every whole-graph game: ``check_coincident_rigidity`` plays it
+    once on G' for both of its sides, the algebraic one taking the basis
+    and the combinatorial one copying the game onto each G'/S, and the
+    sparse decisions play it on G with T empty.  Neither ``_reach`` nor
+    ``PebbleGame.contracted`` changes the game.
+    """
     game = PebbleGame(g.n)
+    basis = []
+    up: list[list[int]] = [[] for _ in range(g.n)]
     for a, b in g.edge_list():
-        game.try_insert(a, b)
-    return game
+        if a in T and b in T:
+            continue
+        if game.try_insert(a, b):
+            basis.append((a, b))
+            up[a].append(b)
+            continue
+        R = _reach(game.out, a, b)
+        spanned = sum(len(R.intersection(up[v])) for v in R)
+        if spanned < 2 * len(R) - 3:
+            raise InvariantError(
+                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
+                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
+    return basis, game
+
+
+def _reach(out: list[list[int]], a: int, b: int) -> set[int]:
+    """Vertices reachable from a or b along ``out``, a and b included."""
+    seen = {a, b}
+    stack = [a, b]
+    while stack:
+        for w in out[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def pebble_rank_23(g: Graph) -> int:
     """Rank of g's edges in the 2-dimensional rigidity matroid R_2."""
-    return pebble_game_23(g).accepted
+    return len(pebble_basis_23(g, frozenset())[0])

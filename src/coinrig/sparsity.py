@@ -14,17 +14,18 @@ this shape.  Such families are exactly the collections of disjoint nonempty
 ``is_S_sparse`` and ``_broken_S``, the one decision behind every
 whole-graph strong-sparsity verdict, decide by (2,3) pebble games, the
 proof of which is in the ``StrongSparsityChecker`` docstring: one game on
-G for the set capacities, a count of the edges inside S, and per S a copy
-of G's final game on G/S (``PebbleGame.contracted``), with S merged into
-min S and parallel edges kept, whose nullity is the heaviest family
-weight.  The copy already holds every edge that avoids S, so it plays
-only the edges at S.  A verdict costs one game and O(2^|T|) copies.  Only
-a violation runs the bitmask engine, to name its canonical witness, and
-one walk, ``_walk``, serves both kinds: it visits vertex sets in witness
-order, counting induced edges as it goes.  ``_set_violation`` stops it at
-the first set over its capacity; ``_family_violation`` walks the blocks of
-V minus S, keeps those of positive weight, and searches them for the
-first family over its capacity.
+G for the set capacities (``pebble.pebble_basis_23`` with T empty, which
+proves each rejection as it makes it), a count of the edges inside S, and
+per S a copy of G's final game on G/S (``PebbleGame.contracted``), with S
+merged into min S and parallel edges kept, whose nullity is the heaviest
+family weight.  The copy already holds every edge that avoids S, so it
+plays only the edges at S.  A verdict costs one game and O(2^|T|)
+copies.  Only a violation runs the bitmask engine, to name its canonical
+witness, and one walk, ``_walk``, serves both kinds: it visits vertex sets
+in witness order, counting induced edges as it goes.  ``_set_violation``
+stops it at the first set over its capacity; ``_family_violation`` walks
+the blocks of V minus S, keeps those of positive weight, and searches them
+for the first family over its capacity.
 
 Witness order: vertex sets compare by their sorted vertex tuples
 (``_bits``), lexicographically, and family members are listed in that
@@ -46,26 +47,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .pebble import PebbleGame, pebble_game_23
+from .pebble import InvariantError, PebbleGame, pebble_basis_23
 
 DEFAULT_CAP = 12
-
-
-class InvariantError(RuntimeError):
-    """A proven bound failed: a bug or a false theorem.
-
-    The bounds are the proven facts the code relies on: a violation that a
-    pebble game shows has a witness for the searches here to name; the
-    cover minimum's family (``matroid``) is 1-thin, covers the edges and
-    has the minimum as its value; the edges the rt oracle accepts, and
-    those a contracted game keeps, stay (2,3)-sparse;
-    ``constructions.reduce_low_degree`` finds an admissible pair; and in
-    ``linalg.generic_rank`` the R_2 rank of G' caps every sampled rank in
-    the plane.
-
-    Raised by explicit checks that stay active under ``python -O``; the CLI
-    reports it as a theorem violation (exit code 1).
-    """
 
 
 def _require(ok: bool, what: str):
@@ -327,15 +311,15 @@ def _check_cap(n: int, what: str = "graph"):
         raise ValueError(f"{what} has {n} vertices, enumeration cap is {DEFAULT_CAP}")
 
 
-def _family_breaks(g: Graph, game: PebbleGame, ss: frozenset[int]) -> bool:
+def _family_breaks(game: PebbleGame, ss: frozenset[int]) -> bool:
     """Whether the nullity of G/S in the (2,3) count exceeds 2|S| - 2: with
-    g (2,3)-sparse, ``game`` its final (2,3) game and no edge inside S,
-    whether some S-family breaks its capacity.  G/S merges S into min S and
-    keeps parallel edges; its game is ``game``'s copy, fed the edges at S
-    (see ``StrongSparsityChecker`` for why that is exact)."""
-    at = ((t, w) for t in ss for w in g.neighbors(t))
-    bound = len(g.edges) - 2 * len(ss) + 2
-    return game.contracted(ss, at, bound).accepted < bound
+    ``game`` the final (2,3) game of a (2,3)-sparse G, which accepted every
+    edge, and no edge inside S, whether some S-family breaks its capacity.
+    G/S merges S into min S and keeps parallel edges; its game is
+    ``game``'s copy, fed the edges at S (see ``StrongSparsityChecker`` for
+    why that is exact)."""
+    bound = game.accepted - 2 * len(ss) + 2
+    return game.contracted(ss, bound).accepted < bound
 
 
 def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
@@ -353,9 +337,9 @@ def is_S_sparse(g: Graph, S: Iterable[int]) -> SparsityViolation | None:
     ``DEFAULT_CAP`` vertices is refused.
     """
     ss = g._check_T(S, "S")
-    if g.induced_edge_count(ss) or (game := pebble_game_23(g)).accepted < len(g.edges):
+    if g.induced_edge_count(ss) or (game := pebble_basis_23(g, frozenset())[1]).rejected:
         return _set_violation(g, ss)
-    if _family_breaks(g, game, ss):
+    if _family_breaks(game, ss):
         return _family_violation(g, ss)
     return None
 
@@ -386,11 +370,11 @@ def _broken_S(g: Graph, ts: frozenset[int]) -> frozenset[int] | None:
     O(2^|T|) copies, at any size, since nothing is named.
     """
     subsets = subsets_of_two_or_more(ts)
-    game = pebble_game_23(g)
-    if game.accepted < len(g.edges):
+    game = pebble_basis_23(g, frozenset())[1]
+    if game.rejected:
         return frozenset({min(ts)})
     return next((s for s in subsets
-                 if g.induced_edge_count(s) or _family_breaks(g, game, s)), None)
+                 if g.induced_edge_count(s) or _family_breaks(game, s)), None)
 
 
 def is_strongly_T_sparse(g: Graph, T: Iterable[int]) -> SparsityViolation | None:
@@ -453,10 +437,11 @@ class StrongSparsityChecker:
     ``is_S_sparse`` and ``_broken_S`` decide the whole of G at once, so
     each of their G/S games starts from G's final game instead:
     ``PebbleGame.contracted`` copies it with S merged into s, then feeds the
-    images of the edges at S until the copy holds bound = |E| - 2|S| + 2
-    edges.  This is exact.  They ask only once G has passed the (2,3)
-    check, so G's game has accepted every edge, and the copy holds every
-    edge that avoids S.  Those edges are independent in G/S, and the rank
+    images of the accepted edges at S, and of the game's rejected edges,
+    until the copy holds bound = |E| - 2|S| + 2 edges.  This is exact.
+    They ask only once G has passed the (2,3) check, so G's game has
+    accepted every edge and rejected none: the copy holds every edge that
+    avoids S and is fed every edge at S.  Those edges are independent in G/S, and the rank
     of an edge set does not depend on the order of play, so a copy that
     stops short of bound has played every edge at S and holds rank(G/S)
     edges; one that reaches bound shows rank(G/S) >= bound.  The nullity

@@ -6,15 +6,15 @@ import pytest
 
 import coinrig.linalg
 from coinrig import checks
-from coinrig.checks import (_contraction_games, check_coincident_rigidity,
+from coinrig.checks import (_failing_S, check_coincident_rigidity,
                             coincident_rigid_combinatorial, conjecture_search,
                             cross_validate, fixtures, random_instance)
 from coinrig.constructions import henneberg_random
 from coinrig.graph import complete_graph
-from coinrig.linalg import (generic_rank, pebble_basis_23, rank_exact,
-                            rigidity_matrix, rigidity_target, sample_T_coincident)
+from coinrig.linalg import (generic_rank, rank_exact, rigidity_matrix,
+                            rigidity_target, sample_T_coincident)
 from coinrig.matroid import mt_oracle
-from coinrig.pebble import PebbleGame, pebble_rank_23
+from coinrig.pebble import PebbleGame, pebble_basis_23, pebble_rank_23
 from coinrig.sparsity import subsets_of_two_or_more
 
 from test_exhaustive import _atlas
@@ -101,12 +101,15 @@ def _replayed_combinatorial(g, T):
 
 
 def _assert_contraction_games_match(g, T):
+    # G''s game and each copy of it onto G'/S, fed up to the target, as
+    # _failing_S builds it
     gp = g.delete_edges(combinations(T, 2))
-    _, rejected, g_prime_game = pebble_basis_23(g, T)
-    for s, game, target in _contraction_games(g, T, g_prime_game, rejected):
+    g_prime_game = pebble_basis_23(g, T)[1]
+    for s in [frozenset()] + subsets_of_two_or_more(T):
         gs = gp.contract(s) if s else gp
+        target = rigidity_target(gs.n, 2)
+        game = g_prime_game.contracted(s, target) if s else g_prime_game
         assert game.n == gp.n
-        assert target == rigidity_target(gs.n, 2)
         assert game.accepted == pebble_rank_23(gs), (g.edge_list(), sorted(T), sorted(s))
         assert all(len(heads) + p == 2 for heads, p in zip(game.out, game.pebbles))
         oriented = {tuple(sorted((v, w))) for v, heads in enumerate(game.out) for w in heads}
@@ -146,37 +149,48 @@ def test_contraction_games_match_replayed_games_above_the_exact_limit():
                 _assert_contraction_games_match(henneberg_plus(n, seed), T)
 
 
-def test_games_play_edge_list_order_then_star_then_rejected(monkeypatch):
+def test_games_play_edge_list_order_then_edges_at_S_then_rejected(monkeypatch):
     # the G' game (pebble_basis_23) inserts the edges of g not inside T in
-    # edge_list order and lists its rejected edges in that order;
-    # _contraction_games plays no G' game, and each G'/S game takes its star
-    # at min(S), then the rejected edges that avoid S, in edge_list order,
-    # until it holds its target
+    # edge_list order and keeps its rejected edges in that order; _failing_S
+    # plays no G' game, and copies it onto G'/S, S in subset order, until
+    # one falls short: here the first.  Each G'/S game takes the accepted
+    # edges at S, merged into min(S), in the order of the G' game's
+    # out-edge lists, then the rejected edges, until it holds its target
     g = henneberg_plus(60, 4)
     T = frozenset({18, 23, 30})
     gp = g.delete_edges(combinations(T, 2))
     game = PebbleGame(gp.n)
     rejected = [e for e in gp.edge_list() if not game.try_insert(*e)]
-    inserts = []
+    inserts, copies = [], []
     real = PebbleGame.try_insert
     monkeypatch.setattr(PebbleGame, "try_insert",
                         lambda game, a, b: inserts.append((a, b)) or real(game, a, b))
-    _, played_rejected, shared = pebble_basis_23(g, T)
-    assert inserts == gp.edge_list() and played_rejected == rejected
-    inserts.clear()
-    games = _contraction_games(g, T, shared, rejected)
-    assert next(games)[1] is shared
-    assert inserts == []
-    for i, (s, _, _) in enumerate(games):
-        k = sum(a == min(s) for a, b in inserts)
-        star, rest = inserts[:k], inserts[k:]
-        assert all(a == min(s) for a, b in star)
-        assert [b for a, b in star] == sorted({w for t in s for w in gp.neighbors(t)})[:k]
-        assert rest == [e for e in rejected if not s & set(e)][:len(rest)]
-        if i == 0:
-            assert len(rest) >= 2 and rest == sorted(rest)
-            assert not any(v in s for e in rest for v in e)
+    shared = pebble_basis_23(g, T)[1]
+    assert inserts == gp.edge_list() and shared.rejected == rejected
+    real_contracted = PebbleGame.contracted
+
+    def contracted(game, S, bound):
         inserts.clear()
+        sub = real_contracted(game, S, bound)
+        copies.append((S, bound, list(inserts), sub.accepted))
+        return sub
+
+    monkeypatch.setattr(PebbleGame, "contracted", contracted)
+    assert _failing_S(T, shared) == frozenset({18, 23})
+    assert len(copies) == 1
+    for s in subsets_of_two_or_more(T)[1:]:
+        shared.contracted(s, rigidity_target(gp.n - len(s) + 1, 2))
+    assert [s for s, *_ in copies] == subsets_of_two_or_more(T)
+    for i, (s, bound, played, accepted) in enumerate(copies):
+        m = min(s)
+        at = [(m if v in s else v, m if w in s else w)
+              for v, heads in enumerate(shared.out) for w in heads if v in s or w in s]
+        images = at + [(m if a in s else a, m if b in s else b) for a, b in rejected]
+        assert bound == rigidity_target(gp.n - len(s) + 1, 2)
+        assert played == images[:len(played)]
+        assert len(played) == len(images) or accepted == bound
+        if i == 0:
+            assert len(played) >= len(at) + 2  # some rejected edges were played
 
 
 def test_contractions_reuse_the_g_prime_game(monkeypatch):

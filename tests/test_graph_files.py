@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from coinrig.cli import main
-from coinrig.graph import Graph, graph_to_json, parse_graph_with_T
+from coinrig.graph import Graph, GraphParseError, graph_to_json, parse_graph_with_T
 
 VERBS = ("sparse", "mrank", "check", "rank")
 
@@ -97,3 +97,17 @@ def test_mutated_graph_files_exit_0_or_2(tmp_path_factory, data):
                 (verb, err)
         else:
             assert err == "", (verb, err)
+
+
+@pytest.mark.parametrize("text", ["-1 0\n", "3 -1\n", "-2 -1\n"])
+def test_negative_edge_list_counts_are_parse_errors(tmp_path, text):
+    # the header is refused as a JSON "n" of -1 is: not by Graph's own
+    # ValueError, nor as "expected -1 edge lines"
+    want = f'first line "n m" must hold nonnegative counts, got {text.strip()!r}'
+    with pytest.raises(GraphParseError) as info:
+        parse_graph_with_T(text)
+    assert str(info.value) == want
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    for verb in VERBS:
+        assert run_cli([verb, "--graph", str(path), "--T", "0,1"]) == (2, "", f"error: {want}\n")

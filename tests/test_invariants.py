@@ -138,11 +138,20 @@ SCRIPT = textwrap.dedent("""
         rank_code = main(["rank", "--graph", sys.argv[3]])
     coinrig.linalg._exact_rank = real_exact
 
+    # reach sets cut down to the rejected edge's ends: the sparse decisions
+    # play the same game as check, so their recount catches it too
+    real_reach = coinrig.pebble._reach
+    coinrig.pebble._reach = lambda out, a, b: {a, b}
+    sparse_err = io.StringIO()
+    with contextlib.redirect_stderr(sparse_err), contextlib.redirect_stdout(io.StringIO()):
+        sparse_code = main(["sparse", "--strong", "--graph", sys.argv[1], "--T", "0,1"])
+    coinrig.pebble._reach = real_reach
+
     # a copied G'/S state holding more than 2n' - 3 edges
     real_contracted = coinrig.pebble.PebbleGame.contracted
 
-    def overfull(game, S, edges, bound):
-        sub = real_contracted(game, S, edges, bound)
+    def overfull(game, S, bound):
+        sub = real_contracted(game, S, bound)
         sub.accepted += 2 * sub.n
         return sub
 
@@ -155,6 +164,8 @@ SCRIPT = textwrap.dedent("""
                       "rank_code": rank_code, "rank_stderr": rank_err.getvalue(),
                       "recount_codes": recount_codes,
                       "recount_stderr": recount_err.getvalue(),
+                      "sparse_code": sparse_code,
+                      "sparse_stderr": sparse_err.getvalue(),
                       "check_code": check_code,
                       "check_stderr": check_err.getvalue()}))
 """)
@@ -188,5 +199,8 @@ def test_invariants_fire_under_optimize(tmp_path):
     lines = out["recount_stderr"].splitlines()
     assert len(lines) == 4
     assert all(ln.startswith("error: invariant violated: rejected edge ") for ln in lines)
+    assert out["sparse_code"] == 1
+    assert out["sparse_stderr"].startswith("error: invariant violated: rejected edge ")
+    assert out["sparse_stderr"].count("\n") == 1
     assert out["check_code"] == 1
     assert out["check_stderr"].startswith("error: invariant violated: the copied state")

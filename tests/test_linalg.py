@@ -13,10 +13,10 @@ from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _exact_rank, _sample_points,
-                            _sparse_rows, generic_rank, pebble_basis_23,
-                            rank_exact, rigidity_matrix, rigidity_target,
+                            _sparse_rows, generic_rank, rank_exact,
+                            rigidity_matrix, rigidity_target,
                             sample_T_coincident)
-from coinrig.pebble import pebble_rank_23
+from coinrig.pebble import pebble_basis_23, pebble_rank_23
 
 
 def F(x):
@@ -584,8 +584,8 @@ def test_exact_path_trials_stop_at_the_cap(monkeypatch):
     real = ModpEchelon.try_add
     monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
     for T in ({0}, {0, 29}):
-        basis, rejected, _ = pebble_basis_23(g, frozenset(T))
-        assert len(basis) == 57 and len(rejected) == 2
+        basis, game = pebble_basis_23(g, frozenset(T))
+        assert len(basis) == 57 and len(game.rejected) == 2
         fed.clear()
         rep = generic_rank(g, T, 2)
         assert (rep.rank, rep.rigid, rep.method) == (57, True, "exact-rational")
@@ -637,20 +637,22 @@ def test_cap_game_rejections_recount():
         n = rng.randint(2, 40)
         pairs = list(combinations(range(n), 2))
         g = Graph(n, rng.sample(pairs, min(len(pairs), rng.randint(n, 3 * n))))
-        basis, rejected, game = pebble_basis_23(g, frozenset())
+        basis, game = pebble_basis_23(g, frozenset())
+        rejected = game.rejected
         assert len(basis) == pebble_rank_23(g) == game.accepted
         # the final game holds the basis, oriented
         assert sorted(tuple(sorted((v, w))) for v, heads in enumerate(game.out)
                       for w in heads) == sorted(basis)
         assert sorted(basis + rejected) == g.edge_list()
-        # the rejected edges, in the order check's G'/S games take them
+        # the rejected edges, in play order, the order in which check's
+        # G'/S games take them
         assert rejected == sorted(rejected)
 
 
 def _game_on(g, T):
     """``pebble_basis_23``'s lists and the final state of its game."""
-    basis, rejected, game = pebble_basis_23(g, T)
-    return basis, rejected, game.out, game.pebbles, game.deg, game.accepted
+    basis, game = pebble_basis_23(g, T)
+    return basis, game.rejected, game.out, game.pebbles, game.deg, game.accepted
 
 
 def test_cap_game_skips_the_edges_inside_T():
@@ -701,8 +703,8 @@ def test_rows_past_the_basis_are_fed_when_a_trial_falls_short(monkeypatch):
     rng = random.Random(3)
     while g.n < 40:
         g = zero_extension(g, *rng.sample(range(g.n), 2))
-    basis, rejected, _ = pebble_basis_23(g, f.T)
-    assert len(basis) == 77 and rejected == [(8, 9)]
+    basis, game = pebble_basis_23(g, f.T)
+    assert len(basis) == 77 and game.rejected == [(8, 9)]
     fed = []
     real = ModpEchelon.try_add
     monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))

@@ -1,10 +1,13 @@
 import random
 from itertools import combinations
 
+from coinrig.checks import random_instance
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
-from coinrig.linalg import _reach, pebble_basis_23
-from coinrig.pebble import PebbleGame, pebble_rank_23
+from coinrig.pebble import PebbleGame, _reach, pebble_basis_23, pebble_rank_23
+from coinrig.sparsity import subsets_of_two_or_more
+
+from test_exhaustive import _atlas
 
 
 def brute_laman_rank(g, edges):
@@ -158,6 +161,7 @@ class SearchOnlyGame(PebbleGame):
 
     def try_insert(self, a, b):
         if not self.gather(a, b):
+            self.rejected.append((a, b))
             return False
         if not self.pebbles[a]:
             a, b = b, a
@@ -166,19 +170,23 @@ class SearchOnlyGame(PebbleGame):
         self.out[a].append(b)
         return True
 
-    def contracted(self, S, edges, bound):
+    def contracted(self, S, bound):
         game = SearchOnlyGame(self.n)
+        at = []
         for v, heads in enumerate(self.out):
+            at += [(v, w) for w in heads if v in S or w in S]
             if v not in S:
                 kept = [w for w in heads if w not in S]
                 game.out[v] = kept
                 game.pebbles[v] -= len(kept)
                 game.accepted += len(kept)
         m = min(S)
-        for a, b in edges:
+        for a, b in at + self.rejected:
+            a, b = m if a in S else a, m if b in S else b
             if game.accepted >= bound:
                 break
-            game.try_insert(m if a in S else a, m if b in S else b)
+            if a != b:
+                game.try_insert(a, b)
         return game
 
 
@@ -209,12 +217,22 @@ def _state(game):
             list(game.deg), game.accepted)
 
 
+def _rank_of(n, edges):
+    """The (2,3) rank of a multigraph's edges, by a game with no count rule."""
+    game = SearchOnlyGame(n)
+    for a, b in edges:
+        game.try_insert(a, b)
+    return game.accepted
+
+
 def test_count_rule_accepts_what_the_search_accepts():
     # shuffled orders, both endpoint orders, repeated inserts, gathers
-    # before inserts, and contracted states fed edges up to a bound, then
-    # the merged images; the reach sets and the contracted copy, played
-    # on, leave the source game as it was, since check reads one G' game
-    # for both of its sides
+    # before inserts, and contracted states fed the accepted edges at S
+    # and the rejected edges up to a bound, then merged images; both games
+    # keep the same rejections, each copy's count is that of the
+    # contraction's rank, and the reach sets and the contracted copy,
+    # played on, leave the source game as it was, since check reads one
+    # G' game for both of its sides
     rng = random.Random(23)
     for _ in range(400):
         n = rng.randint(2, 12)
@@ -231,20 +249,54 @@ def test_count_rule_accepts_what_the_search_accepts():
         assert _state(game) == before
         if n < 3:
             continue
+        assert game.rejected == ref.rejected
         S = frozenset(rng.sample(range(n), rng.randint(2, min(3, n - 1))))
         m = min(S)
-        edges = [(a, b) for a, b in edges if a not in S or b not in S]
-        rng.shuffle(edges)
-        k, bound = rng.randint(0, len(edges)), rng.randint(0, 2 * n)
-        sub = game.contracted(S, edges[:k], bound)
-        ref_sub = ref.contracted(S, edges[:k], bound)
+        images = [(m if a in S else a, m if b in S else b) for a, b in edges]
+        images = [(a, b) for a, b in images if a != b]
+        bound = rng.randint(0, 2 * n)
+        sub = game.contracted(S, bound)
+        ref_sub = ref.contracted(S, bound)
         # the copy takes edges until it holds bound, and none once it does
-        kept = game.contracted(S, [], 0).accepted
-        full = game.contracted(S, edges[:k], len(edges) + kept).accepted
+        kept = game.contracted(S, 0).accepted
+        full = game.contracted(S, len(edges) + kept).accepted
+        assert full == _rank_of(n, images), (edges, sorted(S))
         assert sub.accepted == ref_sub.accepted == max(kept, min(bound, full))
-        images = [(m if a in S else a, m if b in S else b) for a, b in edges[k:]]
-        _play_both(sub, ref_sub, images, rng)
+        # the two copies may hold different edges, as the two orientations
+        # list the edges at S in different orders; the copy played on
+        # decides as a search-only game on the edges it holds
+        twin = SearchOnlyGame(n)
+        assert all(twin.try_insert(v, w) for v, heads in enumerate(sub.out) for w in heads)
+        rng.shuffle(images)
+        _play_both(sub, twin, images, rng)
         assert _state(game) == before
+
+
+def _assert_copies_rank_the_contractions(g, T):
+    """Each copy of G''s game with no bound short of it (b = |E|) holds the
+    rank of G'/S, for every S inside T with |S| >= 2."""
+    gp = g.delete_edges(combinations(T, 2))
+    game = pebble_basis_23(g, T)[1]
+    for S in subsets_of_two_or_more(T):
+        copy = game.contracted(S, len(g.edges))
+        assert copy.accepted == pebble_rank_23(gp.contract(S)), (g.edge_list(), sorted(S))
+
+
+def test_copies_rank_every_contraction_over_the_graph_atlas():
+    cases = 0
+    for g in _atlas(6):
+        for k in (2, 3):
+            for T in combinations(range(g.n), k):
+                _assert_copies_rank_the_contractions(g, frozenset(T))
+                cases += 1
+    assert cases == 6268
+
+
+def test_copies_rank_every_contraction_on_random_graphs():
+    rng = random.Random(29)
+    for _ in range(120):
+        g, T = random_instance(rng, 200, rng.choice([2, 3, 4]))
+        _assert_copies_rank_the_contractions(g, T)
 
 
 def test_zero_extension_graphs_need_no_search(monkeypatch):
@@ -258,8 +310,8 @@ def test_zero_extension_graphs_need_no_search(monkeypatch):
     real = PebbleGame._fetch
     monkeypatch.setattr(PebbleGame, "_fetch",
                         lambda game, root, avoid: fetches.append(root) or real(game, root, avoid))
-    basis, rejected, _ = pebble_basis_23(g, frozenset())
-    assert len(basis) == 2 * g.n - 3 and not rejected
+    basis, game = pebble_basis_23(g, frozenset())
+    assert len(basis) == 2 * g.n - 3 and not game.rejected
     assert fetches == []
 
 

@@ -8,9 +8,9 @@ from coinrig import sparsity
 from coinrig.checks import random_instance
 from coinrig.constructions import henneberg_random
 from coinrig.graph import Graph, complete_graph
-from coinrig.linalg import generic_rank, pebble_basis_23
+from coinrig.linalg import generic_rank
 from coinrig.matroid import greedy_rank, mt_oracle
-from coinrig.pebble import PebbleGame, pebble_game_23, pebble_rank_23
+from coinrig.pebble import PebbleGame, pebble_basis_23
 from coinrig.sparsity import (_COVER_LB, AugmentedFamily, CompatibleFamily,
                               StrongSparsityChecker, _bits, is_S_sparse,
                               is_strongly_T_sparse, min_thin_cover,
@@ -369,12 +369,12 @@ def test_decisions_walk_vertex_sets_only_to_name_a_violation(monkeypatch):
         walks.append(g)
         return walk(g, *args)
 
-    def counting_game(g):
+    def counting_game(g, T):
         games.append(g)
-        return pebble_game_23(g)
+        return pebble_basis_23(g, T)
 
     monkeypatch.setattr(sparsity, "_walk", counting_walk)
-    monkeypatch.setattr(sparsity, "pebble_game_23", counting_game)
+    monkeypatch.setattr(sparsity, "pebble_basis_23", counting_game)
 
     def counts(decide, g, T):
         walks.clear()
@@ -425,14 +425,14 @@ def _warm_and_cold_agree(g, sets) -> list[bool]:
     """The verdicts of _family_breaks on the (2,3)-sparse g for each S of
     sets with no edge inside, checked against the cold replay; the shared
     G game is left as it was."""
-    game = pebble_game_23(g)
-    assert game.accepted == len(g.edges)
+    game = pebble_basis_23(g, frozenset())[1]
+    assert game.accepted == len(g.edges) and not game.rejected
     before = ([list(heads) for heads in game.out], list(game.pebbles),
               list(game.deg), game.accepted)
     verdicts = []
     for S in sets:
         if not g.induced_edge_count(S):
-            warm = sparsity._family_breaks(g, game, S)
+            warm = sparsity._family_breaks(game, S)
             assert warm == _cold_family_breaks(g, S), (g.edge_list(), sorted(S))
             verdicts.append(warm)
     assert ([list(heads) for heads in game.out], list(game.pebbles),
