@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Verbs: rank, sparse, mrank, gen, transform, check, xval, conjecture,
-fixtures.  All emit JSON on stdout; --out writes the report to a file.
+fixtures.  Each prints its report as one line of JSON on stdout; --out
+also writes that line to a file.
 Exit codes: 0 consistent, 1 theorem violation detected, 2 usage error.
 """
 
@@ -55,7 +56,8 @@ def _parse_T(arg: str | None, file_T, g: Graph, required: bool = False):
 
 
 def _emit(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2)
+    # one line, by json's C encoder (an indent runs the pure-Python one)
+    text = json.dumps(doc)
     if out:
         try:
             with open(out, "w") as fh:

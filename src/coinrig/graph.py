@@ -31,7 +31,7 @@ def _merge_label(parts: Iterable[str]) -> str:
 class Graph:
     """Simple graph: no loops, no parallel edges, vertex ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "labels", "_adj", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
@@ -43,7 +43,7 @@ class Graph:
                 raise ValueError(f"loop edge [{a}, {a}] is not allowed")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge [{a}, {b}] has an endpoint outside 0..{n - 1}")
-            canon.add(_canon_edge(a, b))
+            canon.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
         if labels is None:
@@ -52,6 +52,7 @@ class Graph:
             raise ValueError("labels must cover every vertex")
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Graph is immutable")
@@ -69,8 +70,11 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     def edge_list(self) -> list[tuple[int, int]]:
-        """Edges in canonical (lexicographic) order."""
-        return sorted(self.edges)
+        """Edges in canonical (lexicographic) order, as a new list each call;
+        the sort is made on first use."""
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
+        return list(self._sorted)
 
     def has_edge(self, a: int, b: int) -> bool:
         return _canon_edge(a, b) in self.edges
@@ -203,37 +207,21 @@ def parse_graph_with_T(text: str) -> tuple[Graph, frozenset[int] | None]:
     return _parse_edge_list(stripped), None
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise GraphParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphParseError('graph JSON needs "n" and "edges"')
-    n = doc["n"]
-    if not _is_int(n) or n < 0:
+    n, edges = doc["n"], doc["edges"]
+    if type(n) is not int or n < 0:  # isinstance would take a JSON true (a bool)
         raise GraphParseError(f'"n" must be a nonnegative integer, got {n!r}')
-    if not isinstance(doc["edges"], list):
+    if not isinstance(edges, list):
         raise GraphParseError('"edges" must be a list')
-    seen = set()
-    edges = []
-    for e in doc["edges"]:
-        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(x) for x in e):
+    for e in edges:  # the shape only: Graph checks loops and ranges
+        if type(e) is not list or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
             raise GraphParseError(f"malformed edge {e!r}")
-        a, b = e
-        if a == b:
-            raise GraphParseError(f"loop edge {e!r} is not allowed")
-        if not (0 <= a < n and 0 <= b < n):
-            raise GraphParseError(f"edge {e!r} has an endpoint outside 0..{n - 1}")
-        c = _canon_edge(a, b)
-        if c in seen:
-            raise GraphParseError(f"duplicate edge {e!r}")
-        seen.add(c)
-        edges.append(c)
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         raw = doc["labels"]
@@ -251,15 +239,31 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
                 raise GraphParseError(f"label key {k!r} outside 0..{n - 1}")
             labels[i] = str(name)
         labels = tuple(labels)
+    try:
+        g = Graph(n, edges, labels)
+    except ValueError as e:  # a loop or an endpoint outside 0..n-1
+        raise GraphParseError(str(e)) from None
+    if len(g.edges) < len(edges):  # name the first edge whose pair came before
+        first: dict[tuple[int, int], int] = {}
+        i = next(i for i, e in enumerate(edges) if first.setdefault(_canon_edge(*e), i) != i)
+        raise GraphParseError(f"duplicate edge {edges[i]!r}")
     tset = None
     if "T" in doc and doc["T"] is not None:
         if not isinstance(doc["T"], list):
             raise GraphParseError('"T" must be a list')
         for v in doc["T"]:
-            if not (_is_int(v) and 0 <= v < n):
+            if not (type(v) is int and 0 <= v < n):
                 raise GraphParseError(f"T contains invalid vertex {v!r}")
         tset = frozenset(doc["T"])
-    return Graph(n, edges, labels), tset
+    return g, tset
+
+
+_ECHO_LIMIT = 80  # characters of an input line that an error message quotes
+
+
+def _echo(line: str) -> str:
+    """``line`` quoted for an error message, cut to ``_ECHO_LIMIT`` characters."""
+    return repr(line if len(line) <= _ECHO_LIMIT else line[:_ECHO_LIMIT] + "...")
 
 
 def _parse_edge_list(text: str) -> Graph:
@@ -268,28 +272,28 @@ def _parse_edge_list(text: str) -> Graph:
         raise GraphParseError("empty edge-list document")
     head = lines[0].split()
     if len(head) != 2:
-        raise GraphParseError(f'first line must be "n m", got {lines[0]!r}')
+        raise GraphParseError(f'first line must be "n m", got {_echo(lines[0])}')
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphParseError(f'first line must be "n m", got {lines[0]!r}')
+        raise GraphParseError(f'first line must be "n m", got {_echo(lines[0])}')
     if n < 0 or m < 0:
-        raise GraphParseError(f'first line "n m" must hold nonnegative counts, got {lines[0]!r}')
+        raise GraphParseError(f'first line "n m" must hold nonnegative counts, got {_echo(lines[0])}')
     if len(lines) - 1 != m:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise GraphParseError(f"malformed edge line {ln!r}")
+            raise GraphParseError(f"malformed edge line {_echo(ln)}")
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphParseError(f"malformed edge line {ln!r}")
+            raise GraphParseError(f"malformed edge line {_echo(ln)}")
         if a == b:
-            raise GraphParseError(f"loop edge line {ln!r} is not allowed")
+            raise GraphParseError(f"loop edge line {_echo(ln)} is not allowed")
         if not (0 <= a < n and 0 <= b < n):
-            raise GraphParseError(f"edge line {ln!r} has an endpoint outside 0..{n - 1}")
+            raise GraphParseError(f"edge line {_echo(ln)} has an endpoint outside 0..{n - 1}")
         edges.append((a, b))
     g = Graph(n, edges)
     if len(g.edges) != m:

@@ -246,6 +246,30 @@ def test_out_flag_writes_file(capsys, tmp_path, k4_file):
     assert json.loads(out.read_text())["rank"] == doc["rank"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--graph", "{k4}"],
+    ["sparse", "--graph", "{fig4}", "--strong"],
+    ["mrank", "--graph", "{fig4}", "--oracle", "both", "--witness"],
+    ["gen", "--henneberg", "6"],
+    ["transform", "--graph", "{fig4}", "--op", "0ext", "--args", "0,1"],
+    ["check", "--graph", "{fig4}"],
+    ["xval", "--n-max", "5", "--samples", "2"],
+    ["conjecture", "--n-max", "5", "--budget", "1"],
+    ["fixtures"],
+], ids=lambda argv: argv[0])
+def test_each_verb_prints_one_compact_json_line(capsys, tmp_path, k4_file, fig4_file,
+                                                argv):
+    # the report is json.dumps's one line with its default separators, so
+    # a grep for '"sparse": true' matches; --out writes the same text
+    argv = [{"{k4}": k4_file, "{fig4}": fig4_file}.get(a, a) for a in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0 and out == json.dumps(json.loads(out)) + "\n"
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == out and path.read_text() == out
+
+
 def test_usage_errors(capsys, k4_file, tmp_path):
     code = main(["sparse", "--graph", k4_file, "--T", ""])
     assert code == 2  # empty T
@@ -341,11 +365,13 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, doc):
     ("3 1\n1 1\n", "loop edge line '1 1' is not allowed"),
     ("3 1\n0 3\n", "edge line '0 3' has an endpoint outside 0..2"),
     ("3 2\n0 1\n1 0\n", "duplicate edge in edge-list document"),
+    # json.loads gives up on nesting this deep with a RecursionError
+    ('{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON: "),
 ], ids=["json-invalid", "json-no-n", "json-label-key", "json-label-range",
         "json-label-zero-pad", "json-label-underscore", "json-label-space",
         "json-label-plus",
         "list-empty", "list-head-short", "list-head-int", "list-edge-short",
-        "list-edge-int", "list-loop", "list-range", "list-duplicate"])
+        "list-edge-int", "list-loop", "list-range", "list-duplicate", "json-deep"])
 def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message):
     # one file per parse error, each named in its one error line by every
     # verb that reads a graph and T
@@ -354,6 +380,19 @@ def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message
     for verb in T_VERBS:
         err = error_line(capsys, verb, "--graph", str(path), "--T", "0,1")
         assert err.startswith("error: " + message), (verb, err)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200_000, 'first line must be "n m", got ' + repr("[" * 80 + "...")),
+    ("2 1\n" + "0 " * 100_000, "malformed edge line " + repr("0 " * 40 + "...")),
+    # a line of 80 characters is quoted whole
+    ("3 x" + " " * 76 + "y", 'first line must be "n m", got ' + repr("3 x" + " " * 76 + "y")),
+], ids=["head", "edge-line", "at-limit"])
+def test_parse_errors_cut_a_long_line(capsys, tmp_path, text, message):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    err = error_line(capsys, "check", "--graph", str(path), "--T", "0,1")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

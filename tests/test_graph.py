@@ -37,6 +37,37 @@ def test_parse_rejects_duplicate_and_range():
         parse_graph_with_T('{"n":2,"edges":[[0,5]]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n":3,"edges":[[0,1],[1,0]]}', "duplicate edge [1, 0]"),
+    ('{"n":3,"edges":[[0,1],[1,2],[2,1],[1,0]]}', "duplicate edge [2, 1]"),
+    ('{"n":2,"edges":[[0,0]]}', "loop edge [0, 0] is not allowed"),
+    ('{"n":2,"edges":[[1,0],[0,5]]}', "edge [0, 5] has an endpoint outside 0..1"),
+    ('{"n":2,"edges":[[-1,0]]}', "edge [-1, 0] has an endpoint outside 0..1"),
+    ('{"n":2,"edges":[[0,1,1]]}', "malformed edge [0, 1, 1]"),
+    ('{"n":2,"edges":[[0,false]]}', "malformed edge [0, False]"),
+    # the shape of every edge is checked before any loop or range
+    ('{"n":2,"edges":[[0,0],[0,1.0]]}', "malformed edge [0, 1.0]"),
+])
+def test_json_edge_errors_name_the_edge_as_written(text, message):
+    with pytest.raises(GraphParseError) as info:
+        parse_graph_with_T(text)
+    assert str(info.value) == message
+
+
+def test_edge_list_is_sorted_once_and_copied_per_call():
+    g = Graph(4, [(2, 3), (1, 0), (0, 2)])
+    first = g.edge_list()
+    assert first == [(0, 1), (0, 2), (2, 3)]
+    first.append((5, 6))
+    first.sort(reverse=True)
+    assert g.edge_list() == [(0, 1), (0, 2), (2, 3)]
+    # every derived graph sorts its own edges
+    assert g.add_edges([(1, 3)]).edge_list() == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert g.delete_edges([(0, 2)]).edge_list() == [(0, 1), (2, 3)]
+    assert g.contract({0, 3}).edge_list() == [(0, 1), (0, 2)]
+    assert g.edge_list() == [(0, 1), (0, 2), (2, 3)]
+
+
 def test_parse_edge_list_format():
     g = parse_graph_with_T("3 2\n0 1\n1 2\n")[0]
     assert g.n == 3 and g.edges == frozenset({(0, 1), (1, 2)})
