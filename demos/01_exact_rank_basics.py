@@ -24,9 +24,12 @@ M = rigidity_matrix(tri, p)
 print("triangle matrix shape:", M.shape)
 print("exact rank:", rank_exact(M), " target:", rigidity_target(3, 2))
 
-# %% Large graphs are ranked over the prime field GF(2^61 - 1): rows
+# %% Large graphs are ranked over the prime field GF(2^30 - 35): rows
 # independent mod p are independent over the rationals, so the rank is a
-# certified lower bound.  The method follows the vertex count alone, and a
+# certified lower bound.  The prime is the largest below 2^30, so every
+# reduced entry is one 30-bit CPython digit and elimination stays cheap;
+# it is far above the 2^21 + 1 sampled coordinate values, which stay
+# distinct mod p, so the failure bound is the same as over the rationals.  The method follows the vertex count alone, and a
 # Henneberg graph on 40 vertices is above the exact-rational limit of 30.
 h40 = henneberg_random(40, seed=1)
 big = generic_rank(h40, {0}, d=2, seed=0)

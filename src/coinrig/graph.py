@@ -40,9 +40,9 @@ class Graph:
         canon = set()
         for a, b in edges:
             if a == b:
-                raise ValueError(f"loop edge [{a}, {a}] is not allowed")
+                raise ValueError(f"loop edge {_cut(f'[{a}, {a}]')} is not allowed")
             if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge [{a}, {b}] has an endpoint outside 0..{n - 1}")
+                raise ValueError(f"edge {_cut(f'[{a}, {b}]')} has an endpoint outside 0..{n - 1}")
             canon.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
@@ -216,12 +216,12 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
         raise GraphParseError('graph JSON needs "n" and "edges"')
     n, edges = doc["n"], doc["edges"]
     if type(n) is not int or n < 0:  # isinstance would take a JSON true (a bool)
-        raise GraphParseError(f'"n" must be a nonnegative integer, got {n!r}')
+        raise GraphParseError(f'"n" must be a nonnegative integer, got {_cut(repr(n))}')
     if not isinstance(edges, list):
         raise GraphParseError('"edges" must be a list')
     for e in edges:  # the shape only: Graph checks loops and ranges
         if type(e) is not list or len(e) != 2 or not type(e[0]) is type(e[1]) is int:
-            raise GraphParseError(f"malformed edge {e!r}")
+            raise GraphParseError(f"malformed edge {_cut(repr(e))}")
     labels = None
     if "labels" in doc and doc["labels"] is not None:
         raw = doc["labels"]
@@ -234,9 +234,9 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
             except ValueError:
                 i = None
             if i is None or k != str(i):  # only the spelling graph_to_json writes
-                raise GraphParseError(f"label key {k!r} is not a vertex id")
+                raise GraphParseError(f"label key {_echo(k)} is not a vertex id")
             if not 0 <= i < n:
-                raise GraphParseError(f"label key {k!r} outside 0..{n - 1}")
+                raise GraphParseError(f"label key {_echo(k)} outside 0..{n - 1}")
             labels[i] = str(name)
         labels = tuple(labels)
     try:
@@ -253,17 +253,22 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
             raise GraphParseError('"T" must be a list')
         for v in doc["T"]:
             if not (type(v) is int and 0 <= v < n):
-                raise GraphParseError(f"T contains invalid vertex {v!r}")
+                raise GraphParseError(f"T contains invalid vertex {_cut(repr(v))}")
         tset = frozenset(doc["T"])
     return g, tset
 
 
-_ECHO_LIMIT = 80  # characters of an input line that an error message quotes
+_ECHO_LIMIT = 80  # characters of an input line or value that an error message quotes
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to ``_ECHO_LIMIT`` characters, ``...`` marking a cut."""
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 
 def _echo(line: str) -> str:
     """``line`` quoted for an error message, cut to ``_ECHO_LIMIT`` characters."""
-    return repr(line if len(line) <= _ECHO_LIMIT else line[:_ECHO_LIMIT] + "...")
+    return repr(_cut(line))
 
 
 def _parse_edge_list(text: str) -> Graph:

@@ -6,13 +6,15 @@ a sparse dict of integers, p(u) - p(v) at u's columns and its negation at
 v's, built from integer points.  A sample's points are integers already;
 ``rigidity_matrix`` scales an explicit realization's rational points by one
 common denominator first.  Every sampled rank comes from one incremental
-sparse row echelon over GF(2^61 - 1) (``ModpEchelon``).  Rows independent
-mod p are independent over the rationals, so a mod-p rank is a certified
-lower bound.  A sparse fraction-free echelon over the integers with the
-same layout (``_exact_rank``) computes exact ranks: of an explicit
-realization's matrix (``rank_exact``), and of a sample's rows when their
-mod-p rank falls short of its upper bound on the exact-rational path, which
-the vertex count alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
+sparse row echelon over GF(p), p = 2^30 - 35 the largest prime below 2^30
+(``ModpEchelon``): CPython stores an int in 30-bit digits, so every
+reduced entry is one digit.  Rows independent mod p are independent over
+the rationals, so a mod-p rank is a certified lower bound.  A sparse
+fraction-free echelon over the integers with the same layout
+(``_exact_rank``) computes exact ranks: of an explicit realization's matrix
+(``rank_exact``), and of a sample's rows when their mod-p rank falls short
+of its upper bound on the exact-rational path, which the vertex count
+alone selects (``EXACT_VERTEX_LIMIT``).  In the plane that
 bound is the generic rank of G', the graph minus its T-internal edges, from
 the (2,3) pebble game on g's edges less those inside T
 (``pebble.pebble_basis_23``; this module plays no game of its own): a fact
@@ -49,7 +51,9 @@ from .graph import Graph
 from .pebble import InvariantError, pebble_basis_23
 
 COORD_BOUND = 1 << 20
-PRIME = (1 << 61) - 1
+# below 2^30, so an entry reduced mod PRIME is one CPython digit, and above
+# 2 * COORD_BOUND + 1, so the sampled coordinates stay distinct mod PRIME
+PRIME = (1 << 30) - 35
 EXACT_VERTEX_LIMIT = 30
 # sampled realizations per rank, with no override; the rt oracle and
 # generic_rank must use the same trials, so that trial t's rows are the same
@@ -187,6 +191,11 @@ class ModpEchelon:
     A row is a dict column -> integer.  Each kept row leads on its highest
     column nonzero mod PRIME and is stored as it was reduced, unnormalized:
     entries may be raw input integers, negative, above PRIME or 0 mod PRIME.
+    PRIME = 2^30 - 35 keeps each reduced entry below 2^30, one CPython
+    digit, and a sampled rigidity row's raw entries, differences of
+    coordinates in [-2^20, 2^20], fit one digit too; so a reduction step
+    multiplies one-digit ints, where a prime near 2^61 made every product
+    after a row's first reduction a ~122-bit multi-digit int.
     The inverse of a kept row's lead is computed the first time that row
     reduces another, and cached, so a pivot that never reduces a row costs
     no inversion.  A rigidity row leads on its higher endpoint; when
@@ -323,7 +332,19 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     "exact-rational").
     The result is a certified lower bound on the generic T-coincident rank;
     it equals that rank except with per-trial probability at most
-    d*n / (2^21 + 1) by Schwartz-Zippel over the sampling range.
+    min(d*n, |E|) / (2^21 + 1), the bound ``RankReport.note`` prints.  Rows
+    independent mod p are independent over the rationals: a minor nonzero
+    mod p is a nonzero integer.  For the other direction, take a maximal
+    nonzero minor of the generic T-coincident matrix, a polynomial in the
+    free coordinates with integer coefficients, of degree at most its size
+    r <= min(d*n, |E|), and nonzero mod p (its coefficients are not all
+    multiples of p).  Each free coordinate is uniform on the 2^21 + 1
+    integers of [-2^20, 2^20], and since p = ``PRIME`` > 2^21 + 1 they stay
+    2^21 + 1 distinct values mod p.  Schwartz-Zippel over GF(p) then bounds
+    the chance that the minor vanishes mod p at the sample by
+    r / (2^21 + 1), the same bound as over the rationals: the prime's size
+    beyond 2^21 + 1 does not enter it, which leaves ``PRIME`` free to sit
+    below 2^30 (``ModpEchelon``).
 
     No trial ranks above the cap.  A T-coincident sample is one realization
     of G', the graph minus its T-internal edges (their rows are zero), and

@@ -181,8 +181,11 @@ def rt_oracle(g: Graph, T: Iterable[int], seed: int = 0) -> IndependenceOracle:
 
     One planar realization per trial (``linalg.TRIALS`` of them) is sampled
     when a checker first asks for it and shared by all later queries; rows
-    are tested by sparse elimination over GF(2^61 - 1), so accepted rows
-    are independent over the rationals too.  Trial t's rows are those of
+    are tested by sparse elimination over GF(p), p = ``linalg.PRIME`` =
+    2^30 - 35 (``ModpEchelon``), so accepted rows are independent over the
+    rationals too; p sits below 2^30 so that every reduced entry is one
+    CPython digit, and above 2^21 + 1 so that the sampled coordinates stay
+    distinct mod p (``generic_rank``).  Trial t's rows are those of
     ``generic_rank``'s trial t in d = 2 at the same seed.  Each checker
     rejects an edge inside T, and an edge over the Maxwell count of its own
     pebble game, without asking the later trials (``_RtChecker``).  T is

@@ -179,8 +179,11 @@ class PebbleGame:
         The accepted edges left avoid S, so they stay sparse on the
         contracted graph, and out-degree plus pebbles is two everywhere: any
         such orientation is a state of the game (Lee-Streinu 2008).  The copy
-        counts the degrees of the edges it keeps, and collects the accepted
-        edges at S in the same walk.  It then tries the images of those
+        takes the out-edge lists (one slice each), pebbles and degrees
+        whole, then visits only the vertices in S or with a head in S: it
+        drops their edges at S, gives each one's pebble back to its tail and
+        lowers the degree at both ends, collecting those accepted edges at S
+        in vertex order, then head order.  It then tries the images of those
         edges, and after them the images of ``rejected``, S merged into
         min(S) and parallel images kept, as long as it holds fewer than
         ``bound`` edges; an image inside S is a loop of the contracted graph
@@ -191,22 +194,33 @@ class PebbleGame:
         already at or over ``bound`` takes no edge.  The order changes no
         count, only the work.  This game is left unchanged.
         """
-        game = PebbleGame(self.n)
-        deg = game.deg
+        n = self.n
+        game = PebbleGame.__new__(PebbleGame)
+        game.n = n
+        game.out = out = [heads[:] for heads in self.out]
+        game.pebbles = pebbles = self.pebbles[:]
+        game.deg = deg = self.deg[:]
+        game.rejected = []
+        game._seen = [0] * n
+        game._stamp = 0
+        game._parent = [0] * n
         at = []  # the accepted edges at S
-        for v, heads in enumerate(self.out):
+        # an out-edge list holds at most two heads
+        near = [v for v, heads in enumerate(out)
+                if heads and (v in S or heads[0] in S or heads[-1] in S)]
+        for v in near:
+            heads = out[v]
             if v in S:
-                at += [(v, w) for w in heads]
-                continue
-            kept = [w for w in heads if w not in S]
-            if len(kept) < len(heads):
-                at += [(v, w) for w in heads if w in S]
-            game.out[v] = kept
-            game.pebbles[v] -= len(kept)
-            game.accepted += len(kept)
-            deg[v] += len(kept)
-            for w in kept:
-                deg[w] += 1
+                drop, out[v] = heads, []
+            else:
+                drop = [w for w in heads if w in S]
+                out[v] = [w for w in heads if w not in S]
+            pebbles[v] += len(drop)
+            deg[v] -= len(drop)
+            for w in drop:
+                deg[w] -= 1
+                at.append((v, w))
+        game.accepted = self.accepted - len(at)
         s = min(S)
         for a, b in chain(at, self.rejected):
             if game.accepted >= bound:

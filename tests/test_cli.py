@@ -387,12 +387,31 @@ def test_each_graph_parse_error_is_a_usage_error(capsys, tmp_path, text, message
     ("2 1\n" + "0 " * 100_000, "malformed edge line " + repr("0 " * 40 + "...")),
     # a line of 80 characters is quoted whole
     ("3 x" + " " * 76 + "y", 'first line must be "n m", got ' + repr("3 x" + " " * 76 + "y")),
-], ids=["head", "edge-line", "at-limit"])
+    # a JSON value is quoted as its repr, cut the same way; a label key,
+    # a string, is cut and then quoted
+    (json.dumps({"n": 2, "edges": [[0] * 50_000]}),
+     "malformed edge " + repr([0] * 50_000)[:80] + "..."),
+    (json.dumps({"n": [1] * 50_000, "edges": []}),
+     '"n" must be a nonnegative integer, got ' + repr([1] * 50_000)[:80] + "..."),
+    (json.dumps({"n": 2, "edges": [], "T": [[0] * 50_000]}),
+     "T contains invalid vertex " + repr([0] * 50_000)[:80] + "..."),
+    (json.dumps({"n": 2, "edges": [], "labels": {"x" * 50_000: "a"}}),
+     "label key " + repr("x" * 80 + "...") + " is not a vertex id"),
+    (json.dumps({"n": 2, "edges": [], "labels": {"1" + "0" * 50_000: "a"}}),
+     "label key " + repr("1" + "0" * 79 + "...") + " is not a vertex id"),
+    # Graph's own loop and range messages are cut the same way
+    ('{"n": 2, "edges": [[0, 1%s]]}' % ("0" * 4000,),
+     "edge [0, 1" + "0" * 75 + "... has an endpoint outside 0..1"),
+    ('{"n": 2, "edges": [[1%s, 1%s]]}' % ("0" * 4000, "0" * 4000),
+     "loop edge [1" + "0" * 78 + "... is not allowed"),
+], ids=["head", "edge-line", "at-limit", "json-edge", "json-n", "json-T",
+        "json-label", "json-label-digits", "json-range", "json-loop"])
 def test_parse_errors_cut_a_long_line(capsys, tmp_path, text, message):
     path = tmp_path / "long.txt"
     path.write_text(text)
     err = error_line(capsys, "check", "--graph", str(path), "--T", "0,1")
     assert err == f"error: {message}\n"
+    assert len(err) < 150
 
 
 @pytest.mark.parametrize("argv", [

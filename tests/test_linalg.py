@@ -3,7 +3,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import pytest
 
@@ -13,7 +13,8 @@ from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
                             RigidityMatrix, _exact_rank, _sample_points,
-                            _sparse_rows, generic_rank, rank_exact,
+                            _sparse_rows, _trial_rows, generic_rank,
+                            rank_exact,
                             rigidity_matrix, rigidity_target,
                             sample_T_coincident)
 from coinrig.pebble import pebble_basis_23, pebble_rank_23
@@ -408,8 +409,15 @@ def test_echelon_rejects_dependent_rows():
     assert ech.try_add({3: 5})
     assert not ech.try_add({0: 7})  # 7/2 * row0 + 7/10 * row1
     assert not ech.try_add({})
-    assert not ech.try_add({1: 2 ** 61 - 1})  # zero mod p
+    assert not ech.try_add({1: PRIME})  # zero mod p
     assert ech.rank == 2
+
+
+def test_prime_is_the_one_digit_prime_above_the_sampling_range():
+    # prime by trial division; above 2 * COORD_BOUND + 1, so the sampled
+    # coordinates stay distinct mod PRIME; below 2^30, one CPython digit
+    assert all(PRIME % q for q in range(2, isqrt(PRIME) + 1))
+    assert 2 * linalg.COORD_BOUND + 1 < PRIME < 2 ** 30
 
 
 def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
@@ -427,7 +435,7 @@ def test_echelon_rank_equals_int_rank_on_rigidity_matrices():
 
 def test_echelon_skips_a_lead_that_is_zero_mod_p():
     ech = ModpEchelon()
-    assert ech.try_add({5: 2 ** 61 - 1, 2: 3})
+    assert ech.try_add({5: PRIME, 2: 3})
     assert list(ech.pivots) == [2]  # leads on column 2, not 5
     assert not ech.try_add({2: 1})
     assert ech.try_add({5: 1})
@@ -627,6 +635,29 @@ def henneberg_plus(n, seed):
     g = henneberg_random(n, seed)
     extra = [p for p in combinations(range(n), 2) if p not in g.edges]
     return g.add_edges(random.Random(seed).sample(extra, n // 20))
+
+
+def test_echelon_rank_equals_exact_rank_on_check_sized_samples():
+    # check-large-shaped draws, every trial's rows ranked both ways; every
+    # other draw puts a vertex of least degree and its neighbours into T,
+    # so that vertex keeps at most one nonzero row and the sample is flexible
+    flexible = 0
+    for n, draws in ((30, 8), (60, 4), (120, 4), (250, 2)):
+        for seed in range(draws):
+            g = henneberg_plus(n, seed)
+            rng = random.Random(n * 1000 + seed)
+            k = rng.choice((2, 3))
+            if seed % 2:
+                v = min(range(n), key=g.degree)
+                T = frozenset([v, *sorted(g.neighbors(v))[:k - 1]])
+            else:
+                T = frozenset(rng.sample(range(n), k))
+            for t in range(linalg.TRIALS):
+                rows = _trial_rows(g, T, 2, seed, t)
+                rank = _echelon_rank(rows.values())
+                assert rank == _exact_rank(rows.values()), (n, seed, sorted(T), t)
+                flexible += rank < rigidity_target(n, 2)
+    assert flexible >= 3 * 9  # each trial of each odd draw, at least
 
 
 def test_cap_game_rejections_recount():

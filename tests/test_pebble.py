@@ -299,6 +299,68 @@ def test_copies_rank_every_contraction_on_random_graphs():
         _assert_copies_rank_the_contractions(g, T)
 
 
+def _rebuilt(game, S, bound):
+    """``PebbleGame.contracted`` as a rebuild from an empty game, vertex by
+    vertex, counting the degrees of the edges it keeps: the reference the
+    copy must match state for state."""
+    copy = PebbleGame(game.n)
+    at = []
+    for v, heads in enumerate(game.out):
+        if v in S:
+            at += [(v, w) for w in heads]
+            continue
+        kept = [w for w in heads if w not in S]
+        at += [(v, w) for w in heads if w in S]
+        copy.out[v] = kept
+        copy.pebbles[v] -= len(kept)
+        copy.accepted += len(kept)
+        copy.deg[v] += len(kept)
+        for w in kept:
+            copy.deg[w] += 1
+    s = min(S)
+    for a, b in at + game.rejected:
+        if copy.accepted >= bound:
+            break
+        a, b = s if a in S else a, s if b in S else b
+        if a != b:
+            copy.try_insert(a, b)
+    return copy
+
+
+def test_contracted_copy_matches_a_rebuild_from_empty():
+    # every graph on at most 6 vertices, played in a shuffled order with
+    # shuffled endpoints, and random near-threshold G' games up to 60
+    # vertices; for every S inside T with |S| >= 2, copies that play no
+    # edge, some edges and every edge hold the rebuild's state, the source
+    # game unchanged
+    rng = random.Random(53)
+    games = []
+    for g in _atlas(6):
+        if g.n < 2:
+            continue
+        game = PebbleGame(g.n)
+        edges = g.edge_list()
+        rng.shuffle(edges)
+        for a, b in edges:
+            game.try_insert(*((a, b) if rng.random() < 0.5 else (b, a)))
+        games.append((game, frozenset(rng.sample(range(g.n), min(g.n, rng.randint(2, 4))))))
+    for _ in range(60):
+        g, T = random_instance(rng, 60, rng.choice([2, 3, 4]))
+        games.append((pebble_basis_23(g, T)[1], T))
+    copies = 0
+    for game, T in games:
+        before = _state(game)
+        m = game.accepted + len(game.rejected)
+        for S in subsets_of_two_or_more(T):
+            for bound in (0, rng.randint(0, m), m):
+                copy, ref = game.contracted(S, bound), _rebuilt(game, S, bound)
+                assert _state(copy) == _state(ref), (game.out, sorted(S), bound)
+                assert copy.rejected == ref.rejected
+                copies += 1
+        assert _state(game) == before
+    assert copies > 1500
+
+
 def test_zero_extension_graphs_need_no_search(monkeypatch):
     # in edge_list order each edge of a 0-extension graph meets an endpoint
     # of accepted degree at most one, so the cap game never fetches a pebble
