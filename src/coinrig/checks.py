@@ -50,7 +50,6 @@ class CoincidenceVerdict:
     reports: tuple[RankReport, ...] = ()
 
     def to_dict(self) -> dict:
-        labels = self.graph.labels
         out = {
             "n": self.graph.n,
             "edges": [list(e) for e in self.graph.edge_list()],
@@ -61,8 +60,8 @@ class CoincidenceVerdict:
                           if self.failing_S is not None else None),
             "reports": [r.to_dict() for r in self.reports],
         }
-        if labels != tuple(str(i) for i in range(self.graph.n)):
-            out["labels"] = list(labels)
+        if not self.graph.has_default_labels:
+            out["labels"] = list(self.graph.labels)
         return out
 
 

@@ -15,6 +15,10 @@ class GraphParseError(ValueError):
     """Raised when a graph document is malformed."""
 
 
+def _default_labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(n)))
+
+
 def _canon_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
@@ -31,7 +35,9 @@ def _merge_label(parts: Iterable[str]) -> str:
 class Graph:
     """Simple graph: no loops, no parallel edges, vertex ids 0..n-1."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_sorted")
+    # _labels is None when every vertex is named by its id, so a graph of
+    # any n holds no per-vertex name until ``labels`` is read
+    __slots__ = ("n", "edges", "_labels", "_adj", "_sorted")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: tuple[str, ...] | None = None):
@@ -46,11 +52,13 @@ class Graph:
             canon.add((a, b) if a < b else (b, a))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        elif len(labels) != n:
-            raise ValueError("labels must cover every vertex")
-        object.__setattr__(self, "labels", tuple(labels))
+        if labels is not None:
+            if len(labels) != n:
+                raise ValueError("labels must cover every vertex")
+            labels = tuple(labels)
+            if labels == _default_labels(n):
+                labels = None
+        object.__setattr__(self, "_labels", labels)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_sorted", None)
 
@@ -59,10 +67,21 @@ class Graph:
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
-                and self.edges == other.edges and self.labels == other.labels)
+                and self.edges == other.edges and self._labels == other._labels)
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.labels))
+        return hash((self.n, self.edges, self._labels))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Vertex names, by id; a vertex without a name of its own is named
+        by its id as a string, and that default is built on each read."""
+        return _default_labels(self.n) if self._labels is None else self._labels
+
+    @property
+    def has_default_labels(self) -> bool:
+        """Whether every vertex is named by its id as a string."""
+        return self._labels is None
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -138,10 +157,11 @@ class Graph:
             na, nb = remap[a], remap[b]
             if na != nb:
                 new_edges.add(_canon_edge(na, nb))
+        labels = self.labels
         new_labels = [""] * (self.n - len(ss) + 1)
         for v in range(self.n):
-            new_labels[remap[v]] = self.labels[v]
-        new_labels[remap[min(ss)]] = _merge_label(self.labels[v] for v in ss)
+            new_labels[remap[v]] = labels[v]
+        new_labels[remap[min(ss)]] = _merge_label(labels[v] for v in ss)
         return Graph(len(new_labels), new_edges, tuple(new_labels))
 
     def contraction_map(self, S: Iterable[int]) -> dict[int, int]:
@@ -164,11 +184,11 @@ class Graph:
     def delete_edges(self, F: Iterable[tuple[int, int]]) -> "Graph":
         """Remove the listed edges; absent edges are ignored."""
         drop = {_canon_edge(a, b) for a, b in F}
-        return Graph(self.n, self.edges - drop, self.labels)
+        return Graph(self.n, self.edges - drop, self._labels)
 
     def add_edges(self, F: Iterable[tuple[int, int]]) -> "Graph":
         return Graph(self.n, set(self.edges) | {_canon_edge(a, b) for a, b in F},
-                     self.labels)
+                     self._labels)
 
     def add_vertex(self, edges_to: Iterable[int] = ()) -> "Graph":
         """Append a new vertex with id n, joined to ``edges_to``."""
@@ -178,7 +198,8 @@ class Graph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} is not a vertex of the graph")
             new.add((v, w))
-        return Graph(self.n + 1, new, self.labels + (str(w),))
+        labels = None if self._labels is None else self._labels + (str(w),)
+        return Graph(self.n + 1, new, labels)
 
     def remove_vertex(self, z: int) -> "Graph":
         """Delete z and its edges; vertices above z shift down by one."""
@@ -187,8 +208,8 @@ class Graph:
         remap = {v: (v if v < z else v - 1) for v in range(self.n) if v != z}
         edges = {(_canon_edge(remap[a], remap[b]))
                  for a, b in self.edges if a != z and b != z}
-        labels = tuple(self.labels[v] for v in range(self.n) if v != z)
-        return Graph(self.n - 1, edges, labels)
+        labels = self.labels  # the vertices above z keep their names
+        return Graph(self.n - 1, edges, labels[:z] + labels[z + 1:])
 
 
 # -- serialization -----------------------------------------------------
@@ -227,7 +248,7 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
         raw = doc["labels"]
         if not isinstance(raw, dict):
             raise GraphParseError('"labels" must be an object')
-        labels = [str(i) for i in range(n)]
+        names = {}
         for k, name in raw.items():
             try:
                 i = int(k)
@@ -237,8 +258,9 @@ def _parse_json(text: str) -> tuple[Graph, frozenset[int] | None]:
                 raise GraphParseError(f"label key {_echo(k)} is not a vertex id")
             if not 0 <= i < n:
                 raise GraphParseError(f"label key {_echo(k)} outside 0..{n - 1}")
-            labels[i] = str(name)
-        labels = tuple(labels)
+            names[i] = str(name)
+        if any(name != str(i) for i, name in names.items()):
+            labels = tuple(names.get(i, str(i)) for i in range(n))
     try:
         g = Graph(n, edges, labels)
     except ValueError as e:  # a loop or an endpoint outside 0..n-1
@@ -309,8 +331,8 @@ def _parse_edge_list(text: str) -> Graph:
 def graph_to_json(g: Graph, T: Iterable[int] | None = None) -> str:
     """Canonical JSON serialization (round-trips through parse_graph_with_T)."""
     doc: dict = {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
-    if g.labels != tuple(str(i) for i in range(g.n)):
-        doc["labels"] = {str(i): g.labels[i] for i in range(g.n)}
+    if not g.has_default_labels:
+        doc["labels"] = {str(i): name for i, name in enumerate(g.labels)}
     if T is not None:
         doc["T"] = sorted(T)
     return json.dumps(doc)

@@ -1,7 +1,7 @@
 """Exact rigidity-matrix construction and rank computation.
 
 All arithmetic is exact: coordinates are rationals and no floating point is
-used anywhere.  One builder lays out every rigidity row (``_sparse_rows``):
+used anywhere.  One builder lays out every rigidity row (``_edge_row``):
 a sparse dict of integers, p(u) - p(v) at u's columns and its negation at
 v's, built from integer points.  A sample's points are integers already;
 ``rigidity_matrix`` scales an explicit realization's rational points by one
@@ -28,14 +28,25 @@ echelons.
 caller overrides, and stops at the first trial that reaches the bound; its
 report's ``trials`` is ``TRIALS``, not the number drawn.
 
-In the plane a trial feeds the rows of the bound's basis first: the edges
-the (2,3) game accepts (``pebble_basis_23``), played in ``edge_list`` order
-because its accepted set is the row set fed first; the game's count rule
-takes most of those edges with no pebble search.  At every size the other
-rows are fed only while the rank is short of the bound.  The game recounts
-each edge it rejects when it rejects it: the vertex set its failed gather
-reached spans at least 2|R| - 3 edges of the accepted list, so the edge
-lies in the R_2 closure of the basis and no trial can rank above it.
+In the plane a trial ranks the bound's basis first: the edges the (2,3)
+game accepts (``pebble_basis_23``), played in ``edge_list`` order; the
+game's count rule takes most of those edges with no pebble search.  Most
+of that rank is closed without elimination.  A peel plan, built once per
+call (``_peel_plan``), removes one at a time a vertex v with at most two
+live basis edges; the edges left are the core.  At v's step no other live
+row has an entry in v's two columns, so the live rows form a
+block-triangular matrix and rank = |R_v| + rank(the other live rows)
+whenever v's |R_v| x 2 block has full rank mod p: for two edges a nonzero
+cross product, for one a point that differs from its neighbour's.  A trial walks
+the plan on its points alone until the first singular block
+(``_closed_rank``), and only the core's rows and those of the steps not
+closed go to its echelon.  At every size the other rows, the closed ones
+and then those outside the basis, are fed to the same echelon only while
+the rank is short of the bound, so a short trial ranks every row once.
+The game recounts each edge it rejects when it rejects it: the vertex set
+its failed gather reached spans at least 2|R| - 3 edges of the accepted
+list, so the edge lies in the R_2 closure of the basis and no trial can
+rank above it.
 """
 
 from __future__ import annotations
@@ -242,20 +253,23 @@ class ModpEchelon:
         return False
 
 
+def _edge_row(pu: tuple[int, ...], pv: tuple[int, ...], u: int, v: int,
+              d: int) -> dict[int, int]:
+    """Edge uv's rigidity-matrix row as a sparse dict, from the integer
+    points of u and v; a zero entry is left out."""
+    row = {}
+    for i in range(d):
+        if pu[i] != pv[i]:
+            row[d * u + i] = pu[i] - pv[i]
+            row[d * v + i] = pv[i] - pu[i]
+    return row
+
+
 def _sparse_rows(g: Graph, pts: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
                  d: int) -> dict[tuple[int, int], dict[int, int]]:
-    """Edge -> rigidity-matrix row as a sparse dict, from integer points
-    indexed by vertex; a zero entry is left out."""
-    rows = {}
-    for u, v in g.edge_list():
-        pu, pv = pts[u], pts[v]
-        row = {}
-        for i in range(d):
-            if pu[i] != pv[i]:
-                row[d * u + i] = pu[i] - pv[i]
-                row[d * v + i] = pv[i] - pu[i]
-        rows[(u, v)] = row
-    return rows
+    """Edge -> ``_edge_row``, in ``edge_list`` order, from integer points
+    indexed by vertex."""
+    return {(u, v): _edge_row(pts[u], pts[v], u, v, d) for u, v in g.edge_list()}
 
 
 # -- sampling ----------------------------------------------------------
@@ -359,16 +373,34 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     ``rank``, ``rigid`` or ``independent``.  The report's ``trials`` is
     ``TRIALS``, the most that are drawn, not the number drawn.
 
-    A mod-p rank does not depend on row order, so in the plane each trial
-    feeds the basis rows first, then the rest in ``edge_list`` order.  At
-    every size a trial stops at the row that brings its rank to the cap,
-    most often the last basis row, so the rows of dependent edges, each
-    reduced all the way to zero, are rarely fed; the cap is proved instead,
-    by the game's recount of each rejection as it makes it, and a rejection
-    that fails its recount raises ``InvariantError``.  A trial that falls
-    short has been fed every row, and on the exact-rational path its
-    confirmed rank is checked against the cap: one above it raises
-    ``InvariantError`` too.
+    In the plane a trial closes most of its basis rows by 2 x 2
+    determinants, with no elimination.  The peel plan (``_peel_plan``)
+    removes, one step at a time, a vertex v with at most two live basis
+    edges, R_v; the basis edges it never removes are the core.  Order the
+    columns with v's two first and the rows with R_v first: no other live
+    row has an entry in v's columns, so the live rows' matrix is
+    [[B, C], [0, D]], B the |R_v| x 2 block of R_v at v's columns and D
+    the other live rows.  When B has full row rank, rank = |R_v| + rank(D),
+    over GF(p) as over Q.  For R_v = {va, vb}, B's rows are p(v) - p(a) and
+    p(v) - p(b), and B has full rank iff their cross product is nonzero
+    mod p; for R_v = {va}, iff p(v) != p(a), the same mod p since a
+    coordinate difference is below p in size.  Each trial walks the plan
+    on its points and adds |R_v| per step until the first singular block,
+    which a T that holds both neighbours of v makes certain
+    (``_closed_rank``); the walk is exact, so every trial's rank is the
+    number that one elimination of all its rows gives.  The echelon is fed
+    the live rows, the core's and those of the steps not closed; when they
+    are independent the trial has reached the cap.  Otherwise the same
+    echelon is fed the closed rows, then the rows outside the basis in
+    ``edge_list`` order, until it reaches the cap, so a short trial ranks
+    every row once.  The rows of dependent edges, each reduced all the way
+    to zero, are rarely fed; the cap is proved instead, by the game's
+    recount of each rejection as it makes it, and a rejection that fails
+    its recount raises ``InvariantError``.  A trial that falls short has
+    been fed every row, and on the exact-rational path its confirmed rank
+    is checked against the cap: one above it raises ``InvariantError``
+    too.  In other dimensions there is no plan: the rows are fed in
+    ``edge_list`` order until the rank reaches the cap.
     """
     ts = _check_sample_args(g, T, d)
     basis = pebble_basis_23(g, ts)[0] if d == 2 else None
@@ -381,29 +413,48 @@ def _generic_rank(g: Graph, ts: frozenset[int], d: int, seed: int,
     the accepted list of ``pebble_basis_23(g, ts)``, the game that
     ``check_coincident_rigidity`` plays once for both of its sides and
     that proved the cap as it played; otherwise it is None.  The trials'
-    echelons give the lower bound.
+    walks and echelons give the lower bound.
+
+    ``order`` lists every edge once: the core, then the plan's edges step
+    by step from the last step to the first, then the edges outside the
+    basis in ``edge_list`` order.  Its first ``cap`` edges are the basis,
+    and a trial whose walk closes rank c has closed the rows of the last c
+    of them, so the first ``cap - c`` are the live rows.  Fed from the last
+    step back, a step's rows are the first to touch its vertex's columns,
+    so they need few reduction steps.  In other dimensions there is no
+    plan, ``order`` is ``edge_list`` order, and all ``cap`` first rows are
+    live.
     """
     exact = g.n <= EXACT_VERTEX_LIMIT
     target = rigidity_target(g.n, d)
     order = g.edge_list()
+    steps: list[tuple[int, tuple[int, ...]]] = []
     if d == 2:
         cap = len(basis)
+        steps, core = _peel_plan(g.n, basis)
         kept = set(basis)
-        order = basis + [e for e in order if e not in kept]
+        order = (core + [(v, w) if v < w else (w, v)
+                         for v, nbrs in reversed(steps) for w in nbrs]
+                 + [e for e in order if e not in kept])
     elif d == 1:
         cap = min(len(g.edges), target)
     else:
         cap = len(g.edges)
     best = 0
     for t in range(TRIALS):
-        rows = _trial_rows(g, ts, d, seed, t)
+        pts = _sample_points(g, ts, d, _trial_seed(seed, t))
+        live = cap - _closed_rank(steps, pts)
         ech = ModpEchelon()
-        for e in order:
-            if ech.try_add(rows[e]) and ech.rank == cap:
-                break
-        r = ech.rank
-        if exact and r < cap:
-            r = _exact_rank(rows.values())
+        for u, v in order[:live]:
+            ech.try_add(_edge_row(pts[u], pts[v], u, v, d))
+        r = cap
+        if ech.rank < live:
+            for u, v in order[live:]:
+                if ech.try_add(_edge_row(pts[u], pts[v], u, v, d)) and ech.rank == cap:
+                    break
+            r = ech.rank
+            if exact and r < cap:
+                r = _exact_rank(_sparse_rows(g, pts, d).values())
         if r > cap:
             raise InvariantError(f"trial {t} has rank {r}, above its bound {cap}")
         best = max(best, r)
@@ -421,3 +472,60 @@ def _generic_rank(g: Graph, ts: frozenset[int], d: int, seed: int,
         note=(f"rank is a lower bound on the generic T-coincident rank; "
               f"per-trial failure probability <= {bound} (Schwartz-Zippel)"),
     )
+
+
+def _peel_plan(n: int, basis: list[tuple[int, int]]) -> tuple[
+        list[tuple[int, tuple[int, ...]]], list[tuple[int, int]]]:
+    """The peel plan of a planar basis, and its core.
+
+    An edge is live while neither end has been removed.  The plan removes,
+    one at a time, a vertex with at most two live basis edges, and records
+    it as a step (v, nbrs): v and the other ends of those edges, at most
+    two of them.  A vertex with no live edge is removed with no step.  The
+    core is the basis edges left live when no vertex can be removed, in
+    ``basis`` order.  Every basis edge lies in exactly one step or in the
+    core.  The plan reads the basis, not a trial's points, so a call builds
+    it once for all its trials.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in basis:
+        adj[u].append(v)
+        adj[v].append(u)
+    # live edges per vertex, -1 once the vertex is removed; a vertex is
+    # pushed once: at the start with one or two edges, or when removals
+    # bring it from three edges down to two
+    deg = [len(nbrs) for nbrs in adj]
+    stack = [v for v in range(n) if 0 < deg[v] <= 2]
+    steps = []
+    while stack:
+        v = stack.pop()
+        deg[v] = -1
+        live = [w for w in adj[v] if deg[w] > 0]
+        if live:
+            steps.append((v, tuple(live)))
+        for w in live:
+            deg[w] -= 1
+            if deg[w] == 2:
+                stack.append(w)
+    return steps, [(u, v) for u, v in basis if deg[u] > 0 and deg[v] > 0]
+
+
+def _closed_rank(steps: list[tuple[int, tuple[int, ...]]],
+                 pts: list[tuple[int, ...]]) -> int:
+    """The rank that the plan's walk closes at planar points ``pts``: the
+    sum of |R_v| over its steps up to the first whose block is singular
+    mod p, a zero cross product for two edges or a point equal to its
+    neighbour's for one (the block-triangular argument is in
+    ``generic_rank``'s docstring)."""
+    closed = 0
+    for v, nbrs in steps:
+        x, y = pts[v]
+        if len(nbrs) == 2:
+            ax, ay = pts[nbrs[0]]
+            bx, by = pts[nbrs[1]]
+            if not ((ax - x) * (by - y) - (ay - y) * (bx - x)) % PRIME:
+                break
+        elif pts[nbrs[0]] == (x, y):
+            break
+        closed += len(nbrs)
+    return closed

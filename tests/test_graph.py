@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -80,6 +81,33 @@ def test_parse_T_and_labels():
     g, T = parse_graph_with_T(text)
     assert T == frozenset({0, 2})
     assert g.labels == ("u", "1", "w")
+
+
+def test_default_labels_are_built_on_demand():
+    # a file's "n" costs nothing until a verb's games run: parsing keeps
+    # no per-vertex name, so a billion vertices parse in O(|E|)
+    tracemalloc.start()
+    try:
+        g, _ = parse_graph_with_T('{"n": 1000000000, "edges": [[0, 999999999]]}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 10 ** 9 and g.has_default_labels and peak < 100_000
+    assert graph_to_json(g) == '{"n": 1000000000, "edges": [[0, 999999999]]}'
+    # explicit names equal to the ids are the default: equal, same hash,
+    # and left out of the JSON, from a file or from the constructor
+    plain = Graph(3, [(0, 1)])
+    for same in (Graph(3, [(0, 1)], ("0", "1", "2")),
+                 parse_graph_with_T('{"n": 3, "edges": [[0, 1]], "labels": {"1": "1"}}')[0]):
+        assert same == plain and hash(same) == hash(plain) and same.has_default_labels
+        assert same.labels == plain.labels == ("0", "1", "2")
+        assert graph_to_json(same) == graph_to_json(plain) == '{"n": 3, "edges": [[0, 1]]}'
+    named = Graph(3, [(0, 1)], ("0", "x", "2"))
+    assert named != plain and not named.has_default_labels
+    assert '"labels": {"0": "0", "1": "x", "2": "2"}' in graph_to_json(named)
+    # removing the last vertex keeps the default; removing another renames
+    assert plain.remove_vertex(2).has_default_labels
+    assert plain.remove_vertex(0).labels == ("1", "2")
 
 
 def test_roundtrip_random_graphs():

@@ -12,8 +12,9 @@ from coinrig.checks import fixtures
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_graph
 from coinrig.linalg import (PRIME, ModpEchelon, Realization,
-                            RigidityMatrix, _exact_rank, _sample_points,
-                            _sparse_rows, _trial_rows, generic_rank,
+                            RigidityMatrix, _closed_rank, _exact_rank,
+                            _peel_plan, _sample_points, _sparse_rows,
+                            _trial_rows, _trial_seed, generic_rank,
                             rank_exact,
                             rigidity_matrix, rigidity_target,
                             sample_T_coincident)
@@ -549,11 +550,18 @@ def test_exact_confirmation_reuses_the_drawn_points(monkeypatch):
     assert generic_rank(f.graph, f.T, 2, seed=1) == want
 
 
+def _drawing_trials(monkeypatch):
+    """The trial seeds that ``_generic_rank`` draws points for, as drawn."""
+    drawn = []
+    real = linalg._sample_points
+    monkeypatch.setattr(linalg, "_sample_points",
+                        lambda g, T, d, s: drawn.append(s) or real(g, T, d, s))
+    return drawn
+
+
 def test_trials_stop_at_the_pebble_bound(monkeypatch):
-    drawn, confirms = [], []
-    rows, rank = linalg._trial_rows, linalg._exact_rank
-    monkeypatch.setattr(linalg, "_trial_rows",
-                        lambda g, T, d, seed, t: drawn.append(t) or rows(g, T, d, seed, t))
+    drawn, confirms = _drawing_trials(monkeypatch), []
+    rank = linalg._exact_rank
     monkeypatch.setattr(linalg, "_exact_rank",
                         lambda rows: confirms.append(rows) or rank(rows))
     # vertex 23 has degree 2 and T holds it and its neighbour 11, so G' is
@@ -565,39 +573,54 @@ def test_trials_stop_at_the_pebble_bound(monkeypatch):
     g = g.add_edges(extra[:3])
     assert pebble_rank_23(g.delete_edges([(11, 23)])) == 116
     assert generic_rank(g, {11, 23}, 2).rank == 116
-    assert drawn == [0]
+    assert drawn == [_trial_seed(0, 0)]
     drawn.clear()
     assert generic_rank(complete_graph(4), {0, 1}, 2).rank == 5
-    assert drawn == [0] and confirms == []
+    assert drawn == [_trial_seed(0, 0)] and confirms == []
     # fig4's G' is rigid, but every T-coincident trial falls short of 13
     drawn.clear()
     f = fixtures()["fig4"]
     assert generic_rank(f.graph, f.T, 2, seed=1).rank == 12
-    assert drawn == [0, 1, 2] and len(confirms) == 3
+    assert drawn == [_trial_seed(1, t) for t in range(3)] and len(confirms) == 3
     # in d = 3 the bound is |E|: K5 ranks 9 of its 10 edges
     drawn.clear()
     assert generic_rank(complete_graph(5), {0}, 3).rank == 9
-    assert drawn == [0, 1, 2]
+    assert drawn == [_trial_seed(0, t) for t in range(3)]
+
+
+def _feeding_rows(monkeypatch):
+    """The rows that ``ModpEchelon.try_add`` is given, as given."""
+    fed = []
+    real = ModpEchelon.try_add
+    monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
+    return fed
+
+
+def _row_key(row):
+    return tuple(sorted(row.items()))
 
 
 def test_exact_path_trials_stop_at_the_cap(monkeypatch):
     # a rigid 30-vertex input with two dependent edges: the exact-rational
-    # path, too, stops trial 0 at its last basis row and never feeds the
-    # rows of the two rejected edges
+    # path, too, stops trial 0 once its basis rows reach the cap and never
+    # feeds the rows of the two rejected edges
     g = henneberg_random(30, 1)
     extra = [p for p in combinations(range(30), 2) if p not in g.edges]
     random.Random(1).shuffle(extra)
     g = g.add_edges(extra[:2])
-    fed = []
-    real = ModpEchelon.try_add
-    monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
+    drawn, fed = _drawing_trials(monkeypatch), _feeding_rows(monkeypatch)
     for T in ({0}, {0, 29}):
         basis, game = pebble_basis_23(g, frozenset(T))
         assert len(basis) == 57 and len(game.rejected) == 2
+        drawn.clear()
         fed.clear()
         rep = generic_rank(g, T, 2)
         assert (rep.rank, rep.rigid, rep.method) == (57, True, "exact-rational")
-        assert len(fed) == 57 < len(g.edges) == 59
+        assert drawn == [_trial_seed(0, 0)]
+        rows = _trial_rows(g, frozenset(T), 2, 0, 0)
+        fed_keys = {_row_key(row) for row in fed}
+        assert fed_keys <= {_row_key(rows[e]) for e in basis}
+        assert not fed_keys & {_row_key(rows[e]) for e in game.rejected}
 
 
 def test_stopping_at_the_pebble_bound_matches_every_trial_over_the_graph_atlas():
@@ -736,10 +759,124 @@ def test_rows_past_the_basis_are_fed_when_a_trial_falls_short(monkeypatch):
         g = zero_extension(g, *rng.sample(range(g.n), 2))
     basis, game = pebble_basis_23(g, f.T)
     assert len(basis) == 77 and game.rejected == [(8, 9)]
-    fed = []
-    real = ModpEchelon.try_add
-    monkeypatch.setattr(ModpEchelon, "try_add", lambda ech, row: fed.append(row) or real(ech, row))
+    steps = _peel_plan(g.n, basis)[0]
+    fed = _feeding_rows(monkeypatch)
     rep = generic_rank(g, f.T, 2, seed=1)
     assert (rep.rank, rep.target, rep.method) == (76, 77, "prime-field")
-    assert len(fed) == 3 * len(g.edges)  # three trials, every row
+    # each trial's walk closes rows, and its echelon is still given every
+    # row of the trial exactly once, closed rows included
+    for t in range(3):
+        pts = _sample_points(g, f.T, 2, _trial_seed(1, t))
+        assert _closed_rank(steps, pts) > 0
+        want = sorted(_row_key(row) for row in _sparse_rows(g, pts, 2).values())
+        got = sorted(_row_key(row) for row in fed[t * len(g.edges):(t + 1) * len(g.edges)])
+        assert got == want, t
+    assert len(fed) == 3 * len(g.edges)
     assert rep == _every_trial_report(g, f.T, 2, 1, rep)
+
+
+def _plan_cases():
+    """(g, T) draws: check-large-shaped graphs on both sides of the exact
+    limit, some with T holding both neighbours of a degree-2 vertex."""
+    rng = random.Random(47)
+    for n in (6, 12, 30, 31, 45, 60, 120, 250):
+        for seed in range(3):
+            g = henneberg_plus(n, rng.getrandbits(32))
+            yield g, frozenset(rng.sample(range(n), rng.choice((2, 3))))
+            low = [v for v in range(n) if g.degree(v) == 2]
+            if low:
+                yield g, frozenset(g.neighbors(rng.choice(low)))
+
+
+def test_peel_plan_splits_the_basis_into_steps_and_a_core():
+    for g, T in _plan_cases():
+        basis = pebble_basis_23(g, T)[0]
+        steps, core = _peel_plan(g.n, basis)
+        edges = set(basis)
+        removed = set()
+        for v, nbrs in steps:
+            # v's live basis edges at its step are exactly the ones recorded
+            assert v not in removed and 1 <= len(nbrs) <= 2
+            live = {w for w in range(g.n) if w not in removed and tuple(sorted((v, w))) in edges}
+            assert live == set(nbrs), (v, nbrs)
+            removed.add(v)
+        owned = [tuple(sorted((v, w))) for v, nbrs in steps for w in nbrs]
+        # every basis edge lies in exactly one step or in the core
+        assert sorted(owned + core) == sorted(basis)
+        assert core == [e for e in basis if removed.isdisjoint(e)]
+        # no vertex is left that the plan could remove
+        core_deg = {}
+        for e in core:
+            for v in e:
+                core_deg[v] = core_deg.get(v, 0) + 1
+        assert all(k >= 3 for k in core_deg.values())
+
+
+def _live_rows(steps, core, rows, closed):
+    """The rows a trial's echelon is given first: the core's, and those of
+    the steps past the ones whose blocks close rank ``closed``."""
+    k, c = 0, 0
+    while c < closed:
+        c += len(steps[k][1])
+        k += 1
+    return [rows[e] for e in core] + [rows[tuple(sorted((v, w)))]
+                                      for v, nbrs in steps[k:] for w in nbrs]
+
+
+def _check_peeled_trials(g, T, seed):
+    """Each trial's walk and live rows against ``_exact_rank`` of its basis
+    rows, and the report against every trial ranked whole; returns the
+    number of trials whose walk stopped at a singular block before the
+    plan's end."""
+    basis = pebble_basis_23(g, T)[0]
+    steps, core = _peel_plan(g.n, basis)
+    cut = 0
+    for t in range(linalg.TRIALS):
+        pts = linalg._sample_points(g, T, 2, _trial_seed(seed, t))
+        rows = _sparse_rows(g, pts, 2)
+        closed = _closed_rank(steps, pts)
+        cut += closed < len(basis) - len(core)
+        # block-triangular: each closed block has full rank, and rank adds
+        live = _live_rows(steps, core, rows, closed)
+        assert closed + _exact_rank(live) == _exact_rank(rows[e] for e in basis)
+    rep = generic_rank(g, T, 2, seed=seed)
+    assert rep == _every_trial_report(g, T, 2, seed, rep), (g.edge_list(), sorted(T))
+    return cut
+
+
+def test_peeled_trials_match_every_trial_and_the_exact_rank():
+    # T holding both neighbours of a degree-2 vertex puts a zero cross
+    # product in every trial, so some walks stop before the plan's end
+    cut = sum(_check_peeled_trials(g, T, seed)
+              for seed, (g, T) in enumerate(_plan_cases()))
+    assert cut >= 6
+
+
+@pytest.mark.parametrize("n", [20, 30, 31, 120])
+def test_a_walk_stops_where_a_vertex_meets_its_one_neighbour(monkeypatch, n):
+    # v has degree 2 and T = {v, a} holds one of its neighbours, so v keeps
+    # one basis edge, vb, and its step has one edge; moving b onto the
+    # point of T stops the walk at that step, mid-plan, and the trials
+    # still rank every row
+    g = henneberg_plus(n, n)
+    for v in range(n):
+        if g.degree(v) == 2:
+            a, b = sorted(g.neighbors(v))
+            T = frozenset({v, a})
+            steps = _peel_plan(g.n, pebble_basis_23(g, T)[0])[0]
+            k = next(k for k, step in enumerate(steps) if step[0] == v)
+            if 0 < k < len(steps) - 1:
+                break
+    assert steps[k] == (v, (b,)) and 0 < k < len(steps) - 1
+    real = linalg._sample_points
+
+    def coincident(g, T, d, s):
+        pts = real(g, T, d, s)
+        pts[b] = pts[v]
+        return pts
+
+    monkeypatch.setattr(linalg, "_sample_points", coincident)
+    for t in range(linalg.TRIALS):
+        pts = coincident(g, T, 2, _trial_seed(0, t))
+        assert _closed_rank(steps, pts) == sum(len(nbrs) for _, nbrs in steps[:k])
+    assert _check_peeled_trials(g, T, 0) == linalg.TRIALS
