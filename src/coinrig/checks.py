@@ -9,11 +9,12 @@ side reads one full game, on G', ``pebble.pebble_basis_23``; each
 contraction G'/S is decided from that game's final orientation, not by a
 game of its own.  ``check_coincident_rigidity`` plays that game once and
 both sides read it: the algebraic side caps its rank at the basis, which
-the game proved by recounting each rejection as it made it, and the
-combinatorial side builds every G'/S game as ``sparsity`` builds each
-G/S game, by ``PebbleGame.contracted(S, target)``: a copy of the G' game
-with S merged into min S, fed only the accepted edges at S and the
-rejected edges, up to the rigidity target.
+the game proved once its play ended (a full game at once, a short one by
+recounting each rejection), and the combinatorial side builds every G'/S
+game as ``sparsity`` builds each G/S game, by
+``PebbleGame.contracted(S, target)``: a copy of the G' game with S merged
+into min S, fed only the accepted edges at S and the rejected edges, up to
+the rigidity target.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ def check_coincident_rigidity(g: Graph, T, seed: int = 0) -> CoincidenceVerdict:
     the deletion/contraction characterization, is given for 2 <= |T| <= 3
     only, the sizes where it is proved; otherwise it stays None.
 
-    Both read one (2,3) game on G', ``pebble_basis_23``, which recounts
-    each edge it rejects as it rejects it: the game that ``generic_rank``
-    and ``coincident_rigid_combinatorial`` each play alone.
+    Both read one (2,3) game on G', ``pebble_basis_23``, which proves the
+    edges it rejects once play ends: the game that ``generic_rank`` and
+    ``coincident_rigid_combinatorial`` each play alone.
     """
     ts = g._check_T(T)
     basis, game = pebble_basis_23(g, ts)

@@ -22,7 +22,7 @@ about R_2, not the coincidence theorem, so the rank verdict stays
 independent of the strong-sparsity one.  ``check`` plays that game once and
 hands its final state to the deletion/contraction side too; the rank
 verdict trusts neither its basis nor its orientation, since the game
-recounts each rejection as it makes it and the rank comes from the trials'
+proves its rejections once play ends and the rank comes from the trials'
 echelons.
 ``generic_rank`` draws at most ``TRIALS`` samples, a fixed count that no
 caller overrides, and stops at the first trial that reaches the bound; its
@@ -43,10 +43,11 @@ the plan on its points alone until the first singular block
 closed go to its echelon.  At every size the other rows, the closed ones
 and then those outside the basis, are fed to the same echelon only while
 the rank is short of the bound, so a short trial ranks every row once.
-The game recounts each edge it rejects when it rejects it: the vertex set
-its failed gather reached spans at least 2|R| - 3 edges of the accepted
-list, so the edge lies in the R_2 closure of the basis and no trial can
-rank above it.
+The game proves each edge it rejects once play ends: a game that holds
+2n - 3 edges caps every trial at 2n - 3 as it is, and a shorter one
+recounts, for each edge it refused, a vertex set R holding its ends that
+spans at least 2|R| - 3 edges of the final accepted list, so the edge lies
+in the R_2 closure of the basis and no trial can rank above it.
 """
 
 from __future__ import annotations
@@ -394,9 +395,10 @@ def generic_rank(g: Graph, T: Iterable[int], d: int, seed: int = 0) -> RankRepor
     echelon is fed the closed rows, then the rows outside the basis in
     ``edge_list`` order, until it reaches the cap, so a short trial ranks
     every row once.  The rows of dependent edges, each reduced all the way
-    to zero, are rarely fed; the cap is proved instead, by the game's
-    recount of each rejection as it makes it, and a rejection that fails
-    its recount raises ``InvariantError``.  A trial that falls short has
+    to zero, are rarely fed; the cap is proved instead, by the game once
+    its play ends: a game that holds 2n - 3 edges proves every rejection at
+    once, a shorter one recounts each, and a rejection that fails its
+    recount raises ``InvariantError``.  A trial that falls short has
     been fed every row, and on the exact-rational path its confirmed rank
     is checked against the cap: one above it raises ``InvariantError``
     too.  In other dimensions there is no plan: the rows are fed in

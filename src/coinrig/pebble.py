@@ -9,8 +9,9 @@ rejects, in play order.  It takes parallel edges, so it also ranks a
 multigraph such as a contraction G/S.
 
 Every whole-graph game is ``pebble_basis_23``: the game on G', g less its
-edges inside T, played in ``edge_list`` order, which proves each rejection
-as it makes it.  ``check`` reads it for both of its sides, and the sparse
+edges inside T, played in ``edge_list`` order, which proves its rejections
+once play ends: all at once when it holds 2n - 3 edges, each by a recount
+otherwise.  ``check`` reads it for both of its sides, and the sparse
 decisions read it with T empty.  A game on G/S then starts from that
 game's final state (``PebbleGame.contracted(S, bound)``): the copy keeps
 the accepted edges that avoid S and plays on only the accepted edges at S
@@ -39,7 +40,9 @@ class InvariantError(RuntimeError):
     """A proven bound failed: a bug or a false theorem.
 
     The bounds are the proven facts the code relies on: each rejection of
-    ``pebble_basis_23`` recounts to a set that spans its edge; a violation
+    ``pebble_basis_23`` has ends in a set R that spans at least 2|R| - 3
+    accepted edges, which V is once the game holds 2n - 3 and which a
+    short game recounts after play; a violation
     that a pebble game shows has a witness for the searches of
     ``sparsity`` to name; the cover minimum's family (``matroid``) is
     1-thin, covers the edges and has the minimum as its value; the edges
@@ -241,44 +244,77 @@ def pebble_basis_23(g: Graph, T: frozenset[int]) -> tuple[
     the accepted list is a basis of G' in R_2, and both lists keep that
     order.  Most inserts need no pebble search: the game's count rule
     accepts an edge at a vertex of accepted degree at most one outright,
-    and a rejection is always a failed search.
+    and a refusal is a failed search.  Once the game holds 2n - 3 edges it
+    is full: every later edge is rejected with no search.
 
-    Each rejection is proved as it is made, recounted from the accepted
-    list, not from the orientation.  A rejected ab needs a set R that holds
-    a and b and spans at least 2|R| - 3 accepted edges: R is the set of
-    vertices reachable from a and b once the gather failed, which leaves
-    l = 3 pebbles on a and b and none on R's other vertices, with every
-    out-edge of R inside R (Lee-Streinu 2008).  The accepted edges are
-    independent (the game accepts only edges that keep its set sparse), and
-    no planar realization ranks the rows of R's edges above 2|R| - 3,
-    coincident points included, so ab's row is in their span generically.
-    The generic rank of G' is then the basis size, and no sampled trial
-    ranks above it.  A rejection that fails its recount raises
-    ``InvariantError``.
+    Each rejection is proved once play ends, against the final accepted
+    list.  A rejected ab needs a set R that holds a and b and spans at least
+    2|R| - 3 accepted edges.  The accepted edges are independent (the game
+    accepts only edges that keep its set sparse), and no planar realization
+    ranks the rows of R's edges above 2|R| - 3, coincident points included,
+    so ab's row is in their span generically.  The accepted list only grows,
+    so a set that spans enough accepted edges at the end proves an edge
+    rejected at any time.  A full game needs no more: V spans its 2|V| - 3
+    accepted edges, and no trial ranks above 2n - 3 whatever the game
+    rejected.  A short game, one that ends with fewer, recounts each edge
+    that ``try_insert`` refused, listed as it refuses it rather than read
+    back from ``rejected``.  First R is the set of vertices reachable from
+    a and b in the final orientation (``_reach``), recounted from the
+    accepted list, not from the orientation.  Only if that falls short is
+    the gather of ab retried: it must fail, and then R, taken again, holds
+    no free pebble but the three on a and b, with every out-edge of R
+    inside R, so it spans 2|R| - 3 accepted edges (Lee-Streinu 2008).  A
+    gather that succeeds, or a recount that still falls short, raises
+    ``InvariantError``.  The generic rank of G' is then the basis size, and
+    no sampled trial ranks above it.
 
     This is every whole-graph game: ``check_coincident_rigidity`` plays it
     once on G' for both of its sides, the algebraic one taking the basis
     and the combinatorial one copying the game onto each G'/S, and the
-    sparse decisions play it on G with T empty.  Neither ``_reach`` nor
-    ``PebbleGame.contracted`` changes the game.
+    sparse decisions play it on G with T empty.  A short game's failed
+    gathers may move pebbles, never accepted edges; ``_reach`` and
+    ``PebbleGame.contracted`` change nothing.
     """
     game = PebbleGame(g.n)
+    full = 2 * g.n - 3
     basis = []
-    up: list[list[int]] = [[] for _ in range(g.n)]
+    refused = []
     for a, b in g.edge_list():
         if a in T and b in T:
             continue
-        if game.try_insert(a, b):
+        if game.accepted >= full:
+            game.rejected.append((a, b))
+        elif game.try_insert(a, b):
             basis.append((a, b))
+        else:
+            refused.append((a, b))
+    if refused and game.accepted < full:
+        up: list[list[int]] = [[] for _ in range(g.n)]
+        for a, b in basis:
             up[a].append(b)
-            continue
-        R = _reach(game.out, a, b)
-        spanned = sum(len(R.intersection(up[v])) for v in R)
-        if spanned < 2 * len(R) - 3:
-            raise InvariantError(
-                f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
-                f"accepted edges: its set of {len(R)} vertices spans {spanned}")
+        for a, b in refused:
+            size, spanned = _reach_count(game.out, up, a, b)
+            if spanned >= 2 * size - 3:
+                continue
+            if game.gather(a, b):
+                raise InvariantError(
+                    f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
+                    f"accepted edges: four pebbles gather on its ends")
+            size, spanned = _reach_count(game.out, up, a, b)
+            if spanned < 2 * size - 3:
+                raise InvariantError(
+                    f"rejected edge ({a}, {b}) is not in the R_2 closure of the "
+                    f"accepted edges: its set of {size} vertices spans {spanned}")
     return basis, game
+
+
+def _reach_count(out: list[list[int]], up: list[list[int]], a: int,
+                 b: int) -> tuple[int, int]:
+    """|R|, R the vertices reachable from a or b along ``out``, and the
+    number of accepted edges R spans, counted from ``up``, which lists each
+    accepted edge once, at one of its ends."""
+    R = _reach(out, a, b)
+    return len(R), sum(len(R.intersection(up[v])) for v in R)
 
 
 def _reach(out: list[list[int]], a: int, b: int) -> set[int]:

@@ -15,7 +15,7 @@ this shape.  Such families are exactly the collections of disjoint nonempty
 whole-graph strong-sparsity verdict, decide by (2,3) pebble games, the
 proof of which is in the ``StrongSparsityChecker`` docstring: one game on
 G for the set capacities (``pebble.pebble_basis_23`` with T empty, which
-proves each rejection as it makes it), a count of the edges inside S, and
+proves its rejections once play ends), a count of the edges inside S, and
 per S a copy of G's final game on G/S (``PebbleGame.contracted``), with S
 merged into min S and parallel edges kept, whose nullity is the heaviest
 family weight.  The copy already holds every edge that avoids S, so it

@@ -2,9 +2,11 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,8 @@ from coinrig import InvariantError
 from coinrig.checks import fixtures
 from coinrig.cli import main
 from coinrig.constructions import henneberg_random, reduce_low_degree
-from coinrig.graph import Graph, graph_to_json
-from coinrig.pebble import PebbleGame
+from coinrig.graph import Graph, complete_graph, graph_to_json, parse_graph_with_T
+from coinrig.pebble import PebbleGame, pebble_basis_23
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +39,7 @@ def test_reduce_low_degree_without_admissible_pair_raises(monkeypatch):
 
 
 K4 = '{"n":4,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
+K4_ISOLATED = '{"n":5,"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}'
 # 40 vertices, above EXACT_VERTEX_LIMIT: the prime-field path
 H40 = graph_to_json(henneberg_random(40, 1))
 # every T-coincident trial of fig4 falls short of its cap 13 and is
@@ -74,9 +77,10 @@ def test_trial_above_the_pebble_bound_is_a_violation(monkeypatch, capsys, tmp_pa
 @pytest.mark.parametrize("verb", ["rank", "check"])
 def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb):
     # on 4 and on 40 vertices alike the basis rows would reach the forged
-    # cap and no other row would be fed, so only the recount of the
-    # rejection, made as the game makes it, can catch it; rank and check
-    # both play the game through pebble_basis_23
+    # cap and no other row would be fed, so only the proof of the
+    # rejection can catch it: the game ends short of 2n - 3 edges, so it is
+    # proved after play, and four pebbles gather on its ends; rank and
+    # check both play the game through pebble_basis_23
     graph = tmp_path / "graph.json"
     for text in (K4, H40):
         graph.write_text(text)
@@ -85,6 +89,35 @@ def test_forged_rejection_fails_its_recount(monkeypatch, capsys, tmp_path, verb)
         err = capsys.readouterr().err
         assert err.startswith("error: invariant violated: rejected edge ")
         assert err.count("\n") == 1
+
+
+# full games with their first edge refused: K5 on the exact-rational path,
+# and a 40-vertex Henneberg graph plus 3 edges on the prime-field path
+K5 = graph_to_json(complete_graph(5))
+_H = henneberg_random(40, 1)
+H40X = graph_to_json(_H.add_edges(random.Random(1).sample(
+    [p for p in combinations(range(40), 2) if p not in _H.edges], 3)))
+
+
+@pytest.mark.parametrize("verb", ["rank", "check"])
+def test_forged_refusal_on_a_full_game_changes_no_output(monkeypatch, capsys, tmp_path, verb):
+    # the game still ends holding 2n - 3 edges, which span every edge of G',
+    # the refused one too, so nothing is left to prove and every byte of
+    # the report is the one the true game gives
+    graph = tmp_path / "graph.json"
+    for text in (K5, H40X):
+        graph.write_text(text)
+        args = [verb, "--graph", str(graph), "--T", "0,1"]
+        assert main(args) == 0
+        want = capsys.readouterr()
+        with monkeypatch.context() as m:
+            _refuse_the_first_insert(m)
+            g = parse_graph_with_T(text)[0]
+            basis, game = pebble_basis_23(g, frozenset({0, 1}))
+            played = len(g.delete_edges([(0, 1)]).edges)
+            assert len(basis) == 2 * g.n - 3 and len(basis + game.rejected) == played - 1
+            assert main(args) == 0
+        assert capsys.readouterr() == want
 
 
 SCRIPT = textwrap.dedent("""
@@ -139,12 +172,14 @@ SCRIPT = textwrap.dedent("""
     coinrig.linalg._exact_rank = real_exact
 
     # reach sets cut down to the rejected edge's ends: the sparse decisions
-    # play the same game as check, so their recount catches it too
+    # play the same game as check, so their recount catches it too; K4 plus
+    # an isolated vertex ends short of 2n - 3 edges, so its rejection is
+    # recounted (a full game, such as K4's, needs no recount)
     real_reach = coinrig.pebble._reach
     coinrig.pebble._reach = lambda out, a, b: {a, b}
     sparse_err = io.StringIO()
     with contextlib.redirect_stderr(sparse_err), contextlib.redirect_stdout(io.StringIO()):
-        sparse_code = main(["sparse", "--strong", "--graph", sys.argv[1], "--T", "0,1"])
+        sparse_code = main(["sparse", "--strong", "--graph", sys.argv[4], "--T", "0,1"])
     coinrig.pebble._reach = real_reach
 
     # a copied G'/S state holding more than 2n' - 3 edges
@@ -178,11 +213,13 @@ def test_invariants_fire_under_optimize(tmp_path):
     large.write_text(H40)
     fig4 = tmp_path / "fig4.json"
     fig4.write_text(FIG4)
+    short = tmp_path / "k4-isolated.json"
+    short.write_text(K4_ISOLATED)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(graph), str(large),
-                           str(fig4)],
+                           str(fig4), str(short)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -684,7 +684,7 @@ def test_echelon_rank_equals_exact_rank_on_check_sized_samples():
 
 
 def test_cap_game_rejections_recount():
-    # the game recounts each rejection as it makes it, so a call that
+    # the game proves its rejections once play ends, so a call that
     # returns has proved that the basis is as large as pebble_rank_23
     rng = random.Random(41)
     for _ in range(60):

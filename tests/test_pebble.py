@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import combinations
 
+import coinrig.pebble
 from coinrig.checks import random_instance
 from coinrig.constructions import henneberg_random, zero_extension
 from coinrig.graph import Graph, complete_bipartite, complete_graph
-from coinrig.pebble import PebbleGame, _reach, pebble_basis_23, pebble_rank_23
+from coinrig.pebble import (InvariantError, PebbleGame, _reach, pebble_basis_23,
+                            pebble_rank_23)
 from coinrig.sparsity import subsets_of_two_or_more
 
 from test_exhaustive import _atlas
@@ -383,3 +386,102 @@ def test_second_insert_of_an_edge():
     assert game.try_insert(0, 1)
     assert not game.gather(1, 0) and not game.try_insert(1, 0)
     assert game.deg == [1, 1, 0] and game.accepted == 1
+
+
+def _eager_basis_23(g, T):
+    """``pebble_basis_23`` with each rejection proved as it is made: R, the
+    vertices its failed gather reached, recounted from the accepted list so
+    far; every edge is played, also once the game holds 2n - 3."""
+    game = PebbleGame(g.n)
+    basis = []
+    up = [[] for _ in range(g.n)]
+    for a, b in g.edge_list():
+        if a in T and b in T:
+            continue
+        if game.try_insert(a, b):
+            basis.append((a, b))
+            up[a].append(b)
+            continue
+        R = _reach(game.out, a, b)
+        if sum(len(R.intersection(up[v])) for v in R) < 2 * len(R) - 3:
+            raise InvariantError(f"rejected edge ({a}, {b})")
+    return basis, game
+
+
+def _kind_of_game(g, T):
+    """Check the game against the eager one: the same basis, the same
+    rejections in the same order and the same count; and name its kind."""
+    basis, game = pebble_basis_23(g, T)
+    ref_basis, ref = _eager_basis_23(g, T)
+    assert basis == ref_basis, (g.edge_list(), sorted(T))
+    assert game.rejected == ref.rejected and game.accepted == ref.accepted == len(basis)
+    if len(basis) == 2 * g.n - 3:
+        return "full"
+    return "short, rejecting" if game.rejected else "short"
+
+
+def test_proof_after_play_matches_the_eager_game():
+    # every graph on at most 6 vertices with every T of at most 3 vertices,
+    # and random near-threshold graphs up to 60 vertices: full games, which
+    # prove nothing after play, and short ones, which recount each refusal
+    kinds = Counter()
+    for g in _atlas(6):
+        for k in range(4):
+            for T in combinations(range(g.n), k):
+                kinds[_kind_of_game(g, frozenset(T))] += 1
+    assert kinds == {"full": 1183, "short": 5871, "short, rejecting": 590}
+    kinds.clear()
+    rng = random.Random(61)
+    for _ in range(300):
+        g, T = random_instance(rng, 60, rng.choice([0, 1, 2, 3]))
+        kinds[_kind_of_game(g, T)] += 1
+    assert kinds == {"full": 156, "short": 24, "short, rejecting": 120}
+
+
+def _spy(monkeypatch):
+    """Record each ``_reach``, ``gather`` and ``try_insert`` call, with
+    gather's answer."""
+    calls = []
+    real_reach, real_gather = coinrig.pebble._reach, PebbleGame.gather
+    real_insert = PebbleGame.try_insert
+
+    def reach(out, a, b):
+        calls.append(("reach", a, b))
+        return real_reach(out, a, b)
+
+    def gather(game, a, b):
+        took = real_gather(game, a, b)
+        calls.append(("gather", a, b, took))
+        return took
+
+    def try_insert(game, a, b):
+        calls.append(("insert", a, b))
+        return real_insert(game, a, b)
+
+    monkeypatch.setattr(coinrig.pebble, "_reach", reach)
+    monkeypatch.setattr(PebbleGame, "gather", gather)
+    monkeypatch.setattr(PebbleGame, "try_insert", try_insert)
+    return calls
+
+
+def test_short_games_recount_each_refusal_after_play(monkeypatch):
+    calls = _spy(monkeypatch)
+    # a full game: K5's game holds 7 edges after its first 7 inserts, and
+    # rejects the other 3 with no search and no recount
+    basis, game = pebble_basis_23(complete_graph(5), frozenset())
+    assert len(basis) == 7 and game.rejected == [(2, 3), (2, 4), (3, 4)]
+    assert [c[0] for c in calls] == ["insert"] * 7
+    # a short game whose final reach set recounts at once: no gather
+    calls.clear()
+    g = Graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)])
+    basis, game = pebble_basis_23(g, frozenset())
+    assert len(basis) == 6 and game.rejected == [(2, 4)]
+    assert calls[7:] == [("reach", 2, 4)]
+    # a short game whose final reach set of (3, 5) holds a free pebble: its
+    # gather fails, and the reach set taken after it recounts
+    calls.clear()
+    g = Graph(7, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4),
+                  (2, 6), (3, 5), (4, 6), (5, 6)])
+    basis, game = pebble_basis_23(g, frozenset({2, 4, 5}))
+    assert len(basis) == 10 and game.rejected == [(3, 5)]
+    assert calls[11:] == [("reach", 3, 5), ("gather", 3, 5, False), ("reach", 3, 5)]
